@@ -63,7 +63,6 @@ from .pauli import (
 )
 from .simulator import (
     ExactRunResult,
-    ShotOutcome,
     ShotRun,
     SimulationError,
     StateVector,
@@ -83,7 +82,7 @@ __all__ = [
     "AncillaPolicy", "BatchSeries", "Circuit", "DbmNetwork", "Decomposition",
     "Estimate", "ExactRunResult", "Fragment", "Gate", "Hamiltonian",
     "HamiltonianTerm", "HiddenUnit", "LdbmNetwork", "PauliString",
-    "ShotOutcome", "ShotRun", "SimulationError", "StateVector", "SuccessModel",
+    "ShotRun", "SimulationError", "StateVector", "SuccessModel",
     "amplitude", "apply_diagonal_imaginary", "apply_hx", "apply_hy",
     "apply_hy_dag", "apply_rz", "apply_rzz", "apply_term_imaginary",
     "apply_word", "basis_rotation_layer", "bootstrap", "build_qite_circuit",

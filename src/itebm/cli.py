@@ -193,6 +193,7 @@ def iter_evolution(
     budget is split evenly), then splits each pass into `batches` contiguous
     batches for jackknife errors; a batch contributes to an observable only
     when every basis group it needs has at least one accepted shot there.
+    The note of a shots checkpoint counts the batches each column dropped.
     """
     diag_terms, x_terms = _column_terms(h)
     groups = _measurement_groups(h)
@@ -249,10 +250,11 @@ def iter_evolution(
                 term_sums[i] = vals.reshape(batches, per_batch).sum(axis=1)
 
         group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
+        dropped = []
 
-        def column(indices, coeffs) -> tuple[float, float, np.ndarray]:
+        def column(name, indices, coeffs) -> tuple[float, float]:
             if not indices:
-                return 0.0, 0.0, np.ones(batches, dtype=bool)
+                return 0.0, 0.0
             need = sorted({group_of[i] for i in indices})
             kept = np.all(counts[need] > 0, axis=0)
             if int(kept.sum()) < 2:
@@ -260,6 +262,8 @@ def iter_evolution(
                     f"only {int(kept.sum())} batch(es) have accepted shots in "
                     f"all required bases at tau={tau:g}; increase --shots"
                 )
+            if not kept.all():
+                dropped.append(f"{batches - int(kept.sum())} of {batches} batches ({name})")
             vals = np.zeros(batches)
             for i, c in zip(indices, coeffs):
                 vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
@@ -268,12 +272,14 @@ def iter_evolution(
                 accepted=counts[:, kept].sum(axis=0),
             )
             est = jackknife(series)
-            return est.mean, est.std_error, kept
+            return est.mean, est.std_error
 
         all_idx = list(range(len(h.terms)))
-        e_mean, e_err, _ = column(all_idx, [h.terms[i].coefficient for i in all_idx])
-        zz_mean, zz_err, _ = column(diag_terms, [1.0] * len(diag_terms))
-        x_mean, x_err, _ = column(x_terms, [1.0] * len(x_terms))
+        e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
+        zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
+        x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
+        if dropped:
+            note = f"tau {tau:g}: dropped " + ", ".join(dropped)
         total_accepted = int(counts.sum())
         row = {
             "tau": tau, "E_mean": e_mean, "E_err": e_err,

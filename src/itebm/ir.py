@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # import cycle: pauli imports Gate for its rotation layers
     from .pauli import PauliString
@@ -164,9 +164,3 @@ class Fragment:
             n_cbits=self.n_cbits,
         )
 
-
-def concat(fragments: Iterable[Fragment]) -> Fragment:
-    out = Fragment()
-    for f in fragments:
-        out.extend(f)
-    return out

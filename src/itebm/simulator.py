@@ -1,18 +1,23 @@
 """Dense statevector execution with mid-circuit measurement and reset.
 
-Exact mode deterministically post-selects every measurement (recording each
-branch probability); sampled mode draws Born-rule outcomes for a whole batch
-of shots at once, discarding shots at their first failed post-selection.
-Randomness comes from a counter-based Philox generator keyed by the seed; at
-each measurement event one variate is drawn per surviving shot in shot
-order, and terminal sampling draws one variate per surviving shot, so a
-given (circuit, state, n_shots, seed) is bit-reproducible.
+Both modes replay one trajectory.  Every measure is immediately followed by
+the postselect on its bit, so all accepted shots follow the same
+post-selected path: a single state is walked through the circuit, each
+measurement records its branch probabilities and projects onto the kept
+value, and each reset factors out a disentangled qubit.  Exact mode
+multiplies the kept-branch probabilities; sampled mode draws per-shot
+Born-rule outcomes against them, discarding shots at their first failed
+post-selection, and samples the surviving shots' terminal bits from the
+final state.  Randomness comes from a counter-based Philox generator keyed
+by the seed; at each measurement one variate is drawn per surviving shot in
+shot order, and terminal sampling draws one variate per surviving shot, so
+a given (circuit, state, n_shots, seed) is bit-reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +105,7 @@ class ExactRunResult:
 
 
 # ---------------------------------------------------------------------------
-# Gate kernels over (batch, 2^n) amplitude arrays.
+# Gate kernels over one 2^n amplitude vector, updated in place.
 
 @lru_cache(maxsize=1024)
 def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
@@ -111,37 +116,31 @@ def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
     return perm
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> None:
-    shaped = amps.reshape(amps.shape[0], 1 << q, 2, -1)
-    a0 = shaped[:, :, 0, :].copy()
-    a1 = shaped[:, :, 1, :]
-    shaped[:, :, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    shaped[:, :, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+def _apply_1q(vec: np.ndarray, q: int, mat: np.ndarray) -> None:
+    shaped = vec.reshape(1 << q, 2, -1)
+    a0 = shaped[:, 0, :].copy()
+    a1 = shaped[:, 1, :]
+    shaped[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
+    shaped[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
-def _apply_rot(amps: np.ndarray, string: PauliString, angle: float) -> None:
+def _apply_rot(vec: np.ndarray, string: PauliString, angle: float) -> None:
     perm, phase = word_action(string.word)
-    tmp = amps[:, perm] * phase
-    amps *= np.cos(0.5 * angle)
+    tmp = vec[perm] * phase
+    vec *= np.cos(0.5 * angle)
     tmp *= -1j * np.sin(0.5 * angle)
-    amps += tmp
+    vec += tmp
 
 
-def _apply_unitary(amps: np.ndarray, n: int, g: Gate) -> None:
+def _apply_unitary(vec: np.ndarray, n: int, g: Gate) -> None:
     if g.kind in _GATE_1Q:
-        _apply_1q(amps, n, g.qubits[0], _GATE_1Q[g.kind])
+        _apply_1q(vec, g.qubits[0], _GATE_1Q[g.kind])
     elif g.kind == "cx":
-        amps[:] = amps[:, _cx_perm(n, g.qubits[0], g.qubits[1])]
+        vec[:] = vec[_cx_perm(n, g.qubits[0], g.qubits[1])]
     elif g.kind == "pauli_rot":
-        _apply_rot(amps, g.string, g.angle)
+        _apply_rot(vec, g.string, g.angle)
     else:
         raise SimulationError(f"gate {g.kind!r} is not unitary")
-
-
-def _outcome_probs(amps: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Per-row probability of measuring 1 on qubit q (rows assumed normalized)."""
-    shaped = amps.reshape(amps.shape[0], 1 << q, 2, -1)
-    return np.sum(np.abs(shaped[:, :, 1, :]) ** 2, axis=(1, 2))
 
 
 def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
@@ -158,7 +157,7 @@ def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     return np.kron(vec, anc)  # ancillas occupy the least significant bits
 
 
-def _reset_vector(vec: np.ndarray, n: int, q: int) -> np.ndarray:
+def _reset_vector(vec: np.ndarray, q: int) -> np.ndarray:
     """Factor a disentangled qubit out of a single state and reinitialize to |0>.
 
     The qubit must be in a product state with the rest (verified to 1e-10);
@@ -188,17 +187,24 @@ def _reset_vector(vec: np.ndarray, n: int, q: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
-    """Deterministic execution: every measurement projects onto its
-    post-selected outcome and the branch probability is recorded.
+def _walk(
+    circuit: Circuit,
+    psi0: StateVector,
+    draw: Callable[[int, int, float], bool] | None = None,
+) -> tuple[np.ndarray | None, float]:
+    """Evolve one state through the circuit along its post-selected trajectory.
 
-    Requires each measure gate to be immediately followed by the postselect
-    consuming its bit (all circuits built by this package satisfy that).
-    Returns the renormalized visible-register state; ancillas must end in
-    |0> (guaranteed after their final reset).
+    Each measure must be immediately followed by the postselect consuming
+    its bit (all circuits built by this package satisfy that).  Such a pair
+    projects the state onto the post-selected value and renormalizes it;
+    resets factor the qubit out (`_reset_vector`).  With draw given, each
+    pair first calls draw(cbit, value, p1) with the probability p1 of
+    reading 1, and a False return ends the walk.  Returns the full final
+    vector (ancillas in the low bits, checked back in |0>; None when draw
+    ended the walk) and the product of the kept-branch probabilities.
     """
     n = circuit.n_qubits
-    amps = _embed(circuit, psi0)[None, :]
+    vec = _embed(circuit, psi0)
     cumulative = 1.0
     gates = circuit.gates
     i = 0
@@ -208,42 +214,52 @@ def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
             if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
                     or gates[i + 1].cbit != g.cbit:
                 raise SimulationError(
-                    "exact mode requires measure to be immediately followed by "
-                    "its postselect"
+                    "measure must be immediately followed by its postselect"
                 )
             value = gates[i + 1].value
-            q = g.qubits[0]
-            shaped = amps.reshape(1, 1 << q, 2, -1)
+            shaped = vec.reshape(1 << g.qubits[0], 2, -1)
             # Weigh the kept branch directly: 1 - p(other) would fold the
             # state's accumulated norm error into p, and dividing by a tiny
             # p amplifies that error multiplicatively across units.
-            p = float(np.sum(np.abs(shaped[:, :, value, :]) ** 2))
+            p = float(np.sum(np.abs(shaped[:, value, :]) ** 2))
+            if draw is not None:
+                p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
+                if not draw(g.cbit, value, p1):
+                    return None, cumulative
             if p < BRANCH_FLOOR:
                 raise SimulationError(
                     f"zero-weight trajectory: postselect on cbit {g.cbit} has "
                     f"branch probability {p:.3g}"
                 )
-            shaped[:, :, 1 - value, :] = 0.0
-            amps /= np.sqrt(p)
+            shaped[:, 1 - value, :] = 0.0
+            vec /= np.sqrt(p)
             cumulative *= p
             i += 2
             continue
         if g.kind == "postselect":
             raise SimulationError("postselect without a preceding measure")
         if g.kind == "reset":
-            amps = _reset_vector(amps[0], n, g.qubits[0])[None, :]
+            vec = _reset_vector(vec, g.qubits[0])
         else:
-            _apply_unitary(amps, n, g)
+            _apply_unitary(vec, n, g)
         i += 1
-    full = amps[0]
     if circuit.n_ancilla:
-        block = full.reshape(1 << circuit.n_visible, 1 << circuit.n_ancilla)
-        visible = block[:, 0]
+        visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
         leak = 1.0 - float(np.vdot(visible, visible).real)
         if leak > 1e-9:
             raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
-    else:
-        visible = full
+    return vec, cumulative
+
+
+def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
+    """Deterministic execution: every measurement projects onto its
+    post-selected outcome and the branch probability is recorded.
+
+    Returns the renormalized visible-register state; ancillas must end in
+    |0> (guaranteed after their final reset).
+    """
+    vec, cumulative = _walk(circuit, psi0)
+    visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
     return ExactRunResult(
         final_state=StateVector(circuit.n_visible, visible).normalized(),
         cumulative_success=cumulative,
@@ -251,20 +267,12 @@ def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
     )
 
 
-@dataclass(frozen=True)
-class ShotOutcome:
-    """One shot: acceptance flag, classical bits, terminal sample."""
+class ShotRun:
+    """Array-backed per-shot outcomes of a sampled run.
 
-    accepted: bool
-    classical_bits: tuple[int, ...]
-    terminal_bits: tuple[int, ...] | None
-
-
-class ShotRun(Sequence[ShotOutcome]):
-    """Array-backed sequence of per-shot outcomes.
-
-    classical bits hold -1 where a shot was rejected before the measurement;
-    terminal bits are per visible qubit in the run's measurement basis.
+    accepted holds one flag per shot; classical bits hold -1 where a shot
+    was rejected before the measurement; terminal bits are per visible
+    qubit in the run's measurement basis, -1 for rejected shots.
     """
 
     def __init__(self, basis: str, accepted: np.ndarray, cbits: np.ndarray,
@@ -285,22 +293,6 @@ class ShotRun(Sequence[ShotOutcome]):
     @property
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.n_shots if self.n_shots else 0.0
-
-    def __len__(self) -> int:
-        return self.accepted.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        ok = bool(self.accepted[index])
-        return ShotOutcome(
-            accepted=ok,
-            classical_bits=tuple(int(b) for b in self.cbits[index]),
-            terminal_bits=tuple(int(b) for b in self.terminal[index]) if ok else None,
-        )
-
-    def __iter__(self) -> Iterator[ShotOutcome]:
-        return (self[i] for i in range(len(self)))
 
     def word_values(self, word: str | PauliString) -> np.ndarray:
         """Per-accepted-shot eigenvalues of a word compatible with the basis."""
@@ -327,9 +319,12 @@ def run_shots(
 ) -> ShotRun:
     """Sample n_shots trajectories; rejected shots stop at the failed check.
 
-    terminal_basis is one letter per visible qubit ('Z', 'X', or 'Y'); after
-    the circuit, each surviving shot is rotated accordingly and a bitstring
-    is sampled (bit b means eigenvalue (-1)^b of that qubit's basis letter).
+    Every accepted shot follows the same post-selected trajectory, so one
+    state is walked and only the draws are per shot: one variate per
+    surviving shot at each measurement, then one per surviving shot against
+    the final state.  terminal_basis is one letter per visible qubit ('Z',
+    'X', or 'Y'); the final state is rotated accordingly before sampling
+    (bit b means eigenvalue (-1)^b of that qubit's basis letter).
     """
     n = circuit.n_qubits
     nv = circuit.n_visible
@@ -337,57 +332,31 @@ def run_shots(
     if len(basis) != nv or set(basis) - set("ZXY"):
         raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    amps = np.tile(_embed(circuit, psi0), (n_shots, 1))
     alive = np.arange(n_shots)
     accepted = np.ones(n_shots, dtype=bool)
     cbits = np.full((n_shots, circuit.n_cbits), -1, dtype=np.int8)
     terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-    for g in circuit.gates:
-        if alive.size == 0:
-            break
-        if g.kind == "measure":
-            q = g.qubits[0]
-            p1 = _outcome_probs(amps, n, q)
-            draws = rng.random(alive.size)
-            outcomes = (draws < p1).astype(np.int8)
-            cbits[alive, g.cbit] = outcomes
-            shaped = amps.reshape(alive.size, 1 << q, 2, -1)
-            ones = outcomes == 1
-            shaped[~ones, :, 1, :] = 0.0
-            shaped[ones, :, 0, :] = 0.0
-            p_kept = np.sum(np.abs(shaped) ** 2, axis=(1, 2, 3))
-            amps /= np.sqrt(np.maximum(p_kept, ZERO_WEIGHT))[:, None]
-        elif g.kind == "postselect":
-            keep = cbits[alive, g.cbit] == g.value
-            accepted[alive[~keep]] = False
-            alive = alive[keep]
-            amps = amps[keep]
-        elif g.kind == "reset":
-            q = g.qubits[0]
-            shaped = amps.reshape(alive.size, 1 << q, 2, -1)
-            stray = np.sum(np.abs(shaped[:, :, 1, :]) ** 2, axis=(1, 2))
-            if np.any(stray > 1e-10):
-                raise SimulationError(
-                    "sampled reset requires the qubit to be measured first"
-                )
-            shaped[:, :, 1, :] = 0.0
-        else:
-            _apply_unitary(amps, n, g)
+
+    def draw(cbit: int, value: int, p1: float) -> bool:
+        nonlocal alive
+        outcomes = (rng.random(alive.size) < p1).astype(np.int8)
+        cbits[alive, cbit] = outcomes
+        keep = outcomes == value
+        accepted[alive[~keep]] = False
+        alive = alive[keep]
+        return alive.size > 0
+
+    vec, _ = _walk(circuit, psi0, draw)
     if alive.size:
         for q, ch in enumerate(basis):
-            if ch == "X":
-                _apply_1q(amps, n, q, HX)
-            elif ch == "Y":
-                _apply_1q(amps, n, q, HY_DAG)
-        probs = np.abs(amps) ** 2
-        cums = np.cumsum(probs, axis=1)
-        cums /= cums[:, -1:]
-        draws = rng.random(alive.size)
-        indices = np.minimum(
-            np.sum(cums < draws[:, None], axis=1), (1 << n) - 1
-        )
-        shifts = np.array([n - 1 - q for q in range(nv)])
-        terminal[alive] = ((indices[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+            if ch != "Z":
+                _apply_1q(vec, q, HX if ch == "X" else HY_DAG)
+        cums = np.cumsum(np.abs(vec) ** 2)
+        cums /= cums[-1]
+        # searchsorted counts the cumulative weights below each draw
+        indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << n) - 1)
+        shifts = np.arange(n - 1, n - 1 - nv, -1)
+        terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
     return ShotRun(basis, accepted, cbits, terminal)
 
 

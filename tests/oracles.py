@@ -120,3 +120,88 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     return abs(np.vdot(u, v)) ** 2
+
+
+def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
+                            terminal_basis: str | None = None):
+    """The batched sampler that `run_shots` replaced, kept verbatim as the
+    bit-level reference for it: every shot carries its own copy of the state
+    in a (shots, 2^n) array, shots are compacted at each failed postselect,
+    and a reset zeroes a qubit that a measurement already projected.
+
+    Uses the package's word_action and basis matrices, as the original did,
+    so that equal draws give equal bits.  Returns (accepted, cbits, terminal).
+    """
+    from itebm.pauli import HX, HY, HY_DAG, word_action
+
+    mats = {"hx": HX, "hy": HY, "hydag": HY_DAG}
+    n = circuit.n_qubits
+    nv = circuit.n_visible
+    basis = terminal_basis or "Z" * nv
+
+    def apply_1q(amps, q, mat):
+        shaped = amps.reshape(amps.shape[0], 1 << q, 2, -1)
+        a0 = shaped[:, :, 0, :].copy()
+        a1 = shaped[:, :, 1, :]
+        shaped[:, :, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
+        shaped[:, :, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    vec = psi0.normalized().amps
+    anc = np.zeros(1 << circuit.n_ancilla, dtype=complex)
+    anc[0] = 1.0
+    amps = np.tile(np.kron(vec, anc), (n_shots, 1))
+    alive = np.arange(n_shots)
+    accepted = np.ones(n_shots, dtype=bool)
+    cbits = np.full((n_shots, circuit.n_cbits), -1, dtype=np.int8)
+    terminal = np.full((n_shots, nv), -1, dtype=np.int8)
+    for g in circuit.gates:
+        if alive.size == 0:
+            break
+        if g.kind == "measure":
+            q = g.qubits[0]
+            shaped = amps.reshape(alive.size, 1 << q, 2, -1)
+            p1 = np.sum(np.abs(shaped[:, :, 1, :]) ** 2, axis=(1, 2))
+            outcomes = (rng.random(alive.size) < p1).astype(np.int8)
+            cbits[alive, g.cbit] = outcomes
+            ones = outcomes == 1
+            shaped[~ones, :, 1, :] = 0.0
+            shaped[ones, :, 0, :] = 0.0
+            p_kept = np.sum(np.abs(shaped) ** 2, axis=(1, 2, 3))
+            amps /= np.sqrt(np.maximum(p_kept, 1e-300))[:, None]
+        elif g.kind == "postselect":
+            keep = cbits[alive, g.cbit] == g.value
+            accepted[alive[~keep]] = False
+            alive = alive[keep]
+            amps = amps[keep]
+        elif g.kind == "reset":
+            shaped = amps.reshape(alive.size, 1 << g.qubits[0], 2, -1)
+            stray = np.sum(np.abs(shaped[:, :, 1, :]) ** 2, axis=(1, 2))
+            if np.any(stray > 1e-10):
+                raise RuntimeError("sampled reset requires the qubit to be measured first")
+            shaped[:, :, 1, :] = 0.0
+        elif g.kind in mats:
+            apply_1q(amps, g.qubits[0], mats[g.kind])
+        elif g.kind == "cx":
+            idx = np.arange(1 << n)
+            cbit = (idx >> (n - 1 - g.qubits[0])) & 1
+            amps[:] = amps[:, np.where(cbit == 1, idx ^ (1 << (n - 1 - g.qubits[1])), idx)]
+        else:  # pauli_rot
+            perm, phase = word_action(g.string.word)
+            tmp = amps[:, perm] * phase
+            amps *= np.cos(0.5 * g.angle)
+            tmp *= -1j * np.sin(0.5 * g.angle)
+            amps += tmp
+    if alive.size:
+        for q, ch in enumerate(basis):
+            if ch == "X":
+                apply_1q(amps, q, HX)
+            elif ch == "Y":
+                apply_1q(amps, q, HY_DAG)
+        cums = np.cumsum(np.abs(amps) ** 2, axis=1)
+        cums /= cums[:, -1:]
+        draws = rng.random(alive.size)
+        indices = np.minimum(np.sum(cums < draws[:, None], axis=1), (1 << n) - 1)
+        shifts = np.array([n - 1 - q for q in range(nv)])
+        terminal[alive] = ((indices[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    return accepted, cbits, terminal

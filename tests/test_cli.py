@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -251,6 +252,36 @@ def test_ising_demo_exact(runner, tmp_path):
     oracle = {float(k): v for k, v in summary["oracle_energy"].items()}
     for r in rows:
         assert float(r["E_mean"]) == pytest.approx(oracle[float(r["tau"])], abs=2e-3)
+
+
+def test_shots_notes_dropped_batches(runner, tmp_path):
+    """Batches with no accepted shot in a basis group a column needs are
+    dropped from that column, and each checkpoint says how many."""
+    out = tmp_path / "demo.csv"
+    result = runner.invoke(main, [
+        "ising-demo", "--dtau", "0.1", "--shots", "2000", "--batches", "10",
+        "--seed", "0", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    json.loads(result.stdout)  # the summary alone is on stdout
+    rows = {r["tau"]: r for r in _rows(out.read_text())}
+    notes = result.stderr.splitlines()
+    assert len(notes) >= 2
+    pattern = re.compile(
+        r"tau ([0-9.]+): dropped (\d+) of 10 batches \(E\)"
+        r"((?:, \d+ of 10 batches \((?:ZZ|X)\))*)$")
+    taus = []
+    for line in notes:
+        m = pattern.match(line)
+        assert m, line
+        taus.append(m.group(1))
+        e_dropped = int(m.group(2))
+        others = [int(k) for k in re.findall(r"(\d+) of 10", m.group(3))]
+        # E needs both basis groups, ZZ and X one each
+        assert max(others, default=0) <= e_dropped <= sum(others)
+        assert int(rows[m.group(1)]["effective_samples"]) > 0
+    assert len(set(taus)) == len(taus)
+    assert "0.1" not in taus
 
 
 def test_ising_demo_rejects_incompatible_dtau(runner):

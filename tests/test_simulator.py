@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itebm.circuits import build_qite_circuit, encode_term_rbm
-from itebm.ir import Circuit, Gate
+from itebm.ir import AncillaPolicy, Circuit, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian, word_from_sites
 from itebm.simulator import (
     ShotRun,
@@ -253,18 +253,138 @@ def test_run_shots_validates_basis():
         run_shots(circuit, StateVector.zeros(2), 5, seed=0, terminal_basis="Z")
 
 
-def test_shot_run_sequence_interface():
-    h = parse_hamiltonian("1 ZZ\n")
-    circuit = build_qite_circuit(h, 0.5, 0.5)
-    run = run_shots(circuit, StateVector.uniform_plus(2), 50, seed=5)
-    assert len(run) == 50
-    first = run[0]
-    assert first.accepted == bool(run.accepted[0])
-    if first.accepted:
-        assert first.terminal_bits is not None
-    rejected = [s for s in run if not s.accepted]
-    assert all(s.terminal_bits is None for s in rejected)
-    assert len(run[0:3]) == 3
+# --- single-trajectory sampling against the batched reference -------------
+
+MIXED = "0.5 YYII\n0.3 IXYZ\n-0.7 ZIIZ\n0.4 XIXI\n0.2 IIIY\n"
+
+
+def _assert_same_bits(circuit, psi0, n_shots, seed, basis=None):
+    run = run_shots(circuit, psi0, n_shots, seed, terminal_basis=basis)
+    accepted, cbits, terminal = oracles.batched_shots_reference(
+        circuit, psi0, n_shots, seed, terminal_basis=basis)
+    assert np.array_equal(run.accepted, accepted)
+    assert np.array_equal(run.cbits, cbits)
+    assert np.array_equal(run.terminal, terminal)
+    return run
+
+
+@pytest.mark.parametrize("basis", ["ZZZ", "XXX", "YYY", "XYZ", "ZXX"])
+def test_run_shots_matches_batched_reference_bases(basis):
+    circuit = build_qite_circuit(parse_hamiltonian(TFIM), 0.3, 0.1)
+    run = _assert_same_bits(circuit, StateVector.uniform_plus(3), 600, 11, basis)
+    assert 0 < run.n_accepted < run.n_shots
+
+
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
+def test_run_shots_matches_batched_reference_routes(route, policy):
+    h = parse_hamiltonian(MIXED)
+    circuit = build_qite_circuit(h, 0.2, 0.1, order=1, route=route,
+                                 policy=AncillaPolicy.parse(policy))
+    psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(5)))
+    run = _assert_same_bits(circuit, psi0, 400, 23, "YXYZ")
+    assert 0 < run.n_accepted < run.n_shots
+
+
+def test_run_shots_matches_batched_reference_postselect_one():
+    circuit = Circuit(
+        n_visible=2, n_ancilla=0,
+        gates=(
+            Gate("pauli_rot", angle=1.1, string=PauliString("XI")),
+            Gate("pauli_rot", angle=0.7, string=PauliString("YY")),
+            Gate("measure", (0,), cbit=0),
+            Gate("postselect", cbit=0, value=1),
+            Gate("pauli_rot", angle=0.4, string=PauliString("ZX")),
+        ),
+        n_cbits=1,
+    )
+    run = _assert_same_bits(circuit, StateVector.zeros(2), 500, 3)
+    assert 0 < run.n_accepted < run.n_shots
+    assert np.all(run.terminal[run.accepted, 0] == 1)
+
+
+def test_run_shots_matches_batched_reference_all_rejected():
+    """A certain |1> fails the first check.  The kept branch is below
+    BRANCH_FLOOR, so the walk must stop there, as exact mode cannot."""
+    circuit = Circuit(
+        n_visible=1, n_ancilla=1,
+        gates=(
+            Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
+            Gate("measure", (1,), cbit=0),
+            Gate("postselect", cbit=0, value=0),
+            Gate("reset", (1,)),
+            Gate("hx", (1,)),
+            Gate("measure", (1,), cbit=1),
+            Gate("postselect", cbit=1, value=0),
+        ),
+        n_cbits=2,
+    )
+    with pytest.raises(SimulationError, match="zero-weight trajectory"):
+        run_exact(circuit, StateVector.zeros(1))
+    run = _assert_same_bits(circuit, StateVector.zeros(1), 50, 8)
+    assert run.n_accepted == 0
+    assert np.all(run.cbits[:, 0] == 1) and np.all(run.cbits[:, 1] == -1)
+    assert np.all(run.terminal == -1)
+
+
+def test_run_shots_matches_batched_reference_rejects_all_late():
+    """Low-acceptance TFIM run whose last shots die mid-circuit."""
+    circuit = build_qite_circuit(parse_hamiltonian(TFIM), 1.0, 0.1)
+    run = _assert_same_bits(circuit, StateVector.uniform_plus(3), 30, 4)
+    assert run.n_accepted == 0
+    assert np.all(run.cbits[:, -1] == -1)
+    assert np.any(run.cbits[:, 1] >= 0)
+
+
+# --- measure/reset semantics shared by both modes ------------------------
+
+
+def _message(fn, *args):
+    with pytest.raises(SimulationError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("circuit, psi0, match", [
+    (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),), n_cbits=1),
+     StateVector.zeros(1), "immediately followed"),
+    (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0), Gate("hx", (0,)),
+                          Gate("postselect", cbit=0, value=0)), n_cbits=1),
+     StateVector.zeros(1), "immediately followed"),
+    (Circuit(1, 0, gates=(Gate("postselect", cbit=0, value=0),), n_cbits=1),
+     StateVector.zeros(1), "without a preceding"),
+    (Circuit(2, 0, gates=(Gate("reset", (1,)),)),
+     StateVector.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)]),
+     "entangled"),
+    (Circuit(1, 1, gates=(Gate("hx", (1,)),)),
+     StateVector.zeros(1), "ancillas not returned"),
+])
+def test_run_shots_raises_like_run_exact(circuit, psi0, match):
+    exact = _message(run_exact, circuit, psi0)
+    assert match in exact
+    assert _message(run_shots, circuit, psi0, 20, 0) == exact
+
+
+def test_reset_of_product_qubit_same_in_both_modes():
+    a = 0.7
+    psi0 = StateVector.from_amplitudes([math.cos(a), 0, 1j * math.sin(a), 0])
+    circuit = Circuit(2, 0, gates=(
+        Gate("hx", (1,)),
+        Gate("pauli_rot", angle=0.5, string=PauliString("IZ")),
+        Gate("reset", (1,)),
+        Gate("pauli_rot", angle=0.9, string=PauliString("XI")),
+    ))
+    exact = run_exact(circuit, psi0).final_state.amps
+    n = 20000
+    run = run_shots(circuit, psi0, n, seed=12)
+    assert run.n_accepted == n
+    index = 2 * run.terminal[:, 0] + run.terminal[:, 1]
+    freq = np.bincount(index, minlength=4) / n
+    want = np.abs(exact) ** 2
+    assert want[1] == pytest.approx(0.0, abs=1e-24)
+    assert want[3] == pytest.approx(0.0, abs=1e-24)
+    sigma = np.sqrt(want * (1 - want) / n)
+    assert np.all(np.abs(freq - want) <= 4 * sigma + 1e-12)
 
 
 def test_expectation_from_samples():
