@@ -67,14 +67,13 @@ from .simulator import (
     SimulationError,
     StateVector,
     expectation,
-    expectation_from_samples,
     imaginary_time_oracle,
     n_trotter_steps,
     run_exact,
     run_shots,
     trotterized_oracle,
 )
-from .stats import BatchSeries, Estimate, bootstrap, jackknife, ratio_estimator
+from .stats import BatchSeries, Estimate, bootstrap, jackknife
 
 __version__ = "0.1.0"
 
@@ -89,10 +88,10 @@ __all__ = [
     "cascade_diagonal", "decompose_diagonal_hamiltonian", "decompose_four_body",
     "decompose_one_body", "decompose_sites", "decompose_three_body",
     "decompose_two_body", "dense_matrix", "encode_term_cx", "encode_term_rbm",
-    "expectation", "expectation_from_samples", "imaginary_time_oracle",
+    "expectation", "imaginary_time_oracle",
     "induced_couplings", "jackknife", "ldbm_to_dbm", "mean_success_three_body",
     "mean_success_two_body", "mean_unit_success", "n_trotter_steps",
-    "parse_hamiltonian", "plus_state", "ratio_estimator", "raw_amplitudes",
+    "parse_hamiltonian", "plus_state", "raw_amplitudes",
     "run_exact", "run_shots", "solve_general_weight", "statevector",
     "statevector_norm", "success_probability", "trotter_groups",
     "trotter_step", "trotterized_oracle", "word_from_sites", "zero_state",

@@ -29,6 +29,7 @@ from .decomp import (
 )
 from .ir import AncillaPolicy, Circuit, Fragment, Gate
 from .pauli import Hamiltonian, HamiltonianTerm, basis_rotation_layer, word_from_sites
+from .simulator import n_trotter_steps
 
 
 @dataclass
@@ -223,7 +224,7 @@ def trotter_step(
     dtau: float,
     order: int = 2,
     route: str = "rbm",
-    policy: AncillaPolicy = AncillaPolicy("single"),
+    policy: AncillaPolicy = AncillaPolicy(),
 ) -> Fragment:
     """One Trotter step as a gate fragment (ancillas assigned per policy).
 
@@ -266,16 +267,10 @@ def build_qite_circuit(
     dtau: float,
     order: int = 2,
     route: str = "rbm",
-    policy: AncillaPolicy = AncillaPolicy("single"),
+    policy: AncillaPolicy = AncillaPolicy(),
 ) -> Circuit:
     """Compile exp(-tau_total * H) as tau_total/dtau repeated Trotter steps."""
-    if dtau <= 0:
-        raise ValueError(f"dtau must be positive, got {dtau}")
-    n_steps = round(tau_total / dtau)
-    if abs(n_steps * dtau - tau_total) > 1e-12 * max(1.0, abs(tau_total)):
-        raise ValueError(
-            f"tau_total {tau_total!r} is not an integer multiple of dtau {dtau!r}"
-        )
+    n_steps = n_trotter_steps(tau_total, dtau)
     if n_steps == 0:
         return Circuit(h.n_qubits, policy.n, gates=())
     step = trotter_step(h, dtau, order=order, route=route, policy=policy)

@@ -1,5 +1,8 @@
 """Command-line interface: reproducible imaginary-time evolution runs.
 
+The commands parse and check their options and write the output; the
+evolution loop itself is `itebm.evolution.iter_evolution`.
+
 Commands
 --------
 decompose   print (and optionally verify) the hidden-unit decomposition of
@@ -22,26 +25,17 @@ import click
 import numpy as np
 
 from . import ldbm as nets
-from .circuits import build_qite_circuit
 from .decomp import decompose_sites, mean_unit_success
+from .evolution import iter_evolution, shot_split
 from .ir import AncillaPolicy
 from .pauli import (
     Hamiltonian,
     HamiltonianTerm,
     PauliString,
-    apply_word,
     dense_matrix,
     parse_hamiltonian,
 )
-from .simulator import (
-    StateVector,
-    expectation,
-    imaginary_time_oracle,
-    n_trotter_steps,
-    run_exact,
-    run_shots,
-)
-from .stats import BatchSeries, jackknife
+from .simulator import StateVector, expectation, imaginary_time_oracle, n_trotter_steps
 
 CSV_HEADER = (
     "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,"
@@ -84,6 +78,14 @@ def _runtime(f):
     return wrapper
 
 
+def _usage(fn, *args):
+    """Call fn, reporting a ValueError as a usage error (exit 2)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _load_hamiltonian(path: str) -> Hamiltonian:
     try:
         if path == "-":
@@ -109,10 +111,7 @@ def _parse_taus(spec: str, dtau: float) -> list[float]:
     for tau in taus:
         if tau < 0:
             raise click.UsageError(f"tau must be >= 0, got {tau}")
-        try:
-            n_trotter_steps(tau, dtau)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        _usage(n_trotter_steps, tau, dtau)
     return taus
 
 
@@ -126,169 +125,6 @@ def _initial_state(spec: str, n_qubits: int) -> StateVector:
     raise click.UsageError(
         f"--init must be 'plus', 'zero', or a {n_qubits}-bit string, got {spec!r}"
     )
-
-
-def _ancilla_policy(spec: str) -> AncillaPolicy:
-    try:
-        return AncillaPolicy.parse(spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _measurement_groups(h: Hamiltonian) -> list[tuple[str, list[int]]]:
-    """Greedy first-fit grouping of terms into joint measurement bases."""
-    groups: list[tuple[list[str | None], list[int]]] = []
-    for idx, term in enumerate(h.terms):
-        word = term.string.word
-        for basis, members in groups:
-            if all(basis[q] in (None, word[q]) for q in term.string.support()):
-                for q in term.string.support():
-                    basis[q] = word[q]
-                members.append(idx)
-                break
-        else:
-            basis = [None] * h.n_qubits
-            for q in term.string.support():
-                basis[q] = word[q]
-            groups.append((basis, [idx]))
-    return [("".join(ch or "Z" for ch in basis), members) for basis, members in groups]
-
-
-def _derive_seed(seed: int, stream: int) -> int:
-    return (seed ^ (0x9E3779B97F4A7C15 * (stream + 1))) & ((1 << 64) - 1)
-
-
-def _bare_expectation(state: StateVector, word: str) -> float:
-    vec = state.amps
-    return float(np.vdot(vec, apply_word(word, vec)).real)
-
-
-def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
-    """Term indices feeding the ZZ (diagonal words) and X (X-only words)
-    CSV columns; other words contribute to the energy only."""
-    diag = [i for i, t in enumerate(h.terms)
-            if t.string.support() and set(t.string.word) <= {"I", "Z"}]
-    xonly = [i for i, t in enumerate(h.terms)
-             if t.string.support() and set(t.string.word) <= {"I", "X"}]
-    return diag, xonly
-
-
-def iter_evolution(
-    h: Hamiltonian,
-    taus: list[float],
-    dtau: float,
-    order: int,
-    route: str,
-    policy: AncillaPolicy,
-    psi0: StateVector,
-    mode: str,
-    shots: int,
-    batches: int,
-    seed: int,
-    oracle_check: bool = False,
-):
-    """Yield one (row dict, note-or-None) per tau checkpoint.
-
-    Shots mode runs one sampling pass per measurement-basis group (the shot
-    budget is split evenly), then splits each pass into `batches` contiguous
-    batches for jackknife errors; a batch contributes to an observable only
-    when every basis group it needs has at least one accepted shot there.
-    The note of a shots checkpoint counts the batches each column dropped.
-    """
-    diag_terms, x_terms = _column_terms(h)
-    groups = _measurement_groups(h)
-    for t_idx, tau in enumerate(taus):
-        circuit = build_qite_circuit(h, tau, dtau, order, route=route, policy=policy)
-        note = None
-        if mode == "exact":
-            result = run_exact(circuit, psi0)
-            state = result.final_state
-            e_mean = expectation(state, h)
-            zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
-            xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
-            row = {
-                "tau": tau, "E_mean": e_mean, "E_err": 0.0,
-                "ZZ_mean": zz, "ZZ_err": 0.0, "X_mean": xx, "X_err": 0.0,
-                "acceptance": result.cumulative_success,
-                "acceptance_model": circuit.model_success,
-                "effective_samples": 0,
-            }
-            if oracle_check:
-                e_oracle = expectation(imaginary_time_oracle(h, tau, psi0), h)
-                note = (
-                    f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
-                    f"|diff| {abs(e_mean - e_oracle):.3g}"
-                )
-            yield row, note
-            continue
-
-        n_groups = len(groups)
-        if shots % (n_groups * batches) != 0:
-            raise click.UsageError(
-                f"--shots {shots} must divide evenly into {n_groups} basis "
-                f"group(s) x {batches} batches"
-            )
-        per_group = shots // n_groups
-        per_batch = per_group // batches
-        counts = np.zeros((n_groups, batches), dtype=int)
-        term_sums = {}
-        for g_idx, (basis, members) in enumerate(groups):
-            run = run_shots(
-                circuit, psi0, per_group,
-                _derive_seed(seed, n_groups * t_idx + g_idx),
-                terminal_basis=basis,
-            )
-            acc = run.accepted.reshape(batches, per_batch)
-            counts[g_idx] = acc.sum(axis=1)
-            for i in members:
-                support = list(h.terms[i].string.support())
-                if support:
-                    prods = np.prod(1.0 - 2.0 * run.terminal[:, support], axis=1)
-                else:
-                    prods = np.ones(run.n_shots)
-                vals = np.where(run.accepted, prods, 0.0)
-                term_sums[i] = vals.reshape(batches, per_batch).sum(axis=1)
-
-        group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
-        dropped = []
-
-        def column(name, indices, coeffs) -> tuple[float, float]:
-            if not indices:
-                return 0.0, 0.0
-            need = sorted({group_of[i] for i in indices})
-            kept = np.all(counts[need] > 0, axis=0)
-            if int(kept.sum()) < 2:
-                raise RuntimeError(
-                    f"only {int(kept.sum())} batch(es) have accepted shots in "
-                    f"all required bases at tau={tau:g}; increase --shots"
-                )
-            if not kept.all():
-                dropped.append(f"{batches - int(kept.sum())} of {batches} batches ({name})")
-            vals = np.zeros(batches)
-            for i, c in zip(indices, coeffs):
-                vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
-            series = BatchSeries(
-                values=vals[kept], batch_size=per_batch,
-                accepted=counts[:, kept].sum(axis=0),
-            )
-            est = jackknife(series)
-            return est.mean, est.std_error
-
-        all_idx = list(range(len(h.terms)))
-        e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
-        zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
-        x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
-        if dropped:
-            note = f"tau {tau:g}: dropped " + ", ".join(dropped)
-        total_accepted = int(counts.sum())
-        row = {
-            "tau": tau, "E_mean": e_mean, "E_err": e_err,
-            "ZZ_mean": zz_mean, "ZZ_err": zz_err, "X_mean": x_mean, "X_err": x_err,
-            "acceptance": total_accepted / (per_group * n_groups),
-            "acceptance_model": circuit.model_success,
-            "effective_samples": total_accepted,
-        }
-        yield row, note
 
 
 def _format_row(row: dict) -> str:
@@ -410,12 +246,14 @@ def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, ancilla,
         raise click.UsageError(f"--dtau must be positive, got {dtau}")
     taus = _parse_taus(tau, dtau)
     psi0 = _initial_state(init_spec, h.n_qubits)
-    policy = _ancilla_policy(ancilla)
+    policy = _usage(AncillaPolicy.parse, ancilla)
     mode = mode or "exact"
     if high_stats:
         shots = 1_000_000
     if batches < 2:
         raise click.UsageError(f"--batches must be >= 2, got {batches}")
+    if mode == "shots":
+        _usage(shot_split, h, shots, batches)
     rows_iter = iter_evolution(
         h, taus, dtau, order, route, policy, psi0, mode, shots, batches, seed,
         oracle_check=(mode == "exact" and h.n_qubits <= 12),
@@ -446,12 +284,11 @@ def cmd_ising_demo(dtau, order, route, ancilla, shots, batches, seed, mode,
         out = "ising_demo.csv"
     taus = [round(0.1 * i, 10) for i in range(1, 11)]
     for t in taus:
-        try:
-            n_trotter_steps(t, dtau)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        _usage(n_trotter_steps, t, dtau)
     psi0 = StateVector.uniform_plus(3)
-    policy = _ancilla_policy(ancilla)
+    policy = _usage(AncillaPolicy.parse, ancilla)
+    if mode == "shots":
+        _usage(shot_split, h, shots, batches)
     rows = _write_rows(out, iter_evolution(
         h, taus, dtau, order, route, policy, psi0, mode, shots, batches, seed,
     ))

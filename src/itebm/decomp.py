@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .pauli import Hamiltonian, HamiltonianTerm, PauliString, word_from_sites
 
@@ -221,6 +220,8 @@ def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
             f"coupling target {k_target!r} exceeds the double-precision "
             f"representable range for order {m} (|K| <= {k_hi:.6g})"
         )
+    from scipy.optimize import brentq  # deferred: costs most of the import time
+
     w = brentq(
         lambda x: _k_equal_weights(m_eff, x) - k,
         0.0,

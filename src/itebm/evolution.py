@@ -1,0 +1,178 @@
+"""Imaginary-time evolution through a list of tau checkpoints.
+
+One Trotter step is compiled once, and a single post-selected trajectory is
+walked forward through every checkpoint: the state at tau2 is the state at
+tau1 with more steps applied.  The walk restarts from psi0 only when a
+checkpoint asks for fewer steps than already walked.  Exact rows read the
+walked state; shots rows replay each measurement-basis group's draws
+against the walk's branch record, so runs are byte-identical per seed.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .circuits import trotter_step
+from .ir import AncillaPolicy
+from .pauli import Hamiltonian, apply_word
+from .simulator import (
+    StateVector,
+    Trajectory,
+    expectation,
+    imaginary_time_oracle,
+    n_trotter_steps,
+)
+from .stats import BatchSeries, jackknife
+
+
+def _measurement_groups(h: Hamiltonian) -> list[tuple[str, list[int]]]:
+    """Greedy first-fit grouping of terms into joint measurement bases."""
+    groups: list[tuple[list[str | None], list[int]]] = []
+    for idx, term in enumerate(h.terms):
+        word = term.string.word
+        for basis, members in groups:
+            if all(basis[q] in (None, word[q]) for q in term.string.support()):
+                for q in term.string.support():
+                    basis[q] = word[q]
+                members.append(idx)
+                break
+        else:
+            basis = [None] * h.n_qubits
+            for q in term.string.support():
+                basis[q] = word[q]
+            groups.append((basis, [idx]))
+    return [("".join(ch or "Z" for ch in basis), members) for basis, members in groups]
+
+
+def _derive_seed(seed: int, stream: int) -> int:
+    return (seed ^ (0x9E3779B97F4A7C15 * (stream + 1))) & ((1 << 64) - 1)
+
+
+def _bare_expectation(state: StateVector, word: str) -> float:
+    vec = state.amps
+    return float(np.vdot(vec, apply_word(word, vec)).real)
+
+
+def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
+    """Term indices feeding the ZZ (diagonal words) and X (X-only words)
+    CSV columns; other words contribute to the energy only."""
+    diag = [i for i, t in enumerate(h.terms)
+            if t.string.support() and set(t.string.word) <= {"I", "Z"}]
+    xonly = [i for i, t in enumerate(h.terms)
+             if t.string.support() and set(t.string.word) <= {"I", "X"}]
+    return diag, xonly
+
+
+def shot_split(h: Hamiltonian, shots: int, batches: int) -> int:
+    """Shots per batch of each basis group; ValueError unless the budget
+    divides evenly into the groups and batches."""
+    n_groups = len(_measurement_groups(h))
+    if shots % (n_groups * batches) != 0:
+        raise ValueError(
+            f"--shots {shots} must divide evenly into {n_groups} basis "
+            f"group(s) x {batches} batches"
+        )
+    return shots // (n_groups * batches)
+
+
+def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, route: str,
+                   policy: AncillaPolicy, psi0: StateVector, mode: str, shots: int,
+                   batches: int, seed: int, oracle_check: bool = False):
+    """Yield one (row dict, note-or-None) per tau checkpoint.
+
+    Shots mode samples each measurement-basis group at every checkpoint
+    (the shot budget is split evenly, one seed stream per checkpoint and
+    group), then splits each group's shots into `batches` contiguous
+    batches for jackknife errors; a batch contributes to an observable only
+    when every basis group it needs has at least one accepted shot there.
+    The note of a shots checkpoint counts the batches each column dropped.
+    """
+    diag_terms, x_terms = _column_terms(h)
+    groups = _measurement_groups(h)
+    n_groups = len(groups)
+    if mode == "shots":
+        per_batch = shot_split(h, shots, batches)
+    step = trotter_step(h, dtau, order, route=route, policy=policy).to_circuit(
+        h.n_qubits, policy.n)
+    walked = None
+    for t_idx, tau in enumerate(taus):
+        n_steps = n_trotter_steps(tau, dtau)
+        if walked is None or n_steps < walked:
+            traj, walked, model = Trajectory(step, psi0), 0, 1.0
+        while walked < n_steps:
+            traj.advance(step)
+            model *= step.model_success
+            walked += 1
+        note = None
+        if mode == "exact":
+            state = traj.final_state()
+            e_mean = expectation(state, h)
+            zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
+            xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
+            row = {
+                "tau": tau, "E_mean": e_mean, "E_err": 0.0,
+                "ZZ_mean": zz, "ZZ_err": 0.0, "X_mean": xx, "X_err": 0.0,
+                "acceptance": traj.cumulative_success,
+                "acceptance_model": model,
+                "effective_samples": 0,
+            }
+            if oracle_check:
+                e_oracle = expectation(imaginary_time_oracle(h, tau, psi0), h)
+                note = (
+                    f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
+                    f"|diff| {abs(e_mean - e_oracle):.3g}"
+                )
+            yield row, note
+            continue
+
+        counts = np.zeros((n_groups, batches), dtype=int)
+        term_sums = {}
+        for g_idx, (basis, members) in enumerate(groups):
+            run = traj.sample(
+                shots // n_groups, _derive_seed(seed, n_groups * t_idx + g_idx), basis)
+            batch_of = np.flatnonzero(run.accepted) // per_batch
+            counts[g_idx] = np.bincount(batch_of, minlength=batches)
+            for i in members:
+                term_sums[i] = np.bincount(
+                    batch_of, weights=run.word_values(h.terms[i].string),
+                    minlength=batches)
+
+        group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
+        dropped = []
+
+        def column(name, indices, coeffs) -> tuple[float, float]:
+            if not indices:
+                return 0.0, 0.0
+            need = sorted({group_of[i] for i in indices})
+            kept = np.all(counts[need] > 0, axis=0)
+            if int(kept.sum()) < 2:
+                raise RuntimeError(
+                    f"only {int(kept.sum())} batch(es) have accepted shots in "
+                    f"all required bases at tau={tau:g}; increase --shots"
+                )
+            if not kept.all():
+                dropped.append(f"{batches - int(kept.sum())} of {batches} batches ({name})")
+            vals = np.zeros(batches)
+            for i, c in zip(indices, coeffs):
+                vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
+            series = BatchSeries(
+                values=vals[kept], batch_size=per_batch,
+                accepted=counts[:, kept].sum(axis=0),
+            )
+            est = jackknife(series)
+            return est.mean, est.std_error
+
+        all_idx = list(range(len(h.terms)))
+        e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
+        zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
+        x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
+        if dropped:
+            note = f"tau {tau:g}: dropped " + ", ".join(dropped)
+        total_accepted = int(counts.sum())
+        row = {
+            "tau": tau, "E_mean": e_mean, "E_err": e_err,
+            "ZZ_mean": zz_mean, "ZZ_err": zz_err, "X_mean": x_mean, "X_err": x_err,
+            "acceptance": total_accepted / shots,
+            "acceptance_model": model,
+            "effective_samples": total_accepted,
+        }
+        yield row, note

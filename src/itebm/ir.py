@@ -65,14 +65,12 @@ class Gate:
 
 @dataclass(frozen=True)
 class AncillaPolicy:
-    """Ancilla assignment: one reused qubit, or a pool emptied in waves."""
+    """Ancilla assignment: a pool of n qubits emptied in waves (n = 1, the
+    'single' policy, reuses one qubit)."""
 
-    mode: str  # "single" | "pooled"
     n: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in ("single", "pooled"):
-            raise ValueError(f"unknown ancilla mode {self.mode!r}")
         if self.n < 1:
             raise ValueError(f"ancilla pool size must be >= 1, got {self.n}")
 
@@ -80,9 +78,9 @@ class AncillaPolicy:
     def parse(cls, spec: str) -> "AncillaPolicy":
         """Parse 'single' or 'pooled:N'."""
         if spec == "single":
-            return cls("single", 1)
+            return cls(1)
         if spec.startswith("pooled:"):
-            return cls("pooled", int(spec.split(":", 1)[1]))
+            return cls(int(spec.split(":", 1)[1]))
         raise ValueError(f"unknown ancilla policy {spec!r} (use 'single' or 'pooled:N')")
 
 

@@ -1,23 +1,24 @@
 """Dense statevector execution with mid-circuit measurement and reset.
 
-Both modes replay one trajectory.  Every measure is immediately followed by
-the postselect on its bit, so all accepted shots follow the same
-post-selected path: a single state is walked through the circuit, each
-measurement records its branch probabilities and projects onto the kept
-value, and each reset factors out a disentangled qubit.  Exact mode
-multiplies the kept-branch probabilities; sampled mode draws per-shot
-Born-rule outcomes against them, discarding shots at their first failed
-post-selection, and samples the surviving shots' terminal bits from the
-final state.  Randomness comes from a counter-based Philox generator keyed
-by the seed; at each measurement one variate is drawn per surviving shot in
-shot order, and terminal sampling draws one variate per surviving shot, so
-a given (circuit, state, n_shots, seed) is bit-reproducible.
+Both modes rest on one trajectory.  Every measure is immediately followed
+by the postselect on its bit, so all accepted shots follow the same
+post-selected path: a `Trajectory` walks a single state forward through
+circuits, each measurement appends its branch probabilities to a record
+and projects onto the kept value, and each reset factors out a
+disentangled qubit.  Exact mode multiplies the kept-branch probabilities;
+sampled mode replays the record with per-shot Born-rule draws, discarding
+shots at their first failed post-selection, and samples the surviving
+shots' terminal bits from the final state.  Randomness comes from a
+counter-based Philox generator keyed by the seed; at each measurement one
+variate is drawn per surviving shot in shot order, and terminal sampling
+draws one variate per surviving shot, so a given (record, state, n_shots,
+seed) is bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -157,12 +158,13 @@ def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     return np.kron(vec, anc)  # ancillas occupy the least significant bits
 
 
-def _reset_vector(vec: np.ndarray, q: int) -> np.ndarray:
-    """Factor a disentangled qubit out of a single state and reinitialize to |0>.
+def _reset_vector(vec: np.ndarray, q: int) -> None:
+    """Factor a disentangled qubit out of a single state and reinitialize it
+    to |0>, in place.
 
     The qubit must be in a product state with the rest (verified to 1e-10);
-    the returned vector keeps the input norm.  When the qubit held a
-    superposition the result carries the phase of its |0> component.
+    the vector keeps its norm.  When the qubit held a superposition the
+    result carries the phase of its |0> component.
     """
     shaped = vec.reshape(1 << q, 2, -1)
     psi0 = shaped[:, 0, :].reshape(-1)
@@ -182,30 +184,21 @@ def _reset_vector(vec: np.ndarray, q: int) -> np.ndarray:
         if resid > 1e-10 * np.sqrt(total):
             raise SimulationError(f"reset on entangled qubit {q} (residual {resid:.3g})")
         base, base_norm = psi0, n0
-    out = np.zeros_like(vec).reshape(1 << q, 2, -1)
-    out[:, 0, :] = (base * np.sqrt(total / base_norm)).reshape(1 << q, -1)
-    return out.reshape(-1)
+    shaped[:, 0, :] = (base * np.sqrt(total / base_norm)).reshape(1 << q, -1)
+    shaped[:, 1, :] = 0.0
 
 
-def _walk(
-    circuit: Circuit,
-    psi0: StateVector,
-    draw: Callable[[int, int, float], bool] | None = None,
-) -> tuple[np.ndarray | None, float]:
-    """Evolve one state through the circuit along its post-selected trajectory.
+def _walk(circuit: Circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+    """Walk a full vector in place along the circuit's post-selected trajectory.
 
     Each measure must be immediately followed by the postselect consuming
     its bit (all circuits built by this package satisfy that).  Such a pair
-    projects the state onto the post-selected value and renormalizes it;
-    resets factor the qubit out (`_reset_vector`).  With draw given, each
-    pair first calls draw(cbit, value, p1) with the probability p1 of
-    reading 1, and a False return ends the walk.  Returns the full final
-    vector (ancillas in the low bits, checked back in |0>; None when draw
-    ended the walk) and the product of the kept-branch probabilities.
+    appends (cbit + cbit_offset, kept value, p1 = P(read 1), p_kept) to
+    record, then projects onto the kept value and renormalizes; resets
+    factor the qubit out.  Returns False, without projecting, at a kept
+    branch below BRANCH_FLOOR; else checks the ancillas are back in |0>.
     """
     n = circuit.n_qubits
-    vec = _embed(circuit, psi0)
-    cumulative = 1.0
     gates = circuit.gates
     i = 0
     while i < len(gates):
@@ -222,24 +215,18 @@ def _walk(
             # state's accumulated norm error into p, and dividing by a tiny
             # p amplifies that error multiplicatively across units.
             p = float(np.sum(np.abs(shaped[:, value, :]) ** 2))
-            if draw is not None:
-                p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
-                if not draw(g.cbit, value, p1):
-                    return None, cumulative
+            p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
+            record.append((g.cbit + cbit_offset, value, p1, p))
             if p < BRANCH_FLOOR:
-                raise SimulationError(
-                    f"zero-weight trajectory: postselect on cbit {g.cbit} has "
-                    f"branch probability {p:.3g}"
-                )
+                return False
             shaped[:, 1 - value, :] = 0.0
             vec /= np.sqrt(p)
-            cumulative *= p
             i += 2
             continue
         if g.kind == "postselect":
             raise SimulationError("postselect without a preceding measure")
         if g.kind == "reset":
-            vec = _reset_vector(vec, g.qubits[0])
+            _reset_vector(vec, g.qubits[0])
         else:
             _apply_unitary(vec, n, g)
         i += 1
@@ -248,22 +235,13 @@ def _walk(
         leak = 1.0 - float(np.vdot(visible, visible).real)
         if leak > 1e-9:
             raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
-    return vec, cumulative
+    return True
 
 
-def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
-    """Deterministic execution: every measurement projects onto its
-    post-selected outcome and the branch probability is recorded.
-
-    Returns the renormalized visible-register state; ancillas must end in
-    |0> (guaranteed after their final reset).
-    """
-    vec, cumulative = _walk(circuit, psi0)
-    visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
-    return ExactRunResult(
-        final_state=StateVector(circuit.n_visible, visible).normalized(),
-        cumulative_success=cumulative,
-        log_norm=circuit.log_norm,
+def _zero_weight(entry: tuple) -> SimulationError:
+    return SimulationError(
+        f"zero-weight trajectory: postselect on cbit {entry[0]} has "
+        f"branch probability {entry[3]:.3g}"
     )
 
 
@@ -310,54 +288,95 @@ class ShotRun:
             np.ones(self.n_accepted)
 
 
-def run_shots(
-    circuit: Circuit,
-    psi0: StateVector,
-    n_shots: int,
-    seed: int,
-    terminal_basis: str | None = None,
-) -> ShotRun:
-    """Sample n_shots trajectories; rejected shots stop at the failed check.
+class Trajectory:
+    """One post-selected state, walked forward in place through circuits.
 
-    Every accepted shot follows the same post-selected trajectory, so one
-    state is walked and only the draws are per shot: one variate per
-    surviving shot at each measurement, then one per surviving shot against
-    the final state.  terminal_basis is one letter per visible qubit ('Z',
-    'X', or 'Y'); the final state is rotated accordingly before sampling
-    (bit b means eigenvalue (-1)^b of that qubit's basis letter).
+    record holds (cbit, kept value, p1, p_kept) per measurement in walk
+    order, with cbits numbered on across the circuits walked.  A kept
+    branch below BRANCH_FLOOR stops the walk for good (`stopped`); it is
+    the last record entry.
     """
-    n = circuit.n_qubits
-    nv = circuit.n_visible
-    basis = terminal_basis or "Z" * nv
-    if len(basis) != nv or set(basis) - set("ZXY"):
-        raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    alive = np.arange(n_shots)
-    accepted = np.ones(n_shots, dtype=bool)
-    cbits = np.full((n_shots, circuit.n_cbits), -1, dtype=np.int8)
-    terminal = np.full((n_shots, nv), -1, dtype=np.int8)
 
-    def draw(cbit: int, value: int, p1: float) -> bool:
-        nonlocal alive
-        outcomes = (rng.random(alive.size) < p1).astype(np.int8)
-        cbits[alive, cbit] = outcomes
-        keep = outcomes == value
-        accepted[alive[~keep]] = False
-        alive = alive[keep]
-        return alive.size > 0
+    def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
+        self.n_visible = circuit.n_visible
+        self.vec = _embed(circuit, psi0)
+        self.record: list[tuple[int, int, float, float]] = []
+        self.n_cbits = 0
+        self.stopped = False
 
-    vec, _ = _walk(circuit, psi0, draw)
-    if alive.size:
-        for q, ch in enumerate(basis):
-            if ch != "Z":
-                _apply_1q(vec, q, HX if ch == "X" else HY_DAG)
-        cums = np.cumsum(np.abs(vec) ** 2)
-        cums /= cums[-1]
-        # searchsorted counts the cumulative weights below each draw
-        indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << n) - 1)
-        shifts = np.arange(n - 1, n - 1 - nv, -1)
-        terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
-    return ShotRun(basis, accepted, cbits, terminal)
+    def advance(self, circuit: Circuit) -> None:
+        if not self.stopped:
+            self.stopped = not _walk(circuit, self.vec, self.record, self.n_cbits)
+        self.n_cbits += circuit.n_cbits
+
+    @property
+    def cumulative_success(self) -> float:
+        """In-order product of the kept-branch probabilities."""
+        return math.prod((entry[3] for entry in self.record), start=1.0)
+
+    def final_state(self) -> StateVector:
+        """The renormalized visible-register state."""
+        if self.stopped:
+            raise _zero_weight(self.record[-1])
+        visible = self.vec.reshape(1 << self.n_visible, -1)[:, 0]
+        return StateVector(self.n_visible, visible).normalized()
+
+    def sample(self, n_shots: int, seed: int, terminal_basis: str | None = None) -> ShotRun:
+        """Replay n_shots against the record, drawing one variate per
+        surviving shot at each measurement, then one per surviving shot
+        against the final state rotated into terminal_basis (one letter of
+        Z/X/Y per visible qubit; bit b means eigenvalue (-1)^b).
+        """
+        nv = self.n_visible
+        n = self.vec.size.bit_length() - 1
+        basis = terminal_basis or "Z" * nv
+        if len(basis) != nv or set(basis) - set("ZXY"):
+            raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
+        rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+        alive = np.arange(n_shots)
+        accepted = np.ones(n_shots, dtype=bool)
+        cbits = np.full((n_shots, self.n_cbits), -1, dtype=np.int8)
+        terminal = np.full((n_shots, nv), -1, dtype=np.int8)
+        for entry in self.record:
+            cbit, value, p1, p_kept = entry
+            outcomes = (rng.random(alive.size) < p1).astype(np.int8)
+            cbits[alive, cbit] = outcomes
+            keep = outcomes == value
+            accepted[alive[~keep]] = False
+            alive = alive[keep]
+            if not alive.size:
+                break
+            if p_kept < BRANCH_FLOOR:
+                raise _zero_weight(entry)
+        if alive.size:
+            vec = self.vec.copy()
+            for q, ch in enumerate(basis):
+                if ch != "Z":
+                    _apply_1q(vec, q, HX if ch == "X" else HY_DAG)
+            cums = np.cumsum(np.abs(vec) ** 2)
+            cums /= cums[-1]
+            # searchsorted counts the cumulative weights below each draw
+            indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << n) - 1)
+            shifts = np.arange(n - 1, n - 1 - nv, -1)
+            terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
+        return ShotRun(basis, accepted, cbits, terminal)
+
+
+def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
+    """Deterministic execution: every measurement projects onto its
+    post-selected outcome; returns the renormalized visible-register state."""
+    traj = Trajectory(circuit, psi0)
+    traj.advance(circuit)
+    return ExactRunResult(traj.final_state(), traj.cumulative_success, circuit.log_norm)
+
+
+def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
+              terminal_basis: str | None = None) -> ShotRun:
+    """Sample n_shots trajectories: walk the circuit once, then replay the
+    shots against it (`Trajectory.sample`)."""
+    traj = Trajectory(circuit, psi0)
+    traj.advance(circuit)
+    return traj.sample(n_shots, seed, terminal_basis)
 
 
 def expectation(psi: StateVector, h: Hamiltonian) -> float:
@@ -370,17 +389,6 @@ def expectation(psi: StateVector, h: Hamiltonian) -> float:
         total += t.coefficient * np.vdot(vec, apply_word(t.string.word, vec))
     assert abs(total.imag) < 1e-10, f"expectation has imaginary part {total.imag}"
     return float(total.real)
-
-
-def expectation_from_samples(run: ShotRun, terms) -> list[float]:
-    """Sample means of Pauli words over a run's accepted shots.
-
-    Every term must be diagonal in the run's terminal basis (its letters
-    must match the basis letters on its support).
-    """
-    if run.n_accepted == 0:
-        raise SimulationError("no accepted samples")
-    return [float(np.mean(run.word_values(t))) for t in terms]
 
 
 def imaginary_time_oracle(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,24 +84,3 @@ def bootstrap(series: BatchSeries, n_resamples: int = 1000, seed: int = 0) -> Es
     else:
         std_error = float(np.std(means, ddof=1))
     return Estimate(mean=float(np.mean(values)), std_error=std_error, method="bootstrap")
-
-
-def ratio_estimator(
-    sums: Sequence[float], counts: Sequence[int], batch_size: int
-) -> BatchSeries:
-    """Per-batch means over accepted shots only; empty batches are dropped."""
-    sums = np.asarray(sums, dtype=float)
-    counts = np.asarray(counts, dtype=int)
-    if sums.shape != counts.shape or sums.ndim != 1:
-        raise ValueError("sums and counts must be matching 1-d sequences")
-    keep = counts > 0
-    n_dropped = int(np.sum(~keep))
-    if not np.any(keep):
-        raise ValueError("every batch has zero accepted shots")
-    if n_dropped:
-        warnings.warn(f"dropping {n_dropped} batch(es) with zero accepted shots")
-    return BatchSeries(
-        values=sums[keep] / counts[keep],
-        batch_size=batch_size,
-        accepted=counts[keep],
-    )

@@ -205,3 +205,119 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
         shifts = np.array([n - 1 - q for q in range(nv)])
         terminal[alive] = ((indices[:, None] >> shifts[None, :]) & 1).astype(np.int8)
     return accepted, cbits, terminal
+
+
+def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
+                               shots, batches, seed, oracle_check=False):
+    """The per-checkpoint evolution loop that `iter_evolution` replaced, kept
+    verbatim as its reference: every checkpoint compiles the whole circuit
+    with `build_qite_circuit` and runs it from psi0 with `run_exact`, or
+    with one `run_shots` per measurement-basis group.  Yields the same
+    (row dict, note-or-None) pairs.
+    """
+    import click
+
+    from itebm.circuits import build_qite_circuit
+    from itebm.evolution import _column_terms, _derive_seed, _measurement_groups
+    from itebm.pauli import apply_word
+    from itebm.simulator import expectation, imaginary_time_oracle, run_exact, run_shots
+    from itebm.stats import BatchSeries, jackknife
+
+    def _bare_expectation(state, word):
+        vec = state.amps
+        return float(np.vdot(vec, apply_word(word, vec)).real)
+
+    diag_terms, x_terms = _column_terms(h)
+    groups = _measurement_groups(h)
+    for t_idx, tau in enumerate(taus):
+        circuit = build_qite_circuit(h, tau, dtau, order, route=route, policy=policy)
+        note = None
+        if mode == "exact":
+            result = run_exact(circuit, psi0)
+            state = result.final_state
+            e_mean = expectation(state, h)
+            zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
+            xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
+            row = {
+                "tau": tau, "E_mean": e_mean, "E_err": 0.0,
+                "ZZ_mean": zz, "ZZ_err": 0.0, "X_mean": xx, "X_err": 0.0,
+                "acceptance": result.cumulative_success,
+                "acceptance_model": circuit.model_success,
+                "effective_samples": 0,
+            }
+            if oracle_check:
+                e_oracle = expectation(imaginary_time_oracle(h, tau, psi0), h)
+                note = (
+                    f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
+                    f"|diff| {abs(e_mean - e_oracle):.3g}"
+                )
+            yield row, note
+            continue
+
+        n_groups = len(groups)
+        if shots % (n_groups * batches) != 0:
+            raise click.UsageError(
+                f"--shots {shots} must divide evenly into {n_groups} basis "
+                f"group(s) x {batches} batches"
+            )
+        per_group = shots // n_groups
+        per_batch = per_group // batches
+        counts = np.zeros((n_groups, batches), dtype=int)
+        term_sums = {}
+        for g_idx, (basis, members) in enumerate(groups):
+            run = run_shots(
+                circuit, psi0, per_group,
+                _derive_seed(seed, n_groups * t_idx + g_idx),
+                terminal_basis=basis,
+            )
+            acc = run.accepted.reshape(batches, per_batch)
+            counts[g_idx] = acc.sum(axis=1)
+            for i in members:
+                support = list(h.terms[i].string.support())
+                if support:
+                    prods = np.prod(1.0 - 2.0 * run.terminal[:, support], axis=1)
+                else:
+                    prods = np.ones(run.n_shots)
+                vals = np.where(run.accepted, prods, 0.0)
+                term_sums[i] = vals.reshape(batches, per_batch).sum(axis=1)
+
+        group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
+        dropped = []
+
+        def column(name, indices, coeffs) -> tuple[float, float]:
+            if not indices:
+                return 0.0, 0.0
+            need = sorted({group_of[i] for i in indices})
+            kept = np.all(counts[need] > 0, axis=0)
+            if int(kept.sum()) < 2:
+                raise RuntimeError(
+                    f"only {int(kept.sum())} batch(es) have accepted shots in "
+                    f"all required bases at tau={tau:g}; increase --shots"
+                )
+            if not kept.all():
+                dropped.append(f"{batches - int(kept.sum())} of {batches} batches ({name})")
+            vals = np.zeros(batches)
+            for i, c in zip(indices, coeffs):
+                vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
+            series = BatchSeries(
+                values=vals[kept], batch_size=per_batch,
+                accepted=counts[:, kept].sum(axis=0),
+            )
+            est = jackknife(series)
+            return est.mean, est.std_error
+
+        all_idx = list(range(len(h.terms)))
+        e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
+        zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
+        x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
+        if dropped:
+            note = f"tau {tau:g}: dropped " + ", ".join(dropped)
+        total_accepted = int(counts.sum())
+        row = {
+            "tau": tau, "E_mean": e_mean, "E_err": e_err,
+            "ZZ_mean": zz_mean, "ZZ_err": zz_err, "X_mean": x_mean, "X_err": x_err,
+            "acceptance": total_accepted / (per_group * n_groups),
+            "acceptance_model": circuit.model_success,
+            "effective_samples": total_accepted,
+        }
+        yield row, note

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from itebm.circuits import build_qite_circuit, encode_term_cx, encode_term_rbm
-from itebm.cli import ising_hamiltonian, iter_evolution
+from itebm.cli import ising_hamiltonian
 from itebm.decomp import (
     decompose_three_body,
     induced_couplings,
@@ -20,6 +20,7 @@ from itebm.decomp import (
     mean_success_two_body,
     solve_general_weight,
 )
+from itebm.evolution import iter_evolution
 from itebm.ir import AncillaPolicy, Circuit, Gate
 from itebm.ldbm import (
     LdbmNetwork,
@@ -169,7 +170,7 @@ def test_criterion_4_ising_benchmark():
     h = ising_hamiltonian()
     psi0 = StateVector.uniform_plus(3)
     taus = [0.1, 0.25, 0.5, 1.0]
-    policy = AncillaPolicy("single")
+    policy = AncillaPolicy()
     oracle_e = {t: expectation(imaginary_time_oracle(h, t, psi0), h)
                 for t in taus}
 

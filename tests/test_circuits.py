@@ -163,7 +163,7 @@ def test_pooled_policy_matches_single():
     rng = np.random.default_rng(23)
     psi0 = StateVector(3, oracles.random_state(3, rng))
     single = trotter_step(h, 0.2).to_circuit(3, 1)
-    pooled = trotter_step(h, 0.2, policy=AncillaPolicy("pooled", 3)).to_circuit(3, 3)
+    pooled = trotter_step(h, 0.2, policy=AncillaPolicy(3)).to_circuit(3, 3)
     assert pooled.n_ancilla == 3
     got_s = _reconstruct(single, psi0)
     got_p = _reconstruct(pooled, psi0)
@@ -204,8 +204,9 @@ def test_model_success_tracks_mean_unit_success():
 
 
 def test_ancilla_policy_parse():
-    assert AncillaPolicy.parse("single") == AncillaPolicy("single", 1)
-    assert AncillaPolicy.parse("pooled:4") == AncillaPolicy("pooled", 4)
+    assert AncillaPolicy.parse("single") == AncillaPolicy(1) == AncillaPolicy()
+    assert AncillaPolicy.parse("pooled:1") == AncillaPolicy(1)
+    assert AncillaPolicy.parse("pooled:4") == AncillaPolicy(4)
     with pytest.raises(ValueError, match="policy"):
         AncillaPolicy.parse("waves")
     with pytest.raises(ValueError, match=">= 1"):

@@ -1,17 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from itebm.cli import (
-    ISING_TEXT,
-    _derive_seed,
-    _measurement_groups,
-    ising_hamiltonian,
-    main,
-)
+import itebm
+from itebm.cli import ISING_TEXT, ising_hamiltonian, main
+from itebm.evolution import _derive_seed, _measurement_groups
 from itebm.pauli import parse_hamiltonian
 
 
@@ -49,6 +48,17 @@ def test_measurement_groups_fill_unused_with_z():
     h = parse_hamiltonian("1 XI\n")
     groups = _measurement_groups(h)
     assert groups == [("XZ", [0])]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only the order >= 5 weight solver needs brentq, so a fresh import of
+    the CLI must not pay for scipy.optimize."""
+    src = os.path.dirname(os.path.dirname(itebm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, itebm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_derive_seed_streams_differ():
@@ -204,6 +214,16 @@ def test_evolve_usage_errors(runner, tfim_file, tmp_path):
     for args in bad:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, (args, result.output, result.stderr)
+
+
+def test_shot_split_error_comes_before_the_csv_header(runner, tfim_file, tmp_path):
+    out = tmp_path / "run.csv"
+    for command in (["evolve", "--hamiltonian", tfim_file], ["ising-demo"]):
+        result = runner.invoke(main, [*command, "--mode", "shots", "--shots", "999",
+                                      "--batches", "100", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "must divide evenly into 2 basis group(s)" in result.stderr
+        assert result.stdout == "" and not out.exists()
 
 
 def test_evolve_zero_weight_trajectory_is_runtime_error(runner, tmp_path):

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from itebm.circuits import build_qite_circuit, encode_term_rbm
+from itebm.circuits import build_qite_circuit, encode_term_rbm, trotter_step
 from itebm.ir import AncillaPolicy, Circuit, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian, word_from_sites
 from itebm.simulator import (
     ShotRun,
     SimulationError,
     StateVector,
+    Trajectory,
     expectation,
-    expectation_from_samples,
     imaginary_time_oracle,
     n_trotter_steps,
     run_exact,
@@ -336,6 +336,27 @@ def test_run_shots_matches_batched_reference_rejects_all_late():
     assert np.any(run.cbits[:, 1] >= 0)
 
 
+def test_trajectory_advanced_by_steps_equals_whole_circuit():
+    """Walking one Trotter step four times is the walk of the compiled
+    four-step circuit: same state, acceptance and replayed bits."""
+    h = parse_hamiltonian(TFIM)
+    psi0 = StateVector.uniform_plus(3)
+    step = trotter_step(h, 0.1).to_circuit(3, 1)
+    traj = Trajectory(step, psi0)
+    for _ in range(4):
+        traj.advance(step)
+    circuit = build_qite_circuit(h, 0.4, 0.1)
+    exact = run_exact(circuit, psi0)
+    assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
+    assert traj.cumulative_success == exact.cumulative_success
+    run = run_shots(circuit, psi0, 300, 5, terminal_basis="XZX")
+    replay = traj.sample(300, 5, terminal_basis="XZX")
+    assert np.array_equal(replay.accepted, run.accepted)
+    assert np.array_equal(replay.cbits, run.cbits)
+    assert np.array_equal(replay.terminal, run.terminal)
+    assert 0 < run.n_accepted < run.n_shots
+
+
 # --- measure/reset semantics shared by both modes ------------------------
 
 
@@ -365,6 +386,22 @@ def test_run_shots_raises_like_run_exact(circuit, psi0, match):
     assert _message(run_shots, circuit, psi0, 20, 0) == exact
 
 
+def test_structure_error_raises_after_every_shot_is_rejected():
+    """The walk does not depend on the draws, so a leak after the point
+    where the last shot died still raises in shots mode."""
+    circuit = Circuit(1, 1, gates=(
+        Gate("pauli_rot", angle=math.pi - 2e-3, string=PauliString("IX")),
+        Gate("measure", (1,), cbit=0),
+        Gate("postselect", cbit=0, value=0),
+        Gate("hx", (1,)),
+    ), n_cbits=1)
+    accepted, _, _ = oracles.batched_shots_reference(circuit, StateVector.zeros(1), 20, 0)
+    assert not accepted.any()
+    exact = _message(run_exact, circuit, StateVector.zeros(1))
+    assert "ancillas not returned" in exact
+    assert _message(run_shots, circuit, StateVector.zeros(1), 20, 0) == exact
+
+
 def test_reset_of_product_qubit_same_in_both_modes():
     a = 0.7
     psi0 = StateVector.from_amplitudes([math.cos(a), 0, 1j * math.sin(a), 0])
@@ -385,22 +422,6 @@ def test_reset_of_product_qubit_same_in_both_modes():
     assert want[3] == pytest.approx(0.0, abs=1e-24)
     sigma = np.sqrt(want * (1 - want) / n)
     assert np.all(np.abs(freq - want) <= 4 * sigma + 1e-12)
-
-
-def test_expectation_from_samples():
-    circuit = Circuit(2, 0, gates=())
-    run = run_shots(circuit, StateVector.zeros(2), 100, seed=9)
-    terms = parse_hamiltonian("1 ZI\n1 IZ\n1 ZZ\n").terms
-    means = expectation_from_samples(run, [t.string for t in terms])
-    assert means == [1.0, 1.0, 1.0]
-
-
-def test_expectation_from_samples_requires_acceptance():
-    run = ShotRun("ZZ", np.zeros(4, dtype=bool),
-                  np.full((4, 0), -1, dtype=np.int8),
-                  np.full((4, 2), -1, dtype=np.int8))
-    with pytest.raises(SimulationError, match="no accepted"):
-        expectation_from_samples(run, [PauliString("ZI")])
 
 
 # --- reference evolutions -------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from itebm.stats import BatchSeries, Estimate, bootstrap, jackknife, ratio_estimator
+from itebm.stats import BatchSeries, Estimate, bootstrap, jackknife
 
 
 def _series(values, accepted=None, batch_size=100):
@@ -89,30 +89,6 @@ def test_bootstrap_single_resample_warns():
     assert est.std_error == 0.0
     with pytest.raises(ValueError, match=">= 1"):
         bootstrap(series, n_resamples=0)
-
-
-def test_ratio_estimator_plain():
-    series = ratio_estimator([4.0, -2.0], [8, 4], batch_size=10)
-    assert np.allclose(series.values, [0.5, -0.5])
-    assert series.effective_samples == 12
-    assert series.n_batches == 2
-
-
-def test_ratio_estimator_drops_empty_batches():
-    with pytest.warns(UserWarning, match="dropping 1 batch"):
-        series = ratio_estimator([4.0, 0.0, 3.0], [8, 0, 6], batch_size=10)
-    assert series.n_batches == 2
-    assert np.allclose(series.values, [0.5, 0.5])
-
-
-def test_ratio_estimator_all_empty():
-    with pytest.raises(ValueError, match="zero accepted"):
-        ratio_estimator([0.0, 0.0], [0, 0], batch_size=10)
-
-
-def test_ratio_estimator_shape_mismatch():
-    with pytest.raises(ValueError, match="matching"):
-        ratio_estimator([1.0, 2.0], [1], batch_size=10)
 
 
 def test_batch_series_validation():
