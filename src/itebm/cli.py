@@ -383,8 +383,7 @@ def cmd_ldbm(script: str, qubits: int) -> None:
             raise click.UsageError(f"line {lineno}: unknown op {line!r}")
 
     final = dbm.to_ldbm() if dbm is not None else net
-    state = nets.statevector(final)
-    norm = nets.statevector_norm(final)
+    state, norm = nets.state_and_norm(final)
     for idx, amp in enumerate(state.amps):
         bits = format(idx, f"0{qubits}b")
         click.echo(f"|{bits}>  {amp.real:+.10f}{amp.imag:+.10f}j")

@@ -11,6 +11,12 @@ shifting parameters; no parameter is ever fitted.  `ldbm_to_dbm` removes the
 lateral couplings in favour of a third (deep) layer using an analytically
 continued two-body identity.
 
+Amplitudes are exact: with z fixed the hidden units interact only through
+the laterals, so the sum over h is done by variable elimination over the
+lateral graph in greedy min-degree order.  Its cost grows as
+2^N * M * 2^width, where the width is the most neighbours a unit has when it
+is summed out, not as 2^M; nets wider than WIDTH_LIMIT are refused.
+
 Conventions: a real parameter set gives pure-phase summands ("unitary"
 summands); log_norm collects every scalar prefactor so raw amplitudes are
 tracked exactly, not just up to normalization.  z = +1 corresponds to bit 0
@@ -18,6 +24,8 @@ and qubit 0 is the most significant bit, matching the simulator.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,8 +36,10 @@ from .decomp import cascade_diagonal
 from .pauli import HamiltonianTerm, PauliString, basis_rotation_layer
 from .simulator import StateVector
 
-MARGINALIZATION_LIMIT = 20
-_CHUNK = 1 << 12
+#: Largest elimination width `_marginalize` accepts: its biggest message
+#: holds 2^width amplitudes per visible configuration.  Every net of at most
+#: 20 hidden units has width at most 19.
+WIDTH_LIMIT = 20
 _TOL = 1e-15
 
 
@@ -137,28 +147,107 @@ def _z_spins(n: int) -> np.ndarray:
     return spins
 
 
-def _h_spins(start: int, stop: int, m: int) -> np.ndarray:
-    idx = np.arange(start, stop)
-    bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _elimination_order(neighbors: list[set[int]]) -> tuple[list[int], int]:
+    """Greedy min-degree elimination order of the lateral graph (ties go to
+    the lowest index) and its width: the most neighbours a unit still has,
+    fill-in included, when it is summed out."""
+    adj = [set(nbrs) for nbrs in neighbors]
+    heap = [(len(nbrs), j) for j, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    done = [False] * len(adj)
+    order, width = [], 0
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if done[v] or degree != len(adj[v]):
+            continue  # stale entry; v was re-pushed with its current degree
+        done[v] = True
+        order.append(v)
+        width = max(width, degree)
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+            heapq.heappush(heap, (len(adj[u]), u))
+    return order, width
 
 
 def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
-    """Hidden-configuration sums for each row of z_spins, times exp(log_norm)."""
-    m = net.n_hidden
-    if m > MARGINALIZATION_LIMIT:
+    """Hidden-configuration sums for each row of z_spins, times exp(log_norm).
+
+    With the visible spins fixed, unit j carries the unary factor
+    exp(i theta_j h_j), theta_j = b_j + z.W[:, j], and each lateral edge the
+    pairwise factor exp(i L_jk h_j h_k).  Units are summed out in
+    `_elimination_order`: one einsum over a leading row axis multiplies the
+    factors touching the unit and sums it out, leaving a message over its
+    neighbours.  Every factor is kept at largest modulus at most 1 per row
+    (exponential factors by shifting their exponent, messages by an exact
+    power-of-two rescale), and the logs of those scales are applied with
+    log_norm by a single exp at the end, so products over hundreds of units
+    neither overflow nor underflow.
+    """
+    _, neighbors = _lateral_components(net)
+    order, width = _elimination_order(neighbors)
+    if width > WIDTH_LIMIT:
         raise ValueError(
-            f"{m} hidden units exceeds the marginalization limit "
-            f"{MARGINALIZATION_LIMIT}"
+            f"elimination width {width} ({net.n_hidden} hidden units) exceeds "
+            f"the width limit {WIDTH_LIMIT}"
         )
-    za = z_spins @ net.a
-    zw = z_spins @ net.w
-    total = np.zeros(z_spins.shape[0], dtype=complex)
-    for start in range(0, 1 << m, _CHUNK):
-        h = _h_spins(start, min(start + _CHUNK, 1 << m), m)
-        hidden_part = np.einsum("cj,jk,ck->c", h, net.lat, h) + h @ net.b
-        total += np.exp(1j * (zw @ h.T + hidden_part[None, :])).sum(axis=1)
-    return np.exp(net.log_norm) * np.exp(1j * za) * total
+    rows = z_spins.shape[0]
+
+    def rescale(arr: np.ndarray) -> np.ndarray:
+        """Divide each row of arr in place by the power of two at its largest
+        modulus (exact in floating point); return the exponents."""
+        _, exps = np.frexp(np.abs(arr).reshape(rows, -1).max(axis=1))
+        arr *= np.ldexp(1.0, -exps).reshape((rows,) + (1,) * (arr.ndim - 1))
+        return exps
+
+    spin = np.array([1.0, -1.0])
+    theta = net.b + z_spins @ net.w
+    shift = np.abs(theta.imag)
+    unary = np.exp(1j * theta[:, :, None] * spin - shift[:, :, None])
+    log_scale = shift.sum(axis=1)
+    # factor id -> (units, array); messages lead with the row axis, pairwise
+    # factors have none
+    factors: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    touching: list[set[int]] = [set() for _ in neighbors]
+    new_id = itertools.count()
+    pair_shifts = []
+    for j, nbrs in enumerate(neighbors):
+        for k in sorted(u for u in nbrs if u > j):
+            coupling = net.lat[j, k]
+            pair_shifts.append(abs(coupling.imag))
+            fid = next(new_id)
+            factors[fid] = ((j, k), np.exp(1j * coupling * np.outer(spin, spin)
+                                           - pair_shifts[-1]))
+            touching[j].add(fid)
+            touching[k].add(fid)
+    log_scale += math.fsum(pair_shifts)
+    binary_exp = np.zeros(rows, dtype=np.int64)
+    value = np.ones(rows, dtype=complex)
+    for v in order:
+        ids = sorted(touching[v])
+        scope = sorted({u for fid in ids for u in factors[fid][0]} - {v})
+        label = {u: i for i, u in enumerate(scope, start=2)}
+        label[v] = 1
+        operands: list = [unary[:, v], [0, 1]]
+        for fid in ids:
+            units, arr = factors.pop(fid)
+            for u in units:
+                if u != v:
+                    touching[u].discard(fid)
+            row_axis = [0] if arr.ndim > len(units) else []
+            operands += [arr, row_axis + [label[u] for u in units]]
+        msg = np.einsum(*operands, [0] + [label[u] for u in scope])
+        if scope:
+            binary_exp += rescale(msg)
+            fid = next(new_id)
+            factors[fid] = (tuple(scope), msg)
+            for u in scope:
+                touching[u].add(fid)
+        else:
+            value *= msg
+            binary_exp += rescale(value)
+    log_scale += math.log(2.0) * binary_exp
+    return np.exp(net.log_norm + 1j * (z_spins @ net.a) + log_scale) * value
 
 
 def amplitude(net: LdbmNetwork, z) -> complex:
@@ -174,13 +263,19 @@ def raw_amplitudes(net: LdbmNetwork) -> np.ndarray:
     return _marginalize(net, _z_spins(net.n_visible))
 
 
-def statevector(net: LdbmNetwork) -> StateVector:
-    """Normalized state; raises when every amplitude vanishes."""
+def state_and_norm(net: LdbmNetwork) -> tuple[StateVector, float]:
+    """Normalized state and the norm it discarded, from one marginalization;
+    raises when every amplitude vanishes."""
     raw = raw_amplitudes(net)
     norm = np.linalg.norm(raw)
     if norm < 1e-300:
         raise ValueError("network amplitudes are identically zero")
-    return StateVector(net.n_visible, raw / norm)
+    return StateVector(net.n_visible, raw / norm), float(norm)
+
+
+def statevector(net: LdbmNetwork) -> StateVector:
+    """Normalized state; raises when every amplitude vanishes."""
+    return state_and_norm(net)[0]
 
 
 def statevector_norm(net: LdbmNetwork) -> float:

@@ -248,17 +248,35 @@ def _zero_weight(entry: tuple) -> SimulationError:
 class ShotRun:
     """Array-backed per-shot outcomes of a sampled run.
 
-    accepted holds one flag per shot; classical bits hold -1 where a shot
-    was rejected before the measurement; terminal bits are per visible
-    qubit in the run's measurement basis, -1 for rejected shots.
+    Each measurement was immediately post-selected, so a shot is described
+    by the record of the walk it replayed and rejected_at, the index of the
+    record entry whose post-selection it failed (len(record) if it passed
+    them all).  accepted holds one flag per shot; terminal bits are per
+    visible qubit in the run's measurement basis, -1 for rejected shots.
     """
 
-    def __init__(self, basis: str, accepted: np.ndarray, cbits: np.ndarray,
-                 terminal: np.ndarray) -> None:
+    def __init__(self, basis: str, record: list, n_cbits: int,
+                 rejected_at: np.ndarray, terminal: np.ndarray) -> None:
         self.basis = basis
-        self.accepted = accepted
-        self.cbits = cbits
+        self.record = record
+        self.n_cbits = n_cbits
+        self.rejected_at = rejected_at
+        self.accepted = rejected_at == len(record)
         self.terminal = terminal
+
+    @property
+    def cbits(self) -> np.ndarray:
+        """(n_shots, n_cbits) classical bits: the kept value at each record
+        entry before a shot's rejection, the other value at it, and -1
+        after it and at cbits the record never reached."""
+        cbits = np.full((self.n_shots, self.n_cbits), -1, dtype=np.int8)
+        if self.record:
+            cols = np.array([entry[0] for entry in self.record])
+            kept = np.array([entry[1] for entry in self.record], dtype=np.int8)
+            index = np.arange(len(self.record))
+            at = self.rejected_at[:, None]
+            cbits[:, cols] = np.where(index < at, kept, np.where(index == at, 1 - kept, -1))
+        return cbits
 
     @property
     def n_shots(self) -> int:
@@ -333,16 +351,14 @@ class Trajectory:
         if len(basis) != nv or set(basis) - set("ZXY"):
             raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
         rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+        record = list(self.record)
         alive = np.arange(n_shots)
-        accepted = np.ones(n_shots, dtype=bool)
-        cbits = np.full((n_shots, self.n_cbits), -1, dtype=np.int8)
+        rejected_at = np.full(n_shots, len(record))
         terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-        for entry in self.record:
-            cbit, value, p1, p_kept = entry
-            outcomes = (rng.random(alive.size) < p1).astype(np.int8)
-            cbits[alive, cbit] = outcomes
-            keep = outcomes == value
-            accepted[alive[~keep]] = False
+        for i, entry in enumerate(record):
+            _, value, p1, p_kept = entry
+            keep = (rng.random(alive.size) < p1) == (value == 1)
+            rejected_at[alive[~keep]] = i
             alive = alive[keep]
             if not alive.size:
                 break
@@ -359,7 +375,7 @@ class Trajectory:
             indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << n) - 1)
             shifts = np.arange(n - 1, n - 1 - nv, -1)
             terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
-        return ShotRun(basis, accepted, cbits, terminal)
+        return ShotRun(basis, record, self.n_cbits, rejected_at, terminal)
 
 
 def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -50,15 +51,27 @@ def test_measurement_groups_fill_unused_with_z():
     assert groups == [("XZ", [0])]
 
 
+def _modules_after_import(module: str) -> set[str]:
+    """Names in sys.modules after importing module in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(itebm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = f"import sys, {module}; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(out.stdout.split())
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Only the order >= 5 weight solver needs brentq, so a fresh import of
     the CLI must not pay for scipy.optimize."""
-    src = os.path.dirname(os.path.dirname(itebm.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, itebm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert "scipy.optimize" not in _modules_after_import("itebm.cli")
+
+
+def test_ldbm_import_loads_no_scipy():
+    """The network engine, marginalization included, is numpy-only."""
+    loaded = _modules_after_import("itebm.ldbm")
+    assert "itebm.ldbm" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_derive_seed_streams_differ():
@@ -358,6 +371,32 @@ def test_ldbm_imaginary_op_tracks_norm(runner, tmp_path):
     assert abs(amps["1"]) / abs(amps["0"]) == pytest.approx(math.e, rel=1e-9)
     norm = float(result.stdout.rsplit("norm:", 1)[1])
     assert norm == pytest.approx(math.sqrt(math.cosh(1.0)), rel=1e-10)
+
+
+def test_ldbm_full_tfim_trotter_step(runner, tmp_path):
+    """One second-order step of the 3-qubit TFIM at dtau 0.1 adds 21 hidden
+    units, past what a 2^M sum could hold; elimination prints the dense
+    product of the step's factors on |+++>, raw norm included."""
+    from itebm.circuits import trotter_groups
+
+    import oracles
+
+    h = parse_hamiltonian(ISING_TEXT)
+    lines = [f"hx {q}" for q in range(3)]
+    psi = np.full(8, 1 / math.sqrt(8), dtype=complex)
+    for group, factor in trotter_groups(h, 2):
+        for t in group:
+            k = 0.1 * factor * t.coefficient
+            lines.append(f"imag {t.string.word} {k!r}")
+            psi = oracles.exp_factor(k, t.string.word) @ psi
+    result = _run_script(runner, tmp_path, "\n".join(lines) + "\n", qubits=3)
+    assert result.exit_code == 0, result.output
+    assert "hidden units: 27" in result.stdout  # 6 for |+++>, 21 for the step
+    amps = _amplitudes(result.stdout, 3)
+    got = np.array([amps[format(i, "03b")] for i in range(8)])
+    assert np.allclose(got, psi / np.linalg.norm(psi), atol=2e-10)
+    norm = float(result.stdout.rsplit("norm:", 1)[1])
+    assert norm == pytest.approx(np.linalg.norm(psi), rel=1e-10)
 
 
 def test_ldbm_to_dbm_reports_layers(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,9 +95,63 @@ def test_network_validation():
         LdbmNetwork(2, [0], [0], [[0], [0]], [[0]])
 
 
-def test_marginalization_limit():
-    with pytest.raises(ValueError, match="marginalization limit"):
-        raw_amplitudes(_random_net(1, 21, np.random.default_rng(0)))
+def test_elimination_width_limit():
+    """The limit is on the elimination width, not on the unit count: a fully
+    connected 22-unit net (width 21) is refused, a 200-unit chain is not."""
+    with pytest.raises(ValueError, match="elimination width 21 .* width limit 20"):
+        raw_amplitudes(_random_net(1, 22, np.random.default_rng(0)))
+    m = 200
+    chain = np.diag(np.full(m - 1, 0.3 + 0.1j), k=1)
+    rng = np.random.default_rng(1)
+    net = LdbmNetwork(2, rng.normal(size=2), rng.normal(size=m) * 0.4,
+                      rng.normal(size=(2, m)) * 0.4, chain, log_norm=-60.0)
+    got = raw_amplitudes(net)
+    assert np.all(np.isfinite(got))
+    # the chain's transfer-matrix product, one site at a time
+    spin = np.array([1.0, -1.0])
+    pair = np.exp(1j * (0.3 + 0.1j) * np.outer(spin, spin))
+    for zi, z in enumerate(([1, 1], [1, -1], [-1, 1], [-1, -1])):
+        unary = np.exp(1j * np.outer(net.b + np.asarray(z) @ net.w, spin))
+        vec, log_scale = unary[0], 0.0
+        for j in range(1, m):
+            vec = (vec @ pair) * unary[j]
+            log_scale += math.log(np.abs(vec).max())
+            vec /= np.abs(vec).max()
+        want = np.exp(net.log_norm + 1j * (np.asarray(z) @ net.a) + log_scale) * vec.sum()
+        assert got[zi] == pytest.approx(want, rel=1e-11)
+
+
+ORACLE_CASES = [  # (N, M, real parameters)
+    (1, 12, False), (1, 11, True), (2, 10, False), (2, 9, True),
+    (3, 10, False), (3, 9, True), (3, 7, False), (2, 6, True),
+    (1, 3, False), (3, 1, True), (2, 0, False), (3, 8, False),
+]
+
+
+@pytest.mark.parametrize("n,m,real", ORACLE_CASES)
+def test_elimination_matches_bruteforce(n, m, real):
+    """Dense, non-bipartite laterals (criterion-7 style draws) are summed
+    exactly: oracle-equal to the explicit 2^M double loop."""
+    rng = np.random.default_rng([n, m, real])
+    net = _random_net(n, m, rng, scale=0.35, real=real)
+    got = raw_amplitudes(net)
+    want = _oracle_amps(net)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+def test_marginalization_stays_in_log_space():
+    """700 isolated units with b = -1j: each sums to 2 cosh 1, so a direct
+    product of the factors overflows, yet the amplitude
+    (2 cosh 1)^700 e^-789 is finite."""
+    m = 700
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.prod(np.full(m, 2.0 * math.cosh(1.0))))
+    net = LdbmNetwork(1, [0.0], np.full(m, -1j), np.zeros((1, m)),
+                      np.zeros((m, m)), log_norm=-789.0)
+    want = math.exp(m * math.log(2.0 * math.cosh(1.0)) - 789.0)
+    got = raw_amplitudes(net)
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_real_params_flag():
@@ -276,6 +331,45 @@ def test_full_trotter_step_absorption():
     assert net.n_hidden == 12  # 3 pair units + 3 * (2 basis + 1 diagonal)
     ref = trotterized_oracle(h, dtau, dtau, 1, StateVector.uniform_plus(3))
     assert statevector(net).fidelity(ref) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tfim_trajectory_matches_dense_factors():
+    """Ten second-order steps of the 3-qubit TFIM at dtau 0.1, absorbed into
+    one network (210 units, far past 2^M enumeration): at every step the
+    state and the raw norm, tracked through log_norm, equal the dense
+    product of the same exp(-dtau c P) factors."""
+    from itebm.circuits import trotter_groups
+    from itebm.pauli import parse_hamiltonian
+
+    terms = oracles.tfim_terms(3)
+    h = parse_hamiltonian("".join(f"{c} {w}\n" for c, w in terms))
+    dtau = 0.1
+    net = plus_state(3)
+    psi = np.full(8, 1 / math.sqrt(8), dtype=complex)
+    for _ in range(10):
+        for group, factor in trotter_groups(h, 2):
+            for t in group:
+                net = apply_term_imaginary(net, t, dtau * factor)
+                psi = oracles.exp_factor(dtau * factor * t.coefficient, t.string.word) @ psi
+        raw = raw_amplitudes(net)
+        assert oracles.fidelity(raw, psi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
+    assert net.n_hidden == 210
+
+
+def test_state_and_norm_marginalizes_once(monkeypatch):
+    import itebm.ldbm as ldbm
+
+    net = _random_net(2, 4, np.random.default_rng(12))
+    calls = []
+    inner = ldbm._marginalize
+    monkeypatch.setattr(ldbm, "_marginalize", lambda *a: calls.append(1) or inner(*a))
+    state, norm = ldbm.state_and_norm(net)
+    assert len(calls) == 1
+    assert np.array_equal(state.amps, statevector(net).amps)
+    assert norm == statevector_norm(net)
+    with pytest.raises(ValueError, match="identically zero"):
+        ldbm.state_and_norm(replace(net, log_norm=-1e4))
 
 
 # --- three-layer conversion ------------------------------------------------
