@@ -7,6 +7,7 @@ of qubit q is ``z = +1`` for bit 0 and ``z = -1`` for bit 1.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,6 +78,8 @@ class HamiltonianTerm:
     string: PauliString
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coefficient, numbers.Real):
+            raise ValueError(f"non-real coefficient {self.coefficient!r}")
         if not np.isfinite(self.coefficient):
             raise ValueError(f"non-finite coefficient {self.coefficient!r}")
 
@@ -95,6 +98,21 @@ class Hamiltonian:
                     f"term {t.string.word!r} has {t.string.n_qubits} qubits, "
                     f"expected {self.n_qubits}"
                 )
+
+    def spectrum(self, limit: int = 12) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the dense matrix (`np.linalg.eigh`).
+
+        Factored on the first call and kept, read-only, on this Hamiltonian,
+        so the checkpoints of a run share one decomposition; it goes when
+        the Hamiltonian does (at 12 qubits it holds 256 MB).
+        """
+        spectrum = self.__dict__.get("_spectrum")
+        if spectrum is None or self.n_qubits > limit:  # dense_matrix enforces the limit
+            spectrum = tuple(np.linalg.eigh(dense_matrix(self, limit=limit)))
+            for part in spectrum:
+                part.setflags(write=False)
+            object.__setattr__(self, "_spectrum", spectrum)
+        return spectrum
 
     def to_text(self) -> str:
         """Serialize in the parse_hamiltonian text format."""

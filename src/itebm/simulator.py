@@ -5,14 +5,23 @@ by the postselect on its bit, so all accepted shots follow the same
 post-selected path: a `Trajectory` walks a single state forward through
 circuits, each measurement appends its branch probabilities to a record
 and projects onto the kept value, and each reset factors out a
-disentangled qubit.  Exact mode multiplies the kept-branch probabilities;
-sampled mode replays the record with per-shot Born-rule draws, discarding
-shots at their first failed post-selection, and samples the surviving
-shots' terminal bits from the final state.  Randomness comes from a
+disentangled qubit.  A circuit is compiled once into a flat op list (each
+rotation with its permutation, phase and scalars; each measure/postselect
+pair as one op; no-op resets of qubits just post-selected onto 0
+dropped), and the walk runs that list with the gate-by-gate arithmetic,
+so walking one Trotter step n times compiles it once and gives the same
+bits.  Exact mode multiplies the kept-branch probabilities; sampled mode
+replays the record with per-shot Born-rule draws, discarding shots at
+their first failed post-selection, and samples the surviving shots'
+terminal bits from the final state.  Randomness comes from a
 counter-based Philox generator keyed by the seed; at each measurement one
 variate is drawn per surviving shot in shot order, and terminal sampling
 draws one variate per surviving shot, so a given (record, state, n_shots,
 seed) is bit-reproducible.
+
+The dense oracle (`imaginary_time_oracle`) uses the Hamiltonian's
+eigendecomposition, factored once per Hamiltonian, so a run's checkpoints
+share it.
 """
 from __future__ import annotations
 
@@ -22,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ir import Circuit, Gate
-from .pauli import HX, HY, HY_DAG, Hamiltonian, PauliString, apply_word, dense_matrix, word_action
+from .ir import Circuit
+from .pauli import HX, HY, HY_DAG, Hamiltonian, PauliString, apply_word, word_action
 
 _GATE_1Q = {"hx": HX, "hy": HY, "hydag": HY_DAG}
 
@@ -125,25 +134,6 @@ def _apply_1q(vec: np.ndarray, q: int, mat: np.ndarray) -> None:
     shaped[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
-def _apply_rot(vec: np.ndarray, string: PauliString, angle: float) -> None:
-    perm, phase = word_action(string.word)
-    tmp = vec[perm] * phase
-    vec *= np.cos(0.5 * angle)
-    tmp *= -1j * np.sin(0.5 * angle)
-    vec += tmp
-
-
-def _apply_unitary(vec: np.ndarray, n: int, g: Gate) -> None:
-    if g.kind in _GATE_1Q:
-        _apply_1q(vec, g.qubits[0], _GATE_1Q[g.kind])
-    elif g.kind == "cx":
-        vec[:] = vec[_cx_perm(n, g.qubits[0], g.qubits[1])]
-    elif g.kind == "pauli_rot":
-        _apply_rot(vec, g.string, g.angle)
-    else:
-        raise SimulationError(f"gate {g.kind!r} is not unitary")
-
-
 def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     if psi0.n_qubits != circuit.n_visible:
         raise ValueError(
@@ -188,53 +178,115 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
     shaped[:, 1, :] = 0.0
 
 
-def _walk(circuit: Circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
-    """Walk a full vector in place along the circuit's post-selected trajectory.
+# Opcodes of a compiled program: (opcode, operands...) tuples, see _compile.
+_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL = range(7)
 
-    Each measure must be immediately followed by the postselect consuming
-    its bit (all circuits built by this package satisfy that).  Such a pair
-    appends (cbit + cbit_offset, kept value, p1 = P(read 1), p_kept) to
-    record, then projects onto the kept value and renormalizes; resets
-    factor the qubit out.  Returns False, without projecting, at a kept
-    branch below BRANCH_FLOOR; else checks the ancillas are back in |0>.
+
+def _compile(circuit: Circuit) -> tuple[tuple, ...]:
+    """Flatten a circuit into the op list that `_walk` runs.
+
+    A pauli_rot carries its word's permutation and phase and its two
+    rotation scalars; a measure and the postselect consuming its bit become
+    one op.  A reset is dropped when its qubit was post-selected onto 0 and
+    no gate has touched it since: its |1> half is then exactly zero and
+    `_reset_vector` would rescale the rest by sqrt(n0 / n0) = 1.  A
+    structural error becomes an op that raises where the walk reaches it;
+    with ancillas, a final op checks that they are back in |0>.
     """
     n = circuit.n_qubits
     gates = circuit.gates
+    ops: list[tuple] = []
+    clean: set[int] = set()  # post-selected onto 0, untouched since
     i = 0
     while i < len(gates):
         g = gates[i]
         if g.kind == "measure":
             if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
                     or gates[i + 1].cbit != g.cbit:
-                raise SimulationError(
-                    "measure must be immediately followed by its postselect"
-                )
-            value = gates[i + 1].value
-            shaped = vec.reshape(1 << g.qubits[0], 2, -1)
-            # Weigh the kept branch directly: 1 - p(other) would fold the
-            # state's accumulated norm error into p, and dividing by a tiny
-            # p amplifies that error multiplicatively across units.
-            p = float(np.sum(np.abs(shaped[:, value, :]) ** 2))
-            p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
-            record.append((g.cbit + cbit_offset, value, p1, p))
-            if p < BRANCH_FLOOR:
-                return False
-            shaped[:, 1 - value, :] = 0.0
-            vec /= np.sqrt(p)
+                ops.append((_FAIL, "measure must be immediately followed by its postselect"))
+                return tuple(ops)
+            q, value = g.qubits[0], gates[i + 1].value
+            ops.append((_MEASURE, (1 << q, 2, -1), value, g.cbit))
+            if value == 0:
+                clean.add(q)
+            else:
+                clean.discard(q)
             i += 2
             continue
         if g.kind == "postselect":
-            raise SimulationError("postselect without a preceding measure")
+            ops.append((_FAIL, "postselect without a preceding measure"))
+            return tuple(ops)
         if g.kind == "reset":
-            _reset_vector(vec, g.qubits[0])
+            if g.qubits[0] not in clean:
+                ops.append((_RESET, g.qubits[0]))
+        elif g.kind == "pauli_rot":
+            perm, phase = word_action(g.string.word)
+            ops.append((_ROT, perm, phase, np.cos(0.5 * g.angle), -1j * np.sin(0.5 * g.angle)))
+            clean.difference_update(g.string.support())
+        elif g.kind == "cx":
+            ops.append((_PERM, _cx_perm(n, g.qubits[0], g.qubits[1])))
+            clean.difference_update(g.qubits)
         else:
-            _apply_unitary(vec, n, g)
+            ops.append((_1Q, g.qubits[0], _GATE_1Q[g.kind]))
+            clean.discard(g.qubits[0])
         i += 1
     if circuit.n_ancilla:
-        visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
-        leak = 1.0 - float(np.vdot(visible, visible).real)
-        if leak > 1e-9:
-            raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
+        ops.append((_LEAK, 1 << circuit.n_visible))
+    return tuple(ops)
+
+
+def _walk(program: tuple[tuple, ...], vec: np.ndarray, record: list,
+          cbit_offset: int = 0) -> bool:
+    """Walk a full vector in place through a compiled program (`_compile`).
+
+    A measurement appends (cbit + cbit_offset, kept value, p1 = P(read 1),
+    p_kept) to record, then projects onto the kept value and renormalizes;
+    resets factor the qubit out.  Returns False, without projecting, at a
+    kept branch below BRANCH_FLOOR.  The arithmetic of every element is that
+    of the gate-by-gate walk (`tests/oracles.walk_reference`).
+    """
+    buf = np.empty_like(vec)
+    for op in program:
+        kind = op[0]
+        if kind == _ROT:
+            _, perm, phase, cos, minus_isin = op
+            vec.take(perm, out=buf)
+            buf *= phase
+            vec *= cos
+            buf *= minus_isin
+            vec += buf
+        elif kind == _MEASURE:
+            _, shape, value, cbit = op
+            shaped = vec.reshape(shape)
+            # Weigh the kept branch directly: 1 - p(other) would fold the
+            # state's accumulated norm error into p, and dividing by a tiny
+            # p amplifies that error multiplicatively across units.  Each
+            # branch is summed as a 1-D array (a view when q is the last
+            # qubit, else a copy), which adds up exactly as a separate
+            # |branch|^2 array does; the 2-D slice itself does not, from
+            # 2^16 amplitudes on.
+            weights = np.abs(shaped) ** 2
+            p = float(np.add.reduce(weights[:, value, :].reshape(-1)))
+            p1 = p if value == 1 else float(np.add.reduce(weights[:, 1, :].reshape(-1)))
+            record.append((cbit + cbit_offset, value, p1, p))
+            if p < BRANCH_FLOOR:
+                return False
+            shaped[:, 1 - value, :] = 0.0
+            vec /= math.sqrt(p)
+        elif kind == _RESET:
+            _reset_vector(vec, op[1])
+        elif kind == _1Q:
+            _apply_1q(vec, op[1], op[2])
+        elif kind == _PERM:
+            vec.take(op[1], out=buf)
+            vec[:] = buf
+        elif kind == _LEAK:
+            visible = vec.reshape(op[1], -1)[:, 0]
+            leak = 1.0 - float(np.vdot(visible, visible).real)
+            if leak > 1e-9:
+                raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
+        else:
+            raise SimulationError(op[1])
     return True
 
 
@@ -310,27 +362,31 @@ class Trajectory:
     """One post-selected state, walked forward in place through circuits.
 
     record holds (cbit, kept value, p1, p_kept) per measurement in walk
-    order, with cbits numbered on across the circuits walked.  A kept
-    branch below BRANCH_FLOOR stops the walk for good (`stopped`); it is
-    the last record entry.
+    order, with cbits numbered on across the circuits walked, and
+    cumulative_success the in-order product of the kept-branch
+    probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
+    good (`stopped`); it is the last record entry.  The circuit last walked
+    keeps its compiled program, so walking one step n times compiles it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
         self.n_visible = circuit.n_visible
         self.vec = _embed(circuit, psi0)
         self.record: list[tuple[int, int, float, float]] = []
+        self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
+        self._compiled: tuple[Circuit | None, tuple] = (None, ())
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
-            self.stopped = not _walk(circuit, self.vec, self.record, self.n_cbits)
+            if self._compiled[0] is not circuit:
+                self._compiled = (circuit, _compile(circuit))
+            start = len(self.record)
+            self.stopped = not _walk(self._compiled[1], self.vec, self.record, self.n_cbits)
+            self.cumulative_success = math.prod(
+                (entry[3] for entry in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits
-
-    @property
-    def cumulative_success(self) -> float:
-        """In-order product of the kept-branch probabilities."""
-        return math.prod((entry[3] for entry in self.record), start=1.0)
 
     def final_state(self) -> StateVector:
         """The renormalized visible-register state."""
@@ -396,23 +452,24 @@ def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
 
 
 def expectation(psi: StateVector, h: Hamiltonian) -> float:
-    """<psi|H|psi> for a normalized state, asserted real."""
+    """<psi|H|psi> for a normalized state; SimulationError unless it is real."""
     if psi.n_qubits != h.n_qubits:
         raise ValueError(f"state has {psi.n_qubits} qubits, Hamiltonian {h.n_qubits}")
     vec = psi.normalized().amps
     total = 0.0 + 0.0j
     for t in h.terms:
         total += t.coefficient * np.vdot(vec, apply_word(t.string.word, vec))
-    assert abs(total.imag) < 1e-10, f"expectation has imaginary part {total.imag}"
+    if not abs(total.imag) < 1e-10:
+        raise SimulationError(f"expectation has imaginary part {total.imag}")
     return float(total.real)
 
 
 def imaginary_time_oracle(
     h: Hamiltonian, tau: float, psi0: StateVector, limit: int = 12
 ) -> StateVector:
-    """Normalized exp(-tau H) psi0 by Hermitian eigendecomposition (exact)."""
-    mat = dense_matrix(h, limit=limit)
-    vals, vecs = np.linalg.eigh(mat)
+    """Normalized exp(-tau H) psi0 by Hermitian eigendecomposition (exact);
+    the decomposition is factored once per Hamiltonian (`Hamiltonian.spectrum`)."""
+    vals, vecs = h.spectrum(limit)
     coords = vecs.conj().T @ psi0.normalized().amps
     coords *= np.exp(-tau * (vals - vals.min()))  # gauge shift avoids overflow
     amps = vecs @ coords

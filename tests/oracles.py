@@ -83,6 +83,19 @@ def tfim_terms(n: int = 3) -> list[tuple[float, str]]:
     return terms
 
 
+def chain_terms(n: int = 8) -> list[tuple[float, str]]:
+    """Periodic ZZ/ZZZ/YY/X chain with weights 1, 0.5, 0.3 and -1: the
+    shape of the benchmark's exact-mode chain."""
+    terms: list[tuple[float, str]] = []
+    for coeff, letters in ((1.0, "ZZ"), (0.5, "ZZZ"), (0.3, "YY"), (-1.0, "X")):
+        for i in range(n):
+            word = ["I"] * n
+            for k, ch in enumerate(letters):
+                word[(i + k) % n] = ch
+            terms.append((coeff, "".join(word)))
+    return terms
+
+
 def ldbm_amplitudes_bruteforce(n_visible: int, a, b, w, lat,
                                log_norm: complex) -> np.ndarray:
     """Amplitude vector of a lateral-coupled network by explicit double loop.
@@ -207,20 +220,39 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
     return accepted, cbits, terminal
 
 
+def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
+    """The dense oracle as it was before the package kept one
+    eigendecomposition per Hamiltonian: it factors the dense matrix on
+    every call.  Same result type and errors as `imaginary_time_oracle`."""
+    from itebm.pauli import dense_matrix
+    from itebm.simulator import ZERO_WEIGHT, SimulationError, StateVector
+
+    mat = dense_matrix(h, limit=limit)
+    vals, vecs = np.linalg.eigh(mat)
+    coords = vecs.conj().T @ psi0.normalized().amps
+    coords *= np.exp(-tau * (vals - vals.min()))  # gauge shift avoids overflow
+    amps = vecs @ coords
+    norm = np.linalg.norm(amps)
+    if norm < ZERO_WEIGHT:
+        raise SimulationError("initial state annihilated by the propagator")
+    return StateVector(h.n_qubits, amps / norm)
+
+
 def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
                                shots, batches, seed, oracle_check=False):
     """The per-checkpoint evolution loop that `iter_evolution` replaced, kept
     verbatim as its reference: every checkpoint compiles the whole circuit
     with `build_qite_circuit` and runs it from psi0 with `run_exact`, or
-    with one `run_shots` per measurement-basis group.  Yields the same
-    (row dict, note-or-None) pairs.
+    with one `run_shots` per measurement-basis group, and factors the dense
+    matrix afresh for each oracle note.  Yields the same (row dict,
+    note-or-None) pairs.
     """
     import click
 
     from itebm.circuits import build_qite_circuit
     from itebm.evolution import _column_terms, _derive_seed, _measurement_groups
     from itebm.pauli import apply_word
-    from itebm.simulator import expectation, imaginary_time_oracle, run_exact, run_shots
+    from itebm.simulator import expectation, run_exact, run_shots
     from itebm.stats import BatchSeries, jackknife
 
     def _bare_expectation(state, word):
@@ -246,7 +278,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
                 "effective_samples": 0,
             }
             if oracle_check:
-                e_oracle = expectation(imaginary_time_oracle(h, tau, psi0), h)
+                e_oracle = expectation(imaginary_time_oracle_reference(h, tau, psi0), h)
                 note = (
                     f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
                     f"|diff| {abs(e_mean - e_oracle):.3g}"
@@ -321,3 +353,63 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
             "effective_samples": total_accepted,
         }
         yield row, note
+
+
+def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+    """The gate-by-gate walk that the compiled `simulator._walk` replaced,
+    kept verbatim as its bit-level reference: it dispatches every gate,
+    looks up each rotation's word action, and runs every reset.
+
+    Walks vec in place; appends (cbit + cbit_offset, kept value, p1,
+    p_kept) per measure/postselect pair to record; returns False at a kept
+    branch below BRANCH_FLOOR.  Uses the package's one-qubit, CX and reset
+    kernels, which the compiled walk shares.
+    """
+    from itebm.pauli import word_action
+    from itebm.simulator import (
+        _GATE_1Q, BRANCH_FLOOR, SimulationError, _apply_1q, _cx_perm, _reset_vector,
+    )
+
+    n = circuit.n_qubits
+    gates = circuit.gates
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        if g.kind == "measure":
+            if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
+                    or gates[i + 1].cbit != g.cbit:
+                raise SimulationError(
+                    "measure must be immediately followed by its postselect"
+                )
+            value = gates[i + 1].value
+            shaped = vec.reshape(1 << g.qubits[0], 2, -1)
+            p = float(np.sum(np.abs(shaped[:, value, :]) ** 2))
+            p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
+            record.append((g.cbit + cbit_offset, value, p1, p))
+            if p < BRANCH_FLOOR:
+                return False
+            shaped[:, 1 - value, :] = 0.0
+            vec /= np.sqrt(p)
+            i += 2
+            continue
+        if g.kind == "postselect":
+            raise SimulationError("postselect without a preceding measure")
+        if g.kind == "reset":
+            _reset_vector(vec, g.qubits[0])
+        elif g.kind in _GATE_1Q:
+            _apply_1q(vec, g.qubits[0], _GATE_1Q[g.kind])
+        elif g.kind == "cx":
+            vec[:] = vec[_cx_perm(n, g.qubits[0], g.qubits[1])]
+        else:  # pauli_rot
+            perm, phase = word_action(g.string.word)
+            tmp = vec[perm] * phase
+            vec *= np.cos(0.5 * g.angle)
+            tmp *= -1j * np.sin(0.5 * g.angle)
+            vec += tmp
+        i += 1
+    if circuit.n_ancilla:
+        visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
+        leak = 1.0 - float(np.vdot(visible, visible).real)
+        if leak > 1e-9:
+            raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
+    return True

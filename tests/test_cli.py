@@ -12,7 +12,11 @@ from click.testing import CliRunner
 import itebm
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
 from itebm.evolution import _derive_seed, _measurement_groups
+from itebm.ir import AncillaPolicy
 from itebm.pauli import parse_hamiltonian
+from itebm.simulator import StateVector
+
+import oracles
 
 
 @pytest.fixture
@@ -157,6 +161,36 @@ def test_evolve_exact_tracks_dense_oracle(runner, tfim_file, tmp_path):
     assert len(notes) == 2
     for note in notes:
         assert float(note.rsplit(" ", 1)[1]) < 2e-3
+
+
+def test_evolve_exact_factors_the_dense_matrix_once(runner, tmp_path, monkeypatch):
+    """Eight checkpoints share one eigendecomposition; the oracle notes are
+    byte for byte those of a fresh decomposition at every checkpoint."""
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
+    taus = [0.25 * i for i in range(1, 9)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(path), "--mode", "exact",
+        "--tau", ",".join(f"{t:g}" for t in taus), "--dtau", "0.125",
+        "--out", str(tmp_path / "run.csv"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    monkeypatch.undo()
+    h = parse_hamiltonian(path.read_text())
+    notes = [note for _, note in oracles.checkpoint_rerun_reference(
+        h, taus, 0.125, 2, "rbm", AncillaPolicy(), StateVector.uniform_plus(8),
+        "exact", 0, 10, 0, oracle_check=True)]
+    assert len(notes) == 8
+    assert result.stderr == "".join(note + "\n" for note in notes)
 
 
 def test_evolve_reads_stdin(runner, tmp_path):

@@ -85,6 +85,38 @@ def test_dense_matrix_limit():
         dense_matrix(h)
 
 
+def test_term_coefficient_must_be_real_and_finite():
+    for ok in (1, -0.5, np.float64(2.0), np.int64(3)):
+        assert HamiltonianTerm(ok, PauliString("Z")).coefficient == ok
+    for bad in (1j, complex(1.0, 0.0), np.complex128(0.5)):
+        with pytest.raises(ValueError, match="non-real"):
+            HamiltonianTerm(bad, PauliString("Z"))
+    with pytest.raises(ValueError, match="non-finite"):
+        HamiltonianTerm(float("nan"), PauliString("Z"))
+
+
+def test_spectrum_is_factored_once_per_hamiltonian(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    h = parse_hamiltonian("0.5 ZZI\n-1.25 IXY\n2 YIZ\n")
+    vals, vecs = h.spectrum()
+    want_vals, want_vecs = eigh(dense_matrix(h))
+    assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+    assert h.spectrum()[1] is vecs
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="limit"):
+        h.spectrum(limit=2)
+    parse_hamiltonian(h.to_text()).spectrum()  # an equal Hamiltonian factors its own
+    assert len(calls) == 2
+
+
 def test_parse_round_trip():
     text = "1 ZZI\n-0.5 IXY\n"
     h = parse_hamiltonian(text)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from itebm import simulator
 from itebm.circuits import build_qite_circuit, encode_term_rbm, trotter_step
 from itebm.ir import AncillaPolicy, Circuit, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian, word_from_sites
@@ -366,7 +367,7 @@ def _message(fn, *args):
     return str(info.value)
 
 
-@pytest.mark.parametrize("circuit, psi0, match", [
+STRUCTURE_ERRORS = [
     (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),), n_cbits=1),
      StateVector.zeros(1), "immediately followed"),
     (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0), Gate("hx", (0,)),
@@ -379,7 +380,10 @@ def _message(fn, *args):
      "entangled"),
     (Circuit(1, 1, gates=(Gate("hx", (1,)),)),
      StateVector.zeros(1), "ancillas not returned"),
-])
+]
+
+
+@pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
 def test_run_shots_raises_like_run_exact(circuit, psi0, match):
     exact = _message(run_exact, circuit, psi0)
     assert match in exact
@@ -424,6 +428,164 @@ def test_reset_of_product_qubit_same_in_both_modes():
     assert np.all(np.abs(freq - want) <= 4 * sigma + 1e-12)
 
 
+# --- compiled walk against the gate-by-gate reference --------------------
+
+CHAIN = "".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8))
+Y_WORDS = MIXED + "-0.6 IZZI\n0.8 XIII\n"
+
+
+def _assert_walks_equal(circuit, psi0, steps=1):
+    """Walk circuit `steps` times as a compiled Trajectory and with
+    oracles.walk_reference: the same bits (signed zeros included), record,
+    stop and running product."""
+    traj = Trajectory(circuit, psi0)
+    vec, record, offset, walking = simulator._embed(circuit, psi0), [], 0, True
+    for _ in range(steps):
+        traj.advance(circuit)
+        if walking:
+            walking = oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
+    assert traj.record == record
+    assert traj.stopped is not walking
+    assert traj.cumulative_success == math.prod((e[3] for e in record), start=1.0)
+    return traj
+
+
+def _resets_kept(circuit):
+    return sum(op[0] == simulator._RESET for op in simulator._compile(circuit))
+
+
+def _step(text, dtau, route="rbm", policy="single", order=2):
+    h = parse_hamiltonian(text)
+    pol = AncillaPolicy.parse(policy)
+    return trotter_step(h, dtau, order, route=route, policy=pol).to_circuit(h.n_qubits, pol.n)
+
+
+def test_compiled_walk_equals_reference_on_chain_step():
+    """The exact-mode chain: 200 steps of 88 post-selected units, every
+    reset dropped, bits and record as the gate-by-gate walk gives them."""
+    step = _step(CHAIN, 0.01)
+    assert step.gate_counts()["reset"] == 88 and _resets_kept(step) == 0
+    traj = _assert_walks_equal(step, StateVector.uniform_plus(8), 200)
+    assert len(traj.record) == 200 * 88
+
+
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
+def test_compiled_walk_equals_reference_on_ising_step(route, policy):
+    _assert_walks_equal(_step(TFIM, 0.01, route, policy), StateVector.uniform_plus(3), 100)
+
+
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("policy, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
+def test_compiled_walk_equals_reference_on_y_words(route, policy, order):
+    """hx/hy/hydag/cx kernels (cx route) and pooled ancillas whose measures
+    and resets interleave."""
+    step = _step(Y_WORDS, 0.1, route, policy, order)
+    if route == "cx":
+        assert {"hy", "hydag", "cx"} <= set(step.gate_counts())
+    psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
+    _assert_walks_equal(step, psi0, 10)
+
+
+def _unit(*after):
+    """One post-selected ancilla rotation on 1 visible qubit, then `after`."""
+    return (Gate("pauli_rot", angle=1.1, string=PauliString("XX")),
+            Gate("measure", (1,), cbit=0)) + after
+
+
+def test_reset_after_postselect_on_one_is_kept():
+    circuit = Circuit(1, 1, gates=_unit(
+        Gate("postselect", cbit=0, value=1),
+        Gate("reset", (1,)),
+        Gate("pauli_rot", angle=0.4, string=PauliString("YI")),
+    ), n_cbits=1)
+    assert _resets_kept(circuit) == 1
+    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
+    traj = _assert_walks_equal(circuit, psi0, 3)
+    assert [entry[1] for entry in traj.record] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("touch", [
+    Gate("hx", (1,)),
+    Gate("pauli_rot", angle=0.3, string=PauliString("IZ")),
+    Gate("cx", (1, 0)),
+])
+def test_reset_after_a_gate_on_the_postselected_qubit_is_kept(touch):
+    circuit = Circuit(1, 1, gates=_unit(
+        Gate("postselect", cbit=0, value=0), touch, Gate("reset", (1,))), n_cbits=1)
+    assert _resets_kept(circuit) == 1
+    _assert_walks_equal(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
+
+
+def test_reset_of_untouched_postselected_qubit_is_dropped():
+    circuit = Circuit(1, 1, gates=_unit(
+        Gate("postselect", cbit=0, value=0),
+        Gate("pauli_rot", angle=0.3, string=PauliString("ZI")),
+        Gate("reset", (1,)),
+        Gate("reset", (1,)),
+    ), n_cbits=1)
+    assert _resets_kept(circuit) == 0
+    _assert_walks_equal(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
+
+
+def test_entangled_reset_raises_like_reference():
+    circuit = Circuit(1, 1, gates=_unit(
+        Gate("postselect", cbit=0, value=0),
+        Gate("pauli_rot", angle=0.8, string=PauliString("XX")),
+        Gate("reset", (1,)),
+    ), n_cbits=1)
+    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
+    want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
+    assert "entangled" in want
+    assert _message(Trajectory(circuit, psi0).advance, circuit) == want
+
+
+@pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
+def test_structure_errors_raise_like_reference(circuit, psi0, match):
+    want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
+    assert match in want
+    assert _message(Trajectory(circuit, psi0).advance, circuit) == want
+
+
+def test_walk_stops_below_branch_floor_like_reference():
+    """A certain |1> fails the post-selection onto 0: the walk stops there,
+    so the malformed gate after it raises in neither walk."""
+    circuit = Circuit(1, 1, gates=(
+        Gate("pauli_rot", angle=0.5, string=PauliString("XI")),
+        Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
+        Gate("measure", (1,), cbit=0),
+        Gate("postselect", cbit=0, value=0),
+        Gate("reset", (1,)),
+        Gate("postselect", cbit=0, value=0),
+    ), n_cbits=1)
+    traj = _assert_walks_equal(circuit, StateVector.zeros(1), 2)
+    assert traj.stopped and len(traj.record) == 1
+    assert traj.record[0][3] < simulator.BRANCH_FLOOR
+    with pytest.raises(SimulationError, match="zero-weight trajectory"):
+        traj.final_state()
+
+
+def test_branch_weights_add_up_like_reference():
+    """One |amplitude|^2 array per measurement, summed per branch, gives
+    the reference's p and p1 to the bit on random states of up to 17
+    qubits, at every measured qubit."""
+    rng = np.random.default_rng(21)
+    checked = 0
+    for n in range(1, 18):
+        for q in range(n):
+            for _ in range(13 if n <= 12 else 2):
+                psi0 = StateVector(n, oracles.random_state(n, rng))
+                for value in (0, 1):
+                    circuit = Circuit(n, 0, gates=(
+                        Gate("measure", (q,), cbit=0),
+                        Gate("postselect", cbit=0, value=value)), n_cbits=1)
+                    _assert_walks_equal(circuit, psi0)
+                    checked += 1
+    assert checked >= 2000
+
+
 # --- reference evolutions -------------------------------------------------
 
 
@@ -436,6 +598,14 @@ def test_expectation_matches_dense():
     assert expectation(psi, h) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="qubits"):
         expectation(StateVector.zeros(2), h)
+
+
+def test_expectation_with_imaginary_part_is_a_simulation_error():
+    """Not an assert, so it holds under python -O too."""
+    h = parse_hamiltonian("0.5 Z\n")
+    object.__setattr__(h.terms[0], "coefficient", 0.5j)  # slipped past validation
+    with pytest.raises(SimulationError, match="imaginary part"):
+        expectation(StateVector.zeros(1), h)
 
 
 def test_imaginary_time_oracle_matches_dense():
