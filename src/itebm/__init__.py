@@ -9,17 +9,13 @@ from __future__ import annotations
 
 from .circuits import (
     build_qite_circuit,
-    encode_term_cx,
-    encode_term_rbm,
     trotter_groups,
     trotter_step,
 )
 from .decomp import (
     Decomposition,
     HiddenUnit,
-    SuccessModel,
     cascade_diagonal,
-    decompose_diagonal_hamiltonian,
     decompose_four_body,
     decompose_one_body,
     decompose_sites,
@@ -30,13 +26,11 @@ from .decomp import (
     mean_success_two_body,
     mean_unit_success,
     solve_general_weight,
-    success_probability,
 )
 from .ir import AncillaPolicy, Circuit, Fragment, Gate
 from .ldbm import (
     DbmNetwork,
     LdbmNetwork,
-    amplitude,
     apply_diagonal_imaginary,
     apply_hx,
     apply_hy,
@@ -73,26 +67,24 @@ from .simulator import (
     run_shots,
     trotterized_oracle,
 )
-from .stats import BatchSeries, Estimate, bootstrap, jackknife
+from .stats import Estimate, bootstrap, jackknife
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AncillaPolicy", "BatchSeries", "Circuit", "DbmNetwork", "Decomposition",
-    "Estimate", "ExactRunResult", "Fragment", "Gate", "Hamiltonian",
-    "HamiltonianTerm", "HiddenUnit", "LdbmNetwork", "PauliString",
-    "ShotRun", "SimulationError", "StateVector", "SuccessModel",
-    "amplitude", "apply_diagonal_imaginary", "apply_hx", "apply_hy",
+    "AncillaPolicy", "Circuit", "DbmNetwork", "Decomposition", "Estimate",
+    "ExactRunResult", "Fragment", "Gate", "Hamiltonian", "HamiltonianTerm",
+    "HiddenUnit", "LdbmNetwork", "PauliString", "ShotRun", "SimulationError",
+    "StateVector", "apply_diagonal_imaginary", "apply_hx", "apply_hy",
     "apply_hy_dag", "apply_rz", "apply_rzz", "apply_term_imaginary",
     "apply_word", "basis_rotation_layer", "bootstrap", "build_qite_circuit",
-    "cascade_diagonal", "decompose_diagonal_hamiltonian", "decompose_four_body",
-    "decompose_one_body", "decompose_sites", "decompose_three_body",
-    "decompose_two_body", "dense_matrix", "encode_term_cx", "encode_term_rbm",
-    "expectation", "imaginary_time_oracle",
+    "cascade_diagonal", "decompose_four_body", "decompose_one_body",
+    "decompose_sites", "decompose_three_body", "decompose_two_body",
+    "dense_matrix", "expectation", "imaginary_time_oracle",
     "induced_couplings", "jackknife", "ldbm_to_dbm", "mean_success_three_body",
     "mean_success_two_body", "mean_unit_success", "n_trotter_steps",
-    "parse_hamiltonian", "plus_state", "raw_amplitudes",
-    "run_exact", "run_shots", "solve_general_weight", "statevector",
-    "statevector_norm", "success_probability", "trotter_groups",
-    "trotter_step", "trotterized_oracle", "word_from_sites", "zero_state",
+    "parse_hamiltonian", "plus_state", "raw_amplitudes", "run_exact",
+    "run_shots", "solve_general_weight", "statevector", "statevector_norm",
+    "trotter_groups", "trotter_step", "trotterized_oracle", "word_from_sites",
+    "zero_state",
 ]

@@ -160,33 +160,6 @@ def _term_jobs_cx(term: HamiltonianTerm, dtau: float) -> tuple[list[_Job], float
     return [job], 0.0
 
 
-def encode_term_rbm(term: HamiltonianTerm, dtau: float, ancilla: int) -> Fragment:
-    """Encode exp(-dtau * c * P) with one ancilla rotation per unit weight.
-
-    Rotations use the term's own letters directly; interaction orders above
-    the closed forms fall back to the equal-weight solve, and all induced
-    couplings are compensated within the fragment, so the post-selected
-    action is exactly proportional to the target factor.
-    """
-    jobs, extra = _term_jobs_rbm(term, dtau)
-    width = max(term.string.n_qubits, ancilla + 1)
-    frag = _emit_waves(jobs, [ancilla], width)
-    frag.log_norm += extra
-    return frag
-
-
-def encode_term_cx(term: HamiltonianTerm, dtau: float, ancilla: int) -> Fragment:
-    """Encode exp(-dtau * c * P) via basis rotations and a CX parity ladder.
-
-    Exactly one one-body encoding is used regardless of interaction order.
-    """
-    jobs, extra = _term_jobs_cx(term, dtau)
-    width = max(term.string.n_qubits, ancilla + 1)
-    frag = _emit_waves(jobs, [ancilla], width)
-    frag.log_norm += extra
-    return frag
-
-
 def trotter_groups(
     h: Hamiltonian, order: int
 ) -> list[tuple[tuple[HamiltonianTerm, ...], float]]:

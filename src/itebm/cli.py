@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import ldbm as nets
-from .decomp import decompose_sites, mean_unit_success
+from .decomp import MAX_WALSH_SITES, decompose_sites, mean_unit_success
 from .evolution import iter_evolution, shot_split
 from .ir import AncillaPolicy
 from .pauli import (
@@ -160,8 +160,9 @@ def cmd_decompose(word: str, k: float, verify: bool) -> None:
     support = string.support()
     if not support:
         raise click.UsageError(f"word {word!r} has empty support")
-    if len(support) > 14:
-        raise click.UsageError(f"support size {len(support)} exceeds the solver limit 14")
+    if len(support) > MAX_WALSH_SITES:
+        raise click.UsageError(
+            f"support size {len(support)} exceeds the Walsh site limit {MAX_WALSH_SITES}")
     dec = decompose_sites(support, k, string.n_qubits)
     payload = dec.to_json_dict()
     payload["mean_success_per_unit"] = [mean_unit_success(u) for u in dec.hidden_units]

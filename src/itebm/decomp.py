@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import Hamiltonian, HamiltonianTerm, PauliString, word_from_sites
+from .pauli import HamiltonianTerm, word_from_sites
 
 LN2 = math.log(2.0)
 
-#: Hidden-unit count guard for the 2^M marginalization enumeration.
+#: Most sites one hidden unit may couple: `induced_couplings` evaluates the
+#: unit's Walsh transform over all 2^m configurations of its sites.
 MAX_WALSH_SITES = 14
 
 #: Induced couplings below this magnitude are dropped (they shift the
@@ -76,25 +77,6 @@ class Decomposition:
                 for t in self.induced_terms
             ],
         }
-
-
-@dataclass(frozen=True)
-class SuccessModel:
-    """Post-selection success model for one encoding unit."""
-
-    kind: str  # "two_body" | "three_body"
-    magnitude: float
-    sign: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("two_body", "three_body"):
-            raise ValueError(f"unknown success model kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ValueError("coupling magnitude must be >= 0")
-
-    @classmethod
-    def from_coupling(cls, kind: str, coupling: float) -> "SuccessModel":
-        return cls(kind, abs(coupling), 1.0 if coupling >= 0 else -1.0)
 
 
 def _sign(k: float) -> float:
@@ -267,7 +249,7 @@ def induced_couplings(m: int, unit: HiddenUnit) -> list[tuple[tuple[int, ...], f
     mask order; the empty subset carries ln A.
     """
     if m > MAX_WALSH_SITES:
-        raise ValueError(f"order {m} exceeds the marginalization limit {MAX_WALSH_SITES}")
+        raise ValueError(f"order {m} exceeds the Walsh site limit {MAX_WALSH_SITES}")
     w = np.zeros(m)
     for site, weight in unit.weights:
         if not 0 <= site < m:
@@ -304,31 +286,6 @@ def mean_success_three_body(coupling: float) -> float:
         return 1.0
     w = _three_four_w(abs(coupling))
     return (3.0 + 4.0 * math.cos(2 * w) ** 2 + math.cos(4 * w) ** 2) / 8.0
-
-
-def success_probability(model: SuccessModel, alphas) -> float:
-    """State-dependent success probability of one encoding.
-
-    two_body: alphas is the probability alpha that the two spins satisfy
-    z1 = s * z2; P_s = 1 - (1 - exp(-4|K|)) * alpha.
-    three_body: alphas = (alpha2, alpha4), the probabilities that
-    |z1 + z2 + z3 + s| equals 2 and 4; P_s = 1 - sin^2(2W) a2 - sin^2(4W) a4.
-    """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(alphas < 0) or np.any(alphas > 1):
-        raise ValueError(f"occupation probabilities must lie in [0, 1], got {alphas}")
-    if model.kind == "two_body":
-        if alphas.size != 1:
-            raise ValueError("two_body model takes a single occupation probability")
-        return float(1.0 - (1.0 - math.exp(-4.0 * model.magnitude)) * alphas[0])
-    if alphas.size != 2:
-        raise ValueError("three_body model takes (alpha2, alpha4)")
-    if alphas.sum() > 1.0 + 1e-12:
-        raise ValueError("occupation probabilities sum above 1")
-    w = _three_four_w(model.magnitude)
-    return float(
-        1.0 - math.sin(2 * w) ** 2 * alphas[0] - math.sin(4 * w) ** 2 * alphas[1]
-    )
 
 
 def _relabel(dec: Decomposition, sites: tuple[int, ...], n_qubits: int) -> Decomposition:
@@ -432,19 +389,3 @@ def cascade_diagonal(
         out.append(Decomposition(log_norm=-identity, hidden_units=(), induced_terms=()))
     assert not table, f"cascade left unprocessed couplings: {table}"
     return out
-
-
-def decompose_diagonal_hamiltonian(h: Hamiltonian, tau: float) -> list[Decomposition]:
-    """Full decomposition of exp(-tau * H) for a Z-diagonal Hamiltonian.
-
-    Terms are merged by support, processed in descending interaction order,
-    and induced couplings are folded into the pending lower orders, so the
-    product of the emitted units reconstructs the propagator exactly.
-    """
-    table: dict[tuple[int, ...], float] = {}
-    for t in h.terms:
-        if any(ch not in "IZ" for ch in t.string.word):
-            raise ValueError(f"non-diagonal term {t.string.word!r}")
-        key = t.string.support()
-        table[key] = table.get(key, 0.0) + tau * t.coefficient
-    return cascade_diagonal(table, h.n_qubits)

@@ -21,7 +21,7 @@ from .simulator import (
     imaginary_time_oracle,
     n_trotter_steps,
 )
-from .stats import BatchSeries, jackknife
+from .stats import jackknife
 
 
 def _measurement_groups(h: Hamiltonian) -> list[tuple[str, list[int]]]:
@@ -64,7 +64,9 @@ def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
 
 def shot_split(h: Hamiltonian, shots: int, batches: int) -> int:
     """Shots per batch of each basis group; ValueError unless the budget
-    divides evenly into the groups and batches."""
+    is positive and divides evenly into the groups and batches."""
+    if shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {shots}")
     n_groups = len(_measurement_groups(h))
     if shots % (n_groups * batches) != 0:
         raise ValueError(
@@ -154,11 +156,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
             vals = np.zeros(batches)
             for i, c in zip(indices, coeffs):
                 vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
-            series = BatchSeries(
-                values=vals[kept], batch_size=per_batch,
-                accepted=counts[:, kept].sum(axis=0),
-            )
-            est = jackknife(series)
+            est = jackknife(vals[kept])
             return est.mean, est.std_error
 
         all_idx = list(range(len(h.terms)))

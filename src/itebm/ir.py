@@ -8,7 +8,6 @@ qubits occupy the high indices [n_visible, n_visible + n_ancilla).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -48,19 +47,6 @@ class Gate:
         if self.cbit is None or offset == 0:
             return self
         return replace(self, cbit=self.cbit + offset)
-
-    def to_json(self) -> str:
-        payload: dict = {"kind": self.kind}
-        if self.qubits:
-            payload["qubits"] = list(self.qubits)
-        if self.kind == "pauli_rot":
-            payload["angle"] = self.angle
-            payload["string"] = self.string.word if self.string is not None else None
-        if self.cbit is not None:
-            payload["cbit"] = self.cbit
-        if self.value is not None:
-            payload["value"] = self.value
-        return json.dumps(payload)
 
 
 @dataclass(frozen=True)
@@ -106,24 +92,6 @@ class Circuit:
     @property
     def n_qubits(self) -> int:
         return self.n_visible + self.n_ancilla
-
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
-
-    def summary(self) -> dict:
-        """Size summary: {qubits, ancillas, depth, counts}."""
-        return {
-            "qubits": self.n_qubits,
-            "ancillas": self.n_ancilla,
-            "depth": len(self.gates),
-            "counts": self.gate_counts(),
-        }
-
-    def to_json_lines(self) -> str:
-        return "\n".join(g.to_json() for g in self.gates) + ("\n" if self.gates else "")
 
 
 @dataclass

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decomp import cascade_diagonal
-from .pauli import HamiltonianTerm, PauliString, basis_rotation_layer
+from .pauli import HamiltonianTerm, basis_rotation_layer
 from .simulator import StateVector
 
 #: Largest elimination width `_marginalize` accepts: its biggest message
@@ -101,21 +101,6 @@ class LdbmNetwork:
             "L": [[pair(c) for c in row] for row in self.lat],
             "log_norm": pair(self.log_norm),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LdbmNetwork":
-        unpair = lambda p: complex(p[0], p[1])  # noqa: E731
-        n, m = int(data["N"]), int(data["M"])
-        return cls(
-            n_visible=n,
-            a=np.array([unpair(p) for p in data["a"]], dtype=complex),
-            b=np.array([unpair(p) for p in data["b"]], dtype=complex),
-            w=np.array([[unpair(p) for p in row] for row in data["W"]],
-                       dtype=complex).reshape(n, m),
-            lat=np.array([[unpair(p) for p in row] for row in data["L"]],
-                         dtype=complex).reshape(m, m),
-            log_norm=unpair(data["log_norm"]),
-        )
 
 
 def plus_state(n_visible: int) -> LdbmNetwork:
@@ -248,14 +233,6 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
             binary_exp += rescale(value)
     log_scale += math.log(2.0) * binary_exp
     return np.exp(net.log_norm + 1j * (z_spins @ net.a) + log_scale) * value
-
-
-def amplitude(net: LdbmNetwork, z) -> complex:
-    """Amplitude of one configuration (sequence of +1/-1 spins)."""
-    spins = np.asarray(z, dtype=float)
-    if spins.shape != (net.n_visible,) or np.any(np.abs(spins) != 1.0):
-        raise ValueError(f"z must be {net.n_visible} values in {{+1, -1}}")
-    return complex(_marginalize(net, spins[None, :])[0])
 
 
 def raw_amplitudes(net: LdbmNetwork) -> np.ndarray:

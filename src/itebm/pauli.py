@@ -114,10 +114,6 @@ class Hamiltonian:
             object.__setattr__(self, "_spectrum", spectrum)
         return spectrum
 
-    def to_text(self) -> str:
-        """Serialize in the parse_hamiltonian text format."""
-        return "\n".join(f"{t.coefficient!r} {t.string.word}" for t in self.terms) + "\n"
-
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse '<coefficient> <word>' lines; '#' starts a comment.

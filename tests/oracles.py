@@ -61,6 +61,32 @@ def exp_factor(coeff: float, word: str) -> np.ndarray:
     return scipy.linalg.expm(-coeff * word_matrix(word))
 
 
+def one_term_circuit(term, dtau: float, route: str = "rbm"):
+    """exp(-dtau * c * P) for one term, compiled as an order-1 Trotter step of
+    the one-term Hamiltonian with a single ancilla after the visible qubits."""
+    from itebm.circuits import trotter_step
+    from itebm.pauli import Hamiltonian
+
+    n = term.string.n_qubits
+    return trotter_step(Hamiltonian(n, (term,)), dtau, order=1, route=route).to_circuit(n, 1)
+
+
+def two_body_success(k: float, alpha: float) -> float:
+    """The paper's state-dependent success of one two-body unit for
+    exp(-K z_i z_j): 1 - (1 - e^{-4|K|}) alpha, with alpha the probability
+    that z_i = sign(K) z_j."""
+    return 1.0 - (1.0 - np.exp(-4.0 * abs(k))) * alpha
+
+
+def three_body_success(k: float, alpha2: float, alpha4: float) -> float:
+    """The paper's state-dependent success of one three-body unit for
+    exp(-K z_i z_j z_l): 1 - sin^2(2W) alpha2 - sin^2(4W) alpha4, with
+    tan^4(2W) = 1 - e^{-8|K|} and alpha_m the probability that
+    |z_i + z_j + z_l + sign(K)| = m."""
+    w = 0.5 * np.arctan((1.0 - np.exp(-8.0 * abs(k))) ** 0.25)
+    return 1.0 - np.sin(2 * w) ** 2 * alpha2 - np.sin(4 * w) ** 2 * alpha4
+
+
 def imaginary_evolved(terms: list[tuple[float, str]], n: int, tau: float,
                       psi0: np.ndarray) -> np.ndarray:
     """Normalized exp(-tau*H) psi0 by direct dense exponentiation."""
@@ -253,7 +279,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
     from itebm.evolution import _column_terms, _derive_seed, _measurement_groups
     from itebm.pauli import apply_word
     from itebm.simulator import expectation, run_exact, run_shots
-    from itebm.stats import BatchSeries, jackknife
+    from itebm.stats import jackknife
 
     def _bare_expectation(state, word):
         vec = state.amps
@@ -331,11 +357,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
             vals = np.zeros(batches)
             for i, c in zip(indices, coeffs):
                 vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
-            series = BatchSeries(
-                values=vals[kept], batch_size=per_batch,
-                accepted=counts[:, kept].sum(axis=0),
-            )
-            est = jackknife(series)
+            est = jackknife(vals[kept])
             return est.mean, est.std_error
 
         all_idx = list(range(len(h.terms)))

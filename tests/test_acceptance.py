@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from itebm.circuits import build_qite_circuit, encode_term_cx, encode_term_rbm
+from itebm.circuits import build_qite_circuit
 from itebm.cli import ising_hamiltonian
 from itebm.decomp import (
     decompose_three_body,
@@ -43,7 +43,7 @@ from itebm.simulator import (
     run_exact,
     run_shots,
 )
-from itebm.stats import BatchSeries, bootstrap, jackknife
+from itebm.stats import bootstrap, jackknife
 
 import oracles
 
@@ -76,8 +76,8 @@ def test_criterion_1_identity_exactness():
         k = float(rng.uniform(-2.0, 2.0))
         n = len(word)
         term = HamiltonianTerm(k, PauliString(word))
-        encode = encode_term_cx if case % 5 == 4 else encode_term_rbm
-        circuit = encode(term, 1.0, ancilla=n).to_circuit(n, 1)
+        route = "cx" if case % 5 == 4 else "rbm"
+        circuit = oracles.one_term_circuit(term, 1.0, route)
         psi0 = StateVector(n, oracles.random_state(n, rng))
         final = run_exact(circuit, psi0).final_state
         target = oracles.exp_factor(k, word) @ psi0.amps
@@ -142,7 +142,7 @@ def test_criterion_3_success_probability_laws():
     ok = True
     for i, k in enumerate((0.1, 0.5, 1.0)):
         term = HamiltonianTerm(k, PauliString("ZZ"))
-        circuit = encode_term_rbm(term, 1.0, ancilla=2).to_circuit(2, 1)
+        circuit = oracles.one_term_circuit(term, 1.0)
         run = run_shots(circuit, StateVector.uniform_plus(2), n_shots,
                         seed=SHOT_SEED + i)
         p = mean_success_two_body(k)
@@ -331,9 +331,8 @@ def test_criterion_8_error_bar_calibration():
     """Jackknife and bootstrap agree and track the true standard error."""
     rng = np.random.default_rng(8)
     values = rng.normal(size=100)
-    series = BatchSeries(values=values, batch_size=1, accepted=np.ones(100, int))
-    jk = jackknife(series)
-    bs = bootstrap(series, n_resamples=4000, seed=SHOT_SEED)
+    jk = jackknife(values)
+    bs = bootstrap(values, n_resamples=4000, seed=SHOT_SEED)
     agree = abs(bs.std_error - jk.std_error) / jk.std_error
     ok_agree = agree < 0.15
 
@@ -341,9 +340,7 @@ def test_criterion_8_error_bar_calibration():
     errs = np.empty(reps)
     for i in range(reps):
         sample = rng.normal(scale=sigma, size=n)
-        errs[i] = jackknife(
-            BatchSeries(values=sample, batch_size=1, accepted=np.ones(n, int))
-        ).std_error
+        errs[i] = jackknife(sample).std_error
     truth = sigma / math.sqrt(n)
     bias = abs(float(np.mean(errs)) - truth) / truth
     ok_cal = bias < 0.20

@@ -1,16 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from itebm.circuits import (
-    build_qite_circuit,
-    encode_term_cx,
-    encode_term_rbm,
-    trotter_groups,
-    trotter_step,
-)
-from itebm.ir import AncillaPolicy, Circuit, Fragment, Gate
+from itebm.circuits import build_qite_circuit, trotter_groups, trotter_step
+from itebm.ir import AncillaPolicy, Fragment, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian
 from itebm.simulator import StateVector, run_exact
 
@@ -44,14 +39,13 @@ ENCODE_CASES = [
 
 
 @pytest.mark.parametrize("word,coeff", ENCODE_CASES)
-@pytest.mark.parametrize("encode", [encode_term_rbm, encode_term_cx])
-def test_encode_term_matches_factor(word, coeff, encode):
+@pytest.mark.parametrize("route", ["rbm", "cx"], ids=["encode_term_rbm", "encode_term_cx"])
+def test_encode_term_matches_factor(word, coeff, route):
     """exp(log_norm) * sqrt(p) * psi_out == exp(-dtau c P) psi_in exactly."""
     term = HamiltonianTerm(coeff, PauliString(word))
     n = len(word)
     dtau = 0.35
-    frag = encode(term, dtau, ancilla=n)
-    circuit = frag.to_circuit(n, 1)
+    circuit = oracles.one_term_circuit(term, dtau, route)
     rng = np.random.default_rng(11)
     psi0 = StateVector(n, oracles.random_state(n, rng))
     got = _reconstruct(circuit, psi0)
@@ -62,22 +56,21 @@ def test_encode_term_matches_factor(word, coeff, encode):
 def test_rbm_route_is_basis_free():
     """X/Y terms rotate in their own letters: no basis-change gates appear."""
     term = HamiltonianTerm(1.0, PauliString("XY"))
-    frag = encode_term_rbm(term, 0.3, ancilla=2)
-    kinds = {g.kind for g in frag.gates}
+    circuit = oracles.one_term_circuit(term, 0.3)
+    kinds = {g.kind for g in circuit.gates}
     assert kinds == {"pauli_rot", "measure", "postselect", "reset"}
-    weight_rots = [g for g in frag.gates
+    weight_rots = [g for g in circuit.gates
                    if g.kind == "pauli_rot" and g.string.order == 2]
     assert {g.string.word for g in weight_rots} == {"XIX", "IYX"}
     # the ancilla takes part in every rotation
-    for g in frag.gates:
+    for g in circuit.gates:
         if g.kind == "pauli_rot":
             assert g.string.word[2] == "X"
 
 
 def test_cx_route_structure():
     term = HamiltonianTerm(0.9, PauliString("XYZ"))
-    frag = encode_term_cx(term, 0.3, ancilla=3)
-    counts = frag.to_circuit(3, 1).gate_counts()
+    counts = Counter(g.kind for g in oracles.one_term_circuit(term, 0.3, "cx").gates)
     assert counts["cx"] == 4  # parity ladder in, mirrored out
     assert counts["hx"] == 2 and counts["hy"] == 1 and counts["hydag"] == 1
     assert counts["measure"] == counts["postselect"] == counts["reset"] == 1
@@ -85,24 +78,25 @@ def test_cx_route_structure():
 
 def test_three_body_unit_count():
     """ZZZ needs one top unit plus six compensating lower-order units."""
-    frag = encode_term_rbm(HamiltonianTerm(1.0, PauliString("ZZZ")), 0.2, ancilla=3)
-    assert sum(g.kind == "measure" for g in frag.gates) == 7
-    cx = encode_term_cx(HamiltonianTerm(1.0, PauliString("ZZZ")), 0.2, ancilla=3)
+    term = HamiltonianTerm(1.0, PauliString("ZZZ"))
+    rbm = oracles.one_term_circuit(term, 0.2)
+    assert sum(g.kind == "measure" for g in rbm.gates) == 7
+    cx = oracles.one_term_circuit(term, 0.2, "cx")
     assert sum(g.kind == "measure" for g in cx.gates) == 1
 
 
 def test_identity_term_is_scalar():
     term = HamiltonianTerm(2.5, PauliString("III"))
-    for encode in (encode_term_rbm, encode_term_cx):
-        frag = encode(term, 0.4, ancilla=3)
-        assert frag.gates == []
-        assert frag.log_norm == pytest.approx(-1.0)
+    for route in ("rbm", "cx"):
+        circuit = oracles.one_term_circuit(term, 0.4, route)
+        assert circuit.gates == ()
+        assert circuit.log_norm == pytest.approx(-1.0)
 
 
 def test_zero_coupling_is_empty():
     term = HamiltonianTerm(0.0, PauliString("ZZ"))
-    frag = encode_term_rbm(term, 0.4, ancilla=2)
-    assert frag.gates == [] and frag.log_norm == 0.0
+    circuit = oracles.one_term_circuit(term, 0.4)
+    assert circuit.gates == () and circuit.log_norm == 0.0
 
 
 def test_trotter_groups_structure():
@@ -194,8 +188,8 @@ def test_build_qite_circuit_validation():
 
 def test_model_success_tracks_mean_unit_success():
     term = HamiltonianTerm(0.7, PauliString("ZZ"))
-    frag = encode_term_rbm(term, 1.0, ancilla=2)
-    assert frag.model_success == pytest.approx(
+    circuit = oracles.one_term_circuit(term, 1.0)
+    assert circuit.model_success == pytest.approx(
         0.5 * (1 + math.exp(-4 * 0.7)), rel=1e-12
     )
 
@@ -241,11 +235,3 @@ def test_to_circuit_checks_width():
     with pytest.raises(ValueError, match="outside width"):
         frag.to_circuit(2, 1)
 
-
-def test_circuit_json_lines():
-    h = parse_hamiltonian("1 ZZ\n")
-    circuit = build_qite_circuit(h, 0.1, 0.1)
-    lines = circuit.to_json_lines().strip().splitlines()
-    assert len(lines) == len(circuit.gates)
-    assert '"kind": "pauli_rot"' in lines[0]
-    assert circuit.summary()["counts"]["measure"] == 1

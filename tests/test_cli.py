@@ -126,7 +126,8 @@ def test_decompose_ignores_letters_outside_support(runner):
 def test_decompose_usage_errors(runner):
     assert runner.invoke(main, ["decompose", "II", "1.0"]).exit_code == 2
     assert runner.invoke(main, ["decompose", "ZQ", "1.0"]).exit_code == 2
-    assert runner.invoke(main, ["decompose", "Z" * 15, "1.0"]).exit_code == 2
+    result = runner.invoke(main, ["decompose", "Z" * 15, "1.0"])
+    assert result.exit_code == 2 and "Walsh site limit 14" in result.stderr
 
 
 def test_decompose_out_of_range_coupling_is_runtime_error(runner):
@@ -270,6 +271,18 @@ def test_shot_split_error_comes_before_the_csv_header(runner, tfim_file, tmp_pat
                                       "--batches", "100", "--out", str(out)])
         assert result.exit_code == 2
         assert "must divide evenly into 2 basis group(s)" in result.stderr
+        assert result.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("shots", ["-200", "0"])
+def test_non_positive_shots_is_usage_error_before_the_csv_header(runner, tfim_file,
+                                                                  tmp_path, shots):
+    out = tmp_path / "run.csv"
+    for command in (["evolve", "--hamiltonian", tfim_file], ["ising-demo"]):
+        result = runner.invoke(main, [*command, "--mode", "shots", "--shots", shots,
+                                      "--batches", "100", "--out", str(out)])
+        assert result.exit_code == 2, (command, result.stderr)
+        assert f"--shots must be >= 1, got {shots}" in result.stderr
         assert result.stdout == "" and not out.exists()
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from itebm.decomp import (
     Decomposition,
     HiddenUnit,
-    SuccessModel,
     cascade_diagonal,
-    decompose_diagonal_hamiltonian,
     decompose_four_body,
     decompose_one_body,
     decompose_sites,
@@ -22,9 +20,9 @@ from itebm.decomp import (
     mean_success_two_body,
     mean_unit_success,
     solve_general_weight,
-    success_probability,
 )
-from itebm.pauli import parse_hamiltonian
+from itebm.pauli import HamiltonianTerm, PauliString
+from itebm.simulator import StateVector, Trajectory
 
 import oracles
 
@@ -194,35 +192,56 @@ def test_mean_success_three_body_saturates():
     assert mean_success_three_body(50.0) == pytest.approx(5.0 / 8.0, abs=1e-12)
 
 
+def _first_unit_success(word, k, psi):
+    """Kept-branch probability of the first unit that a one-term step of
+    exp(-K word) post-selects, walked exactly from psi."""
+    circuit = oracles.one_term_circuit(HamiltonianTerm(k, PauliString(word)), 1.0)
+    traj = Trajectory(circuit, StateVector.from_amplitudes(psi))
+    traj.advance(circuit)
+    return traj.record[0][3]
+
+
+def _law_inputs(word, seed):
+    """Random states on the word's qubits (the uniform state first), with
+    the spins of the word's Z sites per basis state."""
+    n = len(word)
+    rng = np.random.default_rng(seed)
+    states = [np.full(1 << n, (1 << n) ** -0.5, dtype=complex)]
+    states += [oracles.random_state(n, rng) for _ in range(4)]
+    sites = [q for q, ch in enumerate(word) if ch == "Z"]
+    spins = np.array(_spins(n))[:, sites]
+    return states, spins
+
+
 def test_success_probability_two_body():
-    model = SuccessModel.from_coupling("two_body", 0.5)
-    assert success_probability(model, 0.0) == pytest.approx(1.0)
-    assert success_probability(model, 1.0) == pytest.approx(math.exp(-2.0))
-    # averaged over the uniform state (alpha = 1/2) matches the mean law
-    assert success_probability(model, 0.5) == pytest.approx(
-        mean_success_two_body(0.5)
-    )
+    """The walk's kept-branch probability is the two-body law, for both
+    signs of K; on the uniform state (alpha = 1/2) it is the mean law."""
+    for seed, word in enumerate(("ZZ", "ZIZ", "IZZI")):
+        states, spins = _law_inputs(word, seed)
+        for k in (0.2, -0.2, 0.9, -0.9, 2.5, -2.5):
+            for i, psi in enumerate(states):
+                alpha = np.abs(psi) ** 2 @ (spins[:, 0] * spins[:, 1] == np.sign(k))
+                got = _first_unit_success(word, k, psi)
+                assert abs(got - oracles.two_body_success(k, alpha)) < 1e-12
+                if i == 0:
+                    assert abs(got - mean_success_two_body(k)) < 1e-12
 
 
 def test_success_probability_three_body():
-    model = SuccessModel.from_coupling("three_body", 0.8)
-    # uniform state: |z1+z2+z3+s| is 2 w.p. 4/8, 4 w.p. 1/8, else 0
-    assert success_probability(model, (4 / 8, 1 / 8)) == pytest.approx(
-        mean_success_three_body(0.8), rel=1e-12
-    )
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        success_probability(model, (0.5, -0.1))
-    with pytest.raises(ValueError, match="sum"):
-        success_probability(model, (0.9, 0.9))
-    with pytest.raises(ValueError, match="single"):
-        success_probability(SuccessModel.from_coupling("two_body", 1.0), (0.1, 0.1))
-
-
-def test_success_model_validation():
-    with pytest.raises(ValueError, match="kind"):
-        SuccessModel("five_body", 1.0, 1.0)
-    model = SuccessModel.from_coupling("two_body", -0.5)
-    assert model.magnitude == 0.5 and model.sign == -1.0
+    """The walk's kept-branch probability of the top unit is the
+    three-body law, for both signs of K; on the uniform state
+    (alpha2, alpha4) = (1/2, 1/8) it is the mean law."""
+    for seed, word in enumerate(("ZZZ", "ZIZZ")):
+        states, spins = _law_inputs(word, seed)
+        for k in (0.2, -0.2, 0.8, -0.8, 2.0, -2.0):
+            level = np.abs(spins.sum(axis=1) + np.sign(k))
+            for i, psi in enumerate(states):
+                prob = np.abs(psi) ** 2
+                law = oracles.three_body_success(k, prob @ (level == 2), prob @ (level == 4))
+                got = _first_unit_success(word, k, psi)
+                assert abs(got - law) < 1e-12
+                if i == 0:
+                    assert abs(got - mean_success_three_body(k)) < 1e-12
 
 
 def test_decompose_sites_relabels():
@@ -282,21 +301,16 @@ def test_cascade_drops_exact_zeros():
 
 
 def test_decompose_diagonal_hamiltonian():
-    h = parse_hamiltonian("0.4 ZZI\n-0.3 IZZ\n0.2 ZIZ\n0.1 IZI\n")
+    """The coupling table of 0.4 ZZI - 0.3 IZZ + 0.2 ZIZ + 0.1 IZI at
+    tau = 0.35 cascades into units that reconstruct exp(-tau H) exactly."""
     tau = 0.35
-    decs = decompose_diagonal_hamiltonian(h, tau)
     table = {
         (0, 1): 0.4 * tau, (1, 2): -0.3 * tau,
         (0, 2): 0.2 * tau, (1,): 0.1 * tau,
     }
+    decs = cascade_diagonal(table, 3)
     for z in _spins(3):
         assert _realized(decs, z) == pytest.approx(_target(table, z), rel=1e-11)
-
-
-def test_decompose_diagonal_hamiltonian_rejects_off_diagonal():
-    h = parse_hamiltonian("1 XZ\n")
-    with pytest.raises(ValueError, match="non-diagonal"):
-        decompose_diagonal_hamiltonian(h, 0.1)
 
 
 def test_hidden_unit_validation():

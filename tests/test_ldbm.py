@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import pytest
 from itebm.ldbm import (
     DbmNetwork,
     LdbmNetwork,
-    amplitude,
     apply_diagonal_imaginary,
     apply_hx,
     apply_hy,
@@ -73,17 +73,6 @@ def test_amplitudes_match_bruteforce(seed):
     got = raw_amplitudes(net)
     want = _oracle_amps(net)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-13 * np.abs(want).max())
-    z = [1, -1, 1]
-    idx = 0b010
-    assert amplitude(net, z) == pytest.approx(want[idx], rel=1e-11)
-
-
-def test_amplitude_validates_spins():
-    net = plus_state(2)
-    with pytest.raises(ValueError, match="values in"):
-        amplitude(net, [1, 0])
-    with pytest.raises(ValueError, match="values in"):
-        amplitude(net, [1, 1, 1])
 
 
 def test_network_validation():
@@ -164,11 +153,18 @@ def test_real_params_flag():
 
 
 def test_json_round_trip():
+    """The `dump` dict keeps every parameter exactly through JSON text."""
     net = _random_net(2, 3, np.random.default_rng(5))
-    back = LdbmNetwork.from_json_dict(net.to_json_dict())
-    assert np.array_equal(back.a, net.a)
-    assert np.array_equal(back.lat, net.lat)
-    assert back.log_norm == net.log_norm
+    d = json.loads(json.dumps(net.to_json_dict()))
+
+    def unpair(pairs):
+        arr = np.array(pairs)
+        return arr[..., 0] + 1j * arr[..., 1]
+
+    assert (d["N"], d["M"]) == (2, 3)
+    for key, value in (("a", net.a), ("b", net.b), ("W", net.w), ("L", net.lat)):
+        assert np.array_equal(unpair(d[key]), value)
+    assert complex(*d["log_norm"]) == net.log_norm
 
 
 # --- unitary absorption rules ---------------------------------------------

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from itebm import simulator
-from itebm.circuits import build_qite_circuit, encode_term_rbm, trotter_step
+from itebm.circuits import build_qite_circuit, trotter_step
 from itebm.ir import AncillaPolicy, Circuit, Gate
-from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian, word_from_sites
+from itebm.pauli import PauliString, parse_hamiltonian
 from itebm.simulator import (
-    ShotRun,
     SimulationError,
     StateVector,
     Trajectory,
@@ -466,7 +465,8 @@ def test_compiled_walk_equals_reference_on_chain_step():
     """The exact-mode chain: 200 steps of 88 post-selected units, every
     reset dropped, bits and record as the gate-by-gate walk gives them."""
     step = _step(CHAIN, 0.01)
-    assert step.gate_counts()["reset"] == 88 and _resets_kept(step) == 0
+    resets = sum(g.kind == "reset" for g in step.gates)
+    assert resets == 88 and _resets_kept(step) == 0
     traj = _assert_walks_equal(step, StateVector.uniform_plus(8), 200)
     assert len(traj.record) == 200 * 88
 
@@ -484,7 +484,7 @@ def test_compiled_walk_equals_reference_on_y_words(route, policy, order):
     and resets interleave."""
     step = _step(Y_WORDS, 0.1, route, policy, order)
     if route == "cx":
-        assert {"hy", "hydag", "cx"} <= set(step.gate_counts())
+        assert {"hy", "hydag", "cx"} <= {g.kind for g in step.gates}
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
     _assert_walks_equal(step, psi0, 10)
 
