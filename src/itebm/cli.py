@@ -339,11 +339,17 @@ def cmd_ldbm(script: str, qubits: int) -> None:
             raise click.UsageError(f"line {lineno}: qubit index {value} out of range")
         return value
 
-    def _angle(token: str, lineno: int) -> float:
+    def _number(token: str, lineno: int) -> float:
         try:
             return float(token)
         except ValueError:
             raise click.UsageError(f"line {lineno}: expected number, got {token!r}")
+
+    def _angle(token: str, lineno: int) -> float:
+        value = _number(token, lineno)
+        if not math.isfinite(value):
+            raise click.UsageError(f"line {lineno}: non-finite angle {value!r}")
+        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -362,8 +368,11 @@ def cmd_ldbm(script: str, qubits: int) -> None:
         elif op == "rz" and len(args) == 2:
             net = nets.apply_rz(net, _index(args[0], lineno), _angle(args[1], lineno))
         elif op == "rzz" and len(args) == 3:
-            net = nets.apply_rzz(net, _index(args[0], lineno),
-                                 _index(args[1], lineno), _angle(args[2], lineno))
+            l1, l2, phi = _index(args[0], lineno), _index(args[1], lineno), _angle(args[2], lineno)
+            try:
+                net = nets.apply_rzz(net, l1, l2, phi)
+            except ValueError as exc:
+                raise click.UsageError(f"line {lineno}: {exc}")
         elif op == "imag" and len(args) == 2:
             word = args[0].upper()
             if len(word) != qubits:
@@ -371,7 +380,7 @@ def cmd_ldbm(script: str, qubits: int) -> None:
                     f"line {lineno}: word {word!r} does not match --qubits {qubits}"
                 )
             try:
-                term = HamiltonianTerm(_angle(args[1], lineno), PauliString(word))
+                term = HamiltonianTerm(_number(args[1], lineno), PauliString(word))
             except ValueError as exc:
                 raise click.UsageError(f"line {lineno}: {exc}")
             net = nets.apply_term_imaginary(net, term, 1.0)

@@ -6,11 +6,14 @@ post-selected path: a `Trajectory` walks a single state forward through
 circuits, each measurement appends its branch probabilities to a record
 and projects onto the kept value, and each reset factors out a
 disentangled qubit.  A circuit is compiled once into a flat op list (each
-rotation with its permutation, phase and scalars; each measure/postselect
-pair as one op; no-op resets of qubits just post-selected onto 0
-dropped), and the walk runs that list with the gate-by-gate arithmetic,
-so walking one Trotter step n times compiles it once and gives the same
-bits.  Exact mode multiplies the kept-branch probabilities; sampled mode
+rotation with its phase and scalars, and its permutation unless the word
+flips only the last qubit; each measure/postselect pair as one op; no-op
+resets of qubits just post-selected onto 0 dropped), and the trajectory
+binds that list to its own vector and buffers, so each op runs on
+precomputed views without allocating.  The walk does the gate-by-gate
+arithmetic element for element, so walking one Trotter step n times
+compiles and binds it once and gives the same bits, signed zeros
+included.  Exact mode multiplies the kept-branch probabilities; sampled mode
 replays the record with per-shot Born-rule draws, discarding shots at
 their first failed post-selection, and samples the surviving shots'
 terminal bits from the final state.  Randomness comes from a
@@ -179,19 +182,24 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
 
 
 # Opcodes of a compiled program: (opcode, operands...) tuples, see _compile.
-_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL = range(7)
+_FLIP, _ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL = range(8)
 
 
 def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """Flatten a circuit into the op list that `_walk` runs.
+    """Flatten a circuit into the op list that `_bind` resolves against a
+    trajectory's vector and `_walk` runs.
 
-    A pauli_rot carries its word's permutation and phase and its two
-    rotation scalars; a measure and the postselect consuming its bit become
-    one op.  A reset is dropped when its qubit was post-selected onto 0 and
-    no gate has touched it since: its |1> half is then exactly zero and
-    `_reset_vector` would rescale the rest by sqrt(n0 / n0) = 1.  A
-    structural error becomes an op that raises where the walk reaches it;
-    with ancillas, a final op checks that they are back in |0>.
+    A pauli_rot carries its word's phase and its two rotation scalars.  A
+    word that flips only the last qubit (X or Y there, I or Z elsewhere:
+    an ancilla rotation X_a ⊗ V with the ancilla last) is a _FLIP op, whose
+    permutation swaps the two amplitudes of each pair; any other word is a
+    _ROT op with its permutation.  A measure and the postselect consuming
+    its bit become one op.  A reset is dropped when its qubit was
+    post-selected onto 0 and no gate has touched it since: its |1> half is
+    then exactly zero and `_reset_vector` would rescale the rest by
+    sqrt(n0 / n0) = 1.  A structural error becomes an op that raises where
+    the walk reaches it; with ancillas, a final op checks that they are
+    back in |0>.
     """
     n = circuit.n_qubits
     gates = circuit.gates
@@ -206,7 +214,7 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
                 ops.append((_FAIL, "measure must be immediately followed by its postselect"))
                 return tuple(ops)
             q, value = g.qubits[0], gates[i + 1].value
-            ops.append((_MEASURE, (1 << q, 2, -1), value, g.cbit))
+            ops.append((_MEASURE, q, value, g.cbit))
             if value == 0:
                 clean.add(q)
             else:
@@ -220,8 +228,15 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
             if g.qubits[0] not in clean:
                 ops.append((_RESET, g.qubits[0]))
         elif g.kind == "pauli_rot":
-            perm, phase = word_action(g.string.word)
-            ops.append((_ROT, perm, phase, np.cos(0.5 * g.angle), -1j * np.sin(0.5 * g.angle)))
+            word = g.string.word
+            perm, phase = word_action(word)
+            # complex128: numpy would cast them to it in every multiply
+            scalars = (np.complex128(np.cos(0.5 * g.angle)),
+                       np.complex128(-1j * np.sin(0.5 * g.angle)))
+            if word[-1] in "XY" and set(word[:-1]) <= {"I", "Z"}:
+                ops.append((_FLIP, phase[0::2].copy(), phase[1::2].copy()) + scalars)
+            else:
+                ops.append((_ROT, perm, phase) + scalars)
             clean.difference_update(g.string.support())
         elif g.kind == "cx":
             ops.append((_PERM, _cx_perm(n, g.qubits[0], g.qubits[1])))
@@ -235,20 +250,64 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
-def _walk(program: tuple[tuple, ...], vec: np.ndarray, record: list,
-          cbit_offset: int = 0) -> bool:
-    """Walk a full vector in place through a compiled program (`_compile`).
+def _flat(view: np.ndarray) -> np.ndarray:
+    """A 2-D view as a 1-D view where one exists (one of its axes has
+    length 1, as when the measured qubit is the first or the last), else
+    unchanged; numpy runs the 1-D views faster."""
+    return view.reshape(-1) if 1 in view.shape else view
+
+
+def _bind(program: tuple[tuple, ...], vec: np.ndarray,
+          weights: np.ndarray) -> tuple[tuple, ...]:
+    """Resolve a compiled program's measurements against one vector and
+    its |amp|^2 buffer: each gets its kept and other weight views, the
+    vector view it divides, and the one it zeroes with a zero array of its
+    shape.  The views stay valid while the arrays live, so a trajectory
+    binds a program once and walks it any number of times."""
+    zeros = np.zeros(vec.size // 2, dtype=vec.dtype)
+    bound: list[tuple] = []
+    for op in program:
+        kind = op[0]
+        if kind == _MEASURE:
+            _, q, value, cbit = op
+            w, v = weights.reshape(1 << q, 2, -1), vec.reshape(1 << q, 2, -1)
+            dropped = _flat(v[:, 1 - value, :])
+            op = (kind, _flat(w[:, value, :]), None if value else _flat(w[:, 1, :]),
+                  _flat(v[:, value, :]), dropped, zeros.reshape(dropped.shape), value, cbit)
+        bound.append(op)
+    return tuple(bound)
+
+
+def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
+          weights: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+    """Walk a vector in place through a program bound to it and to its
+    |amp|^2 buffer (`_bind`), with buf, of the vector's size, as scratch.
 
     A measurement appends (cbit + cbit_offset, kept value, p1 = P(read 1),
     p_kept) to record, then projects onto the kept value and renormalizes;
     resets factor the qubit out.  Returns False, without projecting, at a
-    kept branch below BRANCH_FLOOR.  The arithmetic of every element is that
-    of the gate-by-gate walk (`tests/oracles.walk_reference`).
+    kept branch below BRANCH_FLOOR.  Every element gets the bits of the
+    gate-by-gate walk (`tests/oracles.walk_reference`), signed zeros
+    included.  So a rotation multiplies by its phase, then by its scalars,
+    as that walk does: folding the phase into -i sin(angle/2), or scaling
+    the real view by cos, changes the sign of some zeros.  A measurement
+    divides the kept half by sqrt(p_kept), a complex division like that
+    walk's (a real-view multiply by 1/sqrt(p_kept) differs on zeros too),
+    and the zeroed half stays +0.
     """
-    buf = np.empty_like(vec)
+    pairs, buf_pairs = vec.reshape(-1, 2), buf.reshape(-1, 2)
+    even, odd, buf_even, buf_odd = pairs[:, 0], pairs[:, 1], buf_pairs[:, 0], buf_pairs[:, 1]
     for op in program:
         kind = op[0]
-        if kind == _ROT:
+        if kind == _FLIP:
+            # buf[2k] = vec[2k+1] phase[2k], buf[2k+1] = vec[2k] phase[2k+1]
+            _, phase_even, phase_odd, cos, minus_isin = op
+            np.multiply(odd, phase_even, buf_even)
+            np.multiply(even, phase_odd, buf_odd)
+            vec *= cos
+            buf *= minus_isin
+            vec += buf
+        elif kind == _ROT:
             _, perm, phase, cos, minus_isin = op
             vec.take(perm, out=buf)
             buf *= phase
@@ -256,23 +315,24 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, record: list,
             buf *= minus_isin
             vec += buf
         elif kind == _MEASURE:
-            _, shape, value, cbit = op
-            shaped = vec.reshape(shape)
+            _, kept, other, kept_amps, dropped, zeros, value, cbit = op
             # Weigh the kept branch directly: 1 - p(other) would fold the
             # state's accumulated norm error into p, and dividing by a tiny
             # p amplifies that error multiplicatively across units.  Each
-            # branch is summed as a 1-D array (a view when q is the last
-            # qubit, else a copy), which adds up exactly as a separate
-            # |branch|^2 array does; the 2-D slice itself does not, from
-            # 2^16 amplitudes on.
-            weights = np.abs(shaped) ** 2
-            p = float(np.add.reduce(weights[:, value, :].reshape(-1)))
-            p1 = p if value == 1 else float(np.add.reduce(weights[:, 1, :].reshape(-1)))
+            # branch is summed as a 1-D array (a view when q is the first
+            # or last qubit, else a copy), which adds up exactly as a
+            # separate |branch|^2 array does; the 2-D slice itself does
+            # not, from 2^16 amplitudes on.
+            np.absolute(vec, weights)
+            np.square(weights, weights)
+            p = float(np.add.reduce(kept if kept.ndim == 1 else kept.reshape(-1)))
+            p1 = p if other is None else \
+                float(np.add.reduce(other if other.ndim == 1 else other.reshape(-1)))
             record.append((cbit + cbit_offset, value, p1, p))
             if p < BRANCH_FLOOR:
                 return False
-            shaped[:, 1 - value, :] = 0.0
-            vec /= math.sqrt(p)
+            dropped[...] = zeros
+            kept_amps /= math.sqrt(p)
         elif kind == _RESET:
             _reset_vector(vec, op[1])
         elif kind == _1Q:
@@ -366,7 +426,8 @@ class Trajectory:
     cumulative_success the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
     good (`stopped`); it is the last record entry.  The circuit last walked
-    keeps its compiled program, so walking one step n times compiles it once.
+    keeps its program, compiled and bound to this trajectory's vector and
+    buffers, so walking one step n times compiles and binds it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
@@ -376,14 +437,18 @@ class Trajectory:
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
-        self._compiled: tuple[Circuit | None, tuple] = (None, ())
+        self._buf = np.empty_like(self.vec)
+        self._weights = np.empty(self.vec.size)
+        self._bound: tuple[Circuit | None, tuple] = (None, ())
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
-            if self._compiled[0] is not circuit:
-                self._compiled = (circuit, _compile(circuit))
+            if self._bound[0] is not circuit:
+                program = _bind(_compile(circuit), self.vec, self._weights)
+                self._bound = (circuit, program)
             start = len(self.record)
-            self.stopped = not _walk(self._compiled[1], self.vec, self.record, self.n_cbits)
+            self.stopped = not _walk(self._bound[1], self.vec, self._buf, self._weights,
+                                     self.record, self.n_cbits)
             self.cumulative_success = math.prod(
                 (entry[3] for entry in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits
@@ -480,8 +545,13 @@ def imaginary_time_oracle(
 
 
 def n_trotter_steps(tau: float, dtau: float) -> int:
+    for name, value in (("tau", tau), ("dtau", dtau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dtau <= 0:
         raise ValueError(f"dtau must be positive, got {dtau}")
+    if not math.isfinite(tau / dtau):
+        raise ValueError(f"tau {tau!r} / dtau {dtau!r} overflows the step count")
     n = round(tau / dtau)
     if abs(n * dtau - tau) > 1e-12 * max(1.0, abs(tau)):
         raise ValueError(f"tau {tau!r} is not an integer multiple of dtau {dtau!r}")

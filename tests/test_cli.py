@@ -286,6 +286,29 @@ def test_non_positive_shots_is_usage_error_before_the_csv_header(runner, tfim_fi
         assert result.stdout == "" and not out.exists()
 
 
+
+@pytest.mark.parametrize("command, message", [
+    (["evolve", "--tau", "1", "--dtau", "inf"], "dtau must be finite, got inf"),
+    (["evolve", "--tau", "1", "--dtau", "nan"], "dtau must be finite, got nan"),
+    (["evolve", "--tau", "inf"], "tau must be finite, got inf"),
+    (["evolve", "--tau", "0.5,nan"], "tau must be finite, got nan"),
+    (["evolve", "--tau", "1e300", "--dtau", "1e-300"], "overflows the step count"),
+    (["ising-demo", "--dtau", "inf"], "dtau must be finite, got inf"),
+], ids=["evolve-dtau-inf", "evolve-dtau-nan", "evolve-tau-inf", "evolve-tau-nan",
+        "evolve-step-count-overflow", "ising-demo-dtau-inf"])
+def test_non_finite_tau_or_dtau_is_usage_error_before_the_csv_header(runner, tfim_file,
+                                                                     tmp_path, command, message):
+    """An infinite dtau used to walk 0 steps and print the initial state's
+    values at every tau; an infinite tau, or a tau / dtau that overflows,
+    ended in an OverflowError (exit 3)."""
+    out = tmp_path / "run.csv"
+    if command[0] == "evolve":
+        command = [*command, "--hamiltonian", tfim_file]
+    result = runner.invoke(main, [*command, "--mode", "exact", "--out", str(out)])
+    assert result.exit_code == 2, result.stderr
+    assert message in result.stderr
+    assert result.stdout == "" and not out.exists()
+
 def test_evolve_zero_weight_trajectory_is_runtime_error(runner, tmp_path):
     ham = tmp_path / "z.txt"
     ham.write_text("1 Z\n")
@@ -477,6 +500,21 @@ def test_ldbm_script_errors(runner, tmp_path):
         assert fragment in result.stderr
         assert "line " in result.stderr
 
+
+
+@pytest.mark.parametrize("text, qubits, fragment", [
+    ("rz 0 nan\n", 1, "line 1: non-finite angle nan"),
+    ("hx 0\nrzz 0 1 inf\n", 2, "line 2: non-finite angle inf"),
+    ("rzz 0 0 0.3\n", 2, "line 1: rzz requires two distinct qubits"),
+    ("imag Z nan\n", 1, "line 1: non-finite coefficient nan"),
+], ids=["rz-nan", "rzz-inf", "rzz-one-qubit", "imag-nan"])
+def test_ldbm_script_argument_errors_are_usage_errors(runner, tmp_path, text, qubits,
+                                                      fragment):
+    """A non-finite angle or a repeated rzz qubit is reported with its line
+    number and exit 2, like a non-finite imag coefficient."""
+    result = _run_script(runner, tmp_path, text, qubits)
+    assert result.exit_code == 2, (text, result.output)
+    assert fragment in result.stderr
 
 def test_ldbm_reads_stdin(runner):
     result = runner.invoke(main, ["ldbm", "-", "--qubits", "1"], input="hx 0\n")

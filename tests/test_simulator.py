@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -586,6 +587,94 @@ def test_branch_weights_add_up_like_reference():
     assert checked >= 2000
 
 
+def test_chain_step_compiles_to_flip_rotation_and_measure_ops():
+    """160 of the chain step's 192 rotations flip only the (last) ancilla."""
+    kinds = Counter(op[0] for op in simulator._compile(_step(CHAIN, 0.01)))
+    assert kinds[simulator._FLIP] == 160
+    assert kinds[simulator._ROT] == 32
+    assert kinds[simulator._MEASURE] == 88
+
+
+# Parts of amplitudes with signed zeros.  An amplitude is assembled from
+# its parts (re + 1j * im would be a complex product, which can change the
+# sign of a zero).
+SIGNED_PARTS = np.array([0.0, -0.0, 0.0, -0.0, 0.6, -0.6, 1.3, -0.8])
+SIGNED_ANGLES = [0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi, 0.3, -2.9, 7.0]
+
+
+def _signed_zero_state(n, rng):
+    amps = np.empty(1 << n, dtype=complex)
+    amps.real = rng.choice(SIGNED_PARTS, amps.size)
+    amps.imag = rng.choice(SIGNED_PARTS, amps.size)
+    amps.real[rng.integers(amps.size)] = 1.0
+    return StateVector(n, amps)
+
+
+def test_compiled_walk_keeps_signed_zeros_of_rotations():
+    """Random 1-3-qubit states with +-0.0 parts through random X/Y/Z
+    rotation words, no ancillas: the same bits as the reference.  Folding
+    the phase into -i sin(angle/2), or scaling the real view by cos, flips
+    the sign of some of these zeros."""
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        gates = tuple(
+            Gate("pauli_rot", angle=float(rng.choice(SIGNED_ANGLES)),
+                 string=PauliString("".join(rng.choice(list("IXYZ"), n))))
+            for _ in range(int(rng.integers(1, 6))))
+        _assert_walks_equal(Circuit(n, 0, gates=gates), _signed_zero_state(n, rng), 2)
+
+
+def test_compiled_walk_keeps_signed_zeros_with_pooled_ancillas():
+    """The same states through random Hamiltonians' Trotter steps with a
+    pool of two ancillas, on both routes: measurements, resets and _FLIP
+    ops on the last ancilla, _ROT ops on the other."""
+    rng = np.random.default_rng(32)
+    walks = 0
+    while walks < 150:
+        n = int(rng.integers(1, 4))
+        words = {"".join(rng.choice(list("IXYZ"), n)) for _ in range(3)} - {"I" * n}
+        if not words:
+            continue
+        text = "".join(f"{float(rng.choice([0.5, -0.5, 1.3, -2.0]))!r} {w}\n" for w in words)
+        step = _step(text, float(rng.choice([0.1, 0.5, 1.0])), str(rng.choice(["rbm", "cx"])),
+                     "pooled:2", int(rng.integers(1, 3)))
+        _assert_walks_equal(step, _signed_zero_state(n, rng), 3)
+        walks += 1
+
+
+def test_measurement_divides_the_kept_half_like_the_reference():
+    """Scaling the real view by 1/sqrt(p) would keep the -0.0 that complex
+    division turns into +0.0 here ((-0 + b*0) / s with b >= +0)."""
+    amps = np.empty(2, dtype=complex)
+    amps.real, amps.imag = [0.6, -0.0], [-0.8, -0.0]
+    circuit = Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),
+                                   Gate("postselect", cbit=0, value=0)), n_cbits=1)
+    traj = _assert_walks_equal(circuit, StateVector(1, amps))
+    assert not np.signbit(traj.vec.real).any()
+
+
+def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
+    """One trajectory advanced alternately through two circuits of the
+    same width compiles and binds each time the circuit changes, and walks
+    the bits of the reference."""
+    compiled = []
+    compile_ = simulator._compile
+    monkeypatch.setattr(simulator, "_compile", lambda c: compiled.append(c) or compile_(c))
+    a, b = _step(TFIM, 0.05, "rbm"), _step(TFIM, 0.1, "cx")
+    assert (a.n_qubits, a.n_ancilla) == (b.n_qubits, b.n_ancilla)
+    psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(33)))
+    traj = Trajectory(a, psi0)
+    vec, record, offset = simulator._embed(a, psi0), [], 0
+    for circuit in (a, b, b, a, b):
+        traj.advance(circuit)
+        assert oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+        assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
+    assert traj.record == record
+    assert compiled == [a, b, a, b]
+
+
 # --- reference evolutions -------------------------------------------------
 
 
@@ -640,3 +729,15 @@ def test_n_trotter_steps():
         n_trotter_steps(1.0, 0.3)
     with pytest.raises(ValueError, match="positive"):
         n_trotter_steps(1.0, 0.0)
+
+
+@pytest.mark.parametrize("tau, dtau, match", [
+    (math.inf, 0.1, "^tau must be finite"), (math.nan, 0.1, "^tau must be finite"),
+    (1.0, math.inf, "^dtau must be finite"), (1.0, math.nan, "^dtau must be finite"),
+    (1e300, 1e-300, "overflows the step count"),
+])
+def test_n_trotter_steps_rejects_non_finite(tau, dtau, match):
+    """An infinite dtau would otherwise give 0 steps, and an infinite tau
+    or tau / dtau an OverflowError."""
+    with pytest.raises(ValueError, match=match):
+        n_trotter_steps(tau, dtau)
