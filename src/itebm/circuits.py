@@ -20,7 +20,7 @@ of wave boundaries, so packing never changes the encoded operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .decomp import (
     LN2,
@@ -247,4 +247,5 @@ def build_qite_circuit(
     if n_steps == 0:
         return Circuit(h.n_qubits, policy.n, gates=())
     step = trotter_step(h, dtau, order=order, route=route, policy=policy)
-    return step.repeated(n_steps).to_circuit(h.n_qubits, policy.n)
+    circuit = step.repeated(n_steps).to_circuit(h.n_qubits, policy.n)
+    return replace(circuit, step_gates=len(step.gates))

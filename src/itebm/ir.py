@@ -65,8 +65,8 @@ class AncillaPolicy:
         """Parse 'single' or 'pooled:N'."""
         if spec == "single":
             return cls(1)
-        if spec.startswith("pooled:"):
-            return cls(int(spec.split(":", 1)[1]))
+        if spec.startswith("pooled:") and spec[len("pooled:"):].isdecimal():
+            return cls(int(spec[len("pooled:"):]))
         raise ValueError(f"unknown ancilla policy {spec!r} (use 'single' or 'pooled:N')")
 
 
@@ -80,6 +80,9 @@ class Circuit:
     the encoded operator product applied to the input state.
     model_success is the product of per-unit mean success probabilities
     (acceptance predicted for a uniformly random computational input).
+    step_gates is the gate count of one step when the circuit repeats a
+    step, else 0: the simulator's diagonal runs stay within a step, so the
+    walk of the whole circuit is the walk of its steps.
     """
 
     n_visible: int
@@ -88,6 +91,7 @@ class Circuit:
     log_norm: float = 0.0
     model_success: float = 1.0
     n_cbits: int = 0
+    step_gates: int = 0
 
     @property
     def n_qubits(self) -> int:

@@ -5,18 +5,28 @@ by the postselect on its bit, so all accepted shots follow the same
 post-selected path: a `Trajectory` walks a single state forward through
 circuits, each measurement appends its branch probabilities to a record
 and projects onto the kept value, and each reset factors out a
-disentangled qubit.  A circuit is compiled once into a flat op list (each
-rotation with its phase and scalars, and its permutation unless the word
-flips only the last qubit; each measure/postselect pair as one op; no-op
-resets of qubits just post-selected onto 0 dropped), and the trajectory
-binds that list to its own vector and buffers, so each op runs on
-precomputed views without allocating.  The walk does the gate-by-gate
-arithmetic element for element, so walking one Trotter step n times
-compiles and binds it once and gives the same bits, signed zeros
-included.  Exact mode multiplies the kept-branch probabilities; sampled mode
-replays the record with per-shot Born-rule draws, discarding shots at
-their first failed post-selection, and samples the surviving shots'
-terminal bits from the final state.  Randomness comes from a
+disentangled qubit.  A circuit is compiled once, and the trajectory binds
+the program to its own vector and buffers, so each op runs on precomputed
+views without allocating; walking one Trotter step n times compiles and
+binds it once.
+
+When every ancilla use in a circuit is a hidden unit (rotations X_a ⊗ V_r
+on a clean ancilla, then its measure and postselect onto 0), the program
+is the unit program (`_units`): marginalizing the ancilla leaves cos(Theta)
+on the visible register, Theta = sum_r (angle_r / 2) V_r, so the ancillas
+never enter the vector.  A unit is one op, and consecutive diagonal units
+are one op that reads all their branch probabilities from one matrix-vector
+product.  It agrees with the gate-by-gate walk to rounding.  Any other
+circuit walks its gate program (`_compile`): each rotation with its
+permutation, phase and scalars, each measure/postselect pair as one op, and
+no-op resets of qubits just post-selected onto 0 dropped.  That walk does
+the gate-by-gate arithmetic element for element, so it gives the same bits,
+signed zeros included.
+
+Exact mode multiplies the kept-branch probabilities; sampled mode replays
+the record with per-shot Born-rule draws, discarding shots at their first
+failed post-selection, and samples the surviving shots' terminal bits from
+the final state.  Randomness comes from a
 counter-based Philox generator keyed by the seed; at each measurement one
 variate is drawn per surviving shot in shot order, and terminal sampling
 draws one variate per surviving shot, so a given (record, state, n_shots,
@@ -137,18 +147,27 @@ def _apply_1q(vec: np.ndarray, q: int, mat: np.ndarray) -> None:
     shaped[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
-def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
+def _visible(circuit: Circuit, psi0: StateVector) -> np.ndarray:
+    """psi0's normalized amplitudes, a new array, once its width is checked."""
     if psi0.n_qubits != circuit.n_visible:
         raise ValueError(
             f"initial state has {psi0.n_qubits} qubits, circuit expects "
             f"{circuit.n_visible} visible qubits"
         )
-    vec = psi0.normalized().amps
-    if circuit.n_ancilla == 0:
-        return vec.copy()
-    anc = np.zeros(1 << circuit.n_ancilla, dtype=complex)
+    return psi0.normalized().amps
+
+
+def _with_ancillas(visible: np.ndarray, n_ancilla: int) -> np.ndarray:
+    """A copy of a visible-register vector with n_ancilla ancillas in |0>."""
+    if n_ancilla == 0:
+        return visible.copy()
+    anc = np.zeros(1 << n_ancilla, dtype=complex)
     anc[0] = 1.0
-    return np.kron(vec, anc)  # ancillas occupy the least significant bits
+    return np.kron(visible, anc)  # ancillas occupy the least significant bits
+
+
+def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
+    return _with_ancillas(_visible(circuit, psi0), circuit.n_ancilla)
 
 
 def _reset_vector(vec: np.ndarray, q: int) -> None:
@@ -181,25 +200,29 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
     shaped[:, 1, :] = 0.0
 
 
-# Opcodes of a compiled program: (opcode, operands...) tuples, see _compile.
-_FLIP, _ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL = range(8)
+# Opcodes of a compiled program: (opcode, operands...) tuples, see _compile
+# and _units.
+_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL, _UNIT, _DIAG = range(9)
+
+
+def _rot_op(word: str, angle: float) -> tuple:
+    perm, phase = word_action(word)
+    # complex128: numpy would cast them to it in every multiply
+    return (_ROT, perm, phase, np.complex128(np.cos(0.5 * angle)),
+            np.complex128(-1j * np.sin(0.5 * angle)))
 
 
 def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """Flatten a circuit into the op list that `_bind` resolves against a
-    trajectory's vector and `_walk` runs.
+    """Flatten a circuit into the gate program that `_bind` resolves against
+    a trajectory's vector and `_walk` runs.
 
-    A pauli_rot carries its word's phase and its two rotation scalars.  A
-    word that flips only the last qubit (X or Y there, I or Z elsewhere:
-    an ancilla rotation X_a ⊗ V with the ancilla last) is a _FLIP op, whose
-    permutation swaps the two amplitudes of each pair; any other word is a
-    _ROT op with its permutation.  A measure and the postselect consuming
-    its bit become one op.  A reset is dropped when its qubit was
-    post-selected onto 0 and no gate has touched it since: its |1> half is
-    then exactly zero and `_reset_vector` would rescale the rest by
-    sqrt(n0 / n0) = 1.  A structural error becomes an op that raises where
-    the walk reaches it; with ancillas, a final op checks that they are
-    back in |0>.
+    A pauli_rot carries its word's permutation and phase and its two
+    rotation scalars.  A measure and the postselect consuming its bit become
+    one op.  A reset is dropped when its qubit was post-selected onto 0 and
+    no gate has touched it since: its |1> half is then exactly zero and
+    `_reset_vector` would rescale the rest by sqrt(n0 / n0) = 1.  A
+    structural error becomes an op that raises where the walk reaches it;
+    with ancillas, a final op checks that they are back in |0>.
     """
     n = circuit.n_qubits
     gates = circuit.gates
@@ -228,15 +251,7 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
             if g.qubits[0] not in clean:
                 ops.append((_RESET, g.qubits[0]))
         elif g.kind == "pauli_rot":
-            word = g.string.word
-            perm, phase = word_action(word)
-            # complex128: numpy would cast them to it in every multiply
-            scalars = (np.complex128(np.cos(0.5 * g.angle)),
-                       np.complex128(-1j * np.sin(0.5 * g.angle)))
-            if word[-1] in "XY" and set(word[:-1]) <= {"I", "Z"}:
-                ops.append((_FLIP, phase[0::2].copy(), phase[1::2].copy()) + scalars)
-            else:
-                ops.append((_ROT, perm, phase) + scalars)
+            ops.append(_rot_op(g.string.word, g.angle))
             clean.difference_update(g.string.support())
         elif g.kind == "cx":
             ops.append((_PERM, _cx_perm(n, g.qubits[0], g.qubits[1])))
@@ -250,6 +265,159 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
+#: Consecutive diagonal units share one run while the product of their
+#: smallest cos^2 stays above this, so that every partial sum S_k of the
+#: run's kept weight is a normal double.
+_RUN_FLOOR = 1e-200
+#: A unit of more (flip, coefficient) terms leaves its circuit to the gate
+#: program, whose memory does not grow with the term count.
+_MAX_TERMS = 64
+
+
+def _commute(u: str, v: str) -> bool:
+    return sum(a != "I" != b != a for a, b in zip(u, v)) % 2 == 0
+
+
+def _unit_terms(rotations: list[tuple[str, float]], n: int) -> dict[int, np.ndarray]:
+    """cos(Theta) and -i sin(Theta), Theta = sum_r (angle_r / 2) V_r over
+    commuting n-qubit words V_r, as {flip mask m: (2, 2^n) coefficients c}:
+    (cos(Theta) psi)[x] = sum_m c[0][x] psi[x ^ m], and c[1] likewise
+    gives -i sin(Theta) psi.
+
+    exp(-i X_a ⊗ Theta) = cos(Theta) - i X_a sin(Theta) is the product of
+    the rotations' factors cos(angle_r / 2) - i sin(angle_r / 2) V_r; its
+    terms with an even count of V factors make up cos(Theta), the odd
+    ones -i sin(Theta).
+    """
+    idx = np.arange(1 << n)
+    terms = {0: np.zeros((2, 1 << n), dtype=complex)}
+    terms[0][0] = 1.0
+    for word, angle in rotations:
+        perm, phase = word_action(word)
+        flip = int(perm[0])
+        cos, minus_isin = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
+        out = {m: cos * c for m, c in terms.items()}
+        for m, c in terms.items():
+            # (c P_m)(phase P_flip) = c phase[x ^ m] P_{m ^ flip}; V swaps parity
+            term = minus_isin * c[::-1] * phase[idx ^ m]
+            out[m ^ flip] = out[m ^ flip] + term if m ^ flip in out else term
+        terms = out
+    return terms
+
+
+def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]]) -> tuple:
+    """One op for consecutive diagonal units, each (cos, sin^2, cbit).
+
+    Its table's rows are cum_k = C_k^2, C_k = prod_{j<=k} cos_j, and then
+    cum_{k-1} sin_k^2: with w = |psi|^2, unit k keeps the weight
+    S_k = w . cum_k and reads 1 with the weight w . (cum_{k-1} sin_k^2).
+    The op also carries C_K, which leaves psi with the weight S_K.
+    """
+    cos = np.cumprod([c for c, _, _ in run], axis=0)
+    cum = cos * cos
+    before = np.vstack([np.ones_like(cum[:1]), cum[:-1]])
+    table = np.vstack([cum, before * np.array([s for _, s, _ in run])])
+    return (_DIAG, table, cos[-1].astype(complex), tuple(cbit for _, _, cbit in run))
+
+
+def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
+    """The unit program of a circuit, on its visible register alone, or
+    None unless every ancilla use is a unit.
+
+    A unit is a maximal run of pauli_rot X_a ⊗ V_r on a clean ancilla a
+    (in |0>: never touched, or post-selected onto 0 since), with commuting
+    V_r, later measured and post-selected onto 0, in the order the units
+    began; a reset of a clean ancilla is dropped, and a circuit that
+    measures or resets a visible qubit is not made of units.  Post-selection
+    leaves cos(Theta) psi, Theta = sum_r (angle_r / 2) V_r, kept with
+    weight |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Each
+    unit is one op where its rotations were, as its measurement commutes
+    with the visible gates between them.  A unit whose V_r are all I/Z
+    words is diagonal, and consecutive diagonal units of one step (see
+    `Circuit.step_gates`) form one _DIAG op, split where their cos^2 could
+    take the kept weight below _RUN_FLOOR; any other unit is a _UNIT op, a
+    sum of terms (perm x coefficient).  The other gates keep their ops, on
+    the visible register.
+    """
+    nv = circuit.n_visible
+    if not circuit.n_ancilla:
+        return None
+    gates = circuit.gates
+    ops: list = []  # gate ops, and [rotations, cbit, step] per unit
+    pending: list[tuple[int, list]] = []  # (ancilla, unit) awaiting its measure
+    active = None  # the (ancilla, unit) whose rotations the last gate extended
+    i = 0
+    while i < len(gates):
+        g = gates[i]
+        touched = g.string.support() if g.kind == "pauli_rot" else g.qubits
+        ancillas = [q for q in touched if q >= nv]
+        if g.kind == "pauli_rot" and ancillas:
+            a, word = ancillas[0], g.string.word
+            if len(ancillas) > 1 or word[a] != "X":
+                return None
+            rotation = (word[:nv], g.angle)
+            if active is not None and active[0] == a:
+                if not all(_commute(rotation[0], w) for w, _ in active[1][0]):
+                    return None
+                active[1][0].append(rotation)
+            elif any(q == a for q, _ in pending):
+                return None
+            else:
+                active = (a, [[rotation], None, i // circuit.step_gates
+                              if circuit.step_gates else 0])
+                ops.append(active[1])
+                pending.append(active)
+            i += 1
+            continue
+        active = None
+        if g.kind == "measure":
+            if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
+                    or gates[i + 1].cbit != g.cbit or gates[i + 1].value != 0 \
+                    or not pending or pending[0][0] != g.qubits[0]:
+                return None
+            pending.pop(0)[1][1] = g.cbit
+            i += 2
+            continue
+        if g.kind == "reset" and ancillas:
+            if any(q == ancillas[0] for q, _ in pending):
+                return None
+        elif ancillas or g.kind in ("postselect", "reset"):
+            return None
+        elif g.kind == "pauli_rot":
+            ops.append(_rot_op(g.string.word[:nv], g.angle))
+        elif g.kind == "cx":
+            ops.append((_PERM, _cx_perm(nv, g.qubits[0], g.qubits[1])))
+        else:
+            ops.append((_1Q, g.qubits[0], _GATE_1Q[g.kind]))
+        i += 1
+    if pending:
+        return None
+    program: list[tuple] = []
+    run: list[tuple[np.ndarray, np.ndarray, int]] = []
+    bound, step = 0.0, None
+    for op in ops:
+        if isinstance(op, tuple):
+            program.append(op)
+            continue
+        rotations, cbit, op_step = op
+        terms = _unit_terms(rotations, nv)
+        if len(terms) > _MAX_TERMS:
+            return None
+        if set(terms) != {0}:
+            program.append((_UNIT, np.array(list(terms))[:, None] ^ np.arange(1 << nv),
+                            np.stack(list(terms.values()), axis=1), cbit))
+            continue
+        cos, minus_isin = terms[0][0].real, terms[0][1].imag
+        low = float(np.min(cos * cos))
+        if program and program[-1] is run and op_step == step and bound * low >= _RUN_FLOOR:
+            bound *= low
+        else:
+            run, bound, step = [], low, op_step
+            program.append(run)
+        run.append((cos, minus_isin * minus_isin, cbit))
+    return tuple(_diag_op(op) if isinstance(op, list) else op for op in program)
+
+
 def _flat(view: np.ndarray) -> np.ndarray:
     """A 2-D view as a 1-D view where one exists (one of its axes has
     length 1, as when the measured qubit is the first or the last), else
@@ -259,12 +427,18 @@ def _flat(view: np.ndarray) -> np.ndarray:
 
 def _bind(program: tuple[tuple, ...], vec: np.ndarray,
           weights: np.ndarray) -> tuple[tuple, ...]:
-    """Resolve a compiled program's measurements against one vector and
-    its |amp|^2 buffer: each gets its kept and other weight views, the
+    """Resolve a compiled program against one vector and its |amp|^2
+    buffer.  Each measurement gets its kept and other weight views, the
     vector view it divides, and the one it zeroes with a zero array of its
-    shape.  The views stay valid while the arrays live, so a trajectory
-    binds a program once and walks it any number of times."""
+    shape; each _UNIT op gets views of scratch arrays shared by them all.
+    The views stay valid while the arrays live, so a trajectory binds a
+    program once and walks it any number of times."""
     zeros = np.zeros(vec.size // 2, dtype=vec.dtype)
+    n_terms = max((op[1].shape[0] for op in program if op[0] == _UNIT), default=0)
+    if n_terms:
+        gathered = np.empty((n_terms, vec.size), dtype=vec.dtype)
+        products = np.empty((2, n_terms, vec.size), dtype=vec.dtype)
+        sums, squares = np.empty((2, vec.size), dtype=vec.dtype), np.empty((2, vec.size))
     bound: list[tuple] = []
     for op in program:
         kind = op[0]
@@ -274,6 +448,10 @@ def _bind(program: tuple[tuple, ...], vec: np.ndarray,
             dropped = _flat(v[:, 1 - value, :])
             op = (kind, _flat(w[:, value, :]), None if value else _flat(w[:, 1, :]),
                   _flat(v[:, value, :]), dropped, zeros.reshape(dropped.shape), value, cbit)
+        elif kind == _UNIT:
+            _, perms, coefs, cbit = op
+            t = perms.shape[0]
+            op = (kind, perms, coefs, gathered[:t], products[:, :t], sums, squares, cbit)
         bound.append(op)
     return tuple(bound)
 
@@ -285,35 +463,62 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
 
     A measurement appends (cbit + cbit_offset, kept value, p1 = P(read 1),
     p_kept) to record, then projects onto the kept value and renormalizes;
-    resets factor the qubit out.  Returns False, without projecting, at a
-    kept branch below BRANCH_FLOOR.  Every element gets the bits of the
-    gate-by-gate walk (`tests/oracles.walk_reference`), signed zeros
-    included.  So a rotation multiplies by its phase, then by its scalars,
-    as that walk does: folding the phase into -i sin(angle/2), or scaling
-    the real view by cos, changes the sign of some zeros.  A measurement
-    divides the kept half by sqrt(p_kept), a complex division like that
-    walk's (a real-view multiply by 1/sqrt(p_kept) differs on zeros too),
-    and the zeroed half stays +0.
+    a unit appends its entry and applies cos(Theta) / sqrt(p_kept); resets
+    factor the qubit out.  Returns False, without projecting, at a kept
+    branch below BRANCH_FLOOR.
+
+    On a gate program every element gets the bits of the gate-by-gate walk
+    (`tests/oracles.walk_reference`), signed zeros included.  So a rotation
+    multiplies by its phase, then by its scalars, as that walk does:
+    folding the phase into -i sin(angle/2), or scaling the real view by
+    cos, changes the sign of some zeros.  A measurement divides the kept
+    half by sqrt(p_kept), a complex division like that walk's (a real-view
+    multiply by 1/sqrt(p_kept) differs on zeros too), and the zeroed half
+    stays +0.
+
+    A unit program agrees with that walk to rounding.  A unit records its
+    kept and read-1 weights each over their sum, which is the weight that
+    entered it (cos^2 + sin^2 = 1), and scales the state back to weight 1.
+    Its factors are rounded once, at compile time, so their error repeats
+    at every step: over the sum it cancels, in the kept weight alone it
+    would add up over thousands of units.
     """
-    pairs, buf_pairs = vec.reshape(-1, 2), buf.reshape(-1, 2)
-    even, odd, buf_even, buf_odd = pairs[:, 0], pairs[:, 1], buf_pairs[:, 0], buf_pairs[:, 1]
     for op in program:
         kind = op[0]
-        if kind == _FLIP:
-            # buf[2k] = vec[2k+1] phase[2k], buf[2k+1] = vec[2k] phase[2k+1]
-            _, phase_even, phase_odd, cos, minus_isin = op
-            np.multiply(odd, phase_even, buf_even)
-            np.multiply(even, phase_odd, buf_odd)
-            vec *= cos
-            buf *= minus_isin
-            vec += buf
-        elif kind == _ROT:
+        if kind == _ROT:
             _, perm, phase, cos, minus_isin = op
             vec.take(perm, out=buf)
             buf *= phase
             vec *= cos
             buf *= minus_isin
             vec += buf
+        elif kind == _DIAG:
+            _, table, cos, cbits = op
+            np.absolute(vec, weights)
+            np.square(weights, weights)
+            sums = np.dot(table, weights).tolist()
+            for k, cbit in enumerate(cbits):
+                kept, other = sums[k], sums[len(cbits) + k]
+                p = kept / (kept + other)
+                record.append((cbit + cbit_offset, 0, other / (kept + other), p))
+                if p < BRANCH_FLOOR:
+                    return False
+            vec *= cos
+            vec /= math.sqrt(kept)
+        elif kind == _UNIT:
+            # sums[0] = cos(Theta) psi, sums[1] = -i sin(Theta) psi
+            _, perms, coefs, gathered, products, sums, squares, cbit = op
+            vec.take(perms, out=gathered, mode="clip")  # unbuffered
+            np.multiply(gathered, coefs, out=products)
+            np.add.reduce(products, axis=1, out=sums)
+            np.absolute(sums, squares)
+            np.square(squares, squares)
+            kept, other = np.add.reduce(squares, axis=1).tolist()
+            p = kept / (kept + other)
+            record.append((cbit + cbit_offset, 0, other / (kept + other), p))
+            if p < BRANCH_FLOOR:
+                return False
+            np.divide(sums[0], math.sqrt(kept), out=vec)
         elif kind == _MEASURE:
             _, kept, other, kept_amps, dropped, zeros, value, cbit = op
             # Weigh the kept branch directly: 1 - p(other) would fold the
@@ -427,25 +632,40 @@ class Trajectory:
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
     good (`stopped`); it is the last record entry.  The circuit last walked
     keeps its program, compiled and bound to this trajectory's vector and
-    buffers, so walking one step n times compiles and binds it once.
+    buffers, so walking one step n times compiles and binds it once.  The
+    vector holds the ancillas only while a circuit walks its gate program:
+    a unit program (`_units`) runs on the visible register alone.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
         self.n_visible = circuit.n_visible
-        self.vec = _embed(circuit, psi0)
+        self.vec = _visible(circuit, psi0)
         self.record: list[tuple[int, int, float, float]] = []
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
-        self._buf = np.empty_like(self.vec)
-        self._weights = np.empty(self.vec.size)
+        self._buf = self._weights = np.empty(0)
         self._bound: tuple[Circuit | None, tuple] = (None, ())
+
+    def _rebind(self, circuit: Circuit) -> None:
+        """Compile circuit, and bind its program to the vector.  Between
+        circuits every ancilla is in |0>, so the vector gains or drops the
+        ancillas here."""
+        program = _units(circuit)
+        width = circuit.n_visible
+        if program is None:
+            program, width = _compile(circuit), circuit.n_qubits
+        if self.vec.size != 1 << width:
+            visible = self.vec.reshape(1 << self.n_visible, -1)[:, 0]
+            self.vec = _with_ancillas(visible, width - self.n_visible)
+        if self._buf.size != self.vec.size:
+            self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
+        self._bound = (circuit, _bind(program, self.vec, self._weights))
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
             if self._bound[0] is not circuit:
-                program = _bind(_compile(circuit), self.vec, self._weights)
-                self._bound = (circuit, program)
+                self._rebind(circuit)
             start = len(self.record)
             self.stopped = not _walk(self._bound[1], self.vec, self._buf, self._weights,
                                      self.record, self.n_cbits)
@@ -517,14 +737,17 @@ def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
 
 
 def expectation(psi: StateVector, h: Hamiltonian) -> float:
-    """<psi|H|psi> for a normalized state; SimulationError unless it is real."""
+    """<psi|H|psi> for a normalized state; SimulationError unless it is
+    real, to 1e-10 of the scale max(1, sum |c|): the roundoff in the
+    imaginary part grows with the coefficients."""
     if psi.n_qubits != h.n_qubits:
         raise ValueError(f"state has {psi.n_qubits} qubits, Hamiltonian {h.n_qubits}")
     vec = psi.normalized().amps
     total = 0.0 + 0.0j
     for t in h.terms:
         total += t.coefficient * np.vdot(vec, apply_word(t.string.word, vec))
-    if not abs(total.imag) < 1e-10:
+    scale = max(1.0, sum(abs(t.coefficient) for t in h.terms))
+    if not abs(total.imag) < 1e-10 * scale:
         raise SimulationError(f"expectation has imaginary part {total.imag}")
     return float(total.real)
 

@@ -205,6 +205,9 @@ def test_ancilla_policy_parse():
         AncillaPolicy.parse("waves")
     with pytest.raises(ValueError, match=">= 1"):
         AncillaPolicy.parse("pooled:0")
+    for spec in ("pooled:x", "pooled:", "pooled:-2", "pooled:1.5"):
+        with pytest.raises(ValueError, match="unknown ancilla policy"):
+            AncillaPolicy.parse(spec)
 
 
 def test_gate_kind_validation():

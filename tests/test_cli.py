@@ -320,6 +320,31 @@ def test_evolve_zero_weight_trajectory_is_runtime_error(runner, tmp_path):
     assert "zero-weight trajectory" in result.stderr
 
 
+@pytest.mark.parametrize("scale", ["e7", "e0"])
+def test_evolve_large_coefficients_expectation_is_real(runner, tmp_path, scale):
+    """Six words of about 1e7 leave a roundoff imaginary part near 1e-10
+    in <H>, relative 1e-18 of the coefficients; the same problem at
+    scale 1 is no error, and neither is this one."""
+    words = ("1.18 XYXY", "1.58 YYXX", "1.33 YYXY", "-1.45 YZYZ", "-1.23 YZZZ", "1.93 ZZZY")
+    ham = tmp_path / "h.txt"
+    ham.write_text("".join(w.replace(" ", scale + " ", 1) + "\n" for w in words))
+    factor = 1e-7 if scale == "e7" else 1.0
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(ham), "--mode", "exact", "--init", "0110",
+        "--order", "1", "--tau", f"{0.02 * factor:g},{0.04 * factor:g}",
+        "--dtau", f"{0.01 * factor:g}",
+    ])
+    assert result.exit_code == 0, result.stderr
+    assert len(_rows(result.stdout)) == 2
+
+
+def test_evolve_malformed_pool_size_is_usage_error(runner, tfim_file):
+    result = runner.invoke(main, ["evolve", "--hamiltonian", tfim_file,
+                                  "--ancilla", "pooled:x"])
+    assert result.exit_code == 2
+    assert "unknown ancilla policy 'pooled:x' (use 'single' or 'pooled:N')" in result.stderr
+
+
 def test_evolve_init_bitstring(runner, tmp_path):
     ham = tmp_path / "z.txt"
     ham.write_text("1 ZZ\n")

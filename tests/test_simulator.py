@@ -434,22 +434,40 @@ CHAIN = "".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8))
 Y_WORDS = MIXED + "-0.6 IZZI\n0.8 XIII\n"
 
 
+class _GateWalk:
+    """A vector walked through the bound gate program of `simulator._compile`,
+    as a trajectory walks a circuit that is not made of units."""
+
+    def __init__(self, circuit, psi0):
+        self.vec = simulator._embed(circuit, psi0)
+        self.buf, self.weights = np.empty_like(self.vec), np.empty(self.vec.size)
+        self.record, self.offset, self.stopped, self.circuit = [], 0, False, None
+
+    def advance(self, circuit):
+        if circuit is not self.circuit:
+            self.circuit = circuit
+            self.program = simulator._bind(simulator._compile(circuit), self.vec, self.weights)
+        if not self.stopped:
+            self.stopped = not simulator._walk(self.program, self.vec, self.buf, self.weights,
+                                               self.record, self.offset)
+        self.offset += circuit.n_cbits
+
+
 def _assert_walks_equal(circuit, psi0, steps=1):
-    """Walk circuit `steps` times as a compiled Trajectory and with
-    oracles.walk_reference: the same bits (signed zeros included), record,
-    stop and running product."""
-    traj = Trajectory(circuit, psi0)
+    """Walk circuit `steps` times through its compiled gate program and with
+    oracles.walk_reference: the same bits (signed zeros included), record
+    and stop."""
+    walk = _GateWalk(circuit, psi0)
     vec, record, offset, walking = simulator._embed(circuit, psi0), [], 0, True
     for _ in range(steps):
-        traj.advance(circuit)
+        walk.advance(circuit)
         if walking:
             walking = oracles.walk_reference(circuit, vec, record, offset)
         offset += circuit.n_cbits
-    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
-    assert traj.record == record
-    assert traj.stopped is not walking
-    assert traj.cumulative_success == math.prod((e[3] for e in record), start=1.0)
-    return traj
+    assert np.array_equal(walk.vec.view(np.uint64), vec.view(np.uint64))
+    assert walk.record == record
+    assert walk.stopped is not walking
+    return walk
 
 
 def _resets_kept(circuit):
@@ -540,14 +558,14 @@ def test_entangled_reset_raises_like_reference():
     psi0 = StateVector.from_amplitudes([0.6, 0.8j])
     want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
     assert "entangled" in want
-    assert _message(Trajectory(circuit, psi0).advance, circuit) == want
+    assert _message(_GateWalk(circuit, psi0).advance, circuit) == want
 
 
 @pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
 def test_structure_errors_raise_like_reference(circuit, psi0, match):
     want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
     assert match in want
-    assert _message(Trajectory(circuit, psi0).advance, circuit) == want
+    assert _message(_GateWalk(circuit, psi0).advance, circuit) == want
 
 
 def test_walk_stops_below_branch_floor_like_reference():
@@ -561,9 +579,12 @@ def test_walk_stops_below_branch_floor_like_reference():
         Gate("reset", (1,)),
         Gate("postselect", cbit=0, value=0),
     ), n_cbits=1)
-    traj = _assert_walks_equal(circuit, StateVector.zeros(1), 2)
-    assert traj.stopped and len(traj.record) == 1
-    assert traj.record[0][3] < simulator.BRANCH_FLOOR
+    walk = _assert_walks_equal(circuit, StateVector.zeros(1), 2)
+    assert walk.stopped and len(walk.record) == 1
+    assert walk.record[0][3] < simulator.BRANCH_FLOOR
+    traj = Trajectory(circuit, StateVector.zeros(1))
+    traj.advance(circuit)
+    assert traj.record == walk.record
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
 
@@ -587,12 +608,11 @@ def test_branch_weights_add_up_like_reference():
     assert checked >= 2000
 
 
-def test_chain_step_compiles_to_flip_rotation_and_measure_ops():
-    """160 of the chain step's 192 rotations flip only the (last) ancilla."""
+def test_chain_step_compiles_to_rotation_and_measure_ops():
+    """The gate program of the chain step: its 192 rotations, its 88
+    measure/postselect pairs, no reset, and the ancilla leak check."""
     kinds = Counter(op[0] for op in simulator._compile(_step(CHAIN, 0.01)))
-    assert kinds[simulator._FLIP] == 160
-    assert kinds[simulator._ROT] == 32
-    assert kinds[simulator._MEASURE] == 88
+    assert kinds == {simulator._ROT: 192, simulator._MEASURE: 88, simulator._LEAK: 1}
 
 
 # Parts of amplitudes with signed zeros.  An amplitude is assembled from
@@ -627,8 +647,8 @@ def test_compiled_walk_keeps_signed_zeros_of_rotations():
 
 def test_compiled_walk_keeps_signed_zeros_with_pooled_ancillas():
     """The same states through random Hamiltonians' Trotter steps with a
-    pool of two ancillas, on both routes: measurements, resets and _FLIP
-    ops on the last ancilla, _ROT ops on the other."""
+    pool of two ancillas, on both routes: rotations, measurements and
+    resets on both ancillas."""
     rng = np.random.default_rng(32)
     walks = 0
     while walks < 150:
@@ -655,23 +675,23 @@ def test_measurement_divides_the_kept_half_like_the_reference():
 
 
 def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
-    """One trajectory advanced alternately through two circuits of the
-    same width compiles and binds each time the circuit changes, and walks
-    the bits of the reference."""
+    """One vector advanced alternately through the gate programs of two
+    circuits of the same width compiles and binds each time the circuit
+    changes, and walks the bits of the reference."""
     compiled = []
     compile_ = simulator._compile
     monkeypatch.setattr(simulator, "_compile", lambda c: compiled.append(c) or compile_(c))
     a, b = _step(TFIM, 0.05, "rbm"), _step(TFIM, 0.1, "cx")
     assert (a.n_qubits, a.n_ancilla) == (b.n_qubits, b.n_ancilla)
     psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(33)))
-    traj = Trajectory(a, psi0)
+    walk = _GateWalk(a, psi0)
     vec, record, offset = simulator._embed(a, psi0), [], 0
     for circuit in (a, b, b, a, b):
-        traj.advance(circuit)
+        walk.advance(circuit)
         assert oracles.walk_reference(circuit, vec, record, offset)
         offset += circuit.n_cbits
-        assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
-    assert traj.record == record
+        assert np.array_equal(walk.vec.view(np.uint64), vec.view(np.uint64))
+    assert walk.record == record
     assert compiled == [a, b, a, b]
 
 

@@ -1,0 +1,282 @@
+"""The unit program against the gate-by-gate reference walk.
+
+A circuit whose every ancilla use is a hidden unit walks its unit program
+(`simulator._units`) on the visible register: each unit applies cos(Theta)
+and records its branch probabilities, and consecutive diagonal units are
+one op.  It agrees with `oracles.walk_reference` to rounding, not to the
+bit.  The tolerances are fixed here, before any run: the renormalized
+visible state to 1e-12 per amplitude; every record entry with the same cbit
+and kept value, p_kept to 1e-12 relative and p1 to 1e-12 relative or 1e-15
+absolute; and sum(log p_kept) to 1e-12 relative, which holds where the
+product of the kept probabilities is far below the smallest double.
+"""
+import math
+import re
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from itebm import simulator
+from itebm.circuits import build_qite_circuit, trotter_step
+from itebm.ir import AncillaPolicy, Circuit, Gate
+from itebm.pauli import PauliString, parse_hamiltonian
+from itebm.simulator import SimulationError, StateVector, Trajectory, run_exact
+
+import oracles
+
+TFIM = "1 ZZI\n1 IZZ\n1 ZIZ\n-1 XII\n-1 IXI\n-1 IIX\n"
+Y_WORDS = "0.5 YYII\n0.3 IXYZ\n-0.7 ZIIZ\n0.4 XIXI\n0.2 IIIY\n-0.6 IZZI\n0.8 XIII\n"
+CHAIN = "".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8))
+
+STATE_TOL = 1e-12
+REL_TOL = 1e-12
+P1_ABS_TOL = 1e-15
+
+
+def _step(text, dtau, route="rbm", policy="single", order=2):
+    h = parse_hamiltonian(text)
+    pol = AncillaPolicy.parse(policy)
+    return trotter_step(h, dtau, order, route=route, policy=pol).to_circuit(h.n_qubits, pol.n)
+
+
+def _assert_records_close(got, want):
+    assert len(got) == len(want)
+    for (cbit, value, p1, p), (want_cbit, want_value, want_p1, want_p) in zip(got, want):
+        assert (cbit, value) == (want_cbit, want_value)
+        assert abs(p - want_p) <= REL_TOL * want_p
+        assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
+
+
+def _log_acceptance(record):
+    return math.fsum(math.log(entry[3]) for entry in record)
+
+
+def _assert_units_close(circuits, psi0):
+    """Advance a Trajectory through circuits, each of which must compile to
+    a unit program, and walk oracles.walk_reference alongside: the record,
+    the log acceptance, the stop and the renormalized state agree."""
+    traj = Trajectory(circuits[0], psi0)
+    vec, record, offset, walking = simulator._embed(circuits[0], psi0), [], 0, True
+    for circuit in circuits:
+        assert simulator._units(circuit) is not None
+        traj.advance(circuit)
+        if walking:
+            walking = oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+    _assert_records_close(traj.record, record)
+    want_log = _log_acceptance(record)
+    assert abs(_log_acceptance(traj.record) - want_log) <= REL_TOL * abs(want_log)
+    assert traj.cumulative_success == math.prod((e[3] for e in traj.record), start=1.0)
+    assert traj.stopped is not walking
+    if walking:
+        assert traj.vec.size == 1 << traj.n_visible  # the ancillas never enter
+        want = StateVector(traj.n_visible, vec.reshape(traj.vec.size, -1)[:, 0]).normalized()
+        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
+    return traj
+
+
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
+def test_units_agree_with_reference_on_ising_step(route, policy):
+    step = _step(TFIM, 0.01, route, policy)
+    _assert_units_close([step] * 100, StateVector.uniform_plus(3))
+
+
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("policy, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
+def test_units_agree_with_reference_on_y_words(route, policy, order):
+    step = _step(Y_WORDS, 0.1, route, policy, order)
+    psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
+    _assert_units_close([step] * 10, psi0)
+
+
+def test_units_agree_with_reference_on_chain_step():
+    """200 steps of the exact-mode chain, whose acceptance (about e^-1293)
+    is far below the smallest double: compared in log space."""
+    traj = _assert_units_close([_step(CHAIN, 0.01)] * 200, StateVector.uniform_plus(8))
+    assert len(traj.record) == 200 * 88
+    assert _log_acceptance(traj.record) < math.log(1e-300)
+
+
+def test_units_agree_with_reference_on_overlapping_words():
+    """Units whose commuting words share flipped qubits (XZ, ZX, YY and the
+    identity), so that a term's phase is read at flipped indices, in a wave
+    of two ancillas and with a visible gate between unit and measure."""
+    rng = np.random.default_rng(45)
+    gates = []
+    for cbit in range(0, 8, 2):
+        angles = rng.uniform(-2, 2, 5)
+        gates += [_unit("XZXI", angles[0]), _unit("ZXXI", angles[1]),
+                  _unit("YYXI", angles[2]), _unit("IIXI", angles[3]),
+                  Gate("hy", (1,)), _unit("ZYIX", angles[4]),
+                  Gate("measure", (2,), cbit=cbit), Gate("postselect", cbit=cbit, value=0),
+                  Gate("measure", (3,), cbit=cbit + 1),
+                  Gate("postselect", cbit=cbit + 1, value=0),
+                  Gate("reset", (2,)), Gate("reset", (3,))]
+    circuit = Circuit(2, 2, gates=tuple(gates), n_cbits=8)
+    kinds = [op[0] for op in simulator._units(circuit)]
+    assert kinds == [simulator._UNIT, simulator._1Q, simulator._UNIT] * 4
+    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
+    _assert_units_close([circuit] * 3, psi0)
+
+
+def test_chain_step_compiles_to_one_run_and_word_units():
+    """The 64 diagonal units of the chain step (ZZ and ZZZ) are one run; its
+    8 YY and 16 X units are one op each; the vector holds 2^8 amplitudes."""
+    step = _step(CHAIN, 0.01)
+    program = simulator._units(step)
+    kinds = Counter(op[0] for op in program)
+    assert kinds == {simulator._DIAG: 1, simulator._UNIT: 24}
+    (run,) = [op for op in program if op[0] == simulator._DIAG]
+    assert len(run[3]) == 64
+    traj = Trajectory(step, StateVector.uniform_plus(8))
+    traj.advance(step)
+    assert traj.vec.size == 1 << 8
+
+
+def test_pooled_ancillas_leave_the_vector_at_visible_size():
+    for policy in ("single", "pooled:2", "pooled:3"):
+        step = _step(TFIM, 0.1, "cx", policy)
+        traj = Trajectory(step, StateVector.uniform_plus(3))
+        traj.advance(step)
+        assert traj.vec.size == 8
+
+
+def _unit(anc_word, angle):
+    return Gate("pauli_rot", angle=angle, string=PauliString(anc_word))
+
+
+def _measure(q, cbit):
+    return (Gate("measure", (q,), cbit=cbit), Gate("postselect", cbit=cbit, value=0),
+            Gate("reset", (q,)))
+
+
+def test_unit_below_branch_floor_stops_at_the_reference_index():
+    """A kept branch near 1e-30 stops the walk inside a diagonal run, and a
+    certain rejection stops it at a word unit: the record ends where the
+    reference's does, and the state cannot be read."""
+    near_pi = math.pi - 2e-15
+    for failing in (_unit("ZIX", near_pi), _unit("XIX", math.pi)):
+        gates = (_unit("ZIX", 0.4), _unit("IZX", -0.3), *_measure(2, 0),
+                 _unit("ZZX", 0.2), *_measure(2, 1),
+                 failing, *_measure(2, 2),
+                 _unit("IZX", 0.5), *_measure(2, 3))
+        circuit = Circuit(2, 1, gates=gates, n_cbits=4)
+        traj = _assert_units_close([circuit], StateVector.from_bitstring("00"))
+        assert traj.stopped and len(traj.record) == 3
+        assert traj.record[-1][3] < simulator.BRANCH_FLOOR
+        with pytest.raises(SimulationError, match="zero-weight trajectory"):
+            traj.final_state()
+
+
+def test_long_diagonal_run_below_the_smallest_double():
+    """64 consecutive diagonal units, each kept with probability near 1e-5,
+    multiply to below 1e-300: the run is split so that its partial sums
+    stay normal, and the log acceptance still agrees."""
+    rng = np.random.default_rng(41)
+    words = ["ZIX", "IZX", "ZZX"]
+    gates = []
+    for cbit in range(64):
+        angle = math.pi - 2 * math.sqrt(1e-5) * (1 + 0.2 * rng.random())
+        gates += [_unit(words[cbit % 3], angle), _unit("IIX", 1e-3), *_measure(2, cbit)]
+    circuit = Circuit(2, 1, gates=tuple(gates), n_cbits=64)
+    runs = [op for op in simulator._units(circuit) if op[0] == simulator._DIAG]
+    assert len(runs) > 1 and sum(len(op[3]) for op in runs) == 64
+    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
+    traj = _assert_units_close([circuit], psi0)
+    assert _log_acceptance(traj.record) < math.log(1e-300)
+
+
+NOT_UNITS = [
+    # a gate on an ancilla
+    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hx", (1,)), Gate("hx", (1,)),
+                         *_measure(1, 0)), n_cbits=1),
+    # a post-selection onto 1
+    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("measure", (1,), cbit=0),
+                         Gate("postselect", cbit=0, value=1)), n_cbits=1),
+    # a reset of an ancilla that a rotation entangled
+    Circuit(1, 1, gates=(_unit("XX", 0.7), *_measure(1, 0), _unit("XX", 0.8),
+                         Gate("reset", (1,))), n_cbits=1),
+    # ancillas measured in another order than their units began
+    Circuit(1, 2, gates=(_unit("XXI", 0.7), _unit("ZIX", 0.4), *_measure(2, 0)[:2],
+                         *_measure(1, 1)[:2], Gate("reset", (2,)), Gate("reset", (1,))),
+            n_cbits=2),
+    # rotations of one unit whose words do not commute
+    Circuit(1, 1, gates=(_unit("XX", 0.7), _unit("ZX", 0.4), *_measure(1, 0)), n_cbits=1),
+    # a gate between the rotations of one unit
+    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hy", (0,)), _unit("ZX", 0.4),
+                         *_measure(1, 0)), n_cbits=1),
+]
+
+
+@pytest.mark.parametrize("circuit", NOT_UNITS)
+def test_other_ancilla_uses_keep_the_gate_program(circuit):
+    """The trajectory walks the gate program, ancillas included, to the bit
+    or to the same error as the reference."""
+    assert simulator._units(circuit) is None
+    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
+    vec, record = simulator._embed(circuit, psi0), []
+    traj = Trajectory(circuit, psi0)
+    try:
+        oracles.walk_reference(circuit, vec, record)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+            traj.advance(circuit)
+        return
+    traj.advance(circuit)
+    assert traj.vec.size == 1 << circuit.n_qubits
+    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
+    assert traj.record == record
+
+
+def test_unit_of_many_terms_keeps_the_gate_program():
+    """An 8-body X term's units have up to 256 (flip, coefficient) terms,
+    more than _MAX_TERMS: the circuit walks its gate program, whose memory
+    does not grow with them."""
+    step = _step("0.3 XXXXXXXX\n", 0.01, order=1)
+    assert simulator._units(step) is None
+    traj = Trajectory(step, StateVector.uniform_plus(8))
+    traj.advance(step)
+    assert traj.vec.size == 1 << 9
+
+
+def test_trajectory_switches_representation_between_circuits(monkeypatch):
+    """A trajectory advanced through a unit circuit, a gate-program circuit
+    and back gains and drops the ancillas between circuits, compiles once
+    per change, and agrees with the reference throughout."""
+    units = []
+    units_ = simulator._units
+    monkeypatch.setattr(simulator, "_units", lambda c: units.append(c) or units_(c))
+    a = _step(TFIM, 0.05, "rbm")
+    b = Circuit(3, 1, gates=(*a.gates, Gate("hx", (3,)), Gate("hx", (3,))), n_cbits=a.n_cbits)
+    psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(43)))
+    traj = Trajectory(a, psi0)
+    vec, record, offset = simulator._embed(a, psi0), [], 0
+    for circuit, size in ((a, 8), (b, 16), (b, 16), (a, 8), (b, 16)):
+        traj.advance(circuit)
+        assert traj.vec.size == size
+        assert oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+        want = StateVector(3, vec.reshape(8, 2)[:, 0]).normalized()
+        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
+    assert units == [a, b, a, b]
+    _assert_records_close(traj.record, record)
+
+
+def test_diagonal_runs_stay_within_a_step():
+    """A whole repeated circuit walks as its steps do, to the bit: a step
+    of diagonal units only is one run, and the runs of consecutive steps
+    are not merged."""
+    h = parse_hamiltonian("1 ZZI\n0.5 IZZ\n-0.7 ZIZ\n0.3 IIZ\n")
+    psi0 = StateVector.from_amplitudes(oracles.random_state(3, np.random.default_rng(47)))
+    circuit = build_qite_circuit(h, 0.4, 0.1)
+    kinds = [op[0] for op in simulator._units(circuit)]
+    assert kinds == [simulator._DIAG] * 4
+    step = trotter_step(h, 0.1).to_circuit(3, 1)
+    traj = Trajectory(step, psi0)
+    for _ in range(4):
+        traj.advance(step)
+    exact = run_exact(circuit, psi0)
+    assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
+    assert traj.cumulative_success == exact.cumulative_success
