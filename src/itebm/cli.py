@@ -93,7 +93,7 @@ def _load_hamiltonian(path: str) -> Hamiltonian:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read hamiltonian file: {exc}")
     try:
         return parse_hamiltonian(text)
@@ -324,8 +324,12 @@ def cmd_ldbm(script: str, qubits: int) -> None:
     if qubits < 1:
         raise click.UsageError(f"--qubits must be >= 1, got {qubits}")
     try:
-        text = sys.stdin.read() if script == "-" else open(script, encoding="utf-8").read()
-    except OSError as exc:
+        if script == "-":
+            text = sys.stdin.read()
+        else:
+            with open(script, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError(f"cannot read script: {exc}")
     net = nets.zero_state(qubits)
     dbm = None

@@ -11,11 +11,14 @@ views without allocating; walking one Trotter step n times compiles and
 binds it once.
 
 When every ancilla use in a circuit is a hidden unit (rotations X_a ⊗ V_r
-on a clean ancilla, then its measure and postselect onto 0), the program
-is the unit program (`_units`): marginalizing the ancilla leaves cos(Theta)
-on the visible register, Theta = sum_r (angle_r / 2) V_r, so the ancillas
-never enter the vector.  A unit is one op, and consecutive diagonal units
-are one op that reads all their branch probabilities from one matrix-vector
+on a clean ancilla, whose V_r put at most one letter on each visible site,
+then its measure and postselect onto 0), the program is the unit program
+(`_units`): marginalizing the ancilla leaves cos(Theta) on the visible
+register, Theta = sum_r (angle_r / 2) V_r, so the ancillas never enter the
+vector.  With its X sites rotated by HX and its Y sites by HY^dag, as the
+paper encodes X and Y couplings, a unit is diagonal, so consecutive units
+whose letters agree are one op, between two basis changes unless they are
+I/Z, that reads all their branch probabilities from one matrix-vector
 product.  It agrees with the gate-by-gate walk to rounding.  Any other
 circuit walks its gate program (`_compile`): each rotation with its
 permutation, phase and scalars, each measure/postselect pair as one op, and
@@ -202,7 +205,7 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
 
 # Opcodes of a compiled program: (opcode, operands...) tuples, see _compile
 # and _units.
-_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL, _UNIT, _DIAG = range(9)
+_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL, _BASIS, _DIAG = range(9)
 
 
 def _rot_op(word: str, angle: float) -> tuple:
@@ -265,59 +268,84 @@ def _compile(circuit: Circuit) -> tuple[tuple, ...]:
     return tuple(ops)
 
 
-#: Consecutive diagonal units share one run while the product of their
-#: smallest cos^2 stays above this, so that every partial sum S_k of the
-#: run's kept weight is a normal double.
+#: Consecutive units share one run while the product of their smallest
+#: cos^2 stays above this, so that every partial sum S_k of the run's kept
+#: weight is a normal double.
 _RUN_FLOOR = 1e-200
-#: A unit of more (flip, coefficient) terms leaves its circuit to the gate
-#: program, whose memory does not grow with the term count.
-_MAX_TERMS = 64
+#: A basis change applies Kronecker blocks of at most this many qubits:
+#: at 8 qubits, two 16 x 16 matrix products.
+_BLOCK = 4
+_TO_Z = str.maketrans("XY", "ZZ")
+#: Per letter P, sqrt(2) B, where B P B^dag = Z: sqrt(2) HX and sqrt(2)
+#: HY^dag (see pauli.HY), whose entries are exact.
+_TO_Z_1Q = {"X": np.array([[1, 1], [1, -1]]), "Y": np.array([[1j, 1], [-1j, 1]])}
 
 
-def _commute(u: str, v: str) -> bool:
-    return sum(a != "I" != b != a for a, b in zip(u, v)) % 2 == 0
+def _letters(words: list[str]) -> str | None:
+    """The letter that each site carries in words, I where none does; None
+    if two words put different letters on one site."""
+    sites = [set(letters) - {"I"} for letters in zip(*words)]
+    if any(len(site) > 1 for site in sites):
+        return None
+    return "".join(site.pop() if site else "I" for site in sites)
 
 
-def _unit_terms(rotations: list[tuple[str, float]], n: int) -> dict[int, np.ndarray]:
-    """cos(Theta) and -i sin(Theta), Theta = sum_r (angle_r / 2) V_r over
-    commuting n-qubit words V_r, as {flip mask m: (2, 2^n) coefficients c}:
-    (cos(Theta) psi)[x] = sum_m c[0][x] psi[x ^ m], and c[1] likewise
-    gives -i sin(Theta) psi.
+def _unit_diagonal(rotations: list[tuple[str, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(Theta) and sin(Theta)^2, Theta = sum_r (angle_r / 2) V_r, as
+    diagonals in the basis where each V_r, one letter per site, is a Z word.
 
     exp(-i X_a ⊗ Theta) = cos(Theta) - i X_a sin(Theta) is the product of
-    the rotations' factors cos(angle_r / 2) - i sin(angle_r / 2) V_r; its
-    terms with an even count of V factors make up cos(Theta), the odd
-    ones -i sin(Theta).
+    the rotations' factors cos(angle_r / 2) - i sin(angle_r / 2) V_r, with
+    V_r = +-1 on each basis state.
     """
-    idx = np.arange(1 << n)
-    terms = {0: np.zeros((2, 1 << n), dtype=complex)}
-    terms[0][0] = 1.0
+    cos, sin = np.ones(1 << n), np.zeros(1 << n)  # cos(Theta), -sin(Theta)
     for word, angle in rotations:
-        perm, phase = word_action(word)
-        flip = int(perm[0])
-        cos, minus_isin = math.cos(0.5 * angle), -1j * math.sin(0.5 * angle)
-        out = {m: cos * c for m, c in terms.items()}
-        for m, c in terms.items():
-            # (c P_m)(phase P_flip) = c phase[x ^ m] P_{m ^ flip}; V swaps parity
-            term = minus_isin * c[::-1] * phase[idx ^ m]
-            out[m ^ flip] = out[m ^ flip] + term if m ^ flip in out else term
-        terms = out
-    return terms
+        sign = word_action(word.translate(_TO_Z))[1].real
+        c, s = math.cos(0.5 * angle), math.sin(0.5 * angle)
+        cos, sin = c * cos + s * sin * sign, c * sin - s * cos * sign
+    return cos, sin * sin
 
 
-def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]]) -> tuple:
-    """One op for consecutive diagonal units, each (cos, sin^2, cbit).
+def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]], scale: float) -> tuple:
+    """One op for consecutive units, each (cos, sin^2, cbit) in one basis.
 
     Its table's rows are cum_k = C_k^2, C_k = prod_{j<=k} cos_j, and then
     cum_{k-1} sin_k^2: with w = |psi|^2, unit k keeps the weight
     S_k = w . cum_k and reads 1 with the weight w . (cum_{k-1} sin_k^2).
-    The op also carries C_K, which leaves psi with the weight S_K.
+    The op also carries scale C_K, which leaves psi with the weight
+    scale^2 S_K.
     """
     cos = np.cumprod([c for c, _, _ in run], axis=0)
     cum = cos * cos
     before = np.vstack([np.ones_like(cum[:1]), cum[:-1]])
     table = np.vstack([cum, before * np.array([s for _, s, _ in run])])
-    return (_DIAG, table, cos[-1].astype(complex), tuple(cbit for _, _, cbit in run))
+    return (_DIAG, table, (scale * cos[-1]).astype(complex),
+            tuple(cbit for _, _, cbit in run))
+
+
+def _basis_change(letters: str) -> tuple[list[tuple], list[tuple], float]:
+    """The ops before and after a run that take its X and Y sites to Z and
+    back, and the scale that the run applies.  A run of I/Z words has no
+    such ops and the scale 1.  Else each is one op, a product of Kronecker
+    blocks of at most _BLOCK consecutive qubits (`_bind`) over the span of
+    the m X and Y sites.  The blocks are sqrt(2) times unitary on each of
+    those sites, so that they add and subtract amplitudes without rounding
+    a product; the run renormalizes after the first op, and its scale
+    2^(-m/2) undoes the second op's factor.
+    """
+    sites = [q for q, ch in enumerate(letters) if ch in _TO_Z_1Q]
+    if not sites:
+        return [], [], 1.0
+    blocks = []
+    for lo in range(sites[0], sites[-1] + 1, _BLOCK):
+        hi = min(lo + _BLOCK, sites[-1] + 1)
+        mat = np.ones((1, 1), dtype=complex)
+        for ch in letters[lo:hi]:
+            mat = np.kron(mat, _TO_Z_1Q.get(ch, np.eye(2)))
+        blocks.append((lo, hi, mat))
+    return ([(_BASIS, tuple(blocks))],
+            [(_BASIS, tuple((lo, hi, mat.conj().T) for lo, hi, mat in blocks))],
+            2.0 ** (-len(sites) / 2))
 
 
 def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
@@ -325,19 +353,21 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
     None unless every ancilla use is a unit.
 
     A unit is a maximal run of pauli_rot X_a ⊗ V_r on a clean ancilla a
-    (in |0>: never touched, or post-selected onto 0 since), with commuting
-    V_r, later measured and post-selected onto 0, in the order the units
-    began; a reset of a clean ancilla is dropped, and a circuit that
-    measures or resets a visible qubit is not made of units.  Post-selection
-    leaves cos(Theta) psi, Theta = sum_r (angle_r / 2) V_r, kept with
-    weight |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Each
-    unit is one op where its rotations were, as its measurement commutes
-    with the visible gates between them.  A unit whose V_r are all I/Z
-    words is diagonal, and consecutive diagonal units of one step (see
-    `Circuit.step_gates`) form one _DIAG op, split where their cos^2 could
-    take the kept weight below _RUN_FLOOR; any other unit is a _UNIT op, a
-    sum of terms (perm x coefficient).  The other gates keep their ops, on
-    the visible register.
+    (in |0>: never touched, or post-selected onto 0 since), whose V_r put
+    at most one letter on each visible site, later measured and
+    post-selected onto 0, in the order the units began; a reset of a clean
+    ancilla is dropped, and a circuit that measures or resets a visible
+    qubit is not made of units.  Post-selection leaves cos(Theta) psi,
+    Theta = sum_r (angle_r / 2) V_r, kept with weight |cos(Theta) psi|^2
+    against |sin(Theta) psi|^2 read as 1.  Each unit goes where its
+    rotations were, as its measurement commutes with the visible gates
+    between them.  Its V_r are Z words once each X site is rotated by HX
+    and each Y site by HY^dag, so cos(Theta) is diagonal there.
+    Consecutive units of one step (see `Circuit.step_gates`) whose letters
+    agree site by site form one _DIAG op, split where their cos^2 could
+    take the kept weight below _RUN_FLOOR, between the _BASIS ops into and
+    out of their basis (none for I/Z words).  The other gates keep their
+    ops, on the visible register.
     """
     nv = circuit.n_visible
     if not circuit.n_ancilla:
@@ -357,8 +387,6 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
                 return None
             rotation = (word[:nv], g.angle)
             if active is not None and active[0] == a:
-                if not all(_commute(rotation[0], w) for w, _ in active[1][0]):
-                    return None
                 active[1][0].append(rotation)
             elif any(q == a for q, _ in pending):
                 return None
@@ -392,30 +420,34 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
         i += 1
     if pending:
         return None
-    program: list[tuple] = []
-    run: list[tuple[np.ndarray, np.ndarray, int]] = []
+    program: list = []  # gate ops, and [letters, units] per run
+    run: list = []
     bound, step = 0.0, None
     for op in ops:
         if isinstance(op, tuple):
             program.append(op)
             continue
         rotations, cbit, op_step = op
-        terms = _unit_terms(rotations, nv)
-        if len(terms) > _MAX_TERMS:
+        letters = _letters([word for word, _ in rotations])
+        if letters is None:
             return None
-        if set(terms) != {0}:
-            program.append((_UNIT, np.array(list(terms))[:, None] ^ np.arange(1 << nv),
-                            np.stack(list(terms.values()), axis=1), cbit))
-            continue
-        cos, minus_isin = terms[0][0].real, terms[0][1].imag
+        cos, sin2 = _unit_diagonal(rotations, nv)
         low = float(np.min(cos * cos))
-        if program and program[-1] is run and op_step == step and bound * low >= _RUN_FLOOR:
-            bound *= low
+        merged = _letters([run[0], letters]) if program and program[-1] is run else None
+        if merged is not None and op_step == step and bound * low >= _RUN_FLOOR:
+            run[0], bound = merged, bound * low
         else:
-            run, bound, step = [], low, op_step
+            run, bound, step = [letters, []], low, op_step
             program.append(run)
-        run.append((cos, minus_isin * minus_isin, cbit))
-    return tuple(_diag_op(op) if isinstance(op, list) else op for op in program)
+        run[1].append((cos, sin2, cbit))
+    out: list[tuple] = []
+    for op in program:
+        if isinstance(op, tuple):
+            out.append(op)
+        else:
+            before, after, scale = _basis_change(op[0])
+            out += [*before, _diag_op(op[1], scale), *after]
+    return tuple(out)
 
 
 def _flat(view: np.ndarray) -> np.ndarray:
@@ -425,20 +457,20 @@ def _flat(view: np.ndarray) -> np.ndarray:
     return view.reshape(-1) if 1 in view.shape else view
 
 
-def _bind(program: tuple[tuple, ...], vec: np.ndarray,
+def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
           weights: np.ndarray) -> tuple[tuple, ...]:
-    """Resolve a compiled program against one vector and its |amp|^2
-    buffer.  Each measurement gets its kept and other weight views, the
-    vector view it divides, and the one it zeroes with a zero array of its
-    shape; each _UNIT op gets views of scratch arrays shared by them all.
-    The views stay valid while the arrays live, so a trajectory binds a
-    program once and walks it any number of times."""
+    """Resolve a compiled program against one vector, its |amp|^2 buffer
+    and buf, a scratch vector of its size.  Each measurement gets its kept
+    and other weight views, the vector view it divides, and the one it
+    zeroes with a zero array of its shape.  Each basis change gets one
+    matrix product (a, b, out) per block, from vec to buf and back, and
+    buf if its result ends there; a block that ends the register
+    multiplies its view by the transpose from the right, so that a block
+    at either end is one plain product.  The views stay valid while the
+    arrays live, so a trajectory binds a program once and walks it any
+    number of times."""
     zeros = np.zeros(vec.size // 2, dtype=vec.dtype)
-    n_terms = max((op[1].shape[0] for op in program if op[0] == _UNIT), default=0)
-    if n_terms:
-        gathered = np.empty((n_terms, vec.size), dtype=vec.dtype)
-        products = np.empty((2, n_terms, vec.size), dtype=vec.dtype)
-        sums, squares = np.empty((2, vec.size), dtype=vec.dtype), np.empty((2, vec.size))
+    n = vec.size.bit_length() - 1
     bound: list[tuple] = []
     for op in program:
         kind = op[0]
@@ -448,10 +480,17 @@ def _bind(program: tuple[tuple, ...], vec: np.ndarray,
             dropped = _flat(v[:, 1 - value, :])
             op = (kind, _flat(w[:, value, :]), None if value else _flat(w[:, 1, :]),
                   _flat(v[:, value, :]), dropped, zeros.reshape(dropped.shape), value, cbit)
-        elif kind == _UNIT:
-            _, perms, coefs, cbit = op
-            t = perms.shape[0]
-            op = (kind, perms, coefs, gathered[:t], products[:, :t], sums, squares, cbit)
+        elif kind == _BASIS:
+            products, src, dst = [], vec, buf
+            for lo, hi, mat in op[1]:
+                if hi == n:
+                    shape = (1 << lo, 1 << (hi - lo))
+                    products.append((src.reshape(shape), mat.T.copy(), dst.reshape(shape)))
+                else:
+                    shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
+                    products.append((mat, src.reshape(shape), dst.reshape(shape)))
+                src, dst = dst, src
+            op = (kind, tuple(products), None if src is vec else src)
         bound.append(op)
     return tuple(bound)
 
@@ -463,9 +502,12 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
 
     A measurement appends (cbit + cbit_offset, kept value, p1 = P(read 1),
     p_kept) to record, then projects onto the kept value and renormalizes;
-    a unit appends its entry and applies cos(Theta) / sqrt(p_kept); resets
-    factor the qubit out.  Returns False, without projecting, at a kept
-    branch below BRANCH_FLOOR.
+    a run of units appends one entry per unit and applies each cos(Theta),
+    and 1 / sqrt(p_kept) of the run, between the basis changes around it;
+    resets factor the qubit out.  Returns False, without projecting, at a
+    kept branch below BRANCH_FLOOR.  A stop inside a run leaves the vector
+    in the run's basis, which no caller reads: the walk stops for good, and
+    a stopped `Trajectory` raises before it would read the state.
 
     On a gate program every element gets the bits of the gate-by-gate walk
     (`tests/oracles.walk_reference`), signed zeros included.  So a rotation
@@ -481,7 +523,9 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
     entered it (cos^2 + sin^2 = 1), and scales the state back to weight 1.
     Its factors are rounded once, at compile time, so their error repeats
     at every step: over the sum it cancels, in the kept weight alone it
-    would add up over thousands of units.
+    would add up over thousands of units.  A basis change sums through
+    BLAS, whose kernel the host selects, so its last bits may differ
+    between hosts.
     """
     for op in program:
         kind = op[0]
@@ -505,20 +549,11 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
                     return False
             vec *= cos
             vec /= math.sqrt(kept)
-        elif kind == _UNIT:
-            # sums[0] = cos(Theta) psi, sums[1] = -i sin(Theta) psi
-            _, perms, coefs, gathered, products, sums, squares, cbit = op
-            vec.take(perms, out=gathered, mode="clip")  # unbuffered
-            np.multiply(gathered, coefs, out=products)
-            np.add.reduce(products, axis=1, out=sums)
-            np.absolute(sums, squares)
-            np.square(squares, squares)
-            kept, other = np.add.reduce(squares, axis=1).tolist()
-            p = kept / (kept + other)
-            record.append((cbit + cbit_offset, 0, other / (kept + other), p))
-            if p < BRANCH_FLOOR:
-                return False
-            np.divide(sums[0], math.sqrt(kept), out=vec)
+        elif kind == _BASIS:
+            for a, b, out in op[1]:
+                np.matmul(a, b, out=out)
+            if op[2] is not None:
+                vec[:] = op[2]
         elif kind == _MEASURE:
             _, kept, other, kept_amps, dropped, zeros, value, cbit = op
             # Weigh the kept branch directly: 1 - p(other) would fold the
@@ -630,7 +665,10 @@ class Trajectory:
     order, with cbits numbered on across the circuits walked, and
     cumulative_success the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
-    good (`stopped`); it is the last record entry.  The circuit last walked
+    good (`stopped`); it is the last record entry.  The vector is not read
+    after a stop, which can leave it in a run's basis: `final_state`
+    raises, and so does `sample` before any shot past the stop would read
+    it.  The circuit last walked
     keeps its program, compiled and bound to this trajectory's vector and
     buffers, so walking one step n times compiles and binds it once.  The
     vector holds the ancillas only while a circuit walks its gate program:
@@ -660,7 +698,7 @@ class Trajectory:
             self.vec = _with_ancillas(visible, width - self.n_visible)
         if self._buf.size != self.vec.size:
             self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
-        self._bound = (circuit, _bind(program, self.vec, self._weights))
+        self._bound = (circuit, _bind(program, self.vec, self._buf, self._weights))
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:

@@ -545,3 +545,17 @@ def test_ldbm_reads_stdin(runner):
     result = runner.invoke(main, ["ldbm", "-", "--qubits", "1"], input="hx 0\n")
     assert result.exit_code == 0
     assert "hidden units: 2" in result.stdout
+
+
+@pytest.mark.parametrize("command, message", [
+    (["evolve", "--hamiltonian"], "cannot read hamiltonian file: "),
+    (["ldbm"], "cannot read script: "),
+], ids=["evolve", "ldbm"])
+def test_non_utf8_input_file_is_usage_error(runner, tmp_path, command, message):
+    """A file that is not UTF-8 is reported like one that cannot be opened
+    (exit 2), where it used to end in a decoding error (exit 3)."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 Z\xff\n")
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2, result.stderr
+    assert message in result.stderr and "utf-8" in result.stderr

@@ -446,7 +446,8 @@ class _GateWalk:
     def advance(self, circuit):
         if circuit is not self.circuit:
             self.circuit = circuit
-            self.program = simulator._bind(simulator._compile(circuit), self.vec, self.weights)
+            self.program = simulator._bind(simulator._compile(circuit), self.vec, self.buf,
+                                          self.weights)
         if not self.stopped:
             self.stopped = not simulator._walk(self.program, self.vec, self.buf, self.weights,
                                                self.record, self.offset)

@@ -2,17 +2,18 @@
 
 A circuit whose every ancilla use is a hidden unit walks its unit program
 (`simulator._units`) on the visible register: each unit applies cos(Theta)
-and records its branch probabilities, and consecutive diagonal units are
-one op.  It agrees with `oracles.walk_reference` to rounding, not to the
-bit.  The tolerances are fixed here, before any run: the renormalized
-visible state to 1e-12 per amplitude; every record entry with the same cbit
-and kept value, p_kept to 1e-12 relative and p1 to 1e-12 relative or 1e-15
-absolute; and sum(log p_kept) to 1e-12 relative, which holds where the
-product of the kept probabilities is far below the smallest double.
+and records its branch probabilities, and consecutive units whose letters
+agree site by site are one op between the basis changes into and out of
+their letters' basis.  It agrees with `oracles.walk_reference` to
+rounding, not to the bit.  The tolerances are fixed here, before any run:
+the renormalized visible state to 1e-12 per amplitude; every record entry
+with the same cbit and kept value, p_kept to 1e-12 relative and p1 to
+1e-12 relative or 1e-15 absolute; and sum(log p_kept) to 1e-12 relative,
+which holds where the product of the kept probabilities is far below the
+smallest double.
 """
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def _log_acceptance(record):
 def _assert_units_close(circuits, psi0):
     """Advance a Trajectory through circuits, each of which must compile to
     a unit program, and walk oracles.walk_reference alongside: the record,
-    the log acceptance, the stop and the renormalized state agree."""
+    the log acceptance, the stop and the renormalized state agree, and the
+    walked state has norm 1."""
     traj = Trajectory(circuits[0], psi0)
     vec, record, offset, walking = simulator._embed(circuits[0], psi0), [], 0, True
     for circuit in circuits:
@@ -71,6 +73,8 @@ def _assert_units_close(circuits, psi0):
     assert traj.stopped is not walking
     if walking:
         assert traj.vec.size == 1 << traj.n_visible  # the ancillas never enter
+        # a gate program, walked next, reads absolute branch weights
+        assert abs(np.linalg.norm(traj.vec) - 1) <= STATE_TOL
         want = StateVector(traj.n_visible, vec.reshape(traj.vec.size, -1)[:, 0]).normalized()
         assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
     return traj
@@ -100,9 +104,10 @@ def test_units_agree_with_reference_on_chain_step():
 
 
 def test_units_agree_with_reference_on_overlapping_words():
-    """Units whose commuting words share flipped qubits (XZ, ZX, YY and the
-    identity), so that a term's phase is read at flipped indices, in a wave
-    of two ancillas and with a visible gate between unit and measure."""
+    """A unit whose commuting words put several letters on one site (XZ, ZX
+    and YY), in a wave of two ancillas and with a visible gate between unit
+    and measure, is diagonal in no one basis: the circuit walks its gate
+    program, to the bits of the reference."""
     rng = np.random.default_rng(45)
     gates = []
     for cbit in range(0, 8, 2):
@@ -115,21 +120,34 @@ def test_units_agree_with_reference_on_overlapping_words():
                   Gate("postselect", cbit=cbit + 1, value=0),
                   Gate("reset", (2,)), Gate("reset", (3,))]
     circuit = Circuit(2, 2, gates=tuple(gates), n_cbits=8)
-    kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._UNIT, simulator._1Q, simulator._UNIT] * 4
+    assert simulator._units(circuit) is None
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
-    _assert_units_close([circuit] * 3, psi0)
+    traj = Trajectory(circuit, psi0)
+    vec, record, offset = simulator._embed(circuit, psi0), [], 0
+    for _ in range(3):
+        traj.advance(circuit)
+        assert oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+    assert traj.vec.size == 1 << circuit.n_qubits
+    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
+    assert traj.record == record
 
 
-def test_chain_step_compiles_to_one_run_and_word_units():
-    """The 64 diagonal units of the chain step (ZZ and ZZZ) are one run; its
-    8 YY and 16 X units are one op each; the vector holds 2^8 amplitudes."""
+def test_chain_step_compiles_to_four_runs_and_basis_changes():
+    """The chain step's units are four runs: its first 8 X units, its 64 ZZ
+    and ZZZ units, its 8 YY units and its last 8 X units.  Each X or Y run
+    sits between two basis changes of two 16 x 16 blocks; the vector holds
+    2^8 amplitudes."""
     step = _step(CHAIN, 0.01)
     program = simulator._units(step)
-    kinds = Counter(op[0] for op in program)
-    assert kinds == {simulator._DIAG: 1, simulator._UNIT: 24}
-    (run,) = [op for op in program if op[0] == simulator._DIAG]
-    assert len(run[3]) == 64
+    basis, diag = simulator._BASIS, simulator._DIAG
+    assert [op[0] for op in program] == [basis, diag, basis, diag, basis, diag,
+                                         basis, basis, diag, basis]
+    assert [len(op[3]) for op in program if op[0] == diag] == [8, 64, 8, 8]
+    for op in program:
+        if op[0] == basis:
+            assert [(lo, hi, mat.shape) for lo, hi, mat in op[1]] == \
+                [(0, 4, (16, 16)), (4, 8, (16, 16))]
     traj = Trajectory(step, StateVector.uniform_plus(8))
     traj.advance(step)
     assert traj.vec.size == 1 << 8
@@ -170,22 +188,115 @@ def test_unit_below_branch_floor_stops_at_the_reference_index():
             traj.final_state()
 
 
-def test_long_diagonal_run_below_the_smallest_double():
-    """64 consecutive diagonal units, each kept with probability near 1e-5,
-    multiply to below 1e-300: the run is split so that its partial sums
-    stay normal, and the log acceptance still agrees."""
+def _assert_long_run_splits(letter):
+    """64 consecutive units of words with one letter, each kept with
+    probability near 1e-5, multiply to below 1e-300: the run is split so
+    that its partial sums stay normal, each part between its basis changes
+    unless the letter is Z, and the log acceptance still agrees."""
     rng = np.random.default_rng(41)
-    words = ["ZIX", "IZX", "ZZX"]
+    words = [f"{letter}IX", f"I{letter}X", f"{letter}{letter}X"]
     gates = []
     for cbit in range(64):
         angle = math.pi - 2 * math.sqrt(1e-5) * (1 + 0.2 * rng.random())
         gates += [_unit(words[cbit % 3], angle), _unit("IIX", 1e-3), *_measure(2, cbit)]
     circuit = Circuit(2, 1, gates=tuple(gates), n_cbits=64)
-    runs = [op for op in simulator._units(circuit) if op[0] == simulator._DIAG]
+    program = simulator._units(circuit)
+    runs = [op for op in program if op[0] == simulator._DIAG]
     assert len(runs) > 1 and sum(len(op[3]) for op in runs) == 64
+    basis, diag = simulator._BASIS, simulator._DIAG
+    assert [op[0] for op in program] == ([diag] if letter == "Z" else [basis, diag, basis]) \
+        * len(runs)
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
     traj = _assert_units_close([circuit], psi0)
     assert _log_acceptance(traj.record) < math.log(1e-300)
+
+
+def test_long_diagonal_run_below_the_smallest_double():
+    _assert_long_run_splits("Z")
+
+
+@pytest.mark.parametrize("letter", ["X", "Y"])
+def test_long_rotated_run_below_the_smallest_double(letter):
+    _assert_long_run_splits(letter)
+
+
+@pytest.mark.parametrize("site_letters, blocks", [
+    ("X", [(0, 1)]), ("Y", [(0, 1)]),
+    ("XXX", [(0, 3)]), ("YYY", [(0, 3)]), ("XYZ", [(0, 2)]), ("ZZY", [(2, 3)]),
+    ("XXXXX", [(0, 4), (4, 5)]), ("YYYYY", [(0, 4), (4, 5)]),
+    ("XYZXY", [(0, 4), (4, 5)]), ("ZXZZY", [(1, 5)]), ("ZZZ", []),
+])
+def test_units_of_agreeing_letters_are_one_run(site_letters, blocks):
+    """Units whose words carry site_letters[q] on site q, or I, on 1, 3 and
+    5 qubits: one run between two basis changes of Kronecker blocks over
+    the X and Y sites (none for Z alone), which agrees with the reference
+    on a random state."""
+    n = len(site_letters)
+    rng = np.random.default_rng(53 + n)
+    gates = []
+    for cbit in range(12):
+        for _ in range(rng.integers(1, 4)):
+            sites = rng.random(n) < 0.6
+            word = "".join(ch if on else "I" for ch, on in zip(site_letters, sites))
+            gates.append(_unit(word + "X", rng.uniform(-2, 2)))
+        gates += _measure(n, cbit)
+    circuit = Circuit(n, 1, gates=tuple(gates), n_cbits=12)
+    program = simulator._units(circuit)
+    basis, diag = simulator._BASIS, simulator._DIAG
+    assert [op[0] for op in program] == ([basis, diag, basis] if blocks else [diag])
+    assert len(program[len(program) // 2][3]) == 12
+    for op in program[::2] if blocks else ():
+        assert [(lo, hi) for lo, hi, _ in op[1]] == blocks
+    psi0 = StateVector.from_amplitudes(oracles.random_state(n, rng))
+    _assert_units_close([circuit] * 3, psi0)
+
+
+def test_units_whose_letters_conflict_start_a_new_run():
+    """A unit that puts another letter on a site of the run so far starts
+    a new run, in its own basis; one whose letters agree joins it."""
+    rng = np.random.default_rng(59)
+    words = ["XIX", "IYX", "XYX", "YIX", "ZZX", "IZX", "XIX"]
+    gates = []
+    for cbit, word in enumerate(words):
+        gates += [_unit(word, rng.uniform(-2, 2)), *_measure(2, cbit)]
+    circuit = Circuit(2, 1, gates=tuple(gates), n_cbits=len(words))
+    program = simulator._units(circuit)
+    basis, diag = simulator._BASIS, simulator._DIAG
+    assert [op[0] for op in program] == [basis, diag, basis, basis, diag, basis,
+                                         diag, basis, diag, basis]
+    assert [len(op[3]) for op in program if op[0] == diag] == [3, 1, 2, 1]
+    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
+    _assert_units_close([circuit] * 3, psi0)
+
+
+@pytest.mark.parametrize("letter, psi0", [
+    ("X", StateVector.uniform_plus(2)),
+    ("Y", StateVector.from_amplitudes([0.5, 0.5j, 0.5j, -0.5])),
+])
+def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0):
+    """On an eigenstate of the letter, a kept branch near 1e-30 stops the
+    walk at the fourth unit of a five-unit run in the letter's basis: the
+    record ends where the reference's does, the state cannot be read, and
+    a replay rejects every shot by that unit, so that it never reads the
+    vector the stop left in the rotated basis.  (No shot can pass a branch kept
+    with probability below BRANCH_FLOOR, where `sample` would raise.)"""
+    near_pi = math.pi - 2e-15
+    words = [f"{letter}IX", f"I{letter}X", f"{letter}{letter}X", f"{letter}IX", f"I{letter}X"]
+    angles = [0.4, -0.3, 0.2, near_pi, 0.5]
+    gates = []
+    for cbit, (word, angle) in enumerate(zip(words, angles)):
+        gates += [_unit(word, angle), *_measure(2, cbit)]
+    circuit = Circuit(2, 1, gates=tuple(gates), n_cbits=5)
+    kinds = [op[0] for op in simulator._units(circuit)]
+    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
+    traj = _assert_units_close([circuit], psi0)
+    assert traj.stopped and len(traj.record) == 4
+    assert traj.record[-1][3] < simulator.BRANCH_FLOOR
+    with pytest.raises(SimulationError, match="zero-weight trajectory"):
+        traj.final_state()
+    shots = traj.sample(50, 7)
+    assert shots.n_accepted == 0 and np.any(shots.rejected_at == 3)
+    assert np.all(shots.terminal == -1)
 
 
 NOT_UNITS = [
@@ -230,15 +341,47 @@ def test_other_ancilla_uses_keep_the_gate_program(circuit):
     assert traj.record == record
 
 
-def test_unit_of_many_terms_keeps_the_gate_program():
-    """An 8-body X term's units have up to 256 (flip, coefficient) terms,
-    more than _MAX_TERMS: the circuit walks its gate program, whose memory
-    does not grow with them."""
+def test_eight_body_term_walks_a_unit_program():
+    """The units of an 8-body X term carry X on every site: they are one run
+    in the X basis, on 2^8 amplitudes.  From |+>^8, an eigenstate of the
+    term, every step keeps the reference's log acceptance and state, and
+    its record the reference's cbits and values.  Single p_kept are not
+    compared: inside the step the cascade weighs some X-basis states up to
+    2.6e45 times as heavily as |+>^8, so a 1e-17 rounding in the basis
+    change, whose sums a BLAS kernel orders as it selects, moves them far
+    (the reference keeps those amplitudes at exact zeros)."""
     step = _step("0.3 XXXXXXXX\n", 0.01, order=1)
-    assert simulator._units(step) is None
-    traj = Trajectory(step, StateVector.uniform_plus(8))
-    traj.advance(step)
-    assert traj.vec.size == 1 << 9
+    kinds = [op[0] for op in simulator._units(step)]
+    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
+    psi0 = StateVector.uniform_plus(8)
+    traj = Trajectory(step, psi0)
+    vec, record, offset = simulator._embed(step, psi0), [], 0
+    for _ in range(3):
+        start = len(record)
+        traj.advance(step)
+        assert oracles.walk_reference(step, vec, record, offset)
+        offset += step.n_cbits
+        assert [e[:2] for e in traj.record] == [e[:2] for e in record]
+        want_log = _log_acceptance(record[start:])
+        assert abs(_log_acceptance(traj.record[start:]) - want_log) <= REL_TOL * abs(want_log)
+        want = StateVector(8, vec.reshape(1 << 8, -1)[:, 0]).normalized()
+        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
+    assert traj.vec.size == 1 << 8
+
+
+def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
+    """From |0...0>, whose X-basis weights are all equal, each step of the
+    8-body X term ends at the Trotter oracle's state.  (Its gate program,
+    which the same circuit walked before it was a unit program, ended one
+    step 1.09 away from it.)"""
+    h = parse_hamiltonian("0.3 XXXXXXXX\n")
+    step = _step("0.3 XXXXXXXX\n", 0.01, order=1)
+    psi0 = StateVector.from_bitstring("0" * 8)
+    traj = Trajectory(step, psi0)
+    for n_steps in (1, 2, 3):
+        traj.advance(step)
+        want = simulator.trotterized_oracle(h, 0.01 * n_steps, 0.01, 1, psi0)
+        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
 
 
 def test_trajectory_switches_representation_between_circuits(monkeypatch):
