@@ -35,7 +35,7 @@ from .pauli import (
     dense_matrix,
     parse_hamiltonian,
 )
-from .simulator import StateVector, expectation, imaginary_time_oracle, n_trotter_steps
+from .simulator import StateVector, chained_oracle, expectation, n_trotter_steps
 
 CSV_HEADER = (
     "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,"
@@ -295,7 +295,7 @@ def cmd_ising_demo(dtau, order, route, ancilla, shots, batches, seed, mode,
     ))
     evals = np.linalg.eigvalsh(dense_matrix(h))
     oracle = {
-        _g(t): expectation(imaginary_time_oracle(h, t, psi0), h) for t in taus
+        _g(t): expectation(state, h) for t, state in zip(taus, chained_oracle(h, taus, psi0))
     }
     summary = {
         "hamiltonian": "3-qubit critical transverse-field Ising chain (PBC)",

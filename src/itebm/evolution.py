@@ -17,8 +17,8 @@ from .pauli import Hamiltonian, apply_word
 from .simulator import (
     StateVector,
     Trajectory,
+    chained_oracle,
     expectation,
-    imaginary_time_oracle,
     n_trotter_steps,
 )
 from .stats import jackknife
@@ -96,6 +96,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
     step = trotter_step(h, dtau, order, route=route, policy=policy).to_circuit(
         h.n_qubits, policy.n)
     walked = None
+    oracle_states = chained_oracle(h, taus, psi0) if oracle_check else None
     for t_idx, tau in enumerate(taus):
         n_steps = n_trotter_steps(tau, dtau)
         if walked is None or n_steps < walked:
@@ -118,7 +119,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
                 "effective_samples": 0,
             }
             if oracle_check:
-                e_oracle = expectation(imaginary_time_oracle(h, tau, psi0), h)
+                e_oracle = expectation(next(oracle_states), h)
                 note = (
                     f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
                     f"|diff| {abs(e_mean - e_oracle):.3g}"

@@ -99,21 +99,6 @@ class Hamiltonian:
                     f"expected {self.n_qubits}"
                 )
 
-    def spectrum(self, limit: int = 12) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the dense matrix (`np.linalg.eigh`).
-
-        Factored on the first call and kept, read-only, on this Hamiltonian,
-        so the checkpoints of a run share one decomposition; it goes when
-        the Hamiltonian does (at 12 qubits it holds 256 MB).
-        """
-        spectrum = self.__dict__.get("_spectrum")
-        if spectrum is None or self.n_qubits > limit:  # dense_matrix enforces the limit
-            spectrum = tuple(np.linalg.eigh(dense_matrix(self, limit=limit)))
-            for part in spectrum:
-                part.setflags(write=False)
-            object.__setattr__(self, "_spectrum", spectrum)
-        return spectrum
-
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse '<coefficient> <word>' lines; '#' starts a comment.

@@ -35,9 +35,11 @@ variate is drawn per surviving shot in shot order, and terminal sampling
 draws one variate per surviving shot, so a given (record, state, n_shots,
 seed) is bit-reproducible.
 
-The dense oracle (`imaginary_time_oracle`) uses the Hamiltonian's
-eigendecomposition, factored once per Hamiltonian, so a run's checkpoints
-share it.
+The oracle (`imaginary_time_oracle`) never builds the 2^n x 2^n matrix:
+it applies H as one gather and multiply per flip mask, and takes
+exp(-tau H) psi0 from a Lanczos basis with full reorthogonalization, a
+Ritz-value gauge shift and a step split when the basis would grow past its
+cap.  Callers chain it, each checkpoint from the previous oracle state.
 """
 from __future__ import annotations
 
@@ -790,19 +792,125 @@ def expectation(psi: StateVector, h: Hamiltonian) -> float:
     return float(total.real)
 
 
-def imaginary_time_oracle(
-    h: Hamiltonian, tau: float, psi0: StateVector, limit: int = 12
-) -> StateVector:
-    """Normalized exp(-tau H) psi0 by Hermitian eigendecomposition (exact);
-    the decomposition is factored once per Hamiltonian (`Hamiltonian.spectrum`)."""
-    vals, vecs = h.spectrum(limit)
-    coords = vecs.conj().T @ psi0.normalized().amps
-    coords *= np.exp(-tau * (vals - vals.min()))  # gauge shift avoids overflow
-    amps = vecs @ coords
-    norm = np.linalg.norm(amps)
-    if norm < ZERO_WEIGHT:
-        raise SimulationError("initial state annihilated by the propagator")
-    return StateVector(h.n_qubits, amps / norm)
+#: Largest Krylov basis of one Lanczos step; a step that needs more is split.
+_KRYLOV_CAP = 40
+#: A Lanczos step over tau stops when its error estimate tau beta_j |c_j|
+#: falls to this fraction of ||c||.
+_KRYLOV_TOL = 1e-15
+#: A beta_j at or below this fraction of sum |c| is rounding in H v: the
+#: basis spans an invariant subspace (a breakdown), so the step is exact.
+_BREAKDOWN = 1e-14
+
+
+def _hamiltonian_action(h: Hamiltonian):
+    """H without a matrix: the terms summed per flip mask m (`word_action`'s
+    perm[0]), so that H v = d_0 * v + sum_m d_m * v[perm_m].  Returns the
+    function v -> H v."""
+    by_mask: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for t in h.terms:
+        perm, phase = word_action(t.string.word)
+        mask = int(perm[0])
+        if mask in by_mask:
+            by_mask[mask][1][:] += t.coefficient * phase
+        else:
+            by_mask[mask] = (perm, t.coefficient * phase)
+    diag = by_mask.pop(0)[1] if 0 in by_mask else 0.0
+    flips = list(by_mask.values())
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = diag * v
+        for perm, d in flips:
+            out += d * v[perm]
+        return out
+
+    return apply
+
+
+def _krylov_coefficients(t: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-tau (T - theta_0)) e_1 for the Lanczos matrix T, gauge-shifted
+    by its smallest Ritz value theta_0 so that no coefficient overflows and
+    the largest never underflows."""
+    theta, ritz = np.linalg.eigh(t)
+    return ritz @ (np.exp(-tau * (theta - theta[0])) * ritz[0])
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _lanczos_step(apply, vec: np.ndarray, tau: float, floor: float) -> tuple[np.ndarray, float]:
+    """Advance the unit vector vec by exp(-s H) for one converged step s:
+    s = tau when the Krylov basis holds it within `_KRYLOV_CAP` vectors,
+    else tau halved until it does.  Returns the unnormalized state and s.
+
+    The basis is kept orthonormal by two classical Gram-Schmidt passes
+    against every vector.  The step stops at the first j with
+    tau beta_j |c_j| <= `_KRYLOV_TOL` ||c||, at a breakdown (beta_j <= floor),
+    or when the basis spans the whole space.  The estimate is the first
+    term of the step's error; it is the same for (H, tau) and (sH, tau/s),
+    and it goes to 0 with the step, so halving ends however large H is.
+    """
+    dim = vec.size
+    cap = min(dim, _KRYLOV_CAP)
+    basis = np.empty((cap, dim), dtype=complex)
+    basis[0] = vec
+    t = np.zeros((cap, cap))  # tridiagonal: alpha on the diagonal, beta beside it
+    for j in range(cap):
+        w = apply(basis[j])
+        span = basis[:j + 1]
+        coef = (span @ w.conj()).conj()
+        w -= coef @ span
+        again = (span @ w.conj()).conj()
+        w -= again @ span
+        t[j, j] = (coef[j] + again[j]).real
+        beta = _norm(w)
+        c = _krylov_coefficients(t[:j + 1, :j + 1], tau)
+        if tau * beta * abs(c[j]) <= _KRYLOV_TOL * _norm(c) or beta <= floor or j + 1 == dim:
+            return c @ span, tau
+        if j + 1 < cap:
+            basis[j + 1] = w / beta
+            t[j, j + 1] = t[j + 1, j] = beta
+    step = tau
+    while step > tau * 2.0 ** -60:
+        step /= 2
+        c = _krylov_coefficients(t, step)
+        if step * beta * abs(c[-1]) <= _KRYLOV_TOL * _norm(c):
+            return c @ basis, step
+    raise SimulationError(f"Lanczos step did not converge within {cap} vectors")
+
+
+def imaginary_time_oracle(h: Hamiltonian, tau: float, psi0: StateVector) -> StateVector:
+    """Normalized exp(-tau H) psi0, by Lanczos steps on H applied without a
+    matrix (`_hamiltonian_action`).  exp(-tau H) is invertible, so only a
+    non-finite result is a SimulationError."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if psi0.n_qubits != h.n_qubits:
+        raise ValueError(f"state has {psi0.n_qubits} qubits, Hamiltonian {h.n_qubits}")
+    apply = _hamiltonian_action(h)
+    floor = _BREAKDOWN * sum(abs(t.coefficient) for t in h.terms)
+    vec = psi0.normalized().amps
+    done = 0.0
+    while done < tau:
+        vec, step = _lanczos_step(apply, vec, tau - done, floor)
+        vec /= _norm(vec)
+        if not np.isfinite(vec).all():
+            raise SimulationError("imaginary-time oracle gave a non-finite state")
+        done = tau if step == tau - done else done + step
+    return StateVector(h.n_qubits, vec)
+
+
+def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
+    """Yield `imaginary_time_oracle` at each tau in turn, each one taken from
+    the previous checkpoint's state; a tau below the previous one restarts
+    from psi0, as the walk does."""
+    at, state = 0.0, psi0
+    for tau in taus:
+        if tau < at:
+            at, state = 0.0, psi0
+        state = imaginary_time_oracle(h, tau - at, state)
+        at = tau
+        yield state
 
 
 def n_trotter_steps(tau: float, dtau: float) -> int:

@@ -247,9 +247,11 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
 
 
 def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
-    """The dense oracle as it was before the package kept one
-    eigendecomposition per Hamiltonian: it factors the dense matrix on
-    every call.  Same result type and errors as `imaginary_time_oracle`."""
+    """Normalized exp(-tau H) psi0 from the dense matrix's
+    eigendecomposition, factored on every call: the reference for
+    `imaginary_time_oracle`.  Its gauge shift by the lowest eigenvalue
+    underflows for a psi0 without a ground-state component at large tau,
+    and then it raises."""
     from itebm.pauli import dense_matrix
     from itebm.simulator import ZERO_WEIGHT, SimulationError, StateVector
 

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import itebm
+from itebm import cli, pauli
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
 from itebm.evolution import _derive_seed, _measurement_groups
 from itebm.ir import AncillaPolicy
@@ -55,20 +56,30 @@ def test_measurement_groups_fill_unused_with_z():
     assert groups == [("XZ", [0])]
 
 
-def _modules_after_import(module: str) -> set[str]:
-    """Names in sys.modules after importing module in a fresh interpreter."""
+def _modules_after_import(module: str, then: str = "") -> set[str]:
+    """Names in sys.modules after importing module in a fresh interpreter
+    and running the statement `then`."""
     src = os.path.dirname(os.path.dirname(itebm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, {module}; print(' '.join(sys.modules))"
+    code = f"import sys, {module}\n{then}\nprint(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return set(out.stdout.split())
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     """Only the order >= 5 weight solver needs brentq, so a fresh import of
-    the CLI must not pay for scipy.optimize."""
+    the CLI must not pay for scipy.optimize; an exact evolve, oracle check
+    included, loads no scipy at all."""
     assert "scipy.optimize" not in _modules_after_import("itebm.cli")
+    ham = tmp_path / "tfim.txt"
+    ham.write_text(ISING_TEXT)
+    argv = ["evolve", "--hamiltonian", str(ham), "--mode", "exact", "--tau", "0.1,0.2",
+            "--dtau", "0.05", "--out", str(tmp_path / "run.csv")]
+    loaded = _modules_after_import(
+        "itebm.cli", f"itebm.cli.main({argv!r}, standalone_mode=False)")
+    assert "itebm.evolution" in loaded and (tmp_path / "run.csv").exists()
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_ldbm_import_loads_no_scipy():
@@ -164,34 +175,61 @@ def test_evolve_exact_tracks_dense_oracle(runner, tfim_file, tmp_path):
         assert float(note.rsplit(" ", 1)[1]) < 2e-3
 
 
-def test_evolve_exact_factors_the_dense_matrix_once(runner, tmp_path, monkeypatch):
-    """Eight checkpoints share one eigendecomposition; the oracle notes are
-    byte for byte those of a fresh decomposition at every checkpoint."""
+def test_evolve_exact_oracle_notes_match_the_dense_reference(runner, tmp_path):
+    """The chained Lanczos oracle's notes are byte for byte those of a dense
+    eigendecomposition at every checkpoint."""
     path = tmp_path / "chain.txt"
     path.write_text("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
     taus = [0.25 * i for i in range(1, 9)]
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     result = runner.invoke(main, [
         "evolve", "--hamiltonian", str(path), "--mode", "exact",
         "--tau", ",".join(f"{t:g}" for t in taus), "--dtau", "0.125",
         "--out", str(tmp_path / "run.csv"),
     ])
     assert result.exit_code == 0, result.output
-    assert len(calls) == 1
-    monkeypatch.undo()
     h = parse_hamiltonian(path.read_text())
     notes = [note for _, note in oracles.checkpoint_rerun_reference(
         h, taus, 0.125, 2, "rbm", AncillaPolicy(), StateVector.uniform_plus(8),
         "exact", 0, 10, 0, oracle_check=True)]
     assert len(notes) == 8
     assert result.stderr == "".join(note + "\n" for note in notes)
+
+
+def test_evolve_exact_at_twelve_sites_builds_no_dense_matrix(runner, tmp_path, monkeypatch):
+    """The oracle check runs up to 12 sites without the 2^n x 2^n matrix
+    (256 MB at 12 sites)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense_matrix called")
+
+    monkeypatch.setattr(pauli, "dense_matrix", refuse)
+    monkeypatch.setattr(cli, "dense_matrix", refuse)
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(12)))
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(path), "--mode", "exact",
+        "--tau", "0.05", "--dtau", "0.01",
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(_rows(result.stdout)) == 1
+    assert result.stderr.startswith("tau 0.05: E ") and "dense oracle" in result.stderr
+    assert float(result.stderr.rsplit(" ", 1)[1]) < 1e-3
+
+
+def test_evolve_exact_oracle_follows_an_excited_eigenstate(runner, tmp_path):
+    """|0> is the excited eigenstate of Z.  exp(-tau Z) is invertible, so
+    the oracle keeps |0> at any tau, although a gauge shift by the lowest
+    eigenvalue would underflow it to zero at tau 400."""
+    ham = tmp_path / "z.txt"
+    ham.write_text("1 Z\n")
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(ham), "--init", "0", "--tau", "100,400",
+        "--dtau", "1",
+    ])
+    assert result.exit_code == 0, result.stderr
+    assert [r["tau"] for r in _rows(result.stdout)] == ["100", "400"]
+    assert result.stderr == (
+        "tau 100: E 1.000000000, dense oracle 1.000000000, |diff| 0\n"
+        "tau 400: E 1.000000000, dense oracle 1.000000000, |diff| 0\n")
 
 
 def test_evolve_reads_stdin(runner, tmp_path):

@@ -95,29 +95,6 @@ def test_term_coefficient_must_be_real_and_finite():
         HamiltonianTerm(float("nan"), PauliString("Z"))
 
 
-def test_spectrum_is_factored_once_per_hamiltonian(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    text = "0.5 ZZI\n-1.25 IXY\n2 YIZ\n"
-    h = parse_hamiltonian(text)
-    vals, vecs = h.spectrum()
-    want_vals, want_vecs = eigh(dense_matrix(h))
-    assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
-    assert h.spectrum()[1] is vecs
-    assert not vals.flags.writeable and not vecs.flags.writeable
-    assert len(calls) == 1
-    with pytest.raises(ValueError, match="limit"):
-        h.spectrum(limit=2)
-    parse_hamiltonian(text).spectrum()  # an equal Hamiltonian factors its own
-    assert len(calls) == 2
-
-
 def test_parse_round_trip():
     text = "1 ZZI\n-0.5 IXY\n"
     h = parse_hamiltonian(text)

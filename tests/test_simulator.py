@@ -733,6 +733,151 @@ def test_imaginary_time_oracle_long_time_is_ground_state():
     assert expectation(final, h) == pytest.approx(-2 * math.sqrt(3), abs=1e-9)
 
 
+# The Lanczos oracle against the dense eigendecomposition.  Tolerances, set
+# before the first run: 1e-12 on the energy, and 1e-12 in the 2-norm on the
+# state up to a global phase.
+ORACLE_TOL = 1e-12
+
+
+def _random_hamiltonian(n, rng, idle=None):
+    """About 3n random words, the first of them with a single Y, so that H
+    is complex; the qubit `idle` carries only I, so every level of H is
+    degenerate."""
+    words = ["Y" + "X" * (n - 1)]
+    while len(words) < 3 * n:
+        words.append("".join(rng.choice(list("IXYZ")) for _ in range(n)))
+    if idle is not None:
+        words = [w[:idle] + "I" + w[idle + 1:] for w in words]
+    return parse_hamiltonian("".join(
+        f"{rng.uniform(-1.0, 1.0)!r} {w}\n" for w in words if set(w) != {"I"}))
+
+
+def _assert_oracle_close(got, want, h):
+    overlap = np.vdot(want.amps, got.amps)
+    assert abs(abs(overlap) - 1.0) <= ORACLE_TOL
+    assert np.linalg.norm(got.amps - overlap / abs(overlap) * want.amps) <= ORACLE_TOL
+    assert abs(expectation(got, h) - expectation(want, h)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("n, taus", [
+    (1, (0.3, 2.0)), (3, (0.3, 2.0)), (6, (0.3, 2.0, 9.0)), (10, (1.0,)),
+])
+def test_oracle_matches_dense_reference_on_complex_hamiltonians(n, taus):
+    rng = np.random.default_rng(100 + n)
+    h = _random_hamiltonian(n, rng)
+    psi0 = StateVector(n, oracles.random_state(n, rng))
+    for tau in taus:
+        _assert_oracle_close(imaginary_time_oracle(h, tau, psi0),
+                             oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+
+
+def test_oracle_at_large_tau_is_the_ground_state():
+    """At tau = 40 / gap the excited levels have decayed by e^-40, and
+    exp(-tau E_0) overflows a double by far; the gauge shift keeps every
+    coefficient finite."""
+    rng = np.random.default_rng(7)
+    h = _random_hamiltonian(8, rng)
+    vals, vecs = np.linalg.eigh(oracles.ham_matrix(
+        [(t.coefficient, t.string.word) for t in h.terms], 8))
+    tau = 40.0 / (vals[1] - vals[0])
+    assert tau * abs(vals[0]) > 800
+    psi0 = StateVector(8, oracles.random_state(8, rng))
+    got = imaginary_time_oracle(h, tau, psi0)
+    _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+    _assert_oracle_close(got, StateVector(8, vecs[:, 0]), h)
+
+
+def test_oracle_projects_onto_a_degenerate_ground_space():
+    rng = np.random.default_rng(8)
+    h = _random_hamiltonian(6, rng, idle=5)
+    vals, vecs = np.linalg.eigh(oracles.ham_matrix(
+        [(t.coefficient, t.string.word) for t in h.terms], 6))
+    assert vals[1] - vals[0] < 1e-12
+    tau = 40.0 / (vals[2] - vals[0])
+    psi0 = StateVector(6, oracles.random_state(6, rng))
+    got = imaginary_time_oracle(h, tau, psi0)
+    _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+    ground = vecs[:, :2] @ (vecs[:, :2].conj().T @ psi0.amps)
+    _assert_oracle_close(got, StateVector(6, ground / np.linalg.norm(ground)), h)
+
+
+@pytest.mark.parametrize("tau", [3.0, 300.0])
+def test_oracle_keeps_an_eigenstate_after_one_lanczos_vector(monkeypatch, tau):
+    """Excited eigenstate: the basis breaks down at its first vector.  At tau
+    300 a dense gauge shift by the lowest eigenvalue underflows to zero."""
+    rng = np.random.default_rng(9)
+    h = _random_hamiltonian(5, rng)
+    vals, vecs = np.linalg.eigh(oracles.ham_matrix(
+        [(t.coefficient, t.string.word) for t in h.terms], 5))
+    psi0 = StateVector(5, vecs[:, 7])
+    calls = []
+    coefficients = simulator._krylov_coefficients
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return coefficients(*args)
+
+    monkeypatch.setattr(simulator, "_krylov_coefficients", counting)
+    got = imaginary_time_oracle(h, tau, psi0)
+    assert calls == [(1, 1)]
+    _assert_oracle_close(got, psi0, h)
+    assert abs(expectation(got, h) - vals[7]) <= ORACLE_TOL
+
+
+def test_oracle_at_tau_zero_is_the_normalized_state():
+    h = parse_hamiltonian(TFIM)
+    amps = 3.0 * oracles.random_state(3, np.random.default_rng(10))
+    got = imaginary_time_oracle(h, 0.0, StateVector(3, amps))
+    assert np.array_equal(got.amps, amps / np.linalg.norm(amps))
+    for tau in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            imaginary_time_oracle(h, tau, StateVector(3, amps))
+
+
+def test_chained_oracle_restarts_when_tau_goes_back():
+    rng = np.random.default_rng(11)
+    h = _random_hamiltonian(6, rng)
+    psi0 = StateVector(6, oracles.random_state(6, rng))
+    taus = [1.0, 0.5, 0.0, 0.5, 2.0, 2.0]
+    states = list(simulator.chained_oracle(h, taus, psi0))
+    assert len(states) == len(taus)
+    for tau, got in zip(taus, states):
+        _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+
+
+def test_chained_steps_agree_with_one_step():
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
+    psi0 = StateVector.uniform_plus(8)
+    taus = [0.25 * i for i in range(1, 9)]
+    for tau, got in zip(taus, simulator.chained_oracle(h, taus, psi0)):
+        one = imaginary_time_oracle(h, tau, psi0)
+        _assert_oracle_close(got, one, h)
+        _assert_oracle_close(one, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+
+
+def test_oracle_stays_in_the_parity_sector_of_its_state():
+    """psi0 odd under the parity X^6 of a ferromagnetic TFIM: the state goes
+    to the odd sector's lowest level, not to the (even) ground state.  At
+    tau 15 the rest of the odd sector has decayed by e^-45, and rounding
+    that leaks into the even sector has grown by less than e^(tau gap)."""
+    n = 6
+    terms = [(-1.0, "".join("Z" if q in (i, (i + 1) % n) else "I" for q in range(n)))
+             for i in range(n)]
+    terms += [(-0.3, "".join("X" if q == i else "I" for q in range(n))) for i in range(n)]
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
+    mat = oracles.ham_matrix(terms, n)
+    parity = oracles.word_matrix("X" * n)
+    vals, vecs = np.linalg.eigh(mat + 50.0 * (np.eye(1 << n) + parity))  # even sector up
+    odd_ground = vecs[:, 0]
+    assert vals[1] - vals[0] > 3.0
+    amps = oracles.random_state(n, np.random.default_rng(12))
+    psi0 = StateVector(n, amps - parity @ amps)
+    assert np.linalg.eigvalsh(mat)[0] < expectation(StateVector(n, odd_ground), h)
+    got = imaginary_time_oracle(h, 15.0, psi0)
+    _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, 15.0, psi0), h)
+    _assert_oracle_close(got, StateVector(n, odd_ground), h)
+
+
 def test_trotterized_oracle_converges():
     h = parse_hamiltonian(TFIM)
     psi0 = StateVector.uniform_plus(3)
