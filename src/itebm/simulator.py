@@ -1,30 +1,25 @@
-"""Dense statevector execution with mid-circuit measurement and reset.
+"""Dense statevector execution of post-selected hidden-unit circuits.
 
-Both modes rest on one trajectory.  Every measure is immediately followed
-by the postselect on its bit, so all accepted shots follow the same
-post-selected path: a `Trajectory` walks a single state forward through
-circuits, each measurement appends its branch probabilities to a record
-and projects onto the kept value, and each reset factors out a
-disentangled qubit.  A circuit is compiled once, and the trajectory binds
-the program to its own vector and buffers, so each op runs on precomputed
-views without allocating; walking one Trotter step n times compiles and
-binds it once.
+Both modes rest on one trajectory.  Every ancilla use in a circuit is a
+hidden unit: rotations X_a ⊗ V_r on a clean ancilla, whose V_r put at most
+one letter on each visible site, then its measure and postselect onto 0.
+So all accepted shots follow the same post-selected path: a `Trajectory`
+walks a single state forward through circuits, and each unit appends its
+branch probabilities to a record.  A circuit is compiled once into its
+unit program (`_units`), and the trajectory binds the program to its own
+vector and buffers, so each op runs on precomputed views without
+allocating; walking one Trotter step n times compiles and binds it once.
+A circuit that is not made of units is a ValueError naming its first gate
+outside one.
 
-When every ancilla use in a circuit is a hidden unit (rotations X_a ⊗ V_r
-on a clean ancilla, whose V_r put at most one letter on each visible site,
-then its measure and postselect onto 0), the program is the unit program
-(`_units`): marginalizing the ancilla leaves cos(Theta) on the visible
-register, Theta = sum_r (angle_r / 2) V_r, so the ancillas never enter the
-vector.  With its X sites rotated by HX and its Y sites by HY^dag, as the
-paper encodes X and Y couplings, a unit is diagonal, so consecutive units
-whose letters agree are one op, between two basis changes unless they are
-I/Z, that reads all their branch probabilities from one matrix-vector
-product.  It agrees with the gate-by-gate walk to rounding.  Any other
-circuit walks its gate program (`_compile`): each rotation with its
-permutation, phase and scalars, each measure/postselect pair as one op, and
-no-op resets of qubits just post-selected onto 0 dropped.  That walk does
-the gate-by-gate arithmetic element for element, so it gives the same bits,
-signed zeros included.
+Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
+Theta = sum_r (angle_r / 2) V_r, so the ancillas never enter the vector.
+With its X sites rotated by HX and its Y sites by HY^dag, as the paper
+encodes X and Y couplings, a unit is diagonal, so consecutive units whose
+letters agree are one op, between two basis changes unless they are I/Z,
+that reads all their branch probabilities from one matrix-vector product.
+It agrees with the gate-by-gate walk (`tests/oracles.walk_reference`) to
+rounding.
 
 Exact mode multiplies the kept-branch probabilities; sampled mode replays
 the record with per-shot Born-rule draws, discarding shots at their first
@@ -103,8 +98,10 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, values) -> "StateVector":
         amps = np.asarray(values, dtype=complex)
-        n = int(np.log2(amps.size))
-        return cls(n, amps)
+        size = amps.size
+        if not size or size & (size - 1):
+            raise ValueError(f"expected a power of two amplitudes, got {size}")
+        return cls(size.bit_length() - 1, amps)
 
     @property
     def norm(self) -> float:
@@ -162,52 +159,8 @@ def _visible(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     return psi0.normalized().amps
 
 
-def _with_ancillas(visible: np.ndarray, n_ancilla: int) -> np.ndarray:
-    """A copy of a visible-register vector with n_ancilla ancillas in |0>."""
-    if n_ancilla == 0:
-        return visible.copy()
-    anc = np.zeros(1 << n_ancilla, dtype=complex)
-    anc[0] = 1.0
-    return np.kron(visible, anc)  # ancillas occupy the least significant bits
-
-
-def _embed(circuit: Circuit, psi0: StateVector) -> np.ndarray:
-    return _with_ancillas(_visible(circuit, psi0), circuit.n_ancilla)
-
-
-def _reset_vector(vec: np.ndarray, q: int) -> None:
-    """Factor a disentangled qubit out of a single state and reinitialize it
-    to |0>, in place.
-
-    The qubit must be in a product state with the rest (verified to 1e-10);
-    the vector keeps its norm.  When the qubit held a superposition the
-    result carries the phase of its |0> component.
-    """
-    shaped = vec.reshape(1 << q, 2, -1)
-    psi0 = shaped[:, 0, :].reshape(-1)
-    psi1 = shaped[:, 1, :].reshape(-1)
-    n0 = float(np.vdot(psi0, psi0).real)
-    n1 = float(np.vdot(psi1, psi1).real)
-    total = n0 + n1
-    if total < ZERO_WEIGHT:
-        raise SimulationError("reset applied to a zero state")
-    if n1 <= 1e-20 * total:
-        base, base_norm = psi0, n0
-    elif n0 <= 1e-20 * total:
-        base, base_norm = psi1, n1
-    else:
-        coef = np.vdot(psi0, psi1) / n0
-        resid = float(np.linalg.norm(psi1 - coef * psi0))
-        if resid > 1e-10 * np.sqrt(total):
-            raise SimulationError(f"reset on entangled qubit {q} (residual {resid:.3g})")
-        base, base_norm = psi0, n0
-    shaped[:, 0, :] = (base * np.sqrt(total / base_norm)).reshape(1 << q, -1)
-    shaped[:, 1, :] = 0.0
-
-
-# Opcodes of a compiled program: (opcode, operands...) tuples, see _compile
-# and _units.
-_ROT, _MEASURE, _RESET, _1Q, _PERM, _LEAK, _FAIL, _BASIS, _DIAG = range(9)
+# Opcodes of a compiled program: (opcode, operands...) tuples, see _units.
+_ROT, _1Q, _PERM, _BASIS, _DIAG = range(5)
 
 
 def _rot_op(word: str, angle: float) -> tuple:
@@ -215,59 +168,6 @@ def _rot_op(word: str, angle: float) -> tuple:
     # complex128: numpy would cast them to it in every multiply
     return (_ROT, perm, phase, np.complex128(np.cos(0.5 * angle)),
             np.complex128(-1j * np.sin(0.5 * angle)))
-
-
-def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """Flatten a circuit into the gate program that `_bind` resolves against
-    a trajectory's vector and `_walk` runs.
-
-    A pauli_rot carries its word's permutation and phase and its two
-    rotation scalars.  A measure and the postselect consuming its bit become
-    one op.  A reset is dropped when its qubit was post-selected onto 0 and
-    no gate has touched it since: its |1> half is then exactly zero and
-    `_reset_vector` would rescale the rest by sqrt(n0 / n0) = 1.  A
-    structural error becomes an op that raises where the walk reaches it;
-    with ancillas, a final op checks that they are back in |0>.
-    """
-    n = circuit.n_qubits
-    gates = circuit.gates
-    ops: list[tuple] = []
-    clean: set[int] = set()  # post-selected onto 0, untouched since
-    i = 0
-    while i < len(gates):
-        g = gates[i]
-        if g.kind == "measure":
-            if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
-                    or gates[i + 1].cbit != g.cbit:
-                ops.append((_FAIL, "measure must be immediately followed by its postselect"))
-                return tuple(ops)
-            q, value = g.qubits[0], gates[i + 1].value
-            ops.append((_MEASURE, q, value, g.cbit))
-            if value == 0:
-                clean.add(q)
-            else:
-                clean.discard(q)
-            i += 2
-            continue
-        if g.kind == "postselect":
-            ops.append((_FAIL, "postselect without a preceding measure"))
-            return tuple(ops)
-        if g.kind == "reset":
-            if g.qubits[0] not in clean:
-                ops.append((_RESET, g.qubits[0]))
-        elif g.kind == "pauli_rot":
-            ops.append(_rot_op(g.string.word, g.angle))
-            clean.difference_update(g.string.support())
-        elif g.kind == "cx":
-            ops.append((_PERM, _cx_perm(n, g.qubits[0], g.qubits[1])))
-            clean.difference_update(g.qubits)
-        else:
-            ops.append((_1Q, g.qubits[0], _GATE_1Q[g.kind]))
-            clean.discard(g.qubits[0])
-        i += 1
-    if circuit.n_ancilla:
-        ops.append((_LEAK, 1 << circuit.n_visible))
-    return tuple(ops)
 
 
 #: Consecutive units share one run while the product of their smallest
@@ -350,9 +250,14 @@ def _basis_change(letters: str) -> tuple[list[tuple], list[tuple], float]:
             2.0 ** (-len(sites) / 2))
 
 
-def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
-    """The unit program of a circuit, on its visible register alone, or
-    None unless every ancilla use is a unit.
+def _not_a_unit(i: int, circuit: Circuit, why: str) -> ValueError:
+    return ValueError(f"gate {i} ({circuit.gates[i].kind}) is not part of a hidden unit: {why}")
+
+
+def _units(circuit: Circuit) -> tuple[tuple, ...]:
+    """The unit program of a circuit, on its visible register alone.  A
+    circuit with an ancilla use that is not a unit raises a ValueError
+    naming the first gate found outside one.
 
     A unit is a maximal run of pauli_rot X_a ⊗ V_r on a clean ancilla a
     (in |0>: never touched, or post-selected onto 0 since), whose V_r put
@@ -372,29 +277,30 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
     ops, on the visible register.
     """
     nv = circuit.n_visible
-    if not circuit.n_ancilla:
-        return None
     gates = circuit.gates
-    ops: list = []  # gate ops, and [rotations, cbit, step] per unit
-    pending: list[tuple[int, list]] = []  # (ancilla, unit) awaiting its measure
-    active = None  # the (ancilla, unit) whose rotations the last gate extended
+    ops: list = []  # gate ops, and [rotations, letters, cbit, step] per unit
+    pending: list[tuple[int, list, int]] = []  # (ancilla, unit, first gate), unmeasured
+    active = None  # the pending entry whose rotations the last gate extended
     i = 0
     while i < len(gates):
         g = gates[i]
         touched = g.string.support() if g.kind == "pauli_rot" else g.qubits
         ancillas = [q for q in touched if q >= nv]
         if g.kind == "pauli_rot" and ancillas:
-            a, word = ancillas[0], g.string.word
-            if len(ancillas) > 1 or word[a] != "X":
-                return None
-            rotation = (word[:nv], g.angle)
+            a, word = ancillas[0], g.string.word[:nv]
+            if len(ancillas) > 1 or g.string.word[a] != "X":
+                raise _not_a_unit(i, circuit, "its word is not X on one ancilla")
             if active is not None and active[0] == a:
-                active[1][0].append(rotation)
-            elif any(q == a for q, _ in pending):
-                return None
+                unit = active[1]
+                unit[1] = _letters([unit[1], word])
+                if unit[1] is None:
+                    raise _not_a_unit(i, circuit, "its word puts a second letter on a site")
+                unit[0].append((word, g.angle))
+            elif any(q == a for q, _, _ in pending):
+                raise _not_a_unit(i, circuit, "its ancilla holds a unit not yet measured")
             else:
-                active = (a, [[rotation], None, i // circuit.step_gates
-                              if circuit.step_gates else 0])
+                active = (a, [[(word, g.angle)], word, None, i // circuit.step_gates
+                              if circuit.step_gates else 0], i)
                 ops.append(active[1])
                 pending.append(active)
             i += 1
@@ -402,17 +308,25 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
         active = None
         if g.kind == "measure":
             if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
-                    or gates[i + 1].cbit != g.cbit or gates[i + 1].value != 0 \
-                    or not pending or pending[0][0] != g.qubits[0]:
-                return None
-            pending.pop(0)[1][1] = g.cbit
+                    or gates[i + 1].cbit != g.cbit:
+                raise _not_a_unit(i, circuit,
+                                  "measure must be immediately followed by its postselect")
+            if not pending or pending[0][0] != g.qubits[0]:
+                raise _not_a_unit(i, circuit, "it does not measure the oldest unit's ancilla")
+            if gates[i + 1].value != 0:
+                raise _not_a_unit(i + 1, circuit, "it post-selects onto 1")
+            pending.pop(0)[1][2] = g.cbit
             i += 2
             continue
-        if g.kind == "reset" and ancillas:
-            if any(q == ancillas[0] for q, _ in pending):
-                return None
-        elif ancillas or g.kind in ("postselect", "reset"):
-            return None
+        if g.kind == "postselect":
+            raise _not_a_unit(i, circuit, "postselect without a preceding measure")
+        if g.kind == "reset":
+            if not ancillas:
+                raise _not_a_unit(i, circuit, "reset of a visible qubit")
+            if any(q == ancillas[0] for q, _, _ in pending):
+                raise _not_a_unit(i, circuit, "reset of an entangled ancilla")
+        elif ancillas:
+            raise _not_a_unit(i, circuit, "it acts on an ancilla outside a unit")
         elif g.kind == "pauli_rot":
             ops.append(_rot_op(g.string.word[:nv], g.angle))
         elif g.kind == "cx":
@@ -421,7 +335,8 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
             ops.append((_1Q, g.qubits[0], _GATE_1Q[g.kind]))
         i += 1
     if pending:
-        return None
+        raise _not_a_unit(pending[0][2], circuit,
+                          "ancillas not returned to |0>: its unit is never measured")
     program: list = []  # gate ops, and [letters, units] per run
     run: list = []
     bound, step = 0.0, None
@@ -429,10 +344,7 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
         if isinstance(op, tuple):
             program.append(op)
             continue
-        rotations, cbit, op_step = op
-        letters = _letters([word for word, _ in rotations])
-        if letters is None:
-            return None
+        rotations, letters, cbit, op_step = op
         cos, sin2 = _unit_diagonal(rotations, nv)
         low = float(np.min(cos * cos))
         merged = _letters([run[0], letters]) if program and program[-1] is run else None
@@ -452,37 +364,18 @@ def _units(circuit: Circuit) -> tuple[tuple, ...] | None:
     return tuple(out)
 
 
-def _flat(view: np.ndarray) -> np.ndarray:
-    """A 2-D view as a 1-D view where one exists (one of its axes has
-    length 1, as when the measured qubit is the first or the last), else
-    unchanged; numpy runs the 1-D views faster."""
-    return view.reshape(-1) if 1 in view.shape else view
-
-
-def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
-          weights: np.ndarray) -> tuple[tuple, ...]:
-    """Resolve a compiled program against one vector, its |amp|^2 buffer
-    and buf, a scratch vector of its size.  Each measurement gets its kept
-    and other weight views, the vector view it divides, and the one it
-    zeroes with a zero array of its shape.  Each basis change gets one
-    matrix product (a, b, out) per block, from vec to buf and back, and
-    buf if its result ends there; a block that ends the register
-    multiplies its view by the transpose from the right, so that a block
-    at either end is one plain product.  The views stay valid while the
-    arrays live, so a trajectory binds a program once and walks it any
-    number of times."""
-    zeros = np.zeros(vec.size // 2, dtype=vec.dtype)
+def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray) -> tuple[tuple, ...]:
+    """Resolve a unit program against one vector and buf, a scratch vector
+    of its size.  Each basis change gets one matrix product (a, b, out) per
+    block, from vec to buf and back, and buf if its result ends there; a
+    block that ends the register multiplies its view by the transpose from
+    the right, so that a block at either end is one plain product.  The
+    views stay valid while the arrays live, so a trajectory binds a program
+    once and walks it any number of times."""
     n = vec.size.bit_length() - 1
     bound: list[tuple] = []
     for op in program:
-        kind = op[0]
-        if kind == _MEASURE:
-            _, q, value, cbit = op
-            w, v = weights.reshape(1 << q, 2, -1), vec.reshape(1 << q, 2, -1)
-            dropped = _flat(v[:, 1 - value, :])
-            op = (kind, _flat(w[:, value, :]), None if value else _flat(w[:, 1, :]),
-                  _flat(v[:, value, :]), dropped, zeros.reshape(dropped.shape), value, cbit)
-        elif kind == _BASIS:
+        if op[0] == _BASIS:
             products, src, dst = [], vec, buf
             for lo, hi, mat in op[1]:
                 if hi == n:
@@ -492,46 +385,37 @@ def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
                     shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
                     products.append((mat, src.reshape(shape), dst.reshape(shape)))
                 src, dst = dst, src
-            op = (kind, tuple(products), None if src is vec else src)
+            op = (_BASIS, tuple(products), None if src is vec else src)
         bound.append(op)
     return tuple(bound)
 
 
 def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
           weights: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
-    """Walk a vector in place through a program bound to it and to its
-    |amp|^2 buffer (`_bind`), with buf, of the vector's size, as scratch.
+    """Walk a vector in place through a unit program bound to it (`_bind`),
+    with buf, of the vector's size, as scratch and weights as its |amp|^2
+    buffer.
 
-    A measurement appends (cbit + cbit_offset, kept value, p1 = P(read 1),
-    p_kept) to record, then projects onto the kept value and renormalizes;
-    a run of units appends one entry per unit and applies each cos(Theta),
-    and 1 / sqrt(p_kept) of the run, between the basis changes around it;
-    resets factor the qubit out.  Returns False, without projecting, at a
+    A run of units appends (cbit + cbit_offset, 0, p1 = P(read 1), p_kept)
+    to record per unit and applies each cos(Theta), and 1 / sqrt(p_kept)
+    of the run, between the basis changes around it.  Returns False at a
     kept branch below BRANCH_FLOOR.  A stop inside a run leaves the vector
     in the run's basis, which no caller reads: the walk stops for good, and
     a stopped `Trajectory` raises before it would read the state.
 
-    On a gate program every element gets the bits of the gate-by-gate walk
-    (`tests/oracles.walk_reference`), signed zeros included.  So a rotation
-    multiplies by its phase, then by its scalars, as that walk does:
-    folding the phase into -i sin(angle/2), or scaling the real view by
-    cos, changes the sign of some zeros.  A measurement divides the kept
-    half by sqrt(p_kept), a complex division like that walk's (a real-view
-    multiply by 1/sqrt(p_kept) differs on zeros too), and the zeroed half
-    stays +0.
-
-    A unit program agrees with that walk to rounding.  A unit records its
-    kept and read-1 weights each over their sum, which is the weight that
-    entered it (cos^2 + sin^2 = 1), and scales the state back to weight 1.
-    Its factors are rounded once, at compile time, so their error repeats
-    at every step: over the sum it cancels, in the kept weight alone it
-    would add up over thousands of units.  A basis change sums through
-    BLAS, whose kernel the host selects, so its last bits may differ
-    between hosts.
+    A unit records its kept and read-1 weights each over their sum, which
+    is the weight that entered it (cos^2 + sin^2 = 1), and scales the state
+    back to weight 1.  Its factors are rounded once, at compile time, so
+    their error repeats at every step: over the sum it cancels, in the kept
+    weight alone it would add up over thousands of units.  A basis change
+    sums through BLAS, whose kernel the host selects, so its last bits may
+    differ between hosts.
     """
     for op in program:
         kind = op[0]
         if kind == _ROT:
+            # phase, then scalars, as the reference walk multiplies: a
+            # visible rotation keeps its bits, signed zeros included
             _, perm, phase, cos, minus_isin = op
             vec.take(perm, out=buf)
             buf *= phase
@@ -556,39 +440,11 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
                 np.matmul(a, b, out=out)
             if op[2] is not None:
                 vec[:] = op[2]
-        elif kind == _MEASURE:
-            _, kept, other, kept_amps, dropped, zeros, value, cbit = op
-            # Weigh the kept branch directly: 1 - p(other) would fold the
-            # state's accumulated norm error into p, and dividing by a tiny
-            # p amplifies that error multiplicatively across units.  Each
-            # branch is summed as a 1-D array (a view when q is the first
-            # or last qubit, else a copy), which adds up exactly as a
-            # separate |branch|^2 array does; the 2-D slice itself does
-            # not, from 2^16 amplitudes on.
-            np.absolute(vec, weights)
-            np.square(weights, weights)
-            p = float(np.add.reduce(kept if kept.ndim == 1 else kept.reshape(-1)))
-            p1 = p if other is None else \
-                float(np.add.reduce(other if other.ndim == 1 else other.reshape(-1)))
-            record.append((cbit + cbit_offset, value, p1, p))
-            if p < BRANCH_FLOOR:
-                return False
-            dropped[...] = zeros
-            kept_amps /= math.sqrt(p)
-        elif kind == _RESET:
-            _reset_vector(vec, op[1])
         elif kind == _1Q:
             _apply_1q(vec, op[1], op[2])
-        elif kind == _PERM:
+        else:  # _PERM
             vec.take(op[1], out=buf)
             vec[:] = buf
-        elif kind == _LEAK:
-            visible = vec.reshape(op[1], -1)[:, 0]
-            leak = 1.0 - float(np.vdot(visible, visible).real)
-            if leak > 1e-9:
-                raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
-        else:
-            raise SimulationError(op[1])
     return True
 
 
@@ -663,18 +519,17 @@ class ShotRun:
 class Trajectory:
     """One post-selected state, walked forward in place through circuits.
 
-    record holds (cbit, kept value, p1, p_kept) per measurement in walk
-    order, with cbits numbered on across the circuits walked, and
+    record holds (cbit, kept value, p1, p_kept) per unit in walk order,
+    with cbits numbered on across the circuits walked, and
     cumulative_success the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
     good (`stopped`); it is the last record entry.  The vector is not read
     after a stop, which can leave it in a run's basis: `final_state`
     raises, and so does `sample` before any shot past the stop would read
-    it.  The circuit last walked
-    keeps its program, compiled and bound to this trajectory's vector and
-    buffers, so walking one step n times compiles and binds it once.  The
-    vector holds the ancillas only while a circuit walks its gate program:
-    a unit program (`_units`) runs on the visible register alone.
+    it.  The vector holds the visible register alone.  The circuit last
+    walked keeps its unit program (`_units`), compiled and bound to this
+    trajectory's vector and buffers, so walking one step n times compiles
+    and binds it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
@@ -684,28 +539,13 @@ class Trajectory:
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
-        self._buf = self._weights = np.empty(0)
+        self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
         self._bound: tuple[Circuit | None, tuple] = (None, ())
-
-    def _rebind(self, circuit: Circuit) -> None:
-        """Compile circuit, and bind its program to the vector.  Between
-        circuits every ancilla is in |0>, so the vector gains or drops the
-        ancillas here."""
-        program = _units(circuit)
-        width = circuit.n_visible
-        if program is None:
-            program, width = _compile(circuit), circuit.n_qubits
-        if self.vec.size != 1 << width:
-            visible = self.vec.reshape(1 << self.n_visible, -1)[:, 0]
-            self.vec = _with_ancillas(visible, width - self.n_visible)
-        if self._buf.size != self.vec.size:
-            self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
-        self._bound = (circuit, _bind(program, self.vec, self._buf, self._weights))
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
             if self._bound[0] is not circuit:
-                self._rebind(circuit)
+                self._bound = (circuit, _bind(_units(circuit), self.vec, self._buf))
             start = len(self.record)
             self.stopped = not _walk(self._bound[1], self.vec, self._buf, self._weights,
                                      self.record, self.n_cbits)
@@ -717,8 +557,7 @@ class Trajectory:
         """The renormalized visible-register state."""
         if self.stopped:
             raise _zero_weight(self.record[-1])
-        visible = self.vec.reshape(1 << self.n_visible, -1)[:, 0]
-        return StateVector(self.n_visible, visible).normalized()
+        return StateVector(self.n_visible, self.vec).normalized()
 
     def sample(self, n_shots: int, seed: int, terminal_basis: str | None = None) -> ShotRun:
         """Replay n_shots against the record, drawing one variate per
@@ -727,7 +566,6 @@ class Trajectory:
         Z/X/Y per visible qubit; bit b means eigenvalue (-1)^b).
         """
         nv = self.n_visible
-        n = self.vec.size.bit_length() - 1
         basis = terminal_basis or "Z" * nv
         if len(basis) != nv or set(basis) - set("ZXY"):
             raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
@@ -753,8 +591,8 @@ class Trajectory:
             cums = np.cumsum(np.abs(vec) ** 2)
             cums /= cums[-1]
             # searchsorted counts the cumulative weights below each draw
-            indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << n) - 1)
-            shifts = np.arange(n - 1, n - 1 - nv, -1)
+            indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << nv) - 1)
+            shifts = np.arange(nv - 1, -1, -1)
             terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
         return ShotRun(basis, record, self.n_cbits, rejected_at, terminal)
 

@@ -379,20 +379,61 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
         yield row, note
 
 
-def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
-    """The gate-by-gate walk that the compiled `simulator._walk` replaced,
-    kept verbatim as its bit-level reference: it dispatches every gate,
-    looks up each rotation's word action, and runs every reset.
+def with_ancillas(circuit, psi0) -> np.ndarray:
+    """psi0, normalized, with the circuit's ancillas in |0> after it: the
+    vector that `walk_reference` walks.  The ancillas are the low bits; the
+    amplitudes are copied, not multiplied, so that they keep their bits."""
+    amps = psi0.normalized().amps
+    vec = np.zeros(amps.size << circuit.n_ancilla, dtype=complex)
+    vec[::1 << circuit.n_ancilla] = amps
+    return vec
 
-    Walks vec in place; appends (cbit + cbit_offset, kept value, p1,
-    p_kept) per measure/postselect pair to record; returns False at a kept
-    branch below BRANCH_FLOOR.  Uses the package's one-qubit, CX and reset
-    kernels, which the compiled walk shares.
+
+def _reset_vector(vec: np.ndarray, q: int) -> None:
+    """Factor a disentangled qubit out of a single state and reinitialize it
+    to |0>, in place.
+
+    The qubit must be in a product state with the rest (verified to 1e-10);
+    the vector keeps its norm.  When the qubit held a superposition the
+    result carries the phase of its |0> component.
+    """
+    from itebm.simulator import ZERO_WEIGHT, SimulationError
+
+    shaped = vec.reshape(1 << q, 2, -1)
+    psi0 = shaped[:, 0, :].reshape(-1)
+    psi1 = shaped[:, 1, :].reshape(-1)
+    n0 = float(np.vdot(psi0, psi0).real)
+    n1 = float(np.vdot(psi1, psi1).real)
+    total = n0 + n1
+    if total < ZERO_WEIGHT:
+        raise SimulationError("reset applied to a zero state")
+    if n1 <= 1e-20 * total:
+        base, base_norm = psi0, n0
+    elif n0 <= 1e-20 * total:
+        base, base_norm = psi1, n1
+    else:
+        coef = np.vdot(psi0, psi1) / n0
+        resid = float(np.linalg.norm(psi1 - coef * psi0))
+        if resid > 1e-10 * np.sqrt(total):
+            raise SimulationError(f"reset on entangled qubit {q} (residual {resid:.3g})")
+        base, base_norm = psi0, n0
+    shaped[:, 0, :] = (base * np.sqrt(total / base_norm)).reshape(1 << q, -1)
+    shaped[:, 1, :] = 0.0
+
+
+def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+    """The gate-by-gate walk of a circuit, ancillas included: the gate-level
+    reference that the unit program (`simulator._units`) agrees with to
+    rounding.  It dispatches every gate, looks up each rotation's word
+    action, and runs every reset.
+
+    Walks vec (see `with_ancillas`) in place; appends (cbit + cbit_offset,
+    kept value, p1, p_kept) per measure/postselect pair to record; returns
+    False at a kept branch below BRANCH_FLOOR.  Uses the package's one-qubit
+    and CX kernels, which the unit program's visible gates share.
     """
     from itebm.pauli import word_action
-    from itebm.simulator import (
-        _GATE_1Q, BRANCH_FLOOR, SimulationError, _apply_1q, _cx_perm, _reset_vector,
-    )
+    from itebm.simulator import _GATE_1Q, BRANCH_FLOOR, SimulationError, _apply_1q, _cx_perm
 
     n = circuit.n_qubits
     gates = circuit.gates

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,8 +44,9 @@ def test_statevector_constructors():
     assert np.allclose(p.amps, [0.5] * 4)
     with pytest.raises(ValueError):
         StateVector.from_bitstring("1x")
-    with pytest.raises(ValueError):
-        StateVector.from_amplitudes([1, 0, 0])  # not a power of two
+    for values in ([1, 0, 0], []):  # not a power of two
+        with pytest.raises(ValueError, match=f"power of two amplitudes, got {len(values)}$"):
+            StateVector.from_amplitudes(values)
 
 
 def test_statevector_algebra():
@@ -131,43 +131,65 @@ def test_run_exact_probability_bookkeeping():
 
 def test_run_exact_requires_paired_postselect():
     bad = Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),), n_cbits=1)
-    with pytest.raises(SimulationError, match="immediately followed"):
+    with pytest.raises(ValueError, match=r"^gate 0 \(measure\) .*immediately followed"):
         run_exact(bad, StateVector.zeros(1))
     orphan = Circuit(1, 0, gates=(Gate("postselect", cbit=0, value=0),), n_cbits=1)
-    with pytest.raises(SimulationError, match="without a preceding"):
+    with pytest.raises(ValueError, match=r"^gate 0 \(postselect\) .*without a preceding"):
         run_exact(orphan, StateVector.zeros(1))
 
 
 def test_run_exact_zero_weight_branch():
+    """A unit at angle pi keeps its branch with weight cos(pi / 2)^2, about
+    4e-33: below BRANCH_FLOOR, so the walk stops before the second unit."""
     circuit = Circuit(
         n_visible=1, n_ancilla=1,
         gates=(
+            Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
             Gate("measure", (1,), cbit=0),
-            Gate("postselect", cbit=0, value=1),  # ancilla starts in |0>
+            Gate("postselect", cbit=0, value=0),
+            Gate("reset", (1,)),
+            Gate("pauli_rot", angle=0.5, string=PauliString("ZX")),
+            Gate("measure", (1,), cbit=1),
+            Gate("postselect", cbit=1, value=0),
         ),
-        n_cbits=1,
+        n_cbits=2,
     )
-    with pytest.raises(SimulationError, match="zero-weight trajectory"):
+    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 0 "):
         run_exact(circuit, StateVector.zeros(1))
 
 
 def test_run_exact_flags_ancilla_leak():
+    """A gate outside a unit would leave its ancilla out of |0>: it is
+    refused before the walk, naming the gate."""
     circuit = Circuit(1, 1, gates=(Gate("hx", (1,)),))
-    with pytest.raises(SimulationError, match="ancillas not returned"):
+    with pytest.raises(ValueError, match=r"^gate 0 \(hx\) .*acts on an ancilla outside a unit"):
         run_exact(circuit, StateVector.zeros(1))
 
 
 def test_reset_factors_out_product_qubit():
-    circuit = Circuit(2, 0, gates=(Gate("hx", (1,)), Gate("reset", (1,))))
+    """A reset of an ancilla in |0>, never touched or post-selected onto 0
+    since, leaves the visible state as it is."""
+    circuit = Circuit(2, 1, gates=(
+        Gate("hx", (1,)), Gate("reset", (2,)),
+        Gate("pauli_rot", angle=0.8, string=PauliString("IIX")),
+        Gate("measure", (2,), cbit=0), Gate("postselect", cbit=0, value=0),
+        Gate("reset", (2,)), Gate("reset", (2,))), n_cbits=1)
     res = run_exact(circuit, StateVector.zeros(2))
-    assert np.allclose(res.final_state.amps, [1, 0, 0, 0], atol=1e-12)
+    assert np.allclose(res.final_state.amps, [1 / math.sqrt(2)] * 2 + [0, 0], atol=1e-12)
+    assert res.cumulative_success == pytest.approx(math.cos(0.4) ** 2, rel=1e-12)
 
 
 def test_reset_rejects_entangled_qubit():
+    """A reset of an ancilla that a unit entangled, before its measure, and
+    any reset of a visible qubit, are refused."""
+    unit = Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),
+                                Gate("reset", (1,))))
+    with pytest.raises(ValueError, match=r"^gate 1 \(reset\) .*reset of an entangled ancilla$"):
+        run_exact(unit, StateVector.zeros(1))
     bell = StateVector.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-    circuit = Circuit(2, 0, gates=(Gate("reset", (1,)),))
-    with pytest.raises(SimulationError, match="entangled"):
-        run_exact(circuit, bell)
+    visible = Circuit(2, 0, gates=(Gate("reset", (1,)),))
+    with pytest.raises(ValueError, match=r"^gate 0 \(reset\) .*reset of a visible qubit$"):
+        run_exact(visible, bell)
 
 
 def test_encoded_circuit_round_trip():
@@ -287,26 +309,10 @@ def test_run_shots_matches_batched_reference_routes(route, policy):
     assert 0 < run.n_accepted < run.n_shots
 
 
-def test_run_shots_matches_batched_reference_postselect_one():
-    circuit = Circuit(
-        n_visible=2, n_ancilla=0,
-        gates=(
-            Gate("pauli_rot", angle=1.1, string=PauliString("XI")),
-            Gate("pauli_rot", angle=0.7, string=PauliString("YY")),
-            Gate("measure", (0,), cbit=0),
-            Gate("postselect", cbit=0, value=1),
-            Gate("pauli_rot", angle=0.4, string=PauliString("ZX")),
-        ),
-        n_cbits=1,
-    )
-    run = _assert_same_bits(circuit, StateVector.zeros(2), 500, 3)
-    assert 0 < run.n_accepted < run.n_shots
-    assert np.all(run.terminal[run.accepted, 0] == 1)
-
-
 def test_run_shots_matches_batched_reference_all_rejected():
-    """A certain |1> fails the first check.  The kept branch is below
-    BRANCH_FLOOR, so the walk must stop there, as exact mode cannot."""
+    """A unit at angle pi reads 1 with probability 1: every shot fails the
+    first check.  The kept branch is below BRANCH_FLOOR, so the walk must
+    stop there, as exact mode cannot, and no shot reaches the second unit."""
     circuit = Circuit(
         n_visible=1, n_ancilla=1,
         gates=(
@@ -314,7 +320,7 @@ def test_run_shots_matches_batched_reference_all_rejected():
             Gate("measure", (1,), cbit=0),
             Gate("postselect", cbit=0, value=0),
             Gate("reset", (1,)),
-            Gate("hx", (1,)),
+            Gate("pauli_rot", angle=0.5, string=PauliString("ZX")),
             Gate("measure", (1,), cbit=1),
             Gate("postselect", cbit=1, value=0),
         ),
@@ -361,10 +367,14 @@ def test_trajectory_advanced_by_steps_equals_whole_circuit():
 # --- measure/reset semantics shared by both modes ------------------------
 
 
-def _message(fn, *args):
-    with pytest.raises(SimulationError) as info:
+def _message(error, fn, *args):
+    with pytest.raises(error) as info:
         fn(*args)
     return str(info.value)
+
+
+def _advance(circuit, psi0):
+    Trajectory(circuit, psi0).advance(circuit)
 
 
 STRUCTURE_ERRORS = [
@@ -375,24 +385,25 @@ STRUCTURE_ERRORS = [
      StateVector.zeros(1), "immediately followed"),
     (Circuit(1, 0, gates=(Gate("postselect", cbit=0, value=0),), n_cbits=1),
      StateVector.zeros(1), "without a preceding"),
-    (Circuit(2, 0, gates=(Gate("reset", (1,)),)),
-     StateVector.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)]),
-     "entangled"),
-    (Circuit(1, 1, gates=(Gate("hx", (1,)),)),
+    (Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),
+                          Gate("reset", (1,)))),
+     StateVector.from_amplitudes([0.6, 0.8j]), "entangled"),
+    (Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),)),
      StateVector.zeros(1), "ancillas not returned"),
 ]
 
 
 @pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
 def test_run_shots_raises_like_run_exact(circuit, psi0, match):
-    exact = _message(run_exact, circuit, psi0)
+    exact = _message(ValueError, run_exact, circuit, psi0)
     assert match in exact
-    assert _message(run_shots, circuit, psi0, 20, 0) == exact
+    assert _message(ValueError, run_shots, circuit, psi0, 20, 0) == exact
+    assert _message(ValueError, _advance, circuit, psi0) == exact
 
 
 def test_structure_error_raises_after_every_shot_is_rejected():
-    """The walk does not depend on the draws, so a leak after the point
-    where the last shot died still raises in shots mode."""
+    """The circuit is checked before the walk, so a gate outside a unit
+    after the point where the last shot died still raises in shots mode."""
     circuit = Circuit(1, 1, gates=(
         Gate("pauli_rot", angle=math.pi - 2e-3, string=PauliString("IX")),
         Gate("measure", (1,), cbit=0),
@@ -401,78 +412,56 @@ def test_structure_error_raises_after_every_shot_is_rejected():
     ), n_cbits=1)
     accepted, _, _ = oracles.batched_shots_reference(circuit, StateVector.zeros(1), 20, 0)
     assert not accepted.any()
-    exact = _message(run_exact, circuit, StateVector.zeros(1))
-    assert "ancillas not returned" in exact
-    assert _message(run_shots, circuit, StateVector.zeros(1), 20, 0) == exact
+    exact = _message(ValueError, run_exact, circuit, StateVector.zeros(1))
+    assert exact.startswith("gate 3 (hx) is not part of a hidden unit")
+    assert _message(ValueError, run_shots, circuit, StateVector.zeros(1), 20, 0) == exact
 
 
 def test_reset_of_product_qubit_same_in_both_modes():
+    """Resets of a clean ancilla around a unit, between visible gates: the
+    replayed shots' acceptance and terminal bits follow the exact walk."""
     a = 0.7
     psi0 = StateVector.from_amplitudes([math.cos(a), 0, 1j * math.sin(a), 0])
-    circuit = Circuit(2, 0, gates=(
+    circuit = Circuit(2, 1, gates=(
         Gate("hx", (1,)),
-        Gate("pauli_rot", angle=0.5, string=PauliString("IZ")),
-        Gate("reset", (1,)),
-        Gate("pauli_rot", angle=0.9, string=PauliString("XI")),
-    ))
-    exact = run_exact(circuit, psi0).final_state.amps
+        Gate("reset", (2,)),
+        Gate("pauli_rot", angle=0.5, string=PauliString("IZI")),
+        Gate("pauli_rot", angle=1.3, string=PauliString("ZIX")),
+        Gate("measure", (2,), cbit=0),
+        Gate("postselect", cbit=0, value=0),
+        Gate("reset", (2,)),
+        Gate("pauli_rot", angle=0.9, string=PauliString("XII")),
+    ), n_cbits=1)
+    res = run_exact(circuit, psi0)
     n = 20000
     run = run_shots(circuit, psi0, n, seed=12)
-    assert run.n_accepted == n
-    index = 2 * run.terminal[:, 0] + run.terminal[:, 1]
-    freq = np.bincount(index, minlength=4) / n
-    want = np.abs(exact) ** 2
-    assert want[1] == pytest.approx(0.0, abs=1e-24)
-    assert want[3] == pytest.approx(0.0, abs=1e-24)
-    sigma = np.sqrt(want * (1 - want) / n)
+    p = res.cumulative_success
+    assert abs(run.acceptance_rate - p) < 4 * math.sqrt(p * (1 - p) / n)
+    kept = run.terminal[run.accepted]
+    freq = np.bincount(2 * kept[:, 0] + kept[:, 1], minlength=4) / kept.shape[0]
+    want = np.abs(res.final_state.amps) ** 2
+    sigma = np.sqrt(want * (1 - want) / kept.shape[0])
     assert np.all(np.abs(freq - want) <= 4 * sigma + 1e-12)
 
 
-# --- compiled walk against the gate-by-gate reference --------------------
+# --- the unit program against the gate-by-gate reference -----------------
+#
+# The unit program agrees with `oracles.walk_reference` to rounding; the
+# tolerances are those of tests/test_units.py.
 
 CHAIN = "".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8))
 Y_WORDS = MIXED + "-0.6 IZZI\n0.8 XIII\n"
+STATE_TOL = 1e-12
+REL_TOL = 1e-12
+P1_ABS_TOL = 1e-15
 
 
-class _GateWalk:
-    """A vector walked through the bound gate program of `simulator._compile`,
-    as a trajectory walks a circuit that is not made of units."""
-
-    def __init__(self, circuit, psi0):
-        self.vec = simulator._embed(circuit, psi0)
-        self.buf, self.weights = np.empty_like(self.vec), np.empty(self.vec.size)
-        self.record, self.offset, self.stopped, self.circuit = [], 0, False, None
-
-    def advance(self, circuit):
-        if circuit is not self.circuit:
-            self.circuit = circuit
-            self.program = simulator._bind(simulator._compile(circuit), self.vec, self.buf,
-                                          self.weights)
-        if not self.stopped:
-            self.stopped = not simulator._walk(self.program, self.vec, self.buf, self.weights,
-                                               self.record, self.offset)
-        self.offset += circuit.n_cbits
-
-
-def _assert_walks_equal(circuit, psi0, steps=1):
-    """Walk circuit `steps` times through its compiled gate program and with
-    oracles.walk_reference: the same bits (signed zeros included), record
-    and stop."""
-    walk = _GateWalk(circuit, psi0)
-    vec, record, offset, walking = simulator._embed(circuit, psi0), [], 0, True
-    for _ in range(steps):
-        walk.advance(circuit)
-        if walking:
-            walking = oracles.walk_reference(circuit, vec, record, offset)
-        offset += circuit.n_cbits
-    assert np.array_equal(walk.vec.view(np.uint64), vec.view(np.uint64))
-    assert walk.record == record
-    assert walk.stopped is not walking
-    return walk
-
-
-def _resets_kept(circuit):
-    return sum(op[0] == simulator._RESET for op in simulator._compile(circuit))
+def _assert_records_close(got, want):
+    assert len(got) == len(want)
+    for (cbit, value, p1, p), (want_cbit, want_value, want_p1, want_p) in zip(got, want):
+        assert (cbit, value) == (want_cbit, want_value)
+        assert abs(p - want_p) <= REL_TOL * want_p
+        assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
 
 def _step(text, dtau, route="rbm", policy="single", order=2):
@@ -481,20 +470,39 @@ def _step(text, dtau, route="rbm", policy="single", order=2):
     return trotter_step(h, dtau, order, route=route, policy=pol).to_circuit(h.n_qubits, pol.n)
 
 
+def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", policy="single", order=2):
+    """run_exact of the whole compiled circuit of n_steps Trotter steps
+    agrees with the reference walk of that circuit, and gives the bits of
+    a trajectory advanced through one step n_steps times: the runs of
+    units stay within a step."""
+    h = parse_hamiltonian(text)
+    pol = AncillaPolicy.parse(policy)
+    circuit = build_qite_circuit(h, n_steps * dtau, dtau, order, route=route, policy=pol)
+    exact = run_exact(circuit, psi0)
+    vec, record = oracles.with_ancillas(circuit, psi0), []
+    assert oracles.walk_reference(circuit, vec, record)
+    want = StateVector(h.n_qubits, vec.reshape(1 << h.n_qubits, -1)[:, 0]).normalized()
+    assert np.max(np.abs(exact.final_state.amps - want.amps)) <= STATE_TOL
+    p = math.prod(entry[3] for entry in record)
+    assert abs(exact.cumulative_success - p) <= REL_TOL * p
+    step = _step(text, dtau, route, policy, order)
+    traj = Trajectory(step, psi0)
+    for _ in range(n_steps):
+        traj.advance(step)
+    _assert_records_close(traj.record, record)
+    assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
+    assert traj.cumulative_success == exact.cumulative_success
+
+
 def test_compiled_walk_equals_reference_on_chain_step():
-    """The exact-mode chain: 200 steps of 88 post-selected units, every
-    reset dropped, bits and record as the gate-by-gate walk gives them."""
-    step = _step(CHAIN, 0.01)
-    resets = sum(g.kind == "reset" for g in step.gates)
-    assert resets == 88 and _resets_kept(step) == 0
-    traj = _assert_walks_equal(step, StateVector.uniform_plus(8), 200)
-    assert len(traj.record) == 200 * 88
+    """The exact-mode chain: 20 steps of 88 units."""
+    _assert_walks_equal(CHAIN, 20, 0.01, StateVector.uniform_plus(8))
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
 @pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
 def test_compiled_walk_equals_reference_on_ising_step(route, policy):
-    _assert_walks_equal(_step(TFIM, 0.01, route, policy), StateVector.uniform_plus(3), 100)
+    _assert_walks_equal(TFIM, 100, 0.01, StateVector.uniform_plus(3), route, policy)
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
@@ -502,11 +510,11 @@ def test_compiled_walk_equals_reference_on_ising_step(route, policy):
 def test_compiled_walk_equals_reference_on_y_words(route, policy, order):
     """hx/hy/hydag/cx kernels (cx route) and pooled ancillas whose measures
     and resets interleave."""
-    step = _step(Y_WORDS, 0.1, route, policy, order)
     if route == "cx":
+        step = _step(Y_WORDS, 0.1, route, policy, order)
         assert {"hy", "hydag", "cx"} <= {g.kind for g in step.gates}
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
-    _assert_walks_equal(step, psi0, 10)
+    _assert_walks_equal(Y_WORDS, 10, 0.1, psi0, route, policy, order)
 
 
 def _unit(*after):
@@ -515,28 +523,19 @@ def _unit(*after):
             Gate("measure", (1,), cbit=0)) + after
 
 
-def test_reset_after_postselect_on_one_is_kept():
-    circuit = Circuit(1, 1, gates=_unit(
-        Gate("postselect", cbit=0, value=1),
-        Gate("reset", (1,)),
-        Gate("pauli_rot", angle=0.4, string=PauliString("YI")),
-    ), n_cbits=1)
-    assert _resets_kept(circuit) == 1
-    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
-    traj = _assert_walks_equal(circuit, psi0, 3)
-    assert [entry[1] for entry in traj.record] == [1, 1, 1]
-
-
-@pytest.mark.parametrize("touch", [
-    Gate("hx", (1,)),
-    Gate("pauli_rot", angle=0.3, string=PauliString("IZ")),
-    Gate("cx", (1, 0)),
-])
-def test_reset_after_a_gate_on_the_postselected_qubit_is_kept(touch):
-    circuit = Circuit(1, 1, gates=_unit(
-        Gate("postselect", cbit=0, value=0), touch, Gate("reset", (1,))), n_cbits=1)
-    assert _resets_kept(circuit) == 1
-    _assert_walks_equal(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
+def _assert_walk_close(circuit, psi0, steps):
+    """Advance a trajectory through circuit `steps` times and walk the
+    reference alongside: the same record, to the tolerances, and state."""
+    traj = Trajectory(circuit, psi0)
+    vec, record, offset = oracles.with_ancillas(circuit, psi0), [], 0
+    for _ in range(steps):
+        traj.advance(circuit)
+        assert oracles.walk_reference(circuit, vec, record, offset)
+        offset += circuit.n_cbits
+    _assert_records_close(traj.record, record)
+    want = StateVector(circuit.n_visible,
+                       vec.reshape(1 << circuit.n_visible, -1)[:, 0]).normalized()
+    assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
 
 
 def test_reset_of_untouched_postselected_qubit_is_dropped():
@@ -546,8 +545,9 @@ def test_reset_of_untouched_postselected_qubit_is_dropped():
         Gate("reset", (1,)),
         Gate("reset", (1,)),
     ), n_cbits=1)
-    assert _resets_kept(circuit) == 0
-    _assert_walks_equal(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
+    kinds = [op[0] for op in simulator._units(circuit)]
+    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS, simulator._ROT]
+    _assert_walk_close(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
 
 
 def test_entangled_reset_raises_like_reference():
@@ -557,63 +557,72 @@ def test_entangled_reset_raises_like_reference():
         Gate("reset", (1,)),
     ), n_cbits=1)
     psi0 = StateVector.from_amplitudes([0.6, 0.8j])
-    want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
+    want = _message(SimulationError, oracles.walk_reference, circuit,
+                    oracles.with_ancillas(circuit, psi0), [])
     assert "entangled" in want
-    assert _message(_GateWalk(circuit, psi0).advance, circuit) == want
+    assert _message(ValueError, _advance, circuit, psi0) == \
+        "gate 4 (reset) is not part of a hidden unit: reset of an entangled ancilla"
 
 
 @pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
 def test_structure_errors_raise_like_reference(circuit, psi0, match):
-    want = _message(oracles.walk_reference, circuit, simulator._embed(circuit, psi0), [])
+    """Each circuit that is not made of units is an error of the reference
+    walk too, for the same reason."""
+    want = _message(SimulationError, oracles.walk_reference, circuit,
+                    oracles.with_ancillas(circuit, psi0), [])
     assert match in want
-    assert _message(_GateWalk(circuit, psi0).advance, circuit) == want
+    assert match in _message(ValueError, _advance, circuit, psi0)
 
 
 def test_walk_stops_below_branch_floor_like_reference():
     """A certain |1> fails the post-selection onto 0: the walk stops there,
-    so the malformed gate after it raises in neither walk."""
-    circuit = Circuit(1, 1, gates=(
+    as the reference does, and never reaches the unit after it.  With a
+    malformed gate after that point, the circuit raises before any walk."""
+    gates = (
         Gate("pauli_rot", angle=0.5, string=PauliString("XI")),
         Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
         Gate("measure", (1,), cbit=0),
         Gate("postselect", cbit=0, value=0),
         Gate("reset", (1,)),
-        Gate("postselect", cbit=0, value=0),
-    ), n_cbits=1)
-    walk = _assert_walks_equal(circuit, StateVector.zeros(1), 2)
-    assert walk.stopped and len(walk.record) == 1
-    assert walk.record[0][3] < simulator.BRANCH_FLOOR
+    )
+    circuit = Circuit(1, 1, gates=gates + (
+        Gate("pauli_rot", angle=0.3, string=PauliString("ZX")),
+        Gate("measure", (1,), cbit=1),
+        Gate("postselect", cbit=1, value=0),
+    ), n_cbits=2)
     traj = Trajectory(circuit, StateVector.zeros(1))
-    traj.advance(circuit)
-    assert traj.record == walk.record
+    for _ in range(2):
+        traj.advance(circuit)
+    vec, record = oracles.with_ancillas(circuit, StateVector.zeros(1)), []
+    assert not oracles.walk_reference(circuit, vec, record)
+    assert traj.stopped and len(traj.record) == 1
+    _assert_records_close(traj.record, record)
+    assert traj.record[0][3] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
+    malformed = Circuit(1, 1, gates=gates + (Gate("postselect", cbit=0, value=0),), n_cbits=1)
+    assert _message(ValueError, _advance, malformed, StateVector.zeros(1)) == \
+        "gate 5 (postselect) is not part of a hidden unit: postselect without a preceding measure"
 
 
 def test_branch_weights_add_up_like_reference():
-    """One |amplitude|^2 array per measurement, summed per branch, gives
-    the reference's p and p1 to the bit on random states of up to 17
-    qubits, at every measured qubit."""
+    """One unit with a random X, Y or Z on each qubit q of random states of
+    up to 12 qubits, so that the basis change's blocks start, end and sit
+    inside the register: p and p1 agree with the reference's."""
     rng = np.random.default_rng(21)
     checked = 0
-    for n in range(1, 18):
+    for n in range(1, 13):
         for q in range(n):
-            for _ in range(13 if n <= 12 else 2):
+            for _ in range(3):
                 psi0 = StateVector(n, oracles.random_state(n, rng))
-                for value in (0, 1):
-                    circuit = Circuit(n, 0, gates=(
-                        Gate("measure", (q,), cbit=0),
-                        Gate("postselect", cbit=0, value=value)), n_cbits=1)
-                    _assert_walks_equal(circuit, psi0)
-                    checked += 1
-    assert checked >= 2000
-
-
-def test_chain_step_compiles_to_rotation_and_measure_ops():
-    """The gate program of the chain step: its 192 rotations, its 88
-    measure/postselect pairs, no reset, and the ancilla leak check."""
-    kinds = Counter(op[0] for op in simulator._compile(_step(CHAIN, 0.01)))
-    assert kinds == {simulator._ROT: 192, simulator._MEASURE: 88, simulator._LEAK: 1}
+                word = "I" * q + str(rng.choice(list("XYZ"))) + "I" * (n - q - 1) + "X"
+                circuit = Circuit(n, 1, gates=(
+                    Gate("pauli_rot", angle=float(rng.uniform(-3, 3)), string=PauliString(word)),
+                    Gate("measure", (n,), cbit=0),
+                    Gate("postselect", cbit=0, value=0)), n_cbits=1)
+                _assert_walk_close(circuit, psi0, 1)
+                checked += 1
+    assert checked == 3 * 78
 
 
 # Parts of amplitudes with signed zeros.  An amplitude is assembled from
@@ -633,9 +642,8 @@ def _signed_zero_state(n, rng):
 
 def test_compiled_walk_keeps_signed_zeros_of_rotations():
     """Random 1-3-qubit states with +-0.0 parts through random X/Y/Z
-    rotation words, no ancillas: the same bits as the reference.  Folding
-    the phase into -i sin(angle/2), or scaling the real view by cos, flips
-    the sign of some of these zeros."""
+    rotation words, no ancillas: a visible rotation multiplies as the
+    reference does, so the walk gives its bits."""
     rng = np.random.default_rng(31)
     for _ in range(400):
         n = int(rng.integers(1, 4))
@@ -643,57 +651,35 @@ def test_compiled_walk_keeps_signed_zeros_of_rotations():
             Gate("pauli_rot", angle=float(rng.choice(SIGNED_ANGLES)),
                  string=PauliString("".join(rng.choice(list("IXYZ"), n))))
             for _ in range(int(rng.integers(1, 6))))
-        _assert_walks_equal(Circuit(n, 0, gates=gates), _signed_zero_state(n, rng), 2)
-
-
-def test_compiled_walk_keeps_signed_zeros_with_pooled_ancillas():
-    """The same states through random Hamiltonians' Trotter steps with a
-    pool of two ancillas, on both routes: rotations, measurements and
-    resets on both ancillas."""
-    rng = np.random.default_rng(32)
-    walks = 0
-    while walks < 150:
-        n = int(rng.integers(1, 4))
-        words = {"".join(rng.choice(list("IXYZ"), n)) for _ in range(3)} - {"I" * n}
-        if not words:
-            continue
-        text = "".join(f"{float(rng.choice([0.5, -0.5, 1.3, -2.0]))!r} {w}\n" for w in words)
-        step = _step(text, float(rng.choice([0.1, 0.5, 1.0])), str(rng.choice(["rbm", "cx"])),
-                     "pooled:2", int(rng.integers(1, 3)))
-        _assert_walks_equal(step, _signed_zero_state(n, rng), 3)
-        walks += 1
-
-
-def test_measurement_divides_the_kept_half_like_the_reference():
-    """Scaling the real view by 1/sqrt(p) would keep the -0.0 that complex
-    division turns into +0.0 here ((-0 + b*0) / s with b >= +0)."""
-    amps = np.empty(2, dtype=complex)
-    amps.real, amps.imag = [0.6, -0.0], [-0.8, -0.0]
-    circuit = Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),
-                                   Gate("postselect", cbit=0, value=0)), n_cbits=1)
-    traj = _assert_walks_equal(circuit, StateVector(1, amps))
-    assert not np.signbit(traj.vec.real).any()
+        circuit = Circuit(n, 0, gates=gates)
+        psi0 = _signed_zero_state(n, rng)
+        traj = Trajectory(circuit, psi0)
+        vec = oracles.with_ancillas(circuit, psi0)
+        for _ in range(2):
+            traj.advance(circuit)
+            oracles.walk_reference(circuit, vec, [])
+        assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
 
 
 def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
-    """One vector advanced alternately through the gate programs of two
-    circuits of the same width compiles and binds each time the circuit
-    changes, and walks the bits of the reference."""
+    """One vector advanced through the unit programs of circuits a, b, b
+    and a compiles and binds each time the circuit changes, three times,
+    and agrees with the reference throughout."""
     compiled = []
-    compile_ = simulator._compile
-    monkeypatch.setattr(simulator, "_compile", lambda c: compiled.append(c) or compile_(c))
+    units = simulator._units
+    monkeypatch.setattr(simulator, "_units", lambda c: compiled.append(c) or units(c))
     a, b = _step(TFIM, 0.05, "rbm"), _step(TFIM, 0.1, "cx")
-    assert (a.n_qubits, a.n_ancilla) == (b.n_qubits, b.n_ancilla)
     psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(33)))
-    walk = _GateWalk(a, psi0)
-    vec, record, offset = simulator._embed(a, psi0), [], 0
-    for circuit in (a, b, b, a, b):
-        walk.advance(circuit)
+    traj = Trajectory(a, psi0)
+    vec, record, offset = oracles.with_ancillas(a, psi0), [], 0
+    for circuit in (a, b, b, a):
+        traj.advance(circuit)
         assert oracles.walk_reference(circuit, vec, record, offset)
         offset += circuit.n_cbits
-        assert np.array_equal(walk.vec.view(np.uint64), vec.view(np.uint64))
-    assert walk.record == record
-    assert compiled == [a, b, a, b]
+        want = StateVector(3, vec.reshape(8, -1)[:, 0]).normalized()
+        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
+    _assert_records_close(traj.record, record)
+    assert compiled == [a, b, a]
 
 
 # --- reference evolutions -------------------------------------------------

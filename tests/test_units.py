@@ -1,7 +1,8 @@
 """The unit program against the gate-by-gate reference walk.
 
-A circuit whose every ancilla use is a hidden unit walks its unit program
-(`simulator._units`) on the visible register: each unit applies cos(Theta)
+Every circuit walks its unit program (`simulator._units`) on the visible
+register, and one that is not made of hidden units raises a ValueError
+naming its first gate outside one.  Each unit applies cos(Theta)
 and records its branch probabilities, and consecutive units whose letters
 agree site by site are one op between the basis changes into and out of
 their letters' basis.  It agrees with `oracles.walk_reference` to
@@ -13,7 +14,6 @@ which holds where the product of the kept probabilities is far below the
 smallest double.
 """
 import math
-import re
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from itebm import simulator
 from itebm.circuits import build_qite_circuit, trotter_step
 from itebm.ir import AncillaPolicy, Circuit, Gate
 from itebm.pauli import PauliString, parse_hamiltonian
-from itebm.simulator import SimulationError, StateVector, Trajectory, run_exact
+from itebm.simulator import SimulationError, StateVector, Trajectory, run_exact, run_shots
 
 import oracles
 
@@ -54,14 +54,12 @@ def _log_acceptance(record):
 
 
 def _assert_units_close(circuits, psi0):
-    """Advance a Trajectory through circuits, each of which must compile to
-    a unit program, and walk oracles.walk_reference alongside: the record,
-    the log acceptance, the stop and the renormalized state agree, and the
-    walked state has norm 1."""
+    """Advance a Trajectory through circuits and walk
+    oracles.walk_reference alongside: the record, the log acceptance, the
+    stop and the renormalized state agree, and the walked state has norm 1."""
     traj = Trajectory(circuits[0], psi0)
-    vec, record, offset, walking = simulator._embed(circuits[0], psi0), [], 0, True
+    vec, record, offset, walking = oracles.with_ancillas(circuits[0], psi0), [], 0, True
     for circuit in circuits:
-        assert simulator._units(circuit) is not None
         traj.advance(circuit)
         if walking:
             walking = oracles.walk_reference(circuit, vec, record, offset)
@@ -73,7 +71,7 @@ def _assert_units_close(circuits, psi0):
     assert traj.stopped is not walking
     if walking:
         assert traj.vec.size == 1 << traj.n_visible  # the ancillas never enter
-        # a gate program, walked next, reads absolute branch weights
+        # each unit scales the state back to weight 1
         assert abs(np.linalg.norm(traj.vec) - 1) <= STATE_TOL
         want = StateVector(traj.n_visible, vec.reshape(traj.vec.size, -1)[:, 0]).normalized()
         assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
@@ -104,33 +102,24 @@ def test_units_agree_with_reference_on_chain_step():
 
 
 def test_units_agree_with_reference_on_overlapping_words():
-    """A unit whose commuting words put several letters on one site (XZ, ZX
-    and YY), in a wave of two ancillas and with a visible gate between unit
-    and measure, is diagonal in no one basis: the circuit walks its gate
-    program, to the bits of the reference."""
+    """Units whose words overlap on sites, each site with one letter (XZ,
+    XI and IZ), in a wave of two ancillas and with a visible gate between
+    unit and measure.  Words that put two letters on one site are not a
+    unit (`NOT_UNITS`)."""
     rng = np.random.default_rng(45)
     gates = []
     for cbit in range(0, 8, 2):
         angles = rng.uniform(-2, 2, 5)
-        gates += [_unit("XZXI", angles[0]), _unit("ZXXI", angles[1]),
-                  _unit("YYXI", angles[2]), _unit("IIXI", angles[3]),
+        gates += [_unit("XZXI", angles[0]), _unit("XIXI", angles[1]),
+                  _unit("IZXI", angles[2]), _unit("IIXI", angles[3]),
                   Gate("hy", (1,)), _unit("ZYIX", angles[4]),
                   Gate("measure", (2,), cbit=cbit), Gate("postselect", cbit=cbit, value=0),
                   Gate("measure", (3,), cbit=cbit + 1),
                   Gate("postselect", cbit=cbit + 1, value=0),
                   Gate("reset", (2,)), Gate("reset", (3,))]
     circuit = Circuit(2, 2, gates=tuple(gates), n_cbits=8)
-    assert simulator._units(circuit) is None
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
-    traj = Trajectory(circuit, psi0)
-    vec, record, offset = simulator._embed(circuit, psi0), [], 0
-    for _ in range(3):
-        traj.advance(circuit)
-        assert oracles.walk_reference(circuit, vec, record, offset)
-        offset += circuit.n_cbits
-    assert traj.vec.size == 1 << circuit.n_qubits
-    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
-    assert traj.record == record
+    _assert_units_close([circuit] * 3, psi0)
 
 
 def test_chain_step_compiles_to_four_runs_and_basis_changes():
@@ -299,46 +288,60 @@ def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0):
     assert np.all(shots.terminal == -1)
 
 
+def _touched(touch):
+    """A unit, its measure and postselect, then `touch` on its ancilla."""
+    return Circuit(1, 1, gates=(_unit("XX", 0.7), *_measure(1, 0)[:2], touch,
+                                Gate("reset", (1,))), n_cbits=1)
+
+
+# (circuit, index of its first gate outside a unit)
 NOT_UNITS = [
     # a gate on an ancilla
-    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hx", (1,)), Gate("hx", (1,)),
-                         *_measure(1, 0)), n_cbits=1),
+    (Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hx", (1,)), Gate("hx", (1,)),
+                          *_measure(1, 0)), n_cbits=1), 1),
     # a post-selection onto 1
-    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("measure", (1,), cbit=0),
-                         Gate("postselect", cbit=0, value=1)), n_cbits=1),
+    (Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("measure", (1,), cbit=0),
+                          Gate("postselect", cbit=0, value=1)), n_cbits=1), 2),
     # a reset of an ancilla that a rotation entangled
-    Circuit(1, 1, gates=(_unit("XX", 0.7), *_measure(1, 0), _unit("XX", 0.8),
-                         Gate("reset", (1,))), n_cbits=1),
+    (Circuit(1, 1, gates=(_unit("XX", 0.7), *_measure(1, 0), _unit("XX", 0.8),
+                          Gate("reset", (1,))), n_cbits=1), 5),
     # ancillas measured in another order than their units began
-    Circuit(1, 2, gates=(_unit("XXI", 0.7), _unit("ZIX", 0.4), *_measure(2, 0)[:2],
-                         *_measure(1, 1)[:2], Gate("reset", (2,)), Gate("reset", (1,))),
-            n_cbits=2),
+    (Circuit(1, 2, gates=(_unit("XXI", 0.7), _unit("ZIX", 0.4), *_measure(2, 0)[:2],
+                          *_measure(1, 1)[:2], Gate("reset", (2,)), Gate("reset", (1,))),
+             n_cbits=2), 2),
     # rotations of one unit whose words do not commute
-    Circuit(1, 1, gates=(_unit("XX", 0.7), _unit("ZX", 0.4), *_measure(1, 0)), n_cbits=1),
+    (Circuit(1, 1, gates=(_unit("XX", 0.7), _unit("ZX", 0.4), *_measure(1, 0)), n_cbits=1), 1),
     # a gate between the rotations of one unit
-    Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hy", (0,)), _unit("ZX", 0.4),
-                         *_measure(1, 0)), n_cbits=1),
+    (Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hy", (0,)), _unit("ZX", 0.4),
+                          *_measure(1, 0)), n_cbits=1), 2),
+    # commuting words of one unit with two letters on a site (XZ and ZX)
+    (Circuit(2, 1, gates=(_unit("XZX", 0.7), _unit("ZXX", 0.4), _unit("YYX", 0.2),
+                          *_measure(2, 0)), n_cbits=1), 1),
+    # gates on an ancilla after its postselect
+    (_touched(Gate("hx", (1,))), 3),
+    (_touched(Gate("pauli_rot", angle=0.3, string=PauliString("IZ"))), 3),
+    (_touched(Gate("cx", (1, 0))), 3),
+    # a visible measure, post-selected onto 1
+    (Circuit(2, 0, gates=(Gate("pauli_rot", angle=1.1, string=PauliString("XI")),
+                          Gate("measure", (0,), cbit=0), Gate("postselect", cbit=0, value=1)),
+             n_cbits=1), 1),
 ]
 
 
-@pytest.mark.parametrize("circuit", NOT_UNITS)
-def test_other_ancilla_uses_keep_the_gate_program(circuit):
-    """The trajectory walks the gate program, ancillas included, to the bit
-    or to the same error as the reference."""
-    assert simulator._units(circuit) is None
-    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
-    vec, record = simulator._embed(circuit, psi0), []
-    traj = Trajectory(circuit, psi0)
-    try:
-        oracles.walk_reference(circuit, vec, record)
-    except SimulationError as exc:
-        with pytest.raises(SimulationError, match=re.escape(str(exc))):
-            traj.advance(circuit)
-        return
-    traj.advance(circuit)
-    assert traj.vec.size == 1 << circuit.n_qubits
-    assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
-    assert traj.record == record
+@pytest.mark.parametrize("circuit, at", NOT_UNITS)
+def test_other_ancilla_uses_raise_naming_the_gate(circuit, at):
+    """run_exact, run_shots and Trajectory.advance raise the same
+    ValueError, which names the first gate outside a unit."""
+    psi0 = StateVector.uniform_plus(circuit.n_visible)
+    messages = set()
+    for run in (lambda: run_exact(circuit, psi0), lambda: run_shots(circuit, psi0, 20, 0),
+                lambda: Trajectory(circuit, psi0).advance(circuit)):
+        with pytest.raises(ValueError) as info:
+            run()
+        messages.add(str(info.value))
+    (message,) = messages
+    kind = circuit.gates[at].kind
+    assert message.startswith(f"gate {at} ({kind}) is not part of a hidden unit: ")
 
 
 def test_eight_body_term_walks_a_unit_program():
@@ -355,7 +358,7 @@ def test_eight_body_term_walks_a_unit_program():
     assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
     psi0 = StateVector.uniform_plus(8)
     traj = Trajectory(step, psi0)
-    vec, record, offset = simulator._embed(step, psi0), [], 0
+    vec, record, offset = oracles.with_ancillas(step, psi0), [], 0
     for _ in range(3):
         start = len(record)
         traj.advance(step)
@@ -371,9 +374,7 @@ def test_eight_body_term_walks_a_unit_program():
 
 def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
     """From |0...0>, whose X-basis weights are all equal, each step of the
-    8-body X term ends at the Trotter oracle's state.  (Its gate program,
-    which the same circuit walked before it was a unit program, ended one
-    step 1.09 away from it.)"""
+    8-body X term ends at the Trotter oracle's state."""
     h = parse_hamiltonian("0.3 XXXXXXXX\n")
     step = _step("0.3 XXXXXXXX\n", 0.01, order=1)
     psi0 = StateVector.from_bitstring("0" * 8)
@@ -382,29 +383,6 @@ def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
         traj.advance(step)
         want = simulator.trotterized_oracle(h, 0.01 * n_steps, 0.01, 1, psi0)
         assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
-
-
-def test_trajectory_switches_representation_between_circuits(monkeypatch):
-    """A trajectory advanced through a unit circuit, a gate-program circuit
-    and back gains and drops the ancillas between circuits, compiles once
-    per change, and agrees with the reference throughout."""
-    units = []
-    units_ = simulator._units
-    monkeypatch.setattr(simulator, "_units", lambda c: units.append(c) or units_(c))
-    a = _step(TFIM, 0.05, "rbm")
-    b = Circuit(3, 1, gates=(*a.gates, Gate("hx", (3,)), Gate("hx", (3,))), n_cbits=a.n_cbits)
-    psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(43)))
-    traj = Trajectory(a, psi0)
-    vec, record, offset = simulator._embed(a, psi0), [], 0
-    for circuit, size in ((a, 8), (b, 16), (b, 16), (a, 8), (b, 16)):
-        traj.advance(circuit)
-        assert traj.vec.size == size
-        assert oracles.walk_reference(circuit, vec, record, offset)
-        offset += circuit.n_cbits
-        want = StateVector(3, vec.reshape(8, 2)[:, 0]).normalized()
-        assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
-    assert units == [a, b, a, b]
-    _assert_records_close(traj.record, record)
 
 
 def test_diagonal_runs_stay_within_a_step():
@@ -423,3 +401,35 @@ def test_diagonal_runs_stay_within_a_step():
     exact = run_exact(circuit, psi0)
     assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
     assert traj.cumulative_success == exact.cumulative_success
+
+
+# Hamiltonians whose every built circuit must be made of units.
+BUILT = {
+    "tfim": TFIM,
+    "chain": CHAIN,
+    "three-body": "0.7 XYZ\n-0.4 YYX\n0.3 ZXY\n",
+    "four-body": "0.5 XXXX\n-0.3 YZYZ\n0.2 XZIY\n",
+    "overlapping": "0.5 XZ\n-0.4 ZX\n0.3 YY\n",
+    "one-qubit": "0.5 X\n-0.4 Y\n0.3 Z\n",
+    "eight-body": "0.3 XXXXXXXX\n",
+}
+
+
+@pytest.mark.parametrize("build", ["trotter_step", "build_qite_circuit"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("name", list(BUILT))
+def test_every_built_circuit_walks_a_unit_program(name, route, policy, order, build):
+    """Both builders, on both routes, with every ancilla policy and order,
+    build circuits made of units: a trajectory advances through one
+    without a ValueError."""
+    text = BUILT[name]
+    if build == "trotter_step":
+        circuit = _step(text, 0.05, route, policy, order)
+    else:
+        circuit = build_qite_circuit(parse_hamiltonian(text), 0.1, 0.05, order,
+                                     route=route, policy=AncillaPolicy.parse(policy))
+    traj = Trajectory(circuit, StateVector.uniform_plus(circuit.n_visible))
+    traj.advance(circuit)
+    assert len(traj.record) == circuit.n_cbits
