@@ -20,7 +20,7 @@ of wave boundaries, so packing never changes the encoded operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .decomp import (
     LN2,
@@ -242,10 +242,9 @@ def build_qite_circuit(
     route: str = "rbm",
     policy: AncillaPolicy = AncillaPolicy(),
 ) -> Circuit:
-    """Compile exp(-tau_total * H) as tau_total/dtau repeated Trotter steps."""
+    """Compile exp(-tau_total * H) as one Trotter step walked tau_total/dtau times."""
     n_steps = n_trotter_steps(tau_total, dtau)
     if n_steps == 0:
         return Circuit(h.n_qubits, policy.n, gates=())
     step = trotter_step(h, dtau, order=order, route=route, policy=policy)
-    circuit = step.repeated(n_steps).to_circuit(h.n_qubits, policy.n)
-    return replace(circuit, step_gates=len(step.gates))
+    return step.to_circuit(h.n_qubits, policy.n, repeats=n_steps)

@@ -1,10 +1,10 @@
 """Gate-level intermediate representation for post-selected circuits.
 
-A circuit is a flat gate list executed front to back.  Non-unitary structure
-is explicit: ``measure`` samples/projects one qubit into a classical bit,
-``postselect`` requires a classical bit to hold a value (failing shots are
-discarded), and ``reset`` returns a disentangled qubit to |0>.  Ancilla
-qubits occupy the high indices [n_visible, n_visible + n_ancilla).
+A circuit is a gate list executed front to back `repeats` times (step × n).
+Non-unitary structure is explicit: ``measure`` samples/projects one qubit
+into a classical bit, ``postselect`` requires a classical bit to hold a
+value (failing shots are discarded), and ``reset`` returns a disentangled
+qubit to |0>.  Ancilla qubits occupy the high indices [n_visible, n_qubits).
 """
 from __future__ import annotations
 
@@ -43,11 +43,6 @@ class Gate:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
-    def shift_cbit(self, offset: int) -> "Gate":
-        if self.cbit is None or offset == 0:
-            return self
-        return replace(self, cbit=self.cbit + offset)
-
 
 @dataclass(frozen=True)
 class AncillaPolicy:
@@ -80,9 +75,9 @@ class Circuit:
     the encoded operator product applied to the input state.
     model_success is the product of per-unit mean success probabilities
     (acceptance predicted for a uniformly random computational input).
-    step_gates is the gate count of one step when the circuit repeats a
-    step, else 0: the simulator's diagonal runs stay within a step, so the
-    walk of the whole circuit is the walk of its steps.
+    gates is one repetition, walked `repeats` times, each repetition
+    numbering its cbits on from the previous one; n_cbits, log_norm and
+    model_success are those of the whole circuit.
     """
 
     n_visible: int
@@ -91,7 +86,11 @@ class Circuit:
     log_norm: float = 0.0
     model_success: float = 1.0
     n_cbits: int = 0
-    step_gates: int = 0
+    repeats: int = 1
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1 or self.n_cbits % self.repeats:
+            raise ValueError(f"{self.n_cbits} cbits do not split into {self.repeats} repeats")
 
     @property
     def n_qubits(self) -> int:
@@ -109,7 +108,8 @@ class Fragment:
 
     def extend(self, other: "Fragment") -> None:
         offset = self.n_cbits
-        self.gates.extend(g.shift_cbit(offset) for g in other.gates)
+        self.gates.extend(g if g.cbit is None or not offset else replace(g, cbit=g.cbit + offset)
+                          for g in other.gates)
         self.log_norm += other.log_norm
         self.model_success *= other.model_success
         self.n_cbits += other.n_cbits
@@ -120,17 +120,16 @@ class Fragment:
             out.extend(self)
         return out
 
-    def to_circuit(self, n_visible: int, n_ancilla: int) -> Circuit:
+    def to_circuit(self, n_visible: int, n_ancilla: int, repeats: int = 1) -> Circuit:
+        """The fragment walked `repeats` times, with `repeated`'s log_norm and model_success."""
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < n_visible + n_ancilla:
                     raise ValueError(f"gate {g.kind} touches qubit {q} outside width")
-        return Circuit(
-            n_visible=n_visible,
-            n_ancilla=n_ancilla,
-            gates=tuple(self.gates),
-            log_norm=self.log_norm,
-            model_success=self.model_success,
-            n_cbits=self.n_cbits,
-        )
+        log_norm, model_success = self.log_norm, self.model_success
+        for _ in range(repeats - 1):
+            log_norm, model_success = log_norm + self.log_norm, model_success * self.model_success
+        return Circuit(n_visible, n_ancilla, tuple(self.gates), log_norm=log_norm,
+                       model_success=model_success, n_cbits=self.n_cbits * repeats,
+                       repeats=repeats)
 

@@ -5,10 +5,10 @@ hidden unit: rotations X_a ⊗ V_r on a clean ancilla, whose V_r put at most
 one letter on each visible site, then its measure and postselect onto 0.
 So all accepted shots follow the same post-selected path: a `Trajectory`
 walks a single state forward through circuits, and each unit appends its
-branch probabilities to a record.  A circuit is compiled once into its
-unit program (`_units`), and the trajectory binds the program to its own
-vector and buffers, so each op runs on precomputed views without
-allocating; walking one Trotter step n times compiles and binds it once.
+branch probabilities to a record.  A circuit's gates, one Trotter step,
+are compiled once into its unit program (`_units`), and the trajectory
+binds the program to its own vector and buffers and walks it `repeats`
+times, so each op runs on precomputed views without allocating.
 A circuit that is not made of units is a ValueError naming its first gate
 outside one.
 
@@ -270,15 +270,15 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
     rotations were, as its measurement commutes with the visible gates
     between them.  Its V_r are Z words once each X site is rotated by HX
     and each Y site by HY^dag, so cos(Theta) is diagonal there.
-    Consecutive units of one step (see `Circuit.step_gates`) whose letters
-    agree site by site form one _DIAG op, split where their cos^2 could
-    take the kept weight below _RUN_FLOOR, between the _BASIS ops into and
-    out of their basis (none for I/Z words).  The other gates keep their
-    ops, on the visible register.
+    Consecutive units whose letters agree site by site form one _DIAG op,
+    split where their cos^2 could take the kept weight below _RUN_FLOOR,
+    between the _BASIS ops into and out of their basis (none for I/Z
+    words).  The other gates keep their ops, on the visible register.  The
+    program is one of the circuit's `repeats`: no run spans two steps.
     """
     nv = circuit.n_visible
     gates = circuit.gates
-    ops: list = []  # gate ops, and [rotations, letters, cbit, step] per unit
+    ops: list = []  # gate ops, and [rotations, letters, cbit] per unit
     pending: list[tuple[int, list, int]] = []  # (ancilla, unit, first gate), unmeasured
     active = None  # the pending entry whose rotations the last gate extended
     i = 0
@@ -299,8 +299,7 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
             elif any(q == a for q, _, _ in pending):
                 raise _not_a_unit(i, circuit, "its ancilla holds a unit not yet measured")
             else:
-                active = (a, [[(word, g.angle)], word, None, i // circuit.step_gates
-                              if circuit.step_gates else 0], i)
+                active = (a, [[(word, g.angle)], word, None], i)
                 ops.append(active[1])
                 pending.append(active)
             i += 1
@@ -339,19 +338,19 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
                           "ancillas not returned to |0>: its unit is never measured")
     program: list = []  # gate ops, and [letters, units] per run
     run: list = []
-    bound, step = 0.0, None
+    bound = 0.0
     for op in ops:
         if isinstance(op, tuple):
             program.append(op)
             continue
-        rotations, letters, cbit, op_step = op
+        rotations, letters, cbit = op
         cos, sin2 = _unit_diagonal(rotations, nv)
         low = float(np.min(cos * cos))
         merged = _letters([run[0], letters]) if program and program[-1] is run else None
-        if merged is not None and op_step == step and bound * low >= _RUN_FLOOR:
+        if merged is not None and bound * low >= _RUN_FLOOR:
             run[0], bound = merged, bound * low
         else:
-            run, bound, step = [letters, []], low, op_step
+            run, bound = [letters, []], low
             program.append(run)
         run[1].append((cos, sin2, cbit))
     out: list[tuple] = []
@@ -396,7 +395,7 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
     with buf, of the vector's size, as scratch and weights as its |amp|^2
     buffer.
 
-    A run of units appends (cbit + cbit_offset, 0, p1 = P(read 1), p_kept)
+    A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
     to record per unit and applies each cos(Theta), and 1 / sqrt(p_kept)
     of the run, between the basis changes around it.  Returns False at a
     kept branch below BRANCH_FLOOR.  A stop inside a run leaves the vector
@@ -430,7 +429,7 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
             for k, cbit in enumerate(cbits):
                 kept, other = sums[k], sums[len(cbits) + k]
                 p = kept / (kept + other)
-                record.append((cbit + cbit_offset, 0, other / (kept + other), p))
+                record.append((cbit + cbit_offset, other / (kept + other), p))
                 if p < BRANCH_FLOOR:
                     return False
             vec *= cos
@@ -451,7 +450,7 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
 def _zero_weight(entry: tuple) -> SimulationError:
     return SimulationError(
         f"zero-weight trajectory: postselect on cbit {entry[0]} has "
-        f"branch probability {entry[3]:.3g}"
+        f"branch probability {entry[2]:.3g}"
     )
 
 
@@ -476,16 +475,14 @@ class ShotRun:
 
     @property
     def cbits(self) -> np.ndarray:
-        """(n_shots, n_cbits) classical bits: the kept value at each record
-        entry before a shot's rejection, the other value at it, and -1
-        after it and at cbits the record never reached."""
+        """(n_shots, n_cbits) classical bits: 0, the post-selected value, at
+        each record entry before a shot's rejection, 1 at it, and -1 after
+        it and at cbits the record never reached."""
         cbits = np.full((self.n_shots, self.n_cbits), -1, dtype=np.int8)
         if self.record:
             cols = np.array([entry[0] for entry in self.record])
-            kept = np.array([entry[1] for entry in self.record], dtype=np.int8)
-            index = np.arange(len(self.record))
-            at = self.rejected_at[:, None]
-            cbits[:, cols] = np.where(index < at, kept, np.where(index == at, 1 - kept, -1))
+            index, at = np.arange(len(self.record)), self.rejected_at[:, None]
+            cbits[:, cols] = np.where(index <= at, index == at, -1)
         return cbits
 
     @property
@@ -519,23 +516,23 @@ class ShotRun:
 class Trajectory:
     """One post-selected state, walked forward in place through circuits.
 
-    record holds (cbit, kept value, p1, p_kept) per unit in walk order,
-    with cbits numbered on across the circuits walked, and
-    cumulative_success the in-order product of the kept-branch
+    record holds (cbit, p1, p_kept) per unit, each post-selected onto 0,
+    in walk order, with cbits numbered on across the circuits and repeats
+    walked, and cumulative_success the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
-    good (`stopped`); it is the last record entry.  The vector is not read
-    after a stop, which can leave it in a run's basis: `final_state`
-    raises, and so does `sample` before any shot past the stop would read
-    it.  The vector holds the visible register alone.  The circuit last
-    walked keeps its unit program (`_units`), compiled and bound to this
-    trajectory's vector and buffers, so walking one step n times compiles
-    and binds it once.
+    good (`stopped`), mid-repeats too; it is the last record entry.  The
+    vector is not read after a stop, which can leave it in a run's basis:
+    `final_state` raises, and so does `sample` before any shot past the
+    stop would read it.  The vector holds the visible register alone.  The
+    circuit last walked keeps its unit program (`_units`), bound to this
+    trajectory's vector and buffers, so walking one step n times, as
+    `repeats` or as n advances, compiles and binds it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
         self.n_visible = circuit.n_visible
         self.vec = _visible(circuit, psi0)
-        self.record: list[tuple[int, int, float, float]] = []
+        self.record: list[tuple[int, float, float]] = []
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
@@ -546,11 +543,12 @@ class Trajectory:
         if not self.stopped:
             if self._bound[0] is not circuit:
                 self._bound = (circuit, _bind(_units(circuit), self.vec, self._buf))
-            start = len(self.record)
-            self.stopped = not _walk(self._bound[1], self.vec, self._buf, self._weights,
-                                     self.record, self.n_cbits)
+            start, step_cbits = len(self.record), circuit.n_cbits // circuit.repeats
+            self.stopped = not all(  # stops at the first sub-floor branch
+                _walk(self._bound[1], self.vec, self._buf, self._weights, self.record,
+                      self.n_cbits + r * step_cbits) for r in range(circuit.repeats))
             self.cumulative_success = math.prod(
-                (entry[3] for entry in self.record[start:]), start=self.cumulative_success)
+                (entry[2] for entry in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits
 
     def final_state(self) -> StateVector:
@@ -574,15 +572,14 @@ class Trajectory:
         alive = np.arange(n_shots)
         rejected_at = np.full(n_shots, len(record))
         terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-        for i, entry in enumerate(record):
-            _, value, p1, p_kept = entry
-            keep = (rng.random(alive.size) < p1) == (value == 1)
+        for i, (_, p1, p_kept) in enumerate(record):
+            keep = ~(rng.random(alive.size) < p1)
             rejected_at[alive[~keep]] = i
             alive = alive[keep]
             if not alive.size:
                 break
             if p_kept < BRANCH_FLOOR:
-                raise _zero_weight(entry)
+                raise _zero_weight(record[i])
         if alive.size:
             vec = self.vec.copy()
             for q, ch in enumerate(basis):

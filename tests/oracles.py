@@ -169,7 +169,8 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
     and a reset zeroes a qubit that a measurement already projected.
 
     Uses the package's word_action and basis matrices, as the original did,
-    so that equal draws give equal bits.  Returns (accepted, cbits, terminal).
+    so that equal draws give equal bits, and walks the circuit's gates
+    unrolled (`unrolled_gates`).  Returns (accepted, cbits, terminal).
     """
     from itebm.pauli import HX, HY, HY_DAG, word_action
 
@@ -194,7 +195,7 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
     accepted = np.ones(n_shots, dtype=bool)
     cbits = np.full((n_shots, circuit.n_cbits), -1, dtype=np.int8)
     terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-    for g in circuit.gates:
+    for g in unrolled_gates(circuit):
         if alive.size == 0:
             break
         if g.kind == "measure":
@@ -421,22 +422,33 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
     shaped[:, 1, :] = 0.0
 
 
+def unrolled_gates(circuit) -> list:
+    """The circuit's gates `repeats` times over, each repetition's cbits
+    numbered on from the previous one's, by `Fragment.repeated`."""
+    from itebm.ir import Fragment
+
+    step = Fragment(list(circuit.gates), n_cbits=circuit.n_cbits // circuit.repeats)
+    return step.repeated(circuit.repeats).gates
+
+
 def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
     """The gate-by-gate walk of a circuit, ancillas included: the gate-level
     reference that the unit program (`simulator._units`) agrees with to
-    rounding.  It dispatches every gate, looks up each rotation's word
-    action, and runs every reset.
+    rounding.  It dispatches every gate of the unrolled circuit
+    (`unrolled_gates`), looks up each rotation's word action, and runs
+    every reset.
 
     Walks vec (see `with_ancillas`) in place; appends (cbit + cbit_offset,
-    kept value, p1, p_kept) per measure/postselect pair to record; returns
-    False at a kept branch below BRANCH_FLOOR.  Uses the package's one-qubit
-    and CX kernels, which the unit program's visible gates share.
+    p1, p_kept) per measure/postselect pair to record, p_kept the weight of
+    the post-selected value; returns False at a kept branch below
+    BRANCH_FLOOR.  Uses the package's one-qubit and CX kernels, which the
+    unit program's visible gates share.
     """
     from itebm.pauli import word_action
     from itebm.simulator import _GATE_1Q, BRANCH_FLOOR, SimulationError, _apply_1q, _cx_perm
 
     n = circuit.n_qubits
-    gates = circuit.gates
+    gates = unrolled_gates(circuit)
     i = 0
     while i < len(gates):
         g = gates[i]
@@ -450,7 +462,7 @@ def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0)
             shaped = vec.reshape(1 << g.qubits[0], 2, -1)
             p = float(np.sum(np.abs(shaped[:, value, :]) ** 2))
             p1 = p if value == 1 else float(np.sum(np.abs(shaped[:, 1, :]) ** 2))
-            record.append((g.cbit + cbit_offset, value, p1, p))
+            record.append((g.cbit + cbit_offset, p1, p))
             if p < BRANCH_FLOOR:
                 return False
             shaped[:, 1 - value, :] = 0.0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from itebm.circuits import build_qite_circuit, trotter_groups, trotter_step
-from itebm.ir import AncillaPolicy, Fragment, Gate
+from itebm import simulator
+from itebm.ir import AncillaPolicy, Circuit, Fragment, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian
 from itebm.simulator import StateVector, run_exact
 
@@ -15,7 +16,9 @@ TFIM = "1 ZZI\n1 IZZ\n1 ZIZ\n-1 XII\n-1 IXI\n-1 IIX\n"
 
 
 def _reconstruct(circuit, psi0):
-    """Unnormalized post-selected action of the circuit on psi0."""
+    """Unnormalized post-selected action of the circuit, all its repeats, on
+    psi0: run_exact walks every repetition, and log_norm is the whole
+    circuit's."""
     res = run_exact(circuit, psi0)
     scale = math.exp(res.log_norm) * math.sqrt(res.cumulative_success)
     return scale * res.final_state.amps
@@ -174,6 +177,33 @@ def test_build_qite_circuit_repeats_steps():
     psi0 = StateVector(3, oracles.random_state(3, rng))
     assert np.allclose(_reconstruct(circuit, psi0), want @ psi0.amps, atol=1e-11)
     assert 0.0 < circuit.model_success < 1.0
+
+
+@pytest.mark.parametrize("name, n_steps", [
+    ("tfim", 1), ("tfim", 7), ("tfim", 1000), ("chain", 1), ("chain", 100),
+])
+def test_build_qite_circuit_is_the_step_repeated(name, n_steps):
+    """The circuit holds one step's gates, walked n_steps times, and its
+    whole-circuit n_cbits, log_norm and model_success equal those of the
+    unrolled step; the chain step compiles to its 10-op unit program."""
+    terms = oracles.tfim_terms(3) if name == "tfim" else oracles.chain_terms(8)
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
+    circuit = build_qite_circuit(h, n_steps * 0.01, 0.01)
+    step = trotter_step(h, 0.01)
+    unrolled = step.repeated(n_steps).to_circuit(h.n_qubits, 1)
+    assert circuit.gates == tuple(step.gates) and circuit.repeats == n_steps
+    assert circuit.n_cbits == unrolled.n_cbits
+    assert circuit.log_norm == unrolled.log_norm
+    assert circuit.model_success == unrolled.model_success
+    if name == "chain":
+        assert len(simulator._units(circuit)) == 10
+
+
+def test_circuit_cbits_split_into_repeats():
+    Circuit(1, 1, gates=(), n_cbits=6, repeats=3)
+    for n_cbits, repeats in ((5, 3), (0, 0)):
+        with pytest.raises(ValueError, match="do not split"):
+            Circuit(1, 1, gates=(), n_cbits=n_cbits, repeats=repeats)
 
 
 def test_build_qite_circuit_validation():

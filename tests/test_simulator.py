@@ -458,8 +458,8 @@ P1_ABS_TOL = 1e-15
 
 def _assert_records_close(got, want):
     assert len(got) == len(want)
-    for (cbit, value, p1, p), (want_cbit, want_value, want_p1, want_p) in zip(got, want):
-        assert (cbit, value) == (want_cbit, want_value)
+    for (cbit, p1, p), (want_cbit, want_p1, want_p) in zip(got, want):
+        assert cbit == want_cbit
         assert abs(p - want_p) <= REL_TOL * want_p
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
@@ -483,7 +483,7 @@ def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", policy="single",
     assert oracles.walk_reference(circuit, vec, record)
     want = StateVector(h.n_qubits, vec.reshape(1 << h.n_qubits, -1)[:, 0]).normalized()
     assert np.max(np.abs(exact.final_state.amps - want.amps)) <= STATE_TOL
-    p = math.prod(entry[3] for entry in record)
+    p = math.prod(entry[2] for entry in record)
     assert abs(exact.cumulative_success - p) <= REL_TOL * p
     step = _step(text, dtau, route, policy, order)
     traj = Trajectory(step, psi0)
@@ -597,7 +597,7 @@ def test_walk_stops_below_branch_floor_like_reference():
     assert not oracles.walk_reference(circuit, vec, record)
     assert traj.stopped and len(traj.record) == 1
     _assert_records_close(traj.record, record)
-    assert traj.record[0][3] < simulator.BRANCH_FLOOR
+    assert traj.record[0][2] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
     malformed = Circuit(1, 1, gates=gates + (Gate("postselect", cbit=0, value=0),), n_cbits=1)

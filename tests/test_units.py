@@ -8,7 +8,7 @@ agree site by site are one op between the basis changes into and out of
 their letters' basis.  It agrees with `oracles.walk_reference` to
 rounding, not to the bit.  The tolerances are fixed here, before any run:
 the renormalized visible state to 1e-12 per amplitude; every record entry
-with the same cbit and kept value, p_kept to 1e-12 relative and p1 to
+with the same cbit, p_kept to 1e-12 relative and p1 to
 1e-12 relative or 1e-15 absolute; and sum(log p_kept) to 1e-12 relative,
 which holds where the product of the kept probabilities is far below the
 smallest double.
@@ -20,7 +20,7 @@ import pytest
 
 from itebm import simulator
 from itebm.circuits import build_qite_circuit, trotter_step
-from itebm.ir import AncillaPolicy, Circuit, Gate
+from itebm.ir import AncillaPolicy, Circuit, Fragment, Gate
 from itebm.pauli import PauliString, parse_hamiltonian
 from itebm.simulator import SimulationError, StateVector, Trajectory, run_exact, run_shots
 
@@ -43,14 +43,14 @@ def _step(text, dtau, route="rbm", policy="single", order=2):
 
 def _assert_records_close(got, want):
     assert len(got) == len(want)
-    for (cbit, value, p1, p), (want_cbit, want_value, want_p1, want_p) in zip(got, want):
-        assert (cbit, value) == (want_cbit, want_value)
+    for (cbit, p1, p), (want_cbit, want_p1, want_p) in zip(got, want):
+        assert cbit == want_cbit
         assert abs(p - want_p) <= REL_TOL * want_p
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
 
 def _log_acceptance(record):
-    return math.fsum(math.log(entry[3]) for entry in record)
+    return math.fsum(math.log(entry[2]) for entry in record)
 
 
 def _assert_units_close(circuits, psi0):
@@ -67,7 +67,7 @@ def _assert_units_close(circuits, psi0):
     _assert_records_close(traj.record, record)
     want_log = _log_acceptance(record)
     assert abs(_log_acceptance(traj.record) - want_log) <= REL_TOL * abs(want_log)
-    assert traj.cumulative_success == math.prod((e[3] for e in traj.record), start=1.0)
+    assert traj.cumulative_success == math.prod((e[2] for e in traj.record), start=1.0)
     assert traj.stopped is not walking
     if walking:
         assert traj.vec.size == 1 << traj.n_visible  # the ancillas never enter
@@ -172,9 +172,47 @@ def test_unit_below_branch_floor_stops_at_the_reference_index():
         circuit = Circuit(2, 1, gates=gates, n_cbits=4)
         traj = _assert_units_close([circuit], StateVector.from_bitstring("00"))
         assert traj.stopped and len(traj.record) == 3
-        assert traj.record[-1][3] < simulator.BRANCH_FLOOR
+        assert traj.record[-1][2] < simulator.BRANCH_FLOOR
         with pytest.raises(SimulationError, match="zero-weight trajectory"):
             traj.final_state()
+
+
+def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_reference():
+    """Each repetition keeps |1> and flips it to |0>, which the next
+    repetition's second unit keeps with probability near 1e-31: the walk
+    stops inside a diagonal run of the second of three repetitions, where
+    the reference walk of the unrolled circuit stops, with cbits numbered
+    on across repetitions.  The state cannot be read, and a replay rejects
+    every shot by that unit, as the batched reference of the unrolled
+    circuit does."""
+    step = Fragment(gates=[_unit("ZX", 0.3), *_measure(1, 0),
+                           _unit("ZX", math.pi / 2), _unit("IX", math.pi / 2), *_measure(1, 1),
+                           Gate("pauli_rot", angle=math.pi, string=PauliString("XI"))],
+                    n_cbits=2)
+    circuit = step.to_circuit(1, 1, repeats=3)
+    unrolled = step.repeated(3).to_circuit(1, 1)
+    assert [op[0] for op in simulator._units(circuit)] == [simulator._DIAG, simulator._ROT]
+    psi0 = StateVector.uniform_plus(1)
+    traj = Trajectory(circuit, psi0)
+    traj.advance(circuit)
+    vec, record = oracles.with_ancillas(unrolled, psi0), []
+    assert not oracles.walk_reference(unrolled, vec, record)
+    assert traj.stopped and [e[0] for e in traj.record] == [e[0] for e in record] == [0, 1, 2, 3]
+    # the last kept weight is rounding in cos(pi/4 + pi/4) on both sides
+    _assert_records_close(traj.record[:-1], record[:-1])
+    assert max(traj.record[-1][2], record[-1][2]) < simulator.BRANCH_FLOOR
+    assert traj.n_cbits == 6
+    assert traj.cumulative_success == math.prod(e[2] for e in traj.record)
+    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 3"):
+        traj.final_state()
+    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 3"):
+        run_exact(circuit, psi0)
+    shots = run_shots(circuit, psi0, 60, 5)
+    accepted, cbits, terminal = oracles.batched_shots_reference(unrolled, psi0, 60, 5)
+    assert shots.n_accepted == 0 and np.any(shots.rejected_at == 3)
+    assert np.array_equal(shots.accepted, accepted)
+    assert np.array_equal(shots.cbits, cbits)
+    assert np.array_equal(shots.terminal, terminal)
 
 
 def _assert_long_run_splits(letter):
@@ -280,7 +318,7 @@ def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0):
     assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
     traj = _assert_units_close([circuit], psi0)
     assert traj.stopped and len(traj.record) == 4
-    assert traj.record[-1][3] < simulator.BRANCH_FLOOR
+    assert traj.record[-1][2] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
     shots = traj.sample(50, 7)
@@ -348,7 +386,7 @@ def test_eight_body_term_walks_a_unit_program():
     """The units of an 8-body X term carry X on every site: they are one run
     in the X basis, on 2^8 amplitudes.  From |+>^8, an eigenstate of the
     term, every step keeps the reference's log acceptance and state, and
-    its record the reference's cbits and values.  Single p_kept are not
+    its record the reference's cbits.  Single p_kept are not
     compared: inside the step the cascade weighs some X-basis states up to
     2.6e45 times as heavily as |+>^8, so a 1e-17 rounding in the basis
     change, whose sums a BLAS kernel orders as it selects, moves them far
@@ -364,7 +402,7 @@ def test_eight_body_term_walks_a_unit_program():
         traj.advance(step)
         assert oracles.walk_reference(step, vec, record, offset)
         offset += step.n_cbits
-        assert [e[:2] for e in traj.record] == [e[:2] for e in record]
+        assert [e[0] for e in traj.record] == [e[0] for e in record]
         want_log = _log_acceptance(record[start:])
         assert abs(_log_acceptance(traj.record[start:]) - want_log) <= REL_TOL * abs(want_log)
         want = StateVector(8, vec.reshape(1 << 8, -1)[:, 0]).normalized()
@@ -386,14 +424,15 @@ def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
 
 
 def test_diagonal_runs_stay_within_a_step():
-    """A whole repeated circuit walks as its steps do, to the bit: a step
-    of diagonal units only is one run, and the runs of consecutive steps
-    are not merged."""
+    """A repeated circuit is its step walked `repeats` times, to the bit: a
+    step of diagonal units only is one run, and the program of four steps
+    is that one run, walked four times."""
     h = parse_hamiltonian("1 ZZI\n0.5 IZZ\n-0.7 ZIZ\n0.3 IIZ\n")
     psi0 = StateVector.from_amplitudes(oracles.random_state(3, np.random.default_rng(47)))
     circuit = build_qite_circuit(h, 0.4, 0.1)
+    assert circuit.repeats == 4
     kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._DIAG] * 4
+    assert kinds == [simulator._DIAG]
     step = trotter_step(h, 0.1).to_circuit(3, 1)
     traj = Trajectory(step, psi0)
     for _ in range(4):
