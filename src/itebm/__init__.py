@@ -27,7 +27,7 @@ from .decomp import (
     mean_unit_success,
     solve_general_weight,
 )
-from .ir import AncillaPolicy, Circuit, Fragment, Gate
+from .ir import Circuit, Fragment, Gate
 from .ldbm import (
     DbmNetwork,
     LdbmNetwork,
@@ -72,7 +72,7 @@ from .stats import Estimate, bootstrap, jackknife
 __version__ = "0.1.0"
 
 __all__ = [
-    "AncillaPolicy", "Circuit", "DbmNetwork", "Decomposition", "Estimate",
+    "Circuit", "DbmNetwork", "Decomposition", "Estimate",
     "ExactRunResult", "Fragment", "Gate", "Hamiltonian", "HamiltonianTerm",
     "HiddenUnit", "LdbmNetwork", "PauliString", "ShotRun", "SimulationError",
     "StateVector", "apply_diagonal_imaginary", "apply_hx", "apply_hy",

@@ -27,7 +27,6 @@ import numpy as np
 from . import ldbm as nets
 from .decomp import MAX_WALSH_SITES, decompose_sites, mean_unit_success
 from .evolution import iter_evolution, shot_split
-from .ir import AncillaPolicy
 from .pauli import (
     Hamiltonian,
     HamiltonianTerm,
@@ -86,33 +85,54 @@ def _usage(fn, *args):
         raise click.UsageError(str(exc))
 
 
-def _load_hamiltonian(path: str) -> Hamiltonian:
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-"; a usage error naming
+    `what` if it cannot be read."""
     try:
         if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read hamiltonian file: {exc}")
+        raise click.UsageError(f"cannot read {what}: {exc}")
+
+
+def _load_hamiltonian(path: str) -> Hamiltonian:
+    text = _read_text(path, "hamiltonian file")
     try:
         return parse_hamiltonian(text)
     except ValueError as exc:
         raise click.UsageError(f"invalid hamiltonian: {exc}")
 
 
-def _parse_taus(spec: str, dtau: float) -> list[float]:
+def _parse_taus(spec: str) -> list[float]:
     try:
         taus = [float(part) for part in spec.split(",") if part.strip()]
     except ValueError:
         raise click.UsageError(f"--tau must be a comma-separated list, got {spec!r}")
     if not taus:
         raise click.UsageError("--tau is empty")
+    return taus
+
+
+def _check_run(h: Hamiltonian, taus: list[float], dtau: float, mode: str, shots: int,
+               batches: int, high_stats: bool) -> int:
+    """Check the options that evolve and ising-demo share, as usage errors:
+    dtau, each tau a multiple of it, --batches and the shot split.  Returns
+    the shot budget, 10^6 under --high-stats."""
+    if dtau <= 0:
+        raise click.UsageError(f"--dtau must be positive, got {dtau}")
     for tau in taus:
         if tau < 0:
             raise click.UsageError(f"tau must be >= 0, got {tau}")
         _usage(n_trotter_steps, tau, dtau)
-    return taus
+    if high_stats:
+        shots = 1_000_000
+    if batches < 2:
+        raise click.UsageError(f"--batches must be >= 2, got {batches}")
+    if mode == "shots":
+        _usage(shot_split, h, shots, batches)
+    return shots
 
 
 def _initial_state(spec: str, n_qubits: int) -> StateVector:
@@ -141,7 +161,7 @@ def main() -> None:
     """Imaginary-time evolution via post-selected block encodings."""
 
 
-@main.command("decompose")
+@main.command("decompose", context_settings={"ignore_unknown_options": True})
 @click.argument("word")
 @click.argument("k", type=float)
 @click.option("--verify", is_flag=True, help="check the reconstruction identity densely")
@@ -151,7 +171,8 @@ def cmd_decompose(word: str, k: float, verify: bool) -> None:
 
     Prints the hidden unit(s), induced couplings, and predicted success
     probabilities as JSON.  Only the support of WORD matters here; basis
-    rotations are a circuit-level concern.
+    rotations are a circuit-level concern.  K is any finite number; a
+    negative K needs no "--" before it.
     """
     try:
         string = PauliString(word)
@@ -163,6 +184,8 @@ def cmd_decompose(word: str, k: float, verify: bool) -> None:
     if len(support) > MAX_WALSH_SITES:
         raise click.UsageError(
             f"support size {len(support)} exceeds the Walsh site limit {MAX_WALSH_SITES}")
+    if not math.isfinite(k):
+        raise click.UsageError(f"K must be finite, got {k}")
     dec = decompose_sites(support, k, string.n_qubits)
     payload = dec.to_json_dict()
     payload["mean_success_per_unit"] = [mean_unit_success(u) for u in dec.hidden_units]
@@ -193,8 +216,6 @@ _COMMON = [
                  help="Trotter order"),
     click.option("--route", type=click.Choice(["rbm", "cx"]), default="rbm",
                  show_default=True, help="encoding route"),
-    click.option("--ancilla", default="single", show_default=True,
-                 help="ancilla policy: single | pooled:N"),
     click.option("--shots", type=int, default=100_000, show_default=True),
     click.option("--batches", type=int, default=100, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
@@ -239,24 +260,16 @@ def _write_rows(out: str, rows_iter) -> list[dict]:
               help="initial state: plus | zero | bitstring")
 @_with_common
 @_runtime
-def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, ancilla,
-               shots, batches, seed, mode, out, high_stats) -> None:
+def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, shots, batches, seed, mode,
+               out, high_stats) -> None:
     """Evolve an initial state in imaginary time, one CSV row per checkpoint."""
     h = _load_hamiltonian(hamiltonian)
-    if dtau <= 0:
-        raise click.UsageError(f"--dtau must be positive, got {dtau}")
-    taus = _parse_taus(tau, dtau)
-    psi0 = _initial_state(init_spec, h.n_qubits)
-    policy = _usage(AncillaPolicy.parse, ancilla)
+    taus = _parse_taus(tau)
     mode = mode or "exact"
-    if high_stats:
-        shots = 1_000_000
-    if batches < 2:
-        raise click.UsageError(f"--batches must be >= 2, got {batches}")
-    if mode == "shots":
-        _usage(shot_split, h, shots, batches)
+    shots = _check_run(h, taus, dtau, mode, shots, batches, high_stats)
+    psi0 = _initial_state(init_spec, h.n_qubits)
     rows_iter = iter_evolution(
-        h, taus, dtau, order, route, policy, psi0, mode, shots, batches, seed,
+        h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
         oracle_check=(mode == "exact" and h.n_qubits <= 12),
     )
     _write_rows(out, rows_iter)
@@ -265,8 +278,7 @@ def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, ancilla,
 @main.command("ising-demo")
 @_with_common
 @_runtime
-def cmd_ising_demo(dtau, order, route, ancilla, shots, batches, seed, mode,
-                   out, high_stats) -> None:
+def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out, high_stats) -> None:
     """Run the 3-qubit critical transverse-field Ising benchmark.
 
     Periodic chain, |+++> start, tau from 0.1 to 1.0; writes the CSV to
@@ -274,24 +286,14 @@ def cmd_ising_demo(dtau, order, route, ancilla, shots, batches, seed, mode,
     the dense-oracle energies and the per-step success-probability model.
     """
     h = ising_hamiltonian()
-    if dtau <= 0:
-        raise click.UsageError(f"--dtau must be positive, got {dtau}")
+    taus = [round(0.1 * i, 10) for i in range(1, 11)]
     mode = mode or "shots"
-    if high_stats:
-        shots = 1_000_000
-    if batches < 2:
-        raise click.UsageError(f"--batches must be >= 2, got {batches}")
+    shots = _check_run(h, taus, dtau, mode, shots, batches, high_stats)
     if out == "-":
         out = "ising_demo.csv"
-    taus = [round(0.1 * i, 10) for i in range(1, 11)]
-    for t in taus:
-        _usage(n_trotter_steps, t, dtau)
     psi0 = StateVector.uniform_plus(3)
-    policy = _usage(AncillaPolicy.parse, ancilla)
-    if mode == "shots":
-        _usage(shot_split, h, shots, batches)
     rows = _write_rows(out, iter_evolution(
-        h, taus, dtau, order, route, policy, psi0, mode, shots, batches, seed,
+        h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
     ))
     evals = np.linalg.eigvalsh(dense_matrix(h))
     oracle = {
@@ -323,14 +325,7 @@ def cmd_ldbm(script: str, qubits: int) -> None:
     """
     if qubits < 1:
         raise click.UsageError(f"--qubits must be >= 1, got {qubits}")
-    try:
-        if script == "-":
-            text = sys.stdin.read()
-        else:
-            with open(script, encoding="utf-8") as fh:
-                text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"cannot read script: {exc}")
+    text = _read_text(script, "script")
     net = nets.zero_state(qubits)
     dbm = None
 

@@ -345,8 +345,10 @@ def decompose_sites(
     """Single-unit decomposition of exp(-K Z...Z) on the given global sites.
 
     Induced couplings are listed, not compensated; K = 0 gives the empty
-    decomposition.
+    decomposition, and a non-finite K raises a ValueError.
     """
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling!r}")
     sites = tuple(sorted(sites))
     if len(set(sites)) != len(sites) or not sites:
         raise ValueError(f"sites must be distinct and non-empty, got {sites}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import trotter_step
-from .ir import AncillaPolicy
 from .pauli import Hamiltonian, apply_word
 from .simulator import (
     StateVector,
@@ -77,8 +76,8 @@ def shot_split(h: Hamiltonian, shots: int, batches: int) -> int:
 
 
 def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, route: str,
-                   policy: AncillaPolicy, psi0: StateVector, mode: str, shots: int,
-                   batches: int, seed: int, oracle_check: bool = False):
+                   psi0: StateVector, mode: str, shots: int, batches: int, seed: int,
+                   oracle_check: bool = False):
     """Yield one (row dict, note-or-None) per tau checkpoint.
 
     Shots mode samples each measurement-basis group at every checkpoint
@@ -93,8 +92,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
     n_groups = len(groups)
     if mode == "shots":
         per_batch = shot_split(h, shots, batches)
-    step = trotter_step(h, dtau, order, route=route, policy=policy).to_circuit(
-        h.n_qubits, policy.n)
+    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits, 1)
     walked = None
     oracle_states = chained_oracle(h, taus, psi0) if oracle_check else None
     for t_idx, tau in enumerate(taus):

@@ -45,27 +45,6 @@ class Gate:
 
 
 @dataclass(frozen=True)
-class AncillaPolicy:
-    """Ancilla assignment: a pool of n qubits emptied in waves (n = 1, the
-    'single' policy, reuses one qubit)."""
-
-    n: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ancilla pool size must be >= 1, got {self.n}")
-
-    @classmethod
-    def parse(cls, spec: str) -> "AncillaPolicy":
-        """Parse 'single' or 'pooled:N'."""
-        if spec == "single":
-            return cls(1)
-        if spec.startswith("pooled:") and spec[len("pooled:"):].isdecimal():
-            return cls(int(spec[len("pooled:"):]))
-        raise ValueError(f"unknown ancilla policy {spec!r} (use 'single' or 'pooled:N')")
-
-
-@dataclass(frozen=True)
 class Circuit:
     """An immutable gate sequence plus its encoding bookkeeping.
 

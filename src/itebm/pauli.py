@@ -70,6 +70,15 @@ def word_from_sites(n_qubits: int, sites: dict[int, str]) -> PauliString:
     return PauliString("".join(letters))
 
 
+def merged_letters(words: list[str]) -> str | None:
+    """The letter that each site carries in words, I where none does; None
+    if two words put different letters on one site."""
+    sites = [set(letters) - {"I"} for letters in zip(*words)]
+    if any(len(site) > 1 for site in sites):
+        return None
+    return "".join(site.pop() if site else "I" for site in sites)
+
+
 @dataclass(frozen=True)
 class HamiltonianTerm:
     """One weighted Pauli word; realizes coefficient * P."""

@@ -45,7 +45,16 @@ from functools import lru_cache
 import numpy as np
 
 from .ir import Circuit
-from .pauli import HX, HY, HY_DAG, Hamiltonian, PauliString, apply_word, word_action
+from .pauli import (
+    HX,
+    HY,
+    HY_DAG,
+    Hamiltonian,
+    PauliString,
+    apply_word,
+    merged_letters,
+    word_action,
+)
 
 _GATE_1Q = {"hx": HX, "hy": HY, "hydag": HY_DAG}
 
@@ -183,15 +192,6 @@ _TO_Z = str.maketrans("XY", "ZZ")
 _TO_Z_1Q = {"X": np.array([[1, 1], [1, -1]]), "Y": np.array([[1j, 1], [-1j, 1]])}
 
 
-def _letters(words: list[str]) -> str | None:
-    """The letter that each site carries in words, I where none does; None
-    if two words put different letters on one site."""
-    sites = [set(letters) - {"I"} for letters in zip(*words)]
-    if any(len(site) > 1 for site in sites):
-        return None
-    return "".join(site.pop() if site else "I" for site in sites)
-
-
 def _unit_diagonal(rotations: list[tuple[str, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(Theta) and sin(Theta)^2, Theta = sum_r (angle_r / 2) V_r, as
     diagonals in the basis where each V_r, one letter per site, is a Z word.
@@ -292,7 +292,7 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
                 raise _not_a_unit(i, circuit, "its word is not X on one ancilla")
             if active is not None and active[0] == a:
                 unit = active[1]
-                unit[1] = _letters([unit[1], word])
+                unit[1] = merged_letters([unit[1], word])
                 if unit[1] is None:
                     raise _not_a_unit(i, circuit, "its word puts a second letter on a site")
                 unit[0].append((word, g.angle))
@@ -346,7 +346,7 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
         rotations, letters, cbit = op
         cos, sin2 = _unit_diagonal(rotations, nv)
         low = float(np.min(cos * cos))
-        merged = _letters([run[0], letters]) if program and program[-1] is run else None
+        merged = merged_letters([run[0], letters]) if program and program[-1] is run else None
         if merged is not None and bound * low >= _RUN_FLOOR:
             run[0], bound = merged, bound * low
         else:

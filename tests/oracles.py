@@ -267,14 +267,14 @@ def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
     return StateVector(h.n_qubits, amps / norm)
 
 
-def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
-                               shots, batches, seed, oracle_check=False):
+def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
+                               shots, batches, seed, oracle_check=False, layout="single"):
     """The per-checkpoint evolution loop that `iter_evolution` replaced, kept
     verbatim as its reference: every checkpoint compiles the whole circuit
-    with `build_qite_circuit` and runs it from psi0 with `run_exact`, or
-    with one `run_shots` per measurement-basis group, and factors the dense
-    matrix afresh for each oracle note.  Yields the same (row dict,
-    note-or-None) pairs.
+    with `build_qite_circuit`, puts it in the ancilla `layout` (`in_layout`)
+    and runs it from psi0 with `run_exact`, or with one `run_shots` per
+    measurement-basis group, and factors the dense matrix afresh for each
+    oracle note.  Yields the same (row dict, note-or-None) pairs.
     """
     import click
 
@@ -291,7 +291,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
     diag_terms, x_terms = _column_terms(h)
     groups = _measurement_groups(h)
     for t_idx, tau in enumerate(taus):
-        circuit = build_qite_circuit(h, tau, dtau, order, route=route, policy=policy)
+        circuit = in_layout(build_qite_circuit(h, tau, dtau, order, route=route), layout)
         note = None
         if mode == "exact":
             result = run_exact(circuit, psi0)
@@ -378,6 +378,49 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, policy, psi0, mode,
             "effective_samples": total_accepted,
         }
         yield row, note
+
+
+def in_layout(circuit, layout: str):
+    """A built circuit in an ancilla layout: "single" is the circuit as
+    built, every unit on its one ancilla n and measured, post-selected onto
+    0 and reset before the next unit begins.  "pooled:k" moves the units
+    onto k ancillas in waves of k consecutive units, the j-th of a wave on
+    ancilla n + j; after the wave's last unit it measures and post-selects
+    each in order, then resets them all.  The units keep their order, cbits,
+    log_norm and model_success, so every layout encodes the same operator.
+    A pooled layout is a hand-built circuit of several ancillas, which the
+    walker must read as it reads the built one.
+    """
+    from dataclasses import replace
+
+    from itebm.ir import Gate
+    from itebm.pauli import PauliString
+
+    if layout == "single":
+        return circuit
+    k, nv = int(layout.removeprefix("pooled:")), circuit.n_visible
+    assert circuit.n_ancilla == 1
+    units, unit = [], []
+    for g in circuit.gates:
+        unit.append(g)
+        if g.kind == "reset":
+            units.append(unit)
+            unit = []
+    gates = []
+    for start in range(0, len(units), k):
+        wave = units[start:start + k]
+        for j, members in enumerate(wave):
+            for g in members[:-3]:
+                if g.kind == "pauli_rot":
+                    word = g.string.word
+                    pad = "I" * j + word[nv] + "I" * (k - 1 - j)
+                    g = replace(g, string=PauliString(word[:nv] + pad))
+                gates.append(g)
+        for j, members in enumerate(wave):
+            measure, postselect, _ = members[-3:]
+            gates += [replace(measure, qubits=(nv + j,)), postselect]
+        gates += [Gate("reset", (nv + j,)) for j in range(len(wave))]
+    return replace(circuit, n_ancilla=k, gates=tuple(gates + unit))
 
 
 def with_ancillas(circuit, psi0) -> np.ndarray:

@@ -21,7 +21,7 @@ from itebm.decomp import (
     solve_general_weight,
 )
 from itebm.evolution import iter_evolution
-from itebm.ir import AncillaPolicy, Circuit, Gate
+from itebm.ir import Circuit, Gate
 from itebm.ldbm import (
     LdbmNetwork,
     apply_diagonal_imaginary,
@@ -170,17 +170,16 @@ def test_criterion_4_ising_benchmark():
     h = ising_hamiltonian()
     psi0 = StateVector.uniform_plus(3)
     taus = [0.1, 0.25, 0.5, 1.0]
-    policy = AncillaPolicy()
     oracle_e = {t: expectation(imaginary_time_oracle(h, t, psi0), h)
                 for t in taus}
 
     exact_rows = [row for row, _ in iter_evolution(
-        h, taus, 0.01, 2, "rbm", policy, psi0, "exact", 0, 2, 0)]
+        h, taus, 0.01, 2, "rbm", psi0, "exact", 0, 2, 0)]
     worst_exact = max(abs(r["E_mean"] - oracle_e[r["tau"]]) for r in exact_rows)
     ok_exact = worst_exact < 2e-3
 
     shot_rows = [row for row, _ in iter_evolution(
-        h, taus, 0.01, 2, "rbm", policy, psi0, "shots", 100_000, 100,
+        h, taus, 0.01, 2, "rbm", psi0, "shots", 100_000, 100,
         SHOT_SEED)]
     pulls = [abs(r["E_mean"] - oracle_e[r["tau"]]) / r["E_err"]
              for r in shot_rows]

@@ -6,7 +6,7 @@ import pytest
 
 from itebm.circuits import build_qite_circuit, trotter_groups, trotter_step
 from itebm import simulator
-from itebm.ir import AncillaPolicy, Circuit, Fragment, Gate
+from itebm.ir import Circuit, Fragment, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian
 from itebm.simulator import StateVector, run_exact
 
@@ -155,16 +155,42 @@ def test_trotter_step_rejects_unknown_route():
         trotter_step(h, 0.1, route="qft")
 
 
-def test_pooled_policy_matches_single():
-    h = parse_hamiltonian(TFIM)
-    rng = np.random.default_rng(23)
-    psi0 = StateVector(3, oracles.random_state(3, rng))
-    single = trotter_step(h, 0.2).to_circuit(3, 1)
-    pooled = trotter_step(h, 0.2, policy=AncillaPolicy(3)).to_circuit(3, 3)
-    assert pooled.n_ancilla == 3
-    got_s = _reconstruct(single, psi0)
-    got_p = _reconstruct(pooled, psi0)
-    assert np.allclose(got_s, got_p, atol=1e-12)
+LAYOUT_CASES = {
+    "tfim": TFIM,
+    "three-body": "0.7 XYZ\n-0.4 YYX\n0.3 ZXY\n",
+    "chain": "".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("name", list(LAYOUT_CASES))
+def test_every_unit_is_measured_and_reset_before_the_next(name, route, order):
+    """One ancilla, qubit n.  The gates on it are, unit by unit, the unit's
+    rotations, then its measure into the next cbit, its post-selection onto
+    0 and its reset; on the rbm route these follow the rotations at once,
+    on the cx route after the visible CX ladder and basis gates back out."""
+    h = parse_hamiltonian(LAYOUT_CASES[name])
+    n = h.n_qubits
+    circuit = build_qite_circuit(h, 0.02, 0.01, order, route=route)
+    assert circuit.n_ancilla == 1 and circuit.repeats == 2
+    unit, cbit = [], 0  # the gates on the ancilla since its last reset
+    for i, g in enumerate(circuit.gates):
+        if g.kind == "postselect" or n in (g.string.support() if g.string else g.qubits):
+            unit.append((i, g))
+        if g.kind != "reset":
+            continue
+        *rotations, (at, measure), (_, postselect), (_, reset) = unit
+        assert rotations and all(r.kind == "pauli_rot" and r.string.word[n] == "X"
+                                 for _, r in rotations)
+        assert measure == Gate("measure", (n,), cbit=cbit)
+        assert postselect == Gate("postselect", cbit=cbit, value=0)
+        assert reset == Gate("reset", (n,))
+        assert unit[-1][0] == at + 2
+        if route == "rbm":
+            assert at == rotations[-1][0] + 1
+        unit, cbit = [], cbit + 1
+    assert not unit and cbit == circuit.n_cbits // circuit.repeats > 0
 
 
 def test_build_qite_circuit_repeats_steps():
@@ -225,19 +251,6 @@ def test_model_success_tracks_mean_unit_success():
 
 
 # --- IR plumbing ---------------------------------------------------------
-
-
-def test_ancilla_policy_parse():
-    assert AncillaPolicy.parse("single") == AncillaPolicy(1) == AncillaPolicy()
-    assert AncillaPolicy.parse("pooled:1") == AncillaPolicy(1)
-    assert AncillaPolicy.parse("pooled:4") == AncillaPolicy(4)
-    with pytest.raises(ValueError, match="policy"):
-        AncillaPolicy.parse("waves")
-    with pytest.raises(ValueError, match=">= 1"):
-        AncillaPolicy.parse("pooled:0")
-    for spec in ("pooled:x", "pooled:", "pooled:-2", "pooled:1.5"):
-        with pytest.raises(ValueError, match="unknown ancilla policy"):
-            AncillaPolicy.parse(spec)
 
 
 def test_gate_kind_validation():

@@ -12,8 +12,8 @@ from click.testing import CliRunner
 import itebm
 from itebm import cli, pauli
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
+from itebm.decomp import decompose_sites
 from itebm.evolution import _derive_seed, _measurement_groups
-from itebm.ir import AncillaPolicy
 from itebm.pauli import parse_hamiltonian
 from itebm.simulator import StateVector
 
@@ -148,6 +148,32 @@ def test_decompose_out_of_range_coupling_is_runtime_error(runner):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+def test_decompose_non_finite_coupling_is_usage_error(runner, k):
+    """An infinite K used to print "log_norm": Infinity, which is not JSON,
+    and a NaN K ended in a runtime error (exit 3)."""
+    result = runner.invoke(main, ["decompose", "ZZ", k])
+    assert result.exit_code == 2
+    assert f"K must be finite, got {float(k)}" in result.stderr
+    assert result.stdout == ""
+
+
+def test_decompose_reads_a_negative_coupling_as_k(runner):
+    want = runner.invoke(main, ["decompose", "ZZ", "--", "-0.5"])
+    assert want.exit_code == 0
+    for args in (["ZZ", "-0.5"], ["ZZ", "-0.5", "--verify"], ["ZZ", "--verify", "-0.5"]):
+        result = runner.invoke(main, ["decompose", *args])
+        assert result.exit_code == 0, (args, result.stderr)
+        assert result.stdout == want.stdout
+    assert json.loads(want.stdout)["log_norm"] == decompose_sites((0, 1), -0.5, 2).log_norm
+
+
+def test_decompose_misspelt_option_is_usage_error(runner):
+    result = runner.invoke(main, ["decompose", "ZZ", "0.5", "--verfy"])
+    assert result.exit_code == 2
+    assert "--verfy" in result.stderr and result.stdout == ""
+
+
 # --- evolve ---------------------------------------------------------------
 
 
@@ -189,7 +215,7 @@ def test_evolve_exact_oracle_notes_match_the_dense_reference(runner, tmp_path):
     assert result.exit_code == 0, result.output
     h = parse_hamiltonian(path.read_text())
     notes = [note for _, note in oracles.checkpoint_rerun_reference(
-        h, taus, 0.125, 2, "rbm", AncillaPolicy(), StateVector.uniform_plus(8),
+        h, taus, 0.125, 2, "rbm", StateVector.uniform_plus(8),
         "exact", 0, 10, 0, oracle_check=True)]
     assert len(notes) == 8
     assert result.stderr == "".join(note + "\n" for note in notes)
@@ -294,7 +320,6 @@ def test_evolve_usage_errors(runner, tfim_file, tmp_path):
         ["evolve", "--hamiltonian", tfim_file, "--mode", "shots",
          "--shots", "999", "--batches", "100"],
         ["evolve", "--hamiltonian", tfim_file, "--batches", "1"],
-        ["evolve", "--hamiltonian", tfim_file, "--ancilla", "many"],
         ["evolve", "--hamiltonian", tfim_file, "--route", "teleport"],
     ]
     for args in bad:
@@ -374,13 +399,6 @@ def test_evolve_large_coefficients_expectation_is_real(runner, tmp_path, scale):
     ])
     assert result.exit_code == 0, result.stderr
     assert len(_rows(result.stdout)) == 2
-
-
-def test_evolve_malformed_pool_size_is_usage_error(runner, tfim_file):
-    result = runner.invoke(main, ["evolve", "--hamiltonian", tfim_file,
-                                  "--ancilla", "pooled:x"])
-    assert result.exit_code == 2
-    assert "unknown ancilla policy 'pooled:x' (use 'single' or 'pooled:N')" in result.stderr
 
 
 def test_evolve_init_bitstring(runner, tmp_path):

@@ -261,6 +261,9 @@ def test_decompose_sites_validation():
     with pytest.raises(ValueError, match="range"):
         decompose_sites((0, 3), 0.5, 3)
     assert decompose_sites((0, 1), 0.0, 3) == Decomposition(0.0, (), ())
+    for k in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            decompose_sites((0, 1), k, 3)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -11,7 +11,6 @@ import pytest
 from itebm import evolution, simulator
 from itebm.cli import ISING_TEXT
 from itebm.evolution import iter_evolution
-from itebm.ir import AncillaPolicy
 from itebm.pauli import parse_hamiltonian
 from itebm.simulator import StateVector
 
@@ -35,13 +34,14 @@ def _outcome(loop, args):
 
 
 def _assert_same(text, taus, dtau, mode, shots=0, batches=2, seed=0, order=2,
-                 route="rbm", policy="single", psi0=None, oracle_check=False):
+                 route="rbm", layout="single", psi0=None, oracle_check=False):
+    """iter_evolution against the rerun reference, whose circuits are in
+    the ancilla `layout` (`oracles.in_layout`)."""
     h = parse_hamiltonian(text)
     psi0 = psi0 or StateVector.uniform_plus(h.n_qubits)
-    args = (h, taus, dtau, order, route, AncillaPolicy.parse(policy), psi0, mode,
-            shots, batches, seed, oracle_check)
+    args = (h, taus, dtau, order, route, psi0, mode, shots, batches, seed, oracle_check)
     got = _outcome(iter_evolution, args)
-    want = _outcome(oracles.checkpoint_rerun_reference, args)
+    want = _outcome(oracles.checkpoint_rerun_reference, (*args, layout))
     assert got == want
     return got
 
@@ -67,12 +67,15 @@ def test_unordered_repeated_and_zero_taus_equal_rerun(mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
-@pytest.mark.parametrize("route, policy, order", [
+@pytest.mark.parametrize("route, layout, order", [
     ("cx", "pooled:2", 2), ("rbm", "pooled:3", 1),
 ])
-def test_routes_and_policies_equal_rerun(mode, route, policy, order):
+def test_routes_and_policies_equal_rerun(mode, route, layout, order):
+    """The rows do not depend on the ancilla layout: a rerun that walks
+    each checkpoint's circuit on a pool of ancillas gives the rows of the
+    built single-ancilla step, to the bit."""
     rows, error = _assert_same(ISING_TEXT, ISING_TAUS, 0.01, mode, 8000, 10, 0,
-                               order=order, route=route, policy=policy)
+                               order=order, route=route, layout=layout)
     assert error is None and len(rows) == 10
 
 
@@ -93,7 +96,7 @@ def test_zero_weight_trajectory_streams_earlier_rows_then_raises():
 def test_shots_split_is_a_value_error():
     h = parse_hamiltonian(ISING_TEXT)
     with pytest.raises(ValueError, match="divide evenly"):
-        next(iter_evolution(h, [0.1], 0.1, 2, "rbm", AncillaPolicy(),
+        next(iter_evolution(h, [0.1], 0.1, 2, "rbm",
                             StateVector.uniform_plus(3), "shots", 999, 100, 0))
 
 
@@ -119,7 +122,7 @@ def test_one_step_compiled_and_walked_once(monkeypatch, mode, taus, walked):
     monkeypatch.setattr(simulator, "_walk", counting_walk)
     monkeypatch.setattr(evolution, "trotter_step", counting_compile)
     h = parse_hamiltonian(ISING_TEXT)
-    rows = list(iter_evolution(h, taus, 0.01, 2, "rbm", AncillaPolicy(),
+    rows = list(iter_evolution(h, taus, 0.01, 2, "rbm",
                                StateVector.uniform_plus(3), mode, 8000, 10, 0))
     assert len(rows) == len(taus)
     assert calls == {"walk": walked, "compile": 1}

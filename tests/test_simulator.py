@@ -5,7 +5,7 @@ import pytest
 
 from itebm import simulator
 from itebm.circuits import build_qite_circuit, trotter_step
-from itebm.ir import AncillaPolicy, Circuit, Gate
+from itebm.ir import Circuit, Gate
 from itebm.pauli import PauliString, parse_hamiltonian
 from itebm.simulator import (
     SimulationError,
@@ -299,11 +299,10 @@ def test_run_shots_matches_batched_reference_bases(basis):
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
-@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
-def test_run_shots_matches_batched_reference_routes(route, policy):
+@pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
+def test_run_shots_matches_batched_reference_routes(route, layout):
     h = parse_hamiltonian(MIXED)
-    circuit = build_qite_circuit(h, 0.2, 0.1, order=1, route=route,
-                                 policy=AncillaPolicy.parse(policy))
+    circuit = oracles.in_layout(build_qite_circuit(h, 0.2, 0.1, order=1, route=route), layout)
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(5)))
     run = _assert_same_bits(circuit, psi0, 400, 23, "YXYZ")
     assert 0 < run.n_accepted < run.n_shots
@@ -464,20 +463,20 @@ def _assert_records_close(got, want):
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
 
-def _step(text, dtau, route="rbm", policy="single", order=2):
+def _step(text, dtau, route="rbm", layout="single", order=2):
     h = parse_hamiltonian(text)
-    pol = AncillaPolicy.parse(policy)
-    return trotter_step(h, dtau, order, route=route, policy=pol).to_circuit(h.n_qubits, pol.n)
+    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits, 1)
+    return oracles.in_layout(step, layout)
 
 
-def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", policy="single", order=2):
+def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", layout="single", order=2):
     """run_exact of the whole compiled circuit of n_steps Trotter steps
     agrees with the reference walk of that circuit, and gives the bits of
     a trajectory advanced through one step n_steps times: the runs of
     units stay within a step."""
     h = parse_hamiltonian(text)
-    pol = AncillaPolicy.parse(policy)
-    circuit = build_qite_circuit(h, n_steps * dtau, dtau, order, route=route, policy=pol)
+    circuit = oracles.in_layout(
+        build_qite_circuit(h, n_steps * dtau, dtau, order, route=route), layout)
     exact = run_exact(circuit, psi0)
     vec, record = oracles.with_ancillas(circuit, psi0), []
     assert oracles.walk_reference(circuit, vec, record)
@@ -485,7 +484,7 @@ def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", policy="single",
     assert np.max(np.abs(exact.final_state.amps - want.amps)) <= STATE_TOL
     p = math.prod(entry[2] for entry in record)
     assert abs(exact.cumulative_success - p) <= REL_TOL * p
-    step = _step(text, dtau, route, policy, order)
+    step = _step(text, dtau, route, layout, order)
     traj = Trajectory(step, psi0)
     for _ in range(n_steps):
         traj.advance(step)
@@ -500,21 +499,21 @@ def test_compiled_walk_equals_reference_on_chain_step():
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
-@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
-def test_compiled_walk_equals_reference_on_ising_step(route, policy):
-    _assert_walks_equal(TFIM, 100, 0.01, StateVector.uniform_plus(3), route, policy)
+@pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
+def test_compiled_walk_equals_reference_on_ising_step(route, layout):
+    _assert_walks_equal(TFIM, 100, 0.01, StateVector.uniform_plus(3), route, layout)
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
-@pytest.mark.parametrize("policy, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
-def test_compiled_walk_equals_reference_on_y_words(route, policy, order):
+@pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
+def test_compiled_walk_equals_reference_on_y_words(route, layout, order):
     """hx/hy/hydag/cx kernels (cx route) and pooled ancillas whose measures
     and resets interleave."""
     if route == "cx":
-        step = _step(Y_WORDS, 0.1, route, policy, order)
+        step = _step(Y_WORDS, 0.1, route, layout, order)
         assert {"hy", "hydag", "cx"} <= {g.kind for g in step.gates}
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
-    _assert_walks_equal(Y_WORDS, 10, 0.1, psi0, route, policy, order)
+    _assert_walks_equal(Y_WORDS, 10, 0.1, psi0, route, layout, order)
 
 
 def _unit(*after):

@@ -20,7 +20,7 @@ import pytest
 
 from itebm import simulator
 from itebm.circuits import build_qite_circuit, trotter_step
-from itebm.ir import AncillaPolicy, Circuit, Fragment, Gate
+from itebm.ir import Circuit, Fragment, Gate
 from itebm.pauli import PauliString, parse_hamiltonian
 from itebm.simulator import SimulationError, StateVector, Trajectory, run_exact, run_shots
 
@@ -35,10 +35,10 @@ REL_TOL = 1e-12
 P1_ABS_TOL = 1e-15
 
 
-def _step(text, dtau, route="rbm", policy="single", order=2):
+def _step(text, dtau, route="rbm", layout="single", order=2):
     h = parse_hamiltonian(text)
-    pol = AncillaPolicy.parse(policy)
-    return trotter_step(h, dtau, order, route=route, policy=pol).to_circuit(h.n_qubits, pol.n)
+    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits, 1)
+    return oracles.in_layout(step, layout)
 
 
 def _assert_records_close(got, want):
@@ -79,16 +79,16 @@ def _assert_units_close(circuits, psi0):
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
-@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
-def test_units_agree_with_reference_on_ising_step(route, policy):
-    step = _step(TFIM, 0.01, route, policy)
+@pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
+def test_units_agree_with_reference_on_ising_step(route, layout):
+    step = _step(TFIM, 0.01, route, layout)
     _assert_units_close([step] * 100, StateVector.uniform_plus(3))
 
 
 @pytest.mark.parametrize("route", ["rbm", "cx"])
-@pytest.mark.parametrize("policy, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
-def test_units_agree_with_reference_on_y_words(route, policy, order):
-    step = _step(Y_WORDS, 0.1, route, policy, order)
+@pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
+def test_units_agree_with_reference_on_y_words(route, layout, order):
+    step = _step(Y_WORDS, 0.1, route, layout, order)
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
     _assert_units_close([step] * 10, psi0)
 
@@ -140,14 +140,6 @@ def test_chain_step_compiles_to_four_runs_and_basis_changes():
     traj = Trajectory(step, StateVector.uniform_plus(8))
     traj.advance(step)
     assert traj.vec.size == 1 << 8
-
-
-def test_pooled_ancillas_leave_the_vector_at_visible_size():
-    for policy in ("single", "pooled:2", "pooled:3"):
-        step = _step(TFIM, 0.1, "cx", policy)
-        traj = Trajectory(step, StateVector.uniform_plus(3))
-        traj.advance(step)
-        assert traj.vec.size == 8
 
 
 def _unit(anc_word, angle):
@@ -456,19 +448,20 @@ BUILT = {
 
 @pytest.mark.parametrize("build", ["trotter_step", "build_qite_circuit"])
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("policy", ["single", "pooled:2", "pooled:3"])
+@pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 @pytest.mark.parametrize("route", ["rbm", "cx"])
 @pytest.mark.parametrize("name", list(BUILT))
-def test_every_built_circuit_walks_a_unit_program(name, route, policy, order, build):
-    """Both builders, on both routes, with every ancilla policy and order,
-    build circuits made of units: a trajectory advances through one
-    without a ValueError."""
+def test_every_built_circuit_walks_a_unit_program(name, route, layout, order, build):
+    """Both builders, on both routes and at every order, build circuits
+    made of units, and so does each one laid out on a pool of ancillas
+    (`oracles.in_layout`): a trajectory advances through one without a
+    ValueError."""
     text = BUILT[name]
     if build == "trotter_step":
-        circuit = _step(text, 0.05, route, policy, order)
+        circuit = _step(text, 0.05, route, layout, order)
     else:
-        circuit = build_qite_circuit(parse_hamiltonian(text), 0.1, 0.05, order,
-                                     route=route, policy=AncillaPolicy.parse(policy))
+        circuit = oracles.in_layout(
+            build_qite_circuit(parse_hamiltonian(text), 0.1, 0.05, order, route=route), layout)
     traj = Trajectory(circuit, StateVector.uniform_plus(circuit.n_visible))
     traj.advance(circuit)
     assert len(traj.record) == circuit.n_cbits
