@@ -8,16 +8,15 @@ the marginalized auxiliary-field factor; the circuit's log_norm accumulates
 ln(2A) per unit so the encoded operator is recovered exactly.
 
 Two compilation routes exist per term: "rbm" rotates with the term's own
-letters (one ancilla rotation per weight), while "cx" concentrates the
-term's parity onto its last support qubit with a CX ladder and encodes a
-one-body factor there.  Every unit uses the one ancilla, qubit n, and is
-measured, post-selected onto 0 and reset before the next unit begins, so
-the circuit's width stays n + 1.
+letters (one ancilla rotation per weight), while "word" encodes the whole
+term as one unit, a rotation X_anc ⊗ P on the term's word P plus a bias.
+Neither route puts a gate on the visible register alone.  Every unit uses
+the one ancilla, qubit n, and is measured, post-selected onto 0 and reset
+before the next unit begins, so the circuit's width stays n + 1.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .decomp import (
     LN2,
@@ -28,7 +27,6 @@ from .ir import Circuit, Fragment, Gate
 from .pauli import (
     Hamiltonian,
     HamiltonianTerm,
-    basis_rotation_layer,
     merged_letters,
     word_from_sites,
 )
@@ -39,18 +37,14 @@ _Rotations = list[tuple[tuple[tuple[int, str], ...], float]]
 
 
 def _emit_unit(frag: Fragment, n: int, rotations: _Rotations, log_norm: float,
-               mean_success: float, before: Sequence[Gate] = (),
-               after: Sequence[Gate] = ()) -> None:
-    """Append one hidden unit on ancilla n: the visible gates before, its
-    rotations (sites and letters, angle) with X on the ancilla, the visible
-    gates after, then its measure into the next cbit, its post-selection
-    onto 0 and its reset."""
-    frag.gates.extend(before)
+               mean_success: float) -> None:
+    """Append one hidden unit on ancilla n: its rotations (sites and
+    letters, angle) with X on the ancilla, then its measure into the next
+    cbit, its post-selection onto 0 and its reset."""
     for sites, angle in rotations:
         letters = dict(sites)
         letters[n] = "X"
         frag.gates.append(Gate("pauli_rot", angle=angle, string=word_from_sites(n + 1, letters)))
-    frag.gates.extend(after)
     frag.log_norm += log_norm
     frag.model_success *= mean_success
     cbit = frag.n_cbits
@@ -91,25 +85,27 @@ def _term_rbm(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
     return _rbm_units(frag, {support: coupling}, term.string.word, term.string.n_qubits)
 
 
-def _term_cx(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
-    """Append one term's single unit via basis layer + CX parity ladder;
-    returns its scalar log-norm shift."""
+def _term_word(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
+    """Append one term's single unit, a rotation X_anc ⊗ P on its word P
+    plus a bias; returns its scalar log-norm shift.
+
+    P squares to 1, so with k = |dtau c|, s the sign of dtau c and
+    w = acos(e^{-2k}) / 2, post-selection leaves cos(w P + s w) =
+    e^{-k} e^{-s k P}: the unit's log_norm is k."""
     coupling = dtau * term.coefficient
     support = term.string.support()
     if not support:
         return -coupling
     if coupling == 0.0:
         return 0.0
-    pre, post, _ = basis_rotation_layer(term.string)
-    ladder = [Gate("cx", (support[i], support[i + 1])) for i in range(len(support) - 1)]
     k = abs(coupling)
     s = -1.0 if coupling < 0 else 1.0
     w = 0.5 * math.acos(math.exp(-2.0 * k))
-    rotations: _Rotations = [(((support[-1], "Z"),), 2.0 * w)]
+    word = term.string.word
+    rotations: _Rotations = [(tuple((q, word[q]) for q in support), 2.0 * w)]
     if s * w != 0.0:
         rotations.append(((), 2.0 * s * w))
-    _emit_unit(frag, term.string.n_qubits, rotations, k, 0.5 * (1.0 + math.exp(-4.0 * k)),
-               before=post + ladder, after=ladder[::-1] + pre)
+    _emit_unit(frag, term.string.n_qubits, rotations, k, 0.5 * (1.0 + math.exp(-4.0 * k)))
     return 0.0
 
 
@@ -149,7 +145,7 @@ def trotter_step(
     Each unit is measured, post-selected onto 0 and reset, on ancilla n,
     before the next unit begins.
     """
-    if route not in ("rbm", "cx"):
+    if route not in ("rbm", "word"):
         raise ValueError(f"unknown route {route!r}")
     frag = Fragment()
     for terms, factor in trotter_groups(h, order):
@@ -163,7 +159,7 @@ def trotter_step(
                 table[key] = table.get(key, 0.0) + dtau_eff * t.coefficient
             extra = _rbm_units(group, table, letters, h.n_qubits)
         else:
-            make = _term_rbm if route == "rbm" else _term_cx
+            make = _term_rbm if route == "rbm" else _term_word
             extra = 0.0
             for t in terms:
                 extra += make(group, t, dtau_eff)

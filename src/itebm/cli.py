@@ -214,7 +214,7 @@ _COMMON = [
                  help="Trotter step"),
     click.option("--order", type=click.IntRange(1, 2), default=2, show_default=True,
                  help="Trotter order"),
-    click.option("--route", type=click.Choice(["rbm", "cx"]), default="rbm",
+    click.option("--route", type=click.Choice(["rbm", "word"]), default="rbm",
                  show_default=True, help="encoding route"),
     click.option("--shots", type=int, default=100_000, show_default=True),
     click.option("--batches", type=int, default=100, show_default=True),

@@ -202,15 +202,22 @@ def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
             f"coupling target {k_target!r} exceeds the double-precision "
             f"representable range for order {m} (|K| <= {k_hi:.6g})"
         )
-    from scipy.optimize import brentq  # deferred: costs most of the import time
-
-    w = brentq(
-        lambda x: _k_equal_weights(m_eff, x) - k,
-        0.0,
-        w_hi,
-        xtol=1e-15,
-        rtol=4 * np.finfo(float).eps,
-    )
+    # Newton steps on the bracket [lo, hi], K(lo) < k <= K(hi), each
+    # replaced by a bisection where it would leave the bracket or move more
+    # than half as far as the step before it
+    lo, hi, w, step = 0.0, w_hi, 0.5 * w_hi, w_hi
+    for _ in range(200):
+        resid = _k_equal_weights(m_eff, w) - k
+        if resid == 0.0:
+            break
+        lo, hi = (w, hi) if resid < 0.0 else (lo, w)
+        deriv = _k_equal_weights_deriv(m_eff, w)
+        nxt = w - resid / deriv if deriv > 0.0 else lo
+        if not lo < nxt < hi or abs(nxt - w) > 0.5 * step:
+            nxt = 0.5 * (lo + hi)
+        w, step = nxt, abs(nxt - w)
+        if step <= 1e-15:
+            break
     for _ in range(2):  # Newton polish with the analytic derivative
         resid = _k_equal_weights(m_eff, w) - k
         deriv = _k_equal_weights_deriv(m_eff, w)

@@ -9,8 +9,8 @@ branch probabilities to a record.  A circuit's gates, one Trotter step,
 are compiled once into its unit program (`_units`), and the trajectory
 binds the program to its own vector and buffers and walks it `repeats`
 times, so each op runs on precomputed views without allocating.
-A circuit that is not made of units is a ValueError naming its first gate
-outside one.
+A circuit that is not made of units, a gate on the visible register alone
+included, is a ValueError naming its first gate outside one.
 
 Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
 Theta = sum_r (angle_r / 2) V_r, so the ancillas never enter the vector.
@@ -18,8 +18,8 @@ With its X sites rotated by HX and its Y sites by HY^dag, as the paper
 encodes X and Y couplings, a unit is diagonal, so consecutive units whose
 letters agree are one op, between two basis changes unless they are I/Z,
 that reads all their branch probabilities from one matrix-vector product.
-It agrees with the gate-by-gate walk (`tests/oracles.walk_reference`) to
-rounding.
+A program has these two kinds of op only.  It agrees with the gate-by-gate
+walk (`tests/oracles.walk_reference`) to rounding.
 
 Exact mode multiplies the kept-branch probabilities; sampled mode replays
 the record with per-shot Born-rule draws, discarding shots at their first
@@ -40,14 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .ir import Circuit
 from .pauli import (
     HX,
-    HY,
     HY_DAG,
     Hamiltonian,
     PauliString,
@@ -55,8 +53,6 @@ from .pauli import (
     merged_letters,
     word_action,
 )
-
-_GATE_1Q = {"hx": HX, "hy": HY, "hydag": HY_DAG}
 
 #: Branch probabilities below this are treated as a fully rejected trajectory.
 ZERO_WEIGHT = 1e-300
@@ -138,18 +134,6 @@ class ExactRunResult:
     log_norm: float
 
 
-# ---------------------------------------------------------------------------
-# Gate kernels over one 2^n amplitude vector, updated in place.
-
-@lru_cache(maxsize=1024)
-def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    cbit = (idx >> (n - 1 - control)) & 1
-    perm = np.where(cbit == 1, idx ^ (1 << (n - 1 - target)), idx)
-    perm.setflags(write=False)
-    return perm
-
-
 def _apply_1q(vec: np.ndarray, q: int, mat: np.ndarray) -> None:
     shaped = vec.reshape(1 << q, 2, -1)
     a0 = shaped[:, 0, :].copy()
@@ -169,14 +153,7 @@ def _visible(circuit: Circuit, psi0: StateVector) -> np.ndarray:
 
 
 # Opcodes of a compiled program: (opcode, operands...) tuples, see _units.
-_ROT, _1Q, _PERM, _BASIS, _DIAG = range(5)
-
-
-def _rot_op(word: str, angle: float) -> tuple:
-    perm, phase = word_action(word)
-    # complex128: numpy would cast them to it in every multiply
-    return (_ROT, perm, phase, np.complex128(np.cos(0.5 * angle)),
-            np.complex128(-1j * np.sin(0.5 * angle)))
+_BASIS, _DIAG = range(2)
 
 
 #: Consecutive units share one run while the product of their smallest
@@ -256,29 +233,27 @@ def _not_a_unit(i: int, circuit: Circuit, why: str) -> ValueError:
 
 def _units(circuit: Circuit) -> tuple[tuple, ...]:
     """The unit program of a circuit, on its visible register alone.  A
-    circuit with an ancilla use that is not a unit raises a ValueError
-    naming the first gate found outside one.
+    circuit with a gate that is not part of a unit raises a ValueError
+    naming the first one found.
 
     A unit is a maximal run of pauli_rot X_a ⊗ V_r on a clean ancilla a
     (in |0>: never touched, or post-selected onto 0 since), whose V_r put
     at most one letter on each visible site, later measured and
     post-selected onto 0, in the order the units began; a reset of a clean
-    ancilla is dropped, and a circuit that measures or resets a visible
-    qubit is not made of units.  Post-selection leaves cos(Theta) psi,
-    Theta = sum_r (angle_r / 2) V_r, kept with weight |cos(Theta) psi|^2
-    against |sin(Theta) psi|^2 read as 1.  Each unit goes where its
-    rotations were, as its measurement commutes with the visible gates
-    between them.  Its V_r are Z words once each X site is rotated by HX
-    and each Y site by HY^dag, so cos(Theta) is diagonal there.
-    Consecutive units whose letters agree site by site form one _DIAG op,
-    split where their cos^2 could take the kept weight below _RUN_FLOOR,
-    between the _BASIS ops into and out of their basis (none for I/Z
-    words).  The other gates keep their ops, on the visible register.  The
-    program is one of the circuit's `repeats`: no run spans two steps.
+    ancilla is dropped.  Any other gate, on the visible register alone or
+    on an ancilla, is not part of a unit.  Post-selection leaves
+    cos(Theta) psi, Theta = sum_r (angle_r / 2) V_r, kept with weight
+    |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Its V_r are
+    Z words once each X site is rotated by HX and each Y site by HY^dag,
+    so cos(Theta) is diagonal there.  Consecutive units whose letters
+    agree site by site form one _DIAG op, split where their cos^2 could
+    take the kept weight below _RUN_FLOOR, between the _BASIS ops into and
+    out of their basis (none for I/Z words).  The program is one of the
+    circuit's `repeats`: no run spans two steps.
     """
     nv = circuit.n_visible
     gates = circuit.gates
-    ops: list = []  # gate ops, and [rotations, letters, cbit] per unit
+    units: list = []  # [rotations, letters, cbit] per unit, in the order they began
     pending: list[tuple[int, list, int]] = []  # (ancilla, unit, first gate), unmeasured
     active = None  # the pending entry whose rotations the last gate extended
     i = 0
@@ -300,7 +275,7 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
                 raise _not_a_unit(i, circuit, "its ancilla holds a unit not yet measured")
             else:
                 active = (a, [[(word, g.angle)], word, None], i)
-                ops.append(active[1])
+                units.append(active[1])
                 pending.append(active)
             i += 1
             continue
@@ -319,48 +294,34 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
             continue
         if g.kind == "postselect":
             raise _not_a_unit(i, circuit, "postselect without a preceding measure")
-        if g.kind == "reset":
-            if not ancillas:
-                raise _not_a_unit(i, circuit, "reset of a visible qubit")
-            if any(q == ancillas[0] for q, _, _ in pending):
-                raise _not_a_unit(i, circuit, "reset of an entangled ancilla")
-        elif ancillas:
-            raise _not_a_unit(i, circuit, "it acts on an ancilla outside a unit")
-        elif g.kind == "pauli_rot":
-            ops.append(_rot_op(g.string.word[:nv], g.angle))
-        elif g.kind == "cx":
-            ops.append((_PERM, _cx_perm(nv, g.qubits[0], g.qubits[1])))
-        else:
-            ops.append((_1Q, g.qubits[0], _GATE_1Q[g.kind]))
+        if g.kind != "reset":
+            raise _not_a_unit(i, circuit, "it acts on an ancilla outside a unit" if ancillas
+                              else "it acts on the visible register alone")
+        if not ancillas:
+            raise _not_a_unit(i, circuit, "reset of a visible qubit")
+        if any(q == ancillas[0] for q, _, _ in pending):
+            raise _not_a_unit(i, circuit, "reset of an entangled ancilla")
         i += 1
     if pending:
         raise _not_a_unit(pending[0][2], circuit,
                           "ancillas not returned to |0>: its unit is never measured")
-    program: list = []  # gate ops, and [letters, units] per run
-    run: list = []
+    runs: list = []  # [letters, units] per run
     bound = 0.0
-    for op in ops:
-        if isinstance(op, tuple):
-            program.append(op)
-            continue
-        rotations, letters, cbit = op
+    for rotations, letters, cbit in units:
         cos, sin2 = _unit_diagonal(rotations, nv)
         low = float(np.min(cos * cos))
-        merged = merged_letters([run[0], letters]) if program and program[-1] is run else None
+        merged = merged_letters([runs[-1][0], letters]) if runs else None
         if merged is not None and bound * low >= _RUN_FLOOR:
-            run[0], bound = merged, bound * low
+            runs[-1][0], bound = merged, bound * low
         else:
-            run, bound = [letters, []], low
-            program.append(run)
-        run[1].append((cos, sin2, cbit))
-    out: list[tuple] = []
-    for op in program:
-        if isinstance(op, tuple):
-            out.append(op)
-        else:
-            before, after, scale = _basis_change(op[0])
-            out += [*before, _diag_op(op[1], scale), *after]
-    return tuple(out)
+            runs.append([letters, []])
+            bound = low
+        runs[-1][1].append((cos, sin2, cbit))
+    program: list[tuple] = []
+    for letters, run in runs:
+        before, after, scale = _basis_change(letters)
+        program += [*before, _diag_op(run, scale), *after]
+    return tuple(program)
 
 
 def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray) -> tuple[tuple, ...]:
@@ -389,11 +350,10 @@ def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray) -> tuple
     return tuple(bound)
 
 
-def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
-          weights: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+def _walk(program: tuple[tuple, ...], vec: np.ndarray, weights: np.ndarray, record: list,
+          cbit_offset: int = 0) -> bool:
     """Walk a vector in place through a unit program bound to it (`_bind`),
-    with buf, of the vector's size, as scratch and weights as its |amp|^2
-    buffer.
+    with weights as its |amp|^2 buffer.
 
     A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
     to record per unit and applies each cos(Theta), and 1 / sqrt(p_kept)
@@ -411,17 +371,7 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
     differ between hosts.
     """
     for op in program:
-        kind = op[0]
-        if kind == _ROT:
-            # phase, then scalars, as the reference walk multiplies: a
-            # visible rotation keeps its bits, signed zeros included
-            _, perm, phase, cos, minus_isin = op
-            vec.take(perm, out=buf)
-            buf *= phase
-            vec *= cos
-            buf *= minus_isin
-            vec += buf
-        elif kind == _DIAG:
+        if op[0] == _DIAG:
             _, table, cos, cbits = op
             np.absolute(vec, weights)
             np.square(weights, weights)
@@ -434,16 +384,11 @@ def _walk(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray,
                     return False
             vec *= cos
             vec /= math.sqrt(kept)
-        elif kind == _BASIS:
+        else:  # _BASIS
             for a, b, out in op[1]:
                 np.matmul(a, b, out=out)
             if op[2] is not None:
                 vec[:] = op[2]
-        elif kind == _1Q:
-            _apply_1q(vec, op[1], op[2])
-        else:  # _PERM
-            vec.take(op[1], out=buf)
-            vec[:] = buf
     return True
 
 
@@ -545,7 +490,7 @@ class Trajectory:
                 self._bound = (circuit, _bind(_units(circuit), self.vec, self._buf))
             start, step_cbits = len(self.record), circuit.n_cbits // circuit.repeats
             self.stopped = not all(  # stops at the first sub-floor branch
-                _walk(self._bound[1], self.vec, self._buf, self._weights, self.record,
+                _walk(self._bound[1], self.vec, self._weights, self.record,
                       self.n_cbits + r * step_cbits) for r in range(circuit.repeats))
             self.cumulative_success = math.prod(
                 (entry[2] for entry in self.record[start:]), start=self.cumulative_success)

@@ -9,6 +9,7 @@ state index; spin values are z = +1 for bit 0 and z = -1 for bit 1.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 _I = np.eye(2, dtype=complex)
@@ -16,6 +17,11 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_MATS = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
+
+#: The two encoding routes, as test parameters.  The word route's tests keep
+#: the id "cx", the name of the parity-ladder route whose unit it encodes as
+#: one rotation, so that every test keeps its id across that change.
+ROUTES = [pytest.param("rbm", id="rbm"), pytest.param("word", id="cx")]
 
 HX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 HY = np.array([[-1j, 1j], [1, 1]], dtype=complex) / np.sqrt(2.0)
@@ -484,12 +490,14 @@ def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0)
     Walks vec (see `with_ancillas`) in place; appends (cbit + cbit_offset,
     p1, p_kept) per measure/postselect pair to record, p_kept the weight of
     the post-selected value; returns False at a kept branch below
-    BRANCH_FLOOR.  Uses the package's one-qubit and CX kernels, which the
-    unit program's visible gates share.
+    BRANCH_FLOOR.  Keeps its own kernels for the gates that act on the
+    visible register alone (hx, hy, hydag, cx and visible rotations), which
+    the unit program refuses.
     """
-    from itebm.pauli import word_action
-    from itebm.simulator import _GATE_1Q, BRANCH_FLOOR, SimulationError, _apply_1q, _cx_perm
+    from itebm.pauli import HX, HY, HY_DAG, word_action
+    from itebm.simulator import BRANCH_FLOOR, SimulationError, _apply_1q
 
+    mats = {"hx": HX, "hy": HY, "hydag": HY_DAG}
     n = circuit.n_qubits
     gates = unrolled_gates(circuit)
     i = 0
@@ -516,10 +524,12 @@ def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0)
             raise SimulationError("postselect without a preceding measure")
         if g.kind == "reset":
             _reset_vector(vec, g.qubits[0])
-        elif g.kind in _GATE_1Q:
-            _apply_1q(vec, g.qubits[0], _GATE_1Q[g.kind])
+        elif g.kind in mats:
+            _apply_1q(vec, g.qubits[0], mats[g.kind])
         elif g.kind == "cx":
-            vec[:] = vec[_cx_perm(n, g.qubits[0], g.qubits[1])]
+            idx = np.arange(1 << n)
+            cbit = (idx >> (n - 1 - g.qubits[0])) & 1
+            vec[:] = vec[np.where(cbit == 1, idx ^ (1 << (n - 1 - g.qubits[1])), idx)]
         else:  # pauli_rot
             perm, phase = word_action(g.string.word)
             tmp = vec[perm] * phase

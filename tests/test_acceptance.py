@@ -76,7 +76,7 @@ def test_criterion_1_identity_exactness():
         k = float(rng.uniform(-2.0, 2.0))
         n = len(word)
         term = HamiltonianTerm(k, PauliString(word))
-        route = "cx" if case % 5 == 4 else "rbm"
+        route = "word" if case % 5 == 4 else "rbm"
         circuit = oracles.one_term_circuit(term, 1.0, route)
         psi0 = StateVector(n, oracles.random_state(n, rng))
         final = run_exact(circuit, psi0).final_state

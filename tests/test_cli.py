@@ -68,10 +68,15 @@ def _modules_after_import(module: str, then: str = "") -> set[str]:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """Only the order >= 5 weight solver needs brentq, so a fresh import of
-    the CLI must not pay for scipy.optimize; an exact evolve, oracle check
-    included, loads no scipy at all."""
+    """The runtime is numpy-only: a fresh import of the CLI, an order-5
+    decompose, whose weight solver is the general one, and an exact evolve,
+    oracle check included, load no scipy at all."""
     assert "scipy.optimize" not in _modules_after_import("itebm.cli")
+    argv = ["decompose", "ZZZZZ", "0.3", "--verify"]
+    loaded = _modules_after_import(
+        "itebm.cli", f"itebm.cli.main({argv!r}, standalone_mode=False)")
+    assert "itebm.decomp" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     ham = tmp_path / "tfim.txt"
     ham.write_text(ISING_TEXT)
     argv = ["evolve", "--hamiltonian", str(ham), "--mode", "exact", "--tau", "0.1,0.2",
@@ -321,6 +326,7 @@ def test_evolve_usage_errors(runner, tfim_file, tmp_path):
          "--shots", "999", "--batches", "100"],
         ["evolve", "--hamiltonian", tfim_file, "--batches", "1"],
         ["evolve", "--hamiltonian", tfim_file, "--route", "teleport"],
+        ["evolve", "--hamiltonian", tfim_file, "--route", "cx"],
     ]
     for args in bad:
         result = runner.invoke(main, args)

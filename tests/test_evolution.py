@@ -68,7 +68,7 @@ def test_unordered_repeated_and_zero_taus_equal_rerun(mode):
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
 @pytest.mark.parametrize("route, layout, order", [
-    ("cx", "pooled:2", 2), ("rbm", "pooled:3", 1),
+    pytest.param("word", "pooled:2", 2, id="cx-pooled:2-2"), ("rbm", "pooled:3", 1),
 ])
 def test_routes_and_policies_equal_rerun(mode, route, layout, order):
     """The rows do not depend on the ancilla layout: a rerun that walks
@@ -79,7 +79,9 @@ def test_routes_and_policies_equal_rerun(mode, route, layout, order):
     assert error is None and len(rows) == 10
 
 
-@pytest.mark.parametrize("mode, route", [("exact", "rbm"), ("shots", "cx")])
+@pytest.mark.parametrize("mode, route", [
+    ("exact", "rbm"), pytest.param("shots", "word", id="shots-cx"),
+])
 def test_y_words_equal_rerun(mode, route):
     rows, error = _assert_same(Y_WORDS, [0.2, 0.4], 0.1, mode, 4800, 4, 0, route=route)
     assert error is None and len(rows) == 2

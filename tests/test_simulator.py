@@ -28,10 +28,6 @@ def _unitary_circuit(n, gates):
     return Circuit(n_visible=n, n_ancilla=0, gates=tuple(gates))
 
 
-def _final(circuit, psi0):
-    return run_exact(circuit, psi0).final_state.amps
-
-
 # --- state container ------------------------------------------------------
 
 
@@ -61,7 +57,31 @@ def test_statevector_algebra():
     assert scaled.normalized().norm == pytest.approx(1.0)
 
 
-# --- gate kernels ---------------------------------------------------------
+# --- gates on the visible register alone ---------------------------------
+#
+# No builder emits one, so the unit program has no op for one: each is a
+# ValueError before the walk, naming the gate.  The reference walk keeps its
+# own kernels for them, checked here against dense matrices.
+
+
+def _assert_refused(circuit, psi0):
+    """run_exact, run_shots and Trajectory.advance refuse the circuit at
+    gate 0, a gate on the visible register alone, and leave the trajectory's
+    vector as it was."""
+    kind = circuit.gates[0].kind
+    message = (f"gate 0 ({kind}) is not part of a hidden unit: "
+               "it acts on the visible register alone")
+    assert _message(ValueError, run_exact, circuit, psi0) == message
+    assert _message(ValueError, run_shots, circuit, psi0, 20, 0) == message
+    traj = Trajectory(circuit, psi0)
+    assert _message(ValueError, traj.advance, circuit) == message
+    assert np.array_equal(traj.vec, psi0.normalized().amps)
+
+
+def _reference_final(circuit, psi0):
+    vec = oracles.with_ancillas(circuit, psi0)
+    assert oracles.walk_reference(circuit, vec, [])
+    return vec
 
 
 @pytest.mark.parametrize("kind,mat", [
@@ -71,18 +91,20 @@ def test_statevector_algebra():
 def test_single_qubit_kernels(kind, mat, q):
     rng = np.random.default_rng(q)
     psi0 = StateVector(3, oracles.random_state(3, rng))
-    got = _final(_unitary_circuit(3, [Gate(kind, (q,))]), psi0)
+    circuit = _unitary_circuit(3, [Gate(kind, (q,))])
+    _assert_refused(circuit, psi0)
     want = oracles.embed_1q(mat, q, 3) @ psi0.amps
-    assert np.allclose(got, want, atol=1e-13)
+    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-13)
 
 
 @pytest.mark.parametrize("control,target", [(0, 1), (1, 0), (0, 2), (2, 1)])
 def test_cx_kernel(control, target):
     rng = np.random.default_rng(control * 3 + target)
     psi0 = StateVector(3, oracles.random_state(3, rng))
-    got = _final(_unitary_circuit(3, [Gate("cx", (control, target))]), psi0)
+    circuit = _unitary_circuit(3, [Gate("cx", (control, target))])
+    _assert_refused(circuit, psi0)
     want = oracles.cx_matrix(control, target, 3) @ psi0.amps
-    assert np.allclose(got, want, atol=1e-13)
+    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-13)
 
 
 @pytest.mark.parametrize("word,angle", [
@@ -92,20 +114,20 @@ def test_pauli_rotation_kernel(word, angle):
     n = len(word)
     rng = np.random.default_rng(n)
     psi0 = StateVector(n, oracles.random_state(n, rng))
-    gate = Gate("pauli_rot", angle=angle, string=PauliString(word))
-    got = _final(_unitary_circuit(n, [gate]), psi0)
+    circuit = _unitary_circuit(n, [Gate("pauli_rot", angle=angle, string=PauliString(word))])
+    _assert_refused(circuit, psi0)
     want = oracles.exp_factor(0.5j * angle, word) @ psi0.amps
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-12)
 
 
 def test_hx_hy_relations():
-    """HX is an involution; HY^dag inverts HY."""
+    """HX is an involution; HY^dag inverts HY: in the reference walk, as
+    the unit program's basis changes rely on."""
     psi0 = StateVector(1, oracles.random_state(1, np.random.default_rng(2)))
-    both = _final(_unitary_circuit(1, [Gate("hy", (0,)), Gate("hydag", (0,))]), psi0)
-    # run_exact normalizes, so compare up to the (unit) global factor exactly
-    assert np.allclose(both, psi0.amps, atol=1e-13)
-    twice = _final(_unitary_circuit(1, [Gate("hx", (0,)), Gate("hx", (0,))]), psi0)
-    assert np.allclose(twice, psi0.amps, atol=1e-13)
+    for pair in (("hy", "hydag"), ("hx", "hx")):
+        circuit = _unitary_circuit(1, [Gate(kind, (0,)) for kind in pair])
+        _assert_refused(circuit, psi0)
+        assert np.allclose(_reference_final(circuit, psi0), psi0.amps, atol=1e-13)
 
 
 # --- exact execution ------------------------------------------------------
@@ -170,11 +192,11 @@ def test_reset_factors_out_product_qubit():
     """A reset of an ancilla in |0>, never touched or post-selected onto 0
     since, leaves the visible state as it is."""
     circuit = Circuit(2, 1, gates=(
-        Gate("hx", (1,)), Gate("reset", (2,)),
+        Gate("reset", (2,)),
         Gate("pauli_rot", angle=0.8, string=PauliString("IIX")),
         Gate("measure", (2,), cbit=0), Gate("postselect", cbit=0, value=0),
         Gate("reset", (2,)), Gate("reset", (2,))), n_cbits=1)
-    res = run_exact(circuit, StateVector.zeros(2))
+    res = run_exact(circuit, StateVector.from_amplitudes([1 / math.sqrt(2)] * 2 + [0, 0]))
     assert np.allclose(res.final_state.amps, [1 / math.sqrt(2)] * 2 + [0, 0], atol=1e-12)
     assert res.cumulative_success == pytest.approx(math.cos(0.4) ** 2, rel=1e-12)
 
@@ -298,7 +320,7 @@ def test_run_shots_matches_batched_reference_bases(basis):
     assert 0 < run.n_accepted < run.n_shots
 
 
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 def test_run_shots_matches_batched_reference_routes(route, layout):
     h = parse_hamiltonian(MIXED)
@@ -417,20 +439,25 @@ def test_structure_error_raises_after_every_shot_is_rejected():
 
 
 def test_reset_of_product_qubit_same_in_both_modes():
-    """Resets of a clean ancilla around a unit, between visible gates: the
-    replayed shots' acceptance and terminal bits follow the exact walk."""
+    """Resets of a clean ancilla before, between and after units in two
+    bases: the replayed shots' acceptance and terminal bits follow the
+    exact walk."""
     a = 0.7
-    psi0 = StateVector.from_amplitudes([math.cos(a), 0, 1j * math.sin(a), 0])
+    amps = np.array([math.cos(a), 0, 1j * math.sin(a), 0])
+    amps = oracles.exp_factor(0.25j, "IZ") @ oracles.embed_1q(oracles.HX, 1, 2) @ amps
+    psi0 = StateVector.from_amplitudes(amps)
     circuit = Circuit(2, 1, gates=(
-        Gate("hx", (1,)),
         Gate("reset", (2,)),
-        Gate("pauli_rot", angle=0.5, string=PauliString("IZI")),
         Gate("pauli_rot", angle=1.3, string=PauliString("ZIX")),
         Gate("measure", (2,), cbit=0),
         Gate("postselect", cbit=0, value=0),
         Gate("reset", (2,)),
-        Gate("pauli_rot", angle=0.9, string=PauliString("XII")),
-    ), n_cbits=1)
+        Gate("pauli_rot", angle=0.9, string=PauliString("XIX")),
+        Gate("measure", (2,), cbit=1),
+        Gate("postselect", cbit=1, value=0),
+        Gate("reset", (2,)),
+        Gate("reset", (2,)),
+    ), n_cbits=2)
     res = run_exact(circuit, psi0)
     n = 20000
     run = run_shots(circuit, psi0, n, seed=12)
@@ -498,20 +525,17 @@ def test_compiled_walk_equals_reference_on_chain_step():
     _assert_walks_equal(CHAIN, 20, 0.01, StateVector.uniform_plus(8))
 
 
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 def test_compiled_walk_equals_reference_on_ising_step(route, layout):
     _assert_walks_equal(TFIM, 100, 0.01, StateVector.uniform_plus(3), route, layout)
 
 
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
 def test_compiled_walk_equals_reference_on_y_words(route, layout, order):
-    """hx/hy/hydag/cx kernels (cx route) and pooled ancillas whose measures
-    and resets interleave."""
-    if route == "cx":
-        step = _step(Y_WORDS, 0.1, route, layout, order)
-        assert {"hy", "hydag", "cx"} <= {g.kind for g in step.gates}
+    """Units of X, Y and Z letters in turn, and pooled ancillas whose
+    measures and resets interleave."""
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
     _assert_walks_equal(Y_WORDS, 10, 0.1, psi0, route, layout, order)
 
@@ -538,14 +562,21 @@ def _assert_walk_close(circuit, psi0, steps):
 
 
 def test_reset_of_untouched_postselected_qubit_is_dropped():
-    circuit = Circuit(1, 1, gates=_unit(
+    """Resets of an ancilla post-selected onto 0, while a unit on a second
+    ancilla is still to be measured, are dropped."""
+    circuit = Circuit(1, 2, gates=(
+        Gate("pauli_rot", angle=1.1, string=PauliString("XXI")),
+        Gate("measure", (1,), cbit=0),
         Gate("postselect", cbit=0, value=0),
-        Gate("pauli_rot", angle=0.3, string=PauliString("ZI")),
+        Gate("pauli_rot", angle=0.3, string=PauliString("ZIX")),
         Gate("reset", (1,)),
         Gate("reset", (1,)),
-    ), n_cbits=1)
+        Gate("measure", (2,), cbit=1),
+        Gate("postselect", cbit=1, value=0),
+        Gate("reset", (2,)),
+    ), n_cbits=2)
     kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS, simulator._ROT]
+    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS, simulator._DIAG]
     _assert_walk_close(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
 
 
@@ -577,8 +608,8 @@ def test_walk_stops_below_branch_floor_like_reference():
     """A certain |1> fails the post-selection onto 0: the walk stops there,
     as the reference does, and never reaches the unit after it.  With a
     malformed gate after that point, the circuit raises before any walk."""
+    psi0 = StateVector.from_amplitudes([math.cos(0.25), -1j * math.sin(0.25)])
     gates = (
-        Gate("pauli_rot", angle=0.5, string=PauliString("XI")),
         Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
         Gate("measure", (1,), cbit=0),
         Gate("postselect", cbit=0, value=0),
@@ -589,10 +620,10 @@ def test_walk_stops_below_branch_floor_like_reference():
         Gate("measure", (1,), cbit=1),
         Gate("postselect", cbit=1, value=0),
     ), n_cbits=2)
-    traj = Trajectory(circuit, StateVector.zeros(1))
+    traj = Trajectory(circuit, psi0)
     for _ in range(2):
         traj.advance(circuit)
-    vec, record = oracles.with_ancillas(circuit, StateVector.zeros(1)), []
+    vec, record = oracles.with_ancillas(circuit, psi0), []
     assert not oracles.walk_reference(circuit, vec, record)
     assert traj.stopped and len(traj.record) == 1
     _assert_records_close(traj.record, record)
@@ -600,8 +631,8 @@ def test_walk_stops_below_branch_floor_like_reference():
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
     malformed = Circuit(1, 1, gates=gates + (Gate("postselect", cbit=0, value=0),), n_cbits=1)
-    assert _message(ValueError, _advance, malformed, StateVector.zeros(1)) == \
-        "gate 5 (postselect) is not part of a hidden unit: postselect without a preceding measure"
+    assert _message(ValueError, _advance, malformed, psi0) == \
+        "gate 4 (postselect) is not part of a hidden unit: postselect without a preceding measure"
 
 
 def test_branch_weights_add_up_like_reference():
@@ -641,8 +672,9 @@ def _signed_zero_state(n, rng):
 
 def test_compiled_walk_keeps_signed_zeros_of_rotations():
     """Random 1-3-qubit states with +-0.0 parts through random X/Y/Z
-    rotation words, no ancillas: a visible rotation multiplies as the
-    reference does, so the walk gives its bits."""
+    rotation words, no ancillas: a visible rotation is not part of a unit,
+    so each circuit is refused at its first gate before any walk, and the
+    trajectory's vector keeps its bits, signed zeros included."""
     rng = np.random.default_rng(31)
     for _ in range(400):
         n = int(rng.integers(1, 4))
@@ -653,11 +685,13 @@ def test_compiled_walk_keeps_signed_zeros_of_rotations():
         circuit = Circuit(n, 0, gates=gates)
         psi0 = _signed_zero_state(n, rng)
         traj = Trajectory(circuit, psi0)
-        vec = oracles.with_ancillas(circuit, psi0)
+        want = traj.vec.copy()
         for _ in range(2):
-            traj.advance(circuit)
-            oracles.walk_reference(circuit, vec, [])
-        assert np.array_equal(traj.vec.view(np.uint64), vec.view(np.uint64))
+            assert _message(ValueError, traj.advance, circuit) == (
+                "gate 0 (pauli_rot) is not part of a hidden unit: "
+                "it acts on the visible register alone")
+        assert not traj.record
+        assert np.array_equal(traj.vec.view(np.uint64), want.view(np.uint64))
 
 
 def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
@@ -667,7 +701,7 @@ def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
     compiled = []
     units = simulator._units
     monkeypatch.setattr(simulator, "_units", lambda c: compiled.append(c) or units(c))
-    a, b = _step(TFIM, 0.05, "rbm"), _step(TFIM, 0.1, "cx")
+    a, b = _step(TFIM, 0.05, "rbm"), _step(TFIM, 0.1, "word")
     psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(33)))
     traj = Trajectory(a, psi0)
     vec, record, offset = oracles.with_ancillas(a, psi0), [], 0

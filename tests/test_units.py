@@ -78,14 +78,14 @@ def _assert_units_close(circuits, psi0):
     return traj
 
 
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 def test_units_agree_with_reference_on_ising_step(route, layout):
     step = _step(TFIM, 0.01, route, layout)
     _assert_units_close([step] * 100, StateVector.uniform_plus(3))
 
 
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
 def test_units_agree_with_reference_on_y_words(route, layout, order):
     step = _step(Y_WORDS, 0.1, route, layout, order)
@@ -103,16 +103,16 @@ def test_units_agree_with_reference_on_chain_step():
 
 def test_units_agree_with_reference_on_overlapping_words():
     """Units whose words overlap on sites, each site with one letter (XZ,
-    XI and IZ), in a wave of two ancillas and with a visible gate between
-    unit and measure.  Words that put two letters on one site are not a
-    unit (`NOT_UNITS`)."""
+    XI and IZ), in a wave of two ancillas: the second unit begins before
+    the first one's measure.  Words that put two letters on one site are
+    not a unit (`NOT_UNITS`)."""
     rng = np.random.default_rng(45)
     gates = []
     for cbit in range(0, 8, 2):
         angles = rng.uniform(-2, 2, 5)
         gates += [_unit("XZXI", angles[0]), _unit("XIXI", angles[1]),
                   _unit("IZXI", angles[2]), _unit("IIXI", angles[3]),
-                  Gate("hy", (1,)), _unit("ZYIX", angles[4]),
+                  _unit("ZYIX", angles[4]),
                   Gate("measure", (2,), cbit=cbit), Gate("postselect", cbit=cbit, value=0),
                   Gate("measure", (3,), cbit=cbit + 1),
                   Gate("postselect", cbit=cbit + 1, value=0),
@@ -170,8 +170,8 @@ def test_unit_below_branch_floor_stops_at_the_reference_index():
 
 
 def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_reference():
-    """Each repetition keeps |1> and flips it to |0>, which the next
-    repetition's second unit keeps with probability near 1e-31: the walk
+    """Each repetition keeps |1>, then |+> and then |0>, which the next
+    repetition's second unit keeps with probability near 1e-32: the walk
     stops inside a diagonal run of the second of three repetitions, where
     the reference walk of the unrolled circuit stops, with cbits numbered
     on across repetitions.  The state cannot be read, and a replay rejects
@@ -179,29 +179,32 @@ def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_referenc
     circuit does."""
     step = Fragment(gates=[_unit("ZX", 0.3), *_measure(1, 0),
                            _unit("ZX", math.pi / 2), _unit("IX", math.pi / 2), *_measure(1, 1),
-                           Gate("pauli_rot", angle=math.pi, string=PauliString("XI"))],
-                    n_cbits=2)
+                           _unit("XX", math.pi / 2), _unit("IX", -math.pi / 2), *_measure(1, 2),
+                           _unit("ZX", math.pi / 2), _unit("IX", -math.pi / 2), *_measure(1, 3)],
+                    n_cbits=4)
     circuit = step.to_circuit(1, 1, repeats=3)
     unrolled = step.repeated(3).to_circuit(1, 1)
-    assert [op[0] for op in simulator._units(circuit)] == [simulator._DIAG, simulator._ROT]
+    basis, diag = simulator._BASIS, simulator._DIAG
+    assert [op[0] for op in simulator._units(circuit)] == [diag, basis, diag, basis, diag]
     psi0 = StateVector.uniform_plus(1)
     traj = Trajectory(circuit, psi0)
     traj.advance(circuit)
     vec, record = oracles.with_ancillas(unrolled, psi0), []
     assert not oracles.walk_reference(unrolled, vec, record)
-    assert traj.stopped and [e[0] for e in traj.record] == [e[0] for e in record] == [0, 1, 2, 3]
+    assert traj.stopped and [e[0] for e in traj.record] == [e[0] for e in record] \
+        == [0, 1, 2, 3, 4, 5]
     # the last kept weight is rounding in cos(pi/4 + pi/4) on both sides
     _assert_records_close(traj.record[:-1], record[:-1])
     assert max(traj.record[-1][2], record[-1][2]) < simulator.BRANCH_FLOOR
-    assert traj.n_cbits == 6
+    assert traj.n_cbits == 12
     assert traj.cumulative_success == math.prod(e[2] for e in traj.record)
-    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 3"):
+    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 5"):
         traj.final_state()
-    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 3"):
+    with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 5"):
         run_exact(circuit, psi0)
     shots = run_shots(circuit, psi0, 60, 5)
     accepted, cbits, terminal = oracles.batched_shots_reference(unrolled, psi0, 60, 5)
-    assert shots.n_accepted == 0 and np.any(shots.rejected_at == 3)
+    assert shots.n_accepted == 0 and np.any(shots.rejected_at == 5)
     assert np.array_equal(shots.accepted, accepted)
     assert np.array_equal(shots.cbits, cbits)
     assert np.array_equal(shots.terminal, terminal)
@@ -342,7 +345,7 @@ NOT_UNITS = [
     # rotations of one unit whose words do not commute
     (Circuit(1, 1, gates=(_unit("XX", 0.7), _unit("ZX", 0.4), *_measure(1, 0)), n_cbits=1), 1),
     # a gate between the rotations of one unit
-    (Circuit(1, 1, gates=(_unit("XX", 0.7), Gate("hy", (0,)), _unit("ZX", 0.4),
+    (Circuit(1, 2, gates=(_unit("XXI", 0.7), _unit("ZIX", 0.3), _unit("ZXI", 0.4),
                           *_measure(1, 0)), n_cbits=1), 2),
     # commuting words of one unit with two letters on a site (XZ and ZX)
     (Circuit(2, 1, gates=(_unit("XZX", 0.7), _unit("ZXX", 0.4), _unit("YYX", 0.2),
@@ -352,8 +355,16 @@ NOT_UNITS = [
     (_touched(Gate("pauli_rot", angle=0.3, string=PauliString("IZ"))), 3),
     (_touched(Gate("cx", (1, 0))), 3),
     # a visible measure, post-selected onto 1
-    (Circuit(2, 0, gates=(Gate("pauli_rot", angle=1.1, string=PauliString("XI")),
+    (Circuit(2, 1, gates=(_unit("XIX", 1.1),
                           Gate("measure", (0,), cbit=0), Gate("postselect", cbit=0, value=1)),
+             n_cbits=1), 1),
+    # gates on the visible register alone, before, between and after units
+    (Circuit(2, 1, gates=(Gate("hx", (1,)), _unit("XIX", 1.1), *_measure(2, 0)), n_cbits=1), 0),
+    (Circuit(2, 1, gates=(_unit("XIX", 1.1), *_measure(2, 0), Gate("cx", (0, 1)),
+                          _unit("ZZX", 0.4), *_measure(2, 1)), n_cbits=2), 4),
+    (Circuit(2, 1, gates=(_unit("XIX", 1.1), *_measure(2, 0),
+                          Gate("pauli_rot", angle=0.3, string=PauliString("YZI"))), n_cbits=1), 4),
+    (Circuit(2, 1, gates=(_unit("XIX", 1.1), Gate("hydag", (0,)), *_measure(2, 0)),
              n_cbits=1), 1),
 ]
 
@@ -449,19 +460,20 @@ BUILT = {
 @pytest.mark.parametrize("build", ["trotter_step", "build_qite_circuit"])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
-@pytest.mark.parametrize("route", ["rbm", "cx"])
+@pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("name", list(BUILT))
 def test_every_built_circuit_walks_a_unit_program(name, route, layout, order, build):
     """Both builders, on both routes and at every order, build circuits
     made of units, and so does each one laid out on a pool of ancillas
-    (`oracles.in_layout`): a trajectory advances through one without a
-    ValueError."""
+    (`oracles.in_layout`): no gate acts on the visible register alone,
+    and a trajectory advances through one without a ValueError."""
     text = BUILT[name]
     if build == "trotter_step":
         circuit = _step(text, 0.05, route, layout, order)
     else:
         circuit = oracles.in_layout(
             build_qite_circuit(parse_hamiltonian(text), 0.1, 0.05, order, route=route), layout)
+    assert {g.kind for g in circuit.gates} <= {"pauli_rot", "measure", "postselect", "reset"}
     traj = Trajectory(circuit, StateVector.uniform_plus(circuit.n_visible))
     traj.advance(circuit)
     assert len(traj.record) == circuit.n_cbits
