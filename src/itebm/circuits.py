@@ -1,18 +1,19 @@
-"""Compile imaginary-time propagators into post-selected circuit IR.
+"""Compile imaginary-time propagators into post-selected hidden units.
 
-Each hidden unit becomes a run of commuting Pauli rotations
-exp(-i W_r sigma_r X_anc) plus a bias rotation exp(-i W_0 X_anc) on a fresh
-ancilla, followed by measure / post-select on 0 / reset.  Post-selection
-leaves cos(W_0 + sum_r W_r sigma_r) acting on the visible register, which is
-the marginalized auxiliary-field factor; the circuit's log_norm accumulates
-ln(2A) per unit so the encoded operator is recovered exactly.
+Each hidden unit is a run of commuting Pauli rotations
+exp(-i W_r sigma_r X_anc) plus a bias rotation exp(-i W_0 X_anc) on the
+ancilla, which is then measured, post-selected onto 0 and reset (`ir`).
+Post-selection leaves cos(W_0 + sum_r W_r sigma_r) acting on the visible
+register, which is the marginalized auxiliary-field factor; the circuit's
+log_norm accumulates ln(2A) per unit so the encoded operator is recovered
+exactly.
 
 Two compilation routes exist per term: "rbm" rotates with the term's own
 letters (one ancilla rotation per weight), while "word" encodes the whole
 term as one unit, a rotation X_anc ⊗ P on the term's word P plus a bias.
-Neither route puts a gate on the visible register alone.  Every unit uses
-the one ancilla, qubit n, and is measured, post-selected onto 0 and reset
-before the next unit begins, so the circuit's width stays n + 1.
+Neither route puts a gate on the visible register alone.  The builders
+append units, each a tuple of (visible word, angle) rotations, to a
+`Fragment`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .decomp import (
     cascade_diagonal,
     mean_unit_success,
 )
-from .ir import Circuit, Fragment, Gate
+from .ir import Circuit, Fragment
 from .pauli import (
     Hamiltonian,
     HamiltonianTerm,
@@ -33,25 +34,12 @@ from .pauli import (
 from .simulator import n_trotter_steps
 
 
-_Rotations = list[tuple[tuple[tuple[int, str], ...], float]]
-
-
-def _emit_unit(frag: Fragment, n: int, rotations: _Rotations, log_norm: float,
+def _emit_unit(frag: Fragment, rotations: list[tuple[str, float]], log_norm: float,
                mean_success: float) -> None:
-    """Append one hidden unit on ancilla n: its rotations (sites and
-    letters, angle) with X on the ancilla, then its measure into the next
-    cbit, its post-selection onto 0 and its reset."""
-    for sites, angle in rotations:
-        letters = dict(sites)
-        letters[n] = "X"
-        frag.gates.append(Gate("pauli_rot", angle=angle, string=word_from_sites(n + 1, letters)))
+    """Append one hidden unit, its (visible word, angle) rotations."""
+    frag.units.append(tuple(rotations))
     frag.log_norm += log_norm
     frag.model_success *= mean_success
-    cbit = frag.n_cbits
-    frag.n_cbits += 1
-    frag.gates.append(Gate("measure", (n,), cbit=cbit))
-    frag.gates.append(Gate("postselect", cbit=cbit, value=0))
-    frag.gates.append(Gate("reset", (n,)))
 
 
 def _rbm_units(
@@ -66,10 +54,11 @@ def _rbm_units(
             extra += dec.log_norm
             continue
         (unit,) = dec.hidden_units
-        rotations: _Rotations = [(((q, letters[q]),), 2.0 * w) for q, w in unit.weights]
+        rotations = [(word_from_sites(n_qubits, {q: letters[q]}).word, 2.0 * w)
+                     for q, w in unit.weights]
         if unit.bias != 0.0:
-            rotations.append(((), 2.0 * unit.bias))
-        _emit_unit(frag, n_qubits, rotations, LN2 + dec.log_norm, mean_unit_success(unit))
+            rotations.append(("I" * n_qubits, 2.0 * unit.bias))
+        _emit_unit(frag, rotations, LN2 + dec.log_norm, mean_unit_success(unit))
     return extra
 
 
@@ -101,11 +90,10 @@ def _term_word(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
     k = abs(coupling)
     s = -1.0 if coupling < 0 else 1.0
     w = 0.5 * math.acos(math.exp(-2.0 * k))
-    word = term.string.word
-    rotations: _Rotations = [(tuple((q, word[q]) for q in support), 2.0 * w)]
+    rotations = [(term.string.word, 2.0 * w)]
     if s * w != 0.0:
-        rotations.append(((), 2.0 * s * w))
-    _emit_unit(frag, term.string.n_qubits, rotations, k, 0.5 * (1.0 + math.exp(-4.0 * k)))
+        rotations.append(("I" * term.string.n_qubits, 2.0 * s * w))
+    _emit_unit(frag, rotations, k, 0.5 * (1.0 + math.exp(-4.0 * k)))
     return 0.0
 
 
@@ -136,14 +124,12 @@ def trotter_step(
     order: int = 2,
     route: str = "rbm",
 ) -> Fragment:
-    """One Trotter step as a gate fragment on n visible qubits and ancilla n.
+    """One Trotter step as a fragment of units on n visible qubits.
 
     On the rbm route, a group whose terms share a consistent letter map is
     decomposed as one coupling table, folding induced couplings into the
     group's own pending terms; otherwise terms are encoded one at a time in
     input order (each term still compensates its own induced couplings).
-    Each unit is measured, post-selected onto 0 and reset, on ancilla n,
-    before the next unit begins.
     """
     if route not in ("rbm", "word"):
         raise ValueError(f"unknown route {route!r}")
@@ -178,6 +164,6 @@ def build_qite_circuit(
     """Compile exp(-tau_total * H) as one Trotter step walked tau_total/dtau times."""
     n_steps = n_trotter_steps(tau_total, dtau)
     if n_steps == 0:
-        return Circuit(h.n_qubits, 1, gates=())
+        return Circuit(h.n_qubits, units=())
     step = trotter_step(h, dtau, order=order, route=route)
-    return step.to_circuit(h.n_qubits, 1, repeats=n_steps)
+    return step.to_circuit(h.n_qubits, repeats=n_steps)

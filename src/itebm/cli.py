@@ -116,23 +116,19 @@ def _parse_taus(spec: str) -> list[float]:
 
 
 def _check_run(h: Hamiltonian, taus: list[float], dtau: float, mode: str, shots: int,
-               batches: int, high_stats: bool) -> int:
+               batches: int) -> None:
     """Check the options that evolve and ising-demo share, as usage errors:
-    dtau, each tau a multiple of it, --batches and the shot split.  Returns
-    the shot budget, 10^6 under --high-stats."""
+    dtau, each tau a multiple of it, --batches and the shot split."""
     if dtau <= 0:
         raise click.UsageError(f"--dtau must be positive, got {dtau}")
     for tau in taus:
         if tau < 0:
             raise click.UsageError(f"tau must be >= 0, got {tau}")
         _usage(n_trotter_steps, tau, dtau)
-    if high_stats:
-        shots = 1_000_000
     if batches < 2:
         raise click.UsageError(f"--batches must be >= 2, got {batches}")
     if mode == "shots":
         _usage(shot_split, h, shots, batches)
-    return shots
 
 
 def _initial_state(spec: str, n_qubits: int) -> StateVector:
@@ -222,8 +218,6 @@ _COMMON = [
     click.option("--mode", type=click.Choice(["exact", "shots"]), default=None,
                  help="exact post-selection or sampled shots"),
     click.option("--out", default="-", show_default=True, help="CSV path or -"),
-    click.option("--high-stats", is_flag=True,
-                 help="use the full-scale shot budget (10^6)"),
 ]
 
 
@@ -261,12 +255,12 @@ def _write_rows(out: str, rows_iter) -> list[dict]:
 @_with_common
 @_runtime
 def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, shots, batches, seed, mode,
-               out, high_stats) -> None:
+               out) -> None:
     """Evolve an initial state in imaginary time, one CSV row per checkpoint."""
     h = _load_hamiltonian(hamiltonian)
     taus = _parse_taus(tau)
     mode = mode or "exact"
-    shots = _check_run(h, taus, dtau, mode, shots, batches, high_stats)
+    _check_run(h, taus, dtau, mode, shots, batches)
     psi0 = _initial_state(init_spec, h.n_qubits)
     rows_iter = iter_evolution(
         h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
@@ -278,7 +272,7 @@ def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, shots, batches, 
 @main.command("ising-demo")
 @_with_common
 @_runtime
-def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out, high_stats) -> None:
+def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out) -> None:
     """Run the 3-qubit critical transverse-field Ising benchmark.
 
     Periodic chain, |+++> start, tau from 0.1 to 1.0; writes the CSV to
@@ -288,7 +282,7 @@ def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out, high_sta
     h = ising_hamiltonian()
     taus = [round(0.1 * i, 10) for i in range(1, 11)]
     mode = mode or "shots"
-    shots = _check_run(h, taus, dtau, mode, shots, batches, high_stats)
+    _check_run(h, taus, dtau, mode, shots, batches)
     if out == "-":
         out = "ising_demo.csv"
     psi0 = StateVector.uniform_plus(3)

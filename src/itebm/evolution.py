@@ -92,7 +92,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
     n_groups = len(groups)
     if mode == "shots":
         per_batch = shot_split(h, shots, batches)
-    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits, 1)
+    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits)
     walked = None
     oracle_states = chained_oracle(h, taus, psi0) if oracle_check else None
     for t_idx, tau in enumerate(taus):

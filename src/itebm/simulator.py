@@ -1,19 +1,17 @@
 """Dense statevector execution of post-selected hidden-unit circuits.
 
-Both modes rest on one trajectory.  Every ancilla use in a circuit is a
-hidden unit: rotations X_a ⊗ V_r on a clean ancilla, whose V_r put at most
-one letter on each visible site, then its measure and postselect onto 0.
-So all accepted shots follow the same post-selected path: a `Trajectory`
-walks a single state forward through circuits, and each unit appends its
-branch probabilities to a record.  A circuit's gates, one Trotter step,
-are compiled once into its unit program (`_units`), and the trajectory
-binds the program to its own vector and buffers and walks it `repeats`
-times, so each op runs on precomputed views without allocating.
-A circuit that is not made of units, a gate on the visible register alone
-included, is a ValueError naming its first gate outside one.
+Both modes rest on one trajectory.  A circuit is hidden units (`ir`):
+rotations X_a ⊗ V_r on the ancilla, whose V_r put at most one letter on
+each visible site, then its measure and postselect onto 0.  So all
+accepted shots follow the same post-selected path: a `Trajectory` walks a
+single state forward through circuits, and each unit appends its branch
+probabilities to a record.  A circuit's units, one Trotter step, are
+compiled once into its unit program (`_units`), and the trajectory binds
+the program to its own vector and buffers and walks it `repeats` times, so
+each op runs on precomputed views without allocating.
 
 Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
-Theta = sum_r (angle_r / 2) V_r, so the ancillas never enter the vector.
+Theta = sum_r (angle_r / 2) V_r, so the ancilla never enters the vector.
 With its X sites rotated by HX and its Y sites by HY^dag, as the paper
 encodes X and Y couplings, a unit is diagonal, so consecutive units whose
 letters agree are one op, between two basis changes unless they are I/Z,
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit
+from .ir import Circuit, Unit
 from .pauli import (
     HX,
     HY_DAG,
@@ -169,7 +167,7 @@ _TO_Z = str.maketrans("XY", "ZZ")
 _TO_Z_1Q = {"X": np.array([[1, 1], [1, -1]]), "Y": np.array([[1j, 1], [-1j, 1]])}
 
 
-def _unit_diagonal(rotations: list[tuple[str, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_diagonal(rotations: Unit, n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(Theta) and sin(Theta)^2, Theta = sum_r (angle_r / 2) V_r, as
     diagonals in the basis where each V_r, one letter per site, is a Z word.
 
@@ -227,88 +225,29 @@ def _basis_change(letters: str) -> tuple[list[tuple], list[tuple], float]:
             2.0 ** (-len(sites) / 2))
 
 
-def _not_a_unit(i: int, circuit: Circuit, why: str) -> ValueError:
-    return ValueError(f"gate {i} ({circuit.gates[i].kind}) is not part of a hidden unit: {why}")
-
-
 def _units(circuit: Circuit) -> tuple[tuple, ...]:
-    """The unit program of a circuit, on its visible register alone.  A
-    circuit with a gate that is not part of a unit raises a ValueError
-    naming the first one found.
+    """The unit program of a circuit's step, on its visible register alone.
 
-    A unit is a maximal run of pauli_rot X_a ⊗ V_r on a clean ancilla a
-    (in |0>: never touched, or post-selected onto 0 since), whose V_r put
-    at most one letter on each visible site, later measured and
-    post-selected onto 0, in the order the units began; a reset of a clean
-    ancilla is dropped.  Any other gate, on the visible register alone or
-    on an ancilla, is not part of a unit.  Post-selection leaves
-    cos(Theta) psi, Theta = sum_r (angle_r / 2) V_r, kept with weight
-    |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Its V_r are
-    Z words once each X site is rotated by HX and each Y site by HY^dag,
-    so cos(Theta) is diagonal there.  Consecutive units whose letters
-    agree site by site form one _DIAG op, split where their cos^2 could
-    take the kept weight below _RUN_FLOOR, between the _BASIS ops into and
-    out of their basis (none for I/Z words).  The program is one of the
-    circuit's `repeats`: no run spans two steps.
+    Post-selection of a unit leaves cos(Theta) psi, Theta = sum_r
+    (angle_r / 2) V_r over its rotations, kept with weight
+    |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Its V_r put at
+    most one letter on each site, else the unit is a ValueError naming it,
+    so they are Z words once each X site is rotated by HX and each Y site
+    by HY^dag, and cos(Theta) is diagonal there.  Consecutive units whose
+    letters agree site by site form one _DIAG op, split where their cos^2
+    could take the kept weight below _RUN_FLOOR, between the _BASIS ops
+    into and out of their basis (none for I/Z words).  The program is one
+    of the circuit's `repeats`: no run spans two steps.
     """
     nv = circuit.n_visible
-    gates = circuit.gates
-    units: list = []  # [rotations, letters, cbit] per unit, in the order they began
-    pending: list[tuple[int, list, int]] = []  # (ancilla, unit, first gate), unmeasured
-    active = None  # the pending entry whose rotations the last gate extended
-    i = 0
-    while i < len(gates):
-        g = gates[i]
-        touched = g.string.support() if g.kind == "pauli_rot" else g.qubits
-        ancillas = [q for q in touched if q >= nv]
-        if g.kind == "pauli_rot" and ancillas:
-            a, word = ancillas[0], g.string.word[:nv]
-            if len(ancillas) > 1 or g.string.word[a] != "X":
-                raise _not_a_unit(i, circuit, "its word is not X on one ancilla")
-            if active is not None and active[0] == a:
-                unit = active[1]
-                unit[1] = merged_letters([unit[1], word])
-                if unit[1] is None:
-                    raise _not_a_unit(i, circuit, "its word puts a second letter on a site")
-                unit[0].append((word, g.angle))
-            elif any(q == a for q, _, _ in pending):
-                raise _not_a_unit(i, circuit, "its ancilla holds a unit not yet measured")
-            else:
-                active = (a, [[(word, g.angle)], word, None], i)
-                units.append(active[1])
-                pending.append(active)
-            i += 1
-            continue
-        active = None
-        if g.kind == "measure":
-            if i + 1 >= len(gates) or gates[i + 1].kind != "postselect" \
-                    or gates[i + 1].cbit != g.cbit:
-                raise _not_a_unit(i, circuit,
-                                  "measure must be immediately followed by its postselect")
-            if not pending or pending[0][0] != g.qubits[0]:
-                raise _not_a_unit(i, circuit, "it does not measure the oldest unit's ancilla")
-            if gates[i + 1].value != 0:
-                raise _not_a_unit(i + 1, circuit, "it post-selects onto 1")
-            pending.pop(0)[1][2] = g.cbit
-            i += 2
-            continue
-        if g.kind == "postselect":
-            raise _not_a_unit(i, circuit, "postselect without a preceding measure")
-        if g.kind != "reset":
-            raise _not_a_unit(i, circuit, "it acts on an ancilla outside a unit" if ancillas
-                              else "it acts on the visible register alone")
-        if not ancillas:
-            raise _not_a_unit(i, circuit, "reset of a visible qubit")
-        if any(q == ancillas[0] for q, _, _ in pending):
-            raise _not_a_unit(i, circuit, "reset of an entangled ancilla")
-        i += 1
-    if pending:
-        raise _not_a_unit(pending[0][2], circuit,
-                          "ancillas not returned to |0>: its unit is never measured")
     runs: list = []  # [letters, units] per run
     bound = 0.0
-    for rotations, letters, cbit in units:
-        cos, sin2 = _unit_diagonal(rotations, nv)
+    for cbit, unit in enumerate(circuit.units):
+        letters = merged_letters(["I" * nv, *(word for word, _ in unit)])
+        if letters is None:
+            raise ValueError(f"unit {cbit} is not a hidden unit: its words put two letters "
+                             "on one site")
+        cos, sin2 = _unit_diagonal(unit, nv)
         low = float(np.min(cos * cos))
         merged = merged_letters([runs[-1][0], letters]) if runs else None
         if merged is not None and bound * low >= _RUN_FLOOR:
@@ -488,7 +427,7 @@ class Trajectory:
         if not self.stopped:
             if self._bound[0] is not circuit:
                 self._bound = (circuit, _bind(_units(circuit), self.vec, self._buf))
-            start, step_cbits = len(self.record), circuit.n_cbits // circuit.repeats
+            start, step_cbits = len(self.record), len(circuit.units)
             self.stopped = not all(  # stops at the first sub-floor branch
                 _walk(self._bound[1], self.vec, self._weights, self.record,
                       self.n_cbits + r * step_cbits) for r in range(circuit.repeats))

@@ -43,16 +43,6 @@ def embed_1q(gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return m
 
 
-def cx_matrix(control: int, target: int, n: int) -> np.ndarray:
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        cbit = (j >> (n - 1 - control)) & 1
-        k = j ^ (cbit << (n - 1 - target))
-        m[k, j] = 1.0
-    return m
-
-
 def ham_matrix(terms: list[tuple[float, str]], n: int) -> np.ndarray:
     dim = 2**n
     m = np.zeros((dim, dim), dtype=complex)
@@ -74,7 +64,7 @@ def one_term_circuit(term, dtau: float, route: str = "rbm"):
     from itebm.pauli import Hamiltonian
 
     n = term.string.n_qubits
-    return trotter_step(Hamiltonian(n, (term,)), dtau, order=1, route=route).to_circuit(n, 1)
+    return trotter_step(Hamiltonian(n, (term,)), dtau, order=1, route=route).to_circuit(n)
 
 
 def two_body_success(k: float, alpha: float) -> float:
@@ -168,21 +158,22 @@ def fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
-                            terminal_basis: str | None = None):
+                            terminal_basis: str | None = None, layout: str = "single"):
     """The batched sampler that `run_shots` replaced, kept verbatim as the
     bit-level reference for it: every shot carries its own copy of the state
     in a (shots, 2^n) array, shots are compacted at each failed postselect,
     and a reset zeroes a qubit that a measurement already projected.
 
     Uses the package's word_action and basis matrices, as the original did,
-    so that equal draws give equal bits, and walks the circuit's gates
-    unrolled (`unrolled_gates`).  Returns (accepted, cbits, terminal).
+    so that equal draws give equal bits, and walks the circuit's gates in
+    the ancilla `layout` (`hardware_gates`).  Returns (accepted, cbits,
+    terminal).
     """
-    from itebm.pauli import HX, HY, HY_DAG, word_action
+    from itebm.pauli import HX, HY_DAG, word_action
 
-    mats = {"hx": HX, "hy": HY, "hydag": HY_DAG}
-    n = circuit.n_qubits
+    gates, n_ancilla = hardware_gates(circuit, layout)
     nv = circuit.n_visible
+    n = nv + n_ancilla
     basis = terminal_basis or "Z" * nv
 
     def apply_1q(amps, q, mat):
@@ -194,14 +185,14 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
 
     rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
     vec = psi0.normalized().amps
-    anc = np.zeros(1 << circuit.n_ancilla, dtype=complex)
+    anc = np.zeros(1 << n_ancilla, dtype=complex)
     anc[0] = 1.0
     amps = np.tile(np.kron(vec, anc), (n_shots, 1))
     alive = np.arange(n_shots)
     accepted = np.ones(n_shots, dtype=bool)
     cbits = np.full((n_shots, circuit.n_cbits), -1, dtype=np.int8)
     terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-    for g in unrolled_gates(circuit):
+    for g in gates:
         if alive.size == 0:
             break
         if g.kind == "measure":
@@ -226,12 +217,6 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
             if np.any(stray > 1e-10):
                 raise RuntimeError("sampled reset requires the qubit to be measured first")
             shaped[:, :, 1, :] = 0.0
-        elif g.kind in mats:
-            apply_1q(amps, g.qubits[0], mats[g.kind])
-        elif g.kind == "cx":
-            idx = np.arange(1 << n)
-            cbit = (idx >> (n - 1 - g.qubits[0])) & 1
-            amps[:] = amps[:, np.where(cbit == 1, idx ^ (1 << (n - 1 - g.qubits[1])), idx)]
         else:  # pauli_rot
             perm, phase = word_action(g.string.word)
             tmp = amps[:, perm] * phase
@@ -274,13 +259,13 @@ def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
 
 
 def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
-                               shots, batches, seed, oracle_check=False, layout="single"):
+                               shots, batches, seed, oracle_check=False):
     """The per-checkpoint evolution loop that `iter_evolution` replaced, kept
     verbatim as its reference: every checkpoint compiles the whole circuit
-    with `build_qite_circuit`, puts it in the ancilla `layout` (`in_layout`)
-    and runs it from psi0 with `run_exact`, or with one `run_shots` per
-    measurement-basis group, and factors the dense matrix afresh for each
-    oracle note.  Yields the same (row dict, note-or-None) pairs.
+    with `build_qite_circuit` and runs it from psi0 with `run_exact`, or
+    with one `run_shots` per measurement-basis group, and factors the dense
+    matrix afresh for each oracle note.  Yields the same (row dict,
+    note-or-None) pairs.
     """
     import click
 
@@ -297,7 +282,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
     diag_terms, x_terms = _column_terms(h)
     groups = _measurement_groups(h)
     for t_idx, tau in enumerate(taus):
-        circuit = in_layout(build_qite_circuit(h, tau, dtau, order, route=route), layout)
+        circuit = build_qite_circuit(h, tau, dtau, order, route=route)
         note = None
         if mode == "exact":
             result = run_exact(circuit, psi0)
@@ -386,56 +371,54 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
         yield row, note
 
 
-def in_layout(circuit, layout: str):
-    """A built circuit in an ancilla layout: "single" is the circuit as
-    built, every unit on its one ancilla n and measured, post-selected onto
-    0 and reset before the next unit begins.  "pooled:k" moves the units
-    onto k ancillas in waves of k consecutive units, the j-th of a wave on
-    ancilla n + j; after the wave's last unit it measures and post-selects
-    each in order, then resets them all.  The units keep their order, cbits,
-    log_norm and model_success, so every layout encodes the same operator.
-    A pooled layout is a hand-built circuit of several ancillas, which the
-    walker must read as it reads the built one.
-    """
-    from dataclasses import replace
+def n_ancillas(layout: str) -> int:
+    """The ancillas of an ancilla layout (`hardware_gates`)."""
+    return 1 if layout == "single" else int(layout.removeprefix("pooled:"))
 
-    from itebm.ir import Gate
+
+def hardware_gates(circuit, layout: str = "single") -> tuple[list, int]:
+    """The gates that hardware would run for a circuit, its `repeats`
+    unrolled with their cbits numbered on (`Fragment.repeated`), and the
+    number of ancillas they use.  "single" is `Circuit.gates`: every unit
+    on its one ancilla n, measured, post-selected onto 0 and reset before
+    the next unit begins.  "pooled:k" lays the units onto k ancillas in
+    waves of k consecutive units, the j-th of a wave on ancilla n + j;
+    after the wave's last unit it measures and post-selects each in order,
+    then resets them all.  The units keep their order and cbits, so every
+    layout encodes the same operator, which the gate-level references walk
+    as hardware would: each measure deferred past the later units of its
+    wave, which act on other ancillas.
+    """
+    from itebm.ir import Fragment, Gate
     from itebm.pauli import PauliString
 
+    units = Fragment(list(circuit.units)).repeated(circuit.repeats).units
     if layout == "single":
-        return circuit
-    k, nv = int(layout.removeprefix("pooled:")), circuit.n_visible
-    assert circuit.n_ancilla == 1
-    units, unit = [], []
-    for g in circuit.gates:
-        unit.append(g)
-        if g.kind == "reset":
-            units.append(unit)
-            unit = []
+        return list(Fragment(units).gates), 1
+    k, nv = n_ancillas(layout), circuit.n_visible
     gates = []
     for start in range(0, len(units), k):
         wave = units[start:start + k]
-        for j, members in enumerate(wave):
-            for g in members[:-3]:
-                if g.kind == "pauli_rot":
-                    word = g.string.word
-                    pad = "I" * j + word[nv] + "I" * (k - 1 - j)
-                    g = replace(g, string=PauliString(word[:nv] + pad))
-                gates.append(g)
-        for j, members in enumerate(wave):
-            measure, postselect, _ = members[-3:]
-            gates += [replace(measure, qubits=(nv + j,)), postselect]
+        for j, unit in enumerate(wave):
+            pad = "I" * j + "X" + "I" * (k - 1 - j)
+            gates += [Gate("pauli_rot", angle=angle, string=PauliString(word + pad))
+                      for word, angle in unit]
+        for j in range(len(wave)):
+            gates += [Gate("measure", (nv + j,), cbit=start + j),
+                      Gate("postselect", cbit=start + j, value=0)]
         gates += [Gate("reset", (nv + j,)) for j in range(len(wave))]
-    return replace(circuit, n_ancilla=k, gates=tuple(gates + unit))
+    return gates, k
 
 
-def with_ancillas(circuit, psi0) -> np.ndarray:
-    """psi0, normalized, with the circuit's ancillas in |0> after it: the
-    vector that `walk_reference` walks.  The ancillas are the low bits; the
-    amplitudes are copied, not multiplied, so that they keep their bits."""
+def with_ancillas(circuit, psi0, layout: str = "single") -> np.ndarray:
+    """psi0, normalized, with the ancillas of the circuit's `layout` in |0>
+    after it: the vector that `walk_reference` walks.  The ancillas are the
+    low bits; the amplitudes are copied, not multiplied, so that they keep
+    their bits."""
     amps = psi0.normalized().amps
-    vec = np.zeros(amps.size << circuit.n_ancilla, dtype=complex)
-    vec[::1 << circuit.n_ancilla] = amps
+    n_ancilla = n_ancillas(layout)
+    vec = np.zeros(amps.size << n_ancilla, dtype=complex)
+    vec[::1 << n_ancilla] = amps
     return vec
 
 
@@ -471,35 +454,34 @@ def _reset_vector(vec: np.ndarray, q: int) -> None:
     shaped[:, 1, :] = 0.0
 
 
-def unrolled_gates(circuit) -> list:
-    """The circuit's gates `repeats` times over, each repetition's cbits
-    numbered on from the previous one's, by `Fragment.repeated`."""
-    from itebm.ir import Fragment
+def rotate(vec: np.ndarray, word: str, angle: float) -> None:
+    """exp(-i (angle / 2) P) vec in place, P the Pauli word, from its word
+    action: the rotation kernel of the gate-level references."""
+    from itebm.pauli import word_action
 
-    step = Fragment(list(circuit.gates), n_cbits=circuit.n_cbits // circuit.repeats)
-    return step.repeated(circuit.repeats).gates
+    perm, phase = word_action(word)
+    tmp = vec[perm] * phase
+    vec *= np.cos(0.5 * angle)
+    tmp *= -1j * np.sin(0.5 * angle)
+    vec += tmp
 
 
-def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0) -> bool:
+def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0,
+                   layout: str = "single") -> bool:
     """The gate-by-gate walk of a circuit, ancillas included: the gate-level
     reference that the unit program (`simulator._units`) agrees with to
-    rounding.  It dispatches every gate of the unrolled circuit
-    (`unrolled_gates`), looks up each rotation's word action, and runs
-    every reset.
+    rounding.  It dispatches every gate of the circuit's hardware view in
+    the ancilla `layout` (`hardware_gates`), applies each rotation from its
+    word action (`rotate`), and runs every reset.
 
     Walks vec (see `with_ancillas`) in place; appends (cbit + cbit_offset,
     p1, p_kept) per measure/postselect pair to record, p_kept the weight of
     the post-selected value; returns False at a kept branch below
-    BRANCH_FLOOR.  Keeps its own kernels for the gates that act on the
-    visible register alone (hx, hy, hydag, cx and visible rotations), which
-    the unit program refuses.
+    BRANCH_FLOOR.
     """
-    from itebm.pauli import HX, HY, HY_DAG, word_action
-    from itebm.simulator import BRANCH_FLOOR, SimulationError, _apply_1q
+    from itebm.simulator import BRANCH_FLOOR, SimulationError
 
-    mats = {"hx": HX, "hy": HY, "hydag": HY_DAG}
-    n = circuit.n_qubits
-    gates = unrolled_gates(circuit)
+    gates = hardware_gates(circuit, layout)[0]
     i = 0
     while i < len(gates):
         g = gates[i]
@@ -524,22 +506,11 @@ def walk_reference(circuit, vec: np.ndarray, record: list, cbit_offset: int = 0)
             raise SimulationError("postselect without a preceding measure")
         if g.kind == "reset":
             _reset_vector(vec, g.qubits[0])
-        elif g.kind in mats:
-            _apply_1q(vec, g.qubits[0], mats[g.kind])
-        elif g.kind == "cx":
-            idx = np.arange(1 << n)
-            cbit = (idx >> (n - 1 - g.qubits[0])) & 1
-            vec[:] = vec[np.where(cbit == 1, idx ^ (1 << (n - 1 - g.qubits[1])), idx)]
         else:  # pauli_rot
-            perm, phase = word_action(g.string.word)
-            tmp = vec[perm] * phase
-            vec *= np.cos(0.5 * g.angle)
-            tmp *= -1j * np.sin(0.5 * g.angle)
-            vec += tmp
+            rotate(vec, g.string.word, g.angle)
         i += 1
-    if circuit.n_ancilla:
-        visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
-        leak = 1.0 - float(np.vdot(visible, visible).real)
-        if leak > 1e-9:
-            raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
+    visible = vec.reshape(1 << circuit.n_visible, -1)[:, 0]
+    leak = 1.0 - float(np.vdot(visible, visible).real)
+    if leak > 1e-9:
+        raise SimulationError(f"ancillas not returned to |0> (weight {leak:.3g})")
     return True

@@ -21,7 +21,7 @@ from itebm.decomp import (
     solve_general_weight,
 )
 from itebm.evolution import iter_evolution
-from itebm.ir import Circuit, Gate
+from itebm.ir import Circuit
 from itebm.ldbm import (
     LdbmNetwork,
     apply_diagonal_imaginary,
@@ -118,21 +118,10 @@ def test_criterion_2_weight_solver_round_trip():
 
 def _single_unit_circuit(unit, n_visible):
     """Minimal post-selected circuit realizing one hidden unit."""
-    anc = n_visible
-    gates = [
-        Gate("pauli_rot", angle=2.0 * w,
-             string=word_from_sites(n_visible + 1, {q: "Z", anc: "X"}))
-        for q, w in unit.weights
-    ]
+    rotations = [(word_from_sites(n_visible, {q: "Z"}).word, 2.0 * w) for q, w in unit.weights]
     if unit.bias != 0.0:
-        gates.append(Gate("pauli_rot", angle=2.0 * unit.bias,
-                          string=word_from_sites(n_visible + 1, {anc: "X"})))
-    gates += [
-        Gate("measure", (anc,), cbit=0),
-        Gate("postselect", cbit=0, value=0),
-        Gate("reset", (anc,)),
-    ]
-    return Circuit(n_visible, 1, gates=tuple(gates), n_cbits=1)
+        rotations.append(("I" * n_visible, 2.0 * unit.bias))
+    return Circuit(n_visible, (tuple(rotations),))
 
 
 def test_criterion_3_success_probability_laws():

@@ -80,6 +80,7 @@ def test_word_route_structure():
         circuit = oracles.one_term_circuit(term, 0.3, "word")
         k = 0.3 * abs(coeff)
         w = 0.5 * math.acos(math.exp(-2.0 * k))
+        assert circuit.units == ((("XYZ", 2.0 * w), ("III", math.copysign(2.0 * w, coeff))),)
         assert circuit.gates == (
             Gate("pauli_rot", angle=2.0 * w, string=PauliString("XYZX")),
             Gate("pauli_rot", angle=math.copysign(2.0 * w, coeff), string=PauliString("IIIX")),
@@ -96,9 +97,9 @@ def test_three_body_unit_count():
     """ZZZ needs one top unit plus six compensating lower-order units."""
     term = HamiltonianTerm(1.0, PauliString("ZZZ"))
     rbm = oracles.one_term_circuit(term, 0.2)
-    assert sum(g.kind == "measure" for g in rbm.gates) == 7
+    assert len(rbm.units) == 7
     word = oracles.one_term_circuit(term, 0.2, "word")
-    assert sum(g.kind == "measure" for g in word.gates) == 1
+    assert len(word.units) == 1
 
 
 def test_rbm_three_body_loss_falls_as_the_root_of_dtau():
@@ -118,14 +119,14 @@ def test_identity_term_is_scalar():
     term = HamiltonianTerm(2.5, PauliString("III"))
     for route in ("rbm", "word"):
         circuit = oracles.one_term_circuit(term, 0.4, route)
-        assert circuit.gates == ()
+        assert circuit.units == ()
         assert circuit.log_norm == pytest.approx(-1.0)
 
 
 def test_zero_coupling_is_empty():
     term = HamiltonianTerm(0.0, PauliString("ZZ"))
     circuit = oracles.one_term_circuit(term, 0.4)
-    assert circuit.gates == () and circuit.log_norm == 0.0
+    assert circuit.units == () and circuit.log_norm == 0.0
 
 
 def test_trotter_groups_structure():
@@ -153,8 +154,8 @@ def test_trotter_step_merged_diagonal_table():
     dtau = 0.3
     frag = trotter_step(h, dtau, order=1)
     # merged: 1 three-body + 3 pairs + 3 singles = 7 units; per-term would be 8
-    assert sum(g.kind == "measure" for g in frag.gates) == 7
-    circuit = frag.to_circuit(3, 1)
+    assert len(frag.units) == 7
+    circuit = frag.to_circuit(3)
     rng = np.random.default_rng(7)
     psi0 = StateVector(3, oracles.random_state(3, rng))
     want = oracles.exp_factor(dtau, "ZZZ") @ \
@@ -167,7 +168,7 @@ def test_trotter_step_mixed_letters_per_term():
     dtau = 0.2
     for order in (1, 2):
         frag = trotter_step(h, dtau, order=order)
-        circuit = frag.to_circuit(3, 1)
+        circuit = frag.to_circuit(3)
         rng = np.random.default_rng(13)
         psi0 = StateVector(3, oracles.random_state(3, rng))
         got = _reconstruct(circuit, psi0)
@@ -193,13 +194,13 @@ LAYOUT_CASES = {
 @pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("name", list(LAYOUT_CASES))
 def test_every_unit_is_measured_and_reset_before_the_next(name, route, order):
-    """One ancilla, qubit n.  The gates on it are, unit by unit, the unit's
-    rotations, then at once its measure into the next cbit, its
-    post-selection onto 0 and its reset."""
+    """One ancilla, qubit n.  In the circuit's gates, the gates on it are,
+    unit by unit, the unit's rotations, then at once its measure into the
+    next cbit, its post-selection onto 0 and its reset."""
     h = parse_hamiltonian(LAYOUT_CASES[name])
     n = h.n_qubits
     circuit = build_qite_circuit(h, 0.02, 0.01, order, route=route)
-    assert circuit.n_ancilla == 1 and circuit.repeats == 2
+    assert circuit.n_qubits == n + 1 and circuit.repeats == 2
     unit, cbit = [], 0  # the gates on the ancilla since its last reset
     for i, g in enumerate(circuit.gates):
         if g.kind == "postselect" or n in (g.string.support() if g.string else g.qubits):
@@ -234,15 +235,15 @@ def test_build_qite_circuit_repeats_steps():
     ("tfim", 1), ("tfim", 7), ("tfim", 1000), ("chain", 1), ("chain", 100),
 ])
 def test_build_qite_circuit_is_the_step_repeated(name, n_steps):
-    """The circuit holds one step's gates, walked n_steps times, and its
+    """The circuit holds one step's units, walked n_steps times, and its
     whole-circuit n_cbits, log_norm and model_success equal those of the
     unrolled step; the chain step compiles to its 10-op unit program."""
     terms = oracles.tfim_terms(3) if name == "tfim" else oracles.chain_terms(8)
     h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
     circuit = build_qite_circuit(h, n_steps * 0.01, 0.01)
     step = trotter_step(h, 0.01)
-    unrolled = step.repeated(n_steps).to_circuit(h.n_qubits, 1)
-    assert circuit.gates == tuple(step.gates) and circuit.repeats == n_steps
+    unrolled = step.repeated(n_steps).to_circuit(h.n_qubits)
+    assert circuit.units == tuple(step.units) and circuit.repeats == n_steps
     assert circuit.n_cbits == unrolled.n_cbits
     assert circuit.log_norm == unrolled.log_norm
     assert circuit.model_success == unrolled.model_success
@@ -251,10 +252,11 @@ def test_build_qite_circuit_is_the_step_repeated(name, n_steps):
 
 
 def test_circuit_cbits_split_into_repeats():
-    Circuit(1, 1, gates=(), n_cbits=6, repeats=3)
-    for n_cbits, repeats in ((5, 3), (0, 0)):
-        with pytest.raises(ValueError, match="do not split"):
-            Circuit(1, 1, gates=(), n_cbits=n_cbits, repeats=repeats)
+    """One cbit per unit and repeat; a circuit is walked at least once."""
+    unit = (("Z", 0.3),)
+    assert Circuit(1, (unit, unit), repeats=3).n_cbits == 6
+    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+        Circuit(1, (unit,), repeats=0)
 
 
 def test_build_qite_circuit_validation():
@@ -279,30 +281,35 @@ def test_model_success_tracks_mean_unit_success():
 
 
 def test_gate_kind_validation():
-    with pytest.raises(ValueError, match="kind"):
-        Gate("hadamard", (0,))
+    for kind in ("hadamard", "cx"):
+        with pytest.raises(ValueError, match="kind"):
+            Gate(kind, (0,))
 
 
 def test_fragment_extend_shifts_cbits():
-    a = Fragment(gates=[Gate("measure", (0,), cbit=0)], n_cbits=1)
-    b = Fragment(gates=[Gate("measure", (0,), cbit=0),
-                        Gate("postselect", cbit=0, value=0)], n_cbits=1)
+    """A unit's cbit is its index: extend appends the units, and in the
+    gates the second fragment's cbits follow the first's."""
+    a = Fragment([(("Z", 0.1),)], log_norm=0.5)
+    b = Fragment([(("X", 0.2), ("I", 0.4)), (("Y", 0.3),)], model_success=0.5)
     a.extend(b)
-    assert [g.cbit for g in a.gates] == [0, 1, 1]
-    assert a.n_cbits == 2
+    assert a.units == [(("Z", 0.1),), (("X", 0.2), ("I", 0.4)), (("Y", 0.3),)]
+    assert [g.cbit for g in a.gates if g.cbit is not None] == [0, 0, 1, 1, 2, 2]
+    assert (a.log_norm, a.model_success) == (0.5, 0.5)
 
 
 def test_fragment_repeated():
-    base = Fragment(gates=[Gate("measure", (0,), cbit=0)], n_cbits=1,
-                    log_norm=0.5, model_success=0.9)
+    base = Fragment([(("Z", 0.1),)], log_norm=0.5, model_success=0.9)
     rep = base.repeated(3)
-    assert [g.cbit for g in rep.gates] == [0, 1, 2]
+    assert [g.cbit for g in rep.gates if g.kind == "measure"] == [0, 1, 2]
     assert rep.log_norm == pytest.approx(1.5)
     assert rep.model_success == pytest.approx(0.9**3)
 
 
 def test_to_circuit_checks_width():
-    frag = Fragment(gates=[Gate("hx", (5,))])
-    with pytest.raises(ValueError, match="outside width"):
-        frag.to_circuit(2, 1)
+    """A unit word must be a Pauli word on the visible qubits."""
+    for bad in ("ZZZ", "QZ"):
+        frag = Fragment([(("ZZ", 0.1),), ((bad, 0.2),)])
+        with pytest.raises(ValueError,
+                           match=f"^unit word '{bad}' is not a Pauli word on 2 qubits$"):
+            frag.to_circuit(2)
 

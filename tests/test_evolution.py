@@ -34,14 +34,13 @@ def _outcome(loop, args):
 
 
 def _assert_same(text, taus, dtau, mode, shots=0, batches=2, seed=0, order=2,
-                 route="rbm", layout="single", psi0=None, oracle_check=False):
-    """iter_evolution against the rerun reference, whose circuits are in
-    the ancilla `layout` (`oracles.in_layout`)."""
+                 route="rbm", psi0=None, oracle_check=False):
+    """iter_evolution against the rerun reference."""
     h = parse_hamiltonian(text)
     psi0 = psi0 or StateVector.uniform_plus(h.n_qubits)
     args = (h, taus, dtau, order, route, psi0, mode, shots, batches, seed, oracle_check)
     got = _outcome(iter_evolution, args)
-    want = _outcome(oracles.checkpoint_rerun_reference, (*args, layout))
+    want = _outcome(oracles.checkpoint_rerun_reference, args)
     assert got == want
     return got
 
@@ -67,15 +66,12 @@ def test_unordered_repeated_and_zero_taus_equal_rerun(mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
-@pytest.mark.parametrize("route, layout, order", [
-    pytest.param("word", "pooled:2", 2, id="cx-pooled:2-2"), ("rbm", "pooled:3", 1),
-])
-def test_routes_and_policies_equal_rerun(mode, route, layout, order):
-    """The rows do not depend on the ancilla layout: a rerun that walks
-    each checkpoint's circuit on a pool of ancillas gives the rows of the
-    built single-ancilla step, to the bit."""
+@pytest.mark.parametrize("route, order", [pytest.param("word", 2, id="cx-2"), ("rbm", 1)])
+def test_routes_and_orders_equal_rerun(mode, route, order):
+    """The word route at order 2 and the rbm route at order 1 give the
+    rerun's rows, to the bit."""
     rows, error = _assert_same(ISING_TEXT, ISING_TAUS, 0.01, mode, 8000, 10, 0,
-                               order=order, route=route, layout=layout)
+                               order=order, route=route)
     assert error is None and len(rows) == 10
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from itebm import simulator
+from itebm import pauli, simulator
 from itebm.circuits import build_qite_circuit, trotter_step
-from itebm.ir import Circuit, Gate
-from itebm.pauli import PauliString, parse_hamiltonian
+from itebm.ir import Circuit
+from itebm.pauli import parse_hamiltonian
 from itebm.simulator import (
     SimulationError,
     StateVector,
@@ -22,10 +22,6 @@ from itebm.simulator import (
 import oracles
 
 TFIM = "1 ZZI\n1 IZZ\n1 ZIZ\n-1 XII\n-1 IXI\n-1 IIX\n"
-
-
-def _unitary_circuit(n, gates):
-    return Circuit(n_visible=n, n_ancilla=0, gates=tuple(gates))
 
 
 # --- state container ------------------------------------------------------
@@ -57,31 +53,13 @@ def test_statevector_algebra():
     assert scaled.normalized().norm == pytest.approx(1.0)
 
 
-# --- gates on the visible register alone ---------------------------------
+# --- single-qubit kernels -------------------------------------------------
 #
-# No builder emits one, so the unit program has no op for one: each is a
-# ValueError before the walk, naming the gate.  The reference walk keeps its
-# own kernels for them, checked here against dense matrices.
+# `_apply_1q` rotates the final state into a terminal basis for sampling,
+# and the gate-level references apply each rotation from its word action
+# (`oracles.rotate`): both against dense matrices.
 
-
-def _assert_refused(circuit, psi0):
-    """run_exact, run_shots and Trajectory.advance refuse the circuit at
-    gate 0, a gate on the visible register alone, and leave the trajectory's
-    vector as it was."""
-    kind = circuit.gates[0].kind
-    message = (f"gate 0 ({kind}) is not part of a hidden unit: "
-               "it acts on the visible register alone")
-    assert _message(ValueError, run_exact, circuit, psi0) == message
-    assert _message(ValueError, run_shots, circuit, psi0, 20, 0) == message
-    traj = Trajectory(circuit, psi0)
-    assert _message(ValueError, traj.advance, circuit) == message
-    assert np.array_equal(traj.vec, psi0.normalized().amps)
-
-
-def _reference_final(circuit, psi0):
-    vec = oracles.with_ancillas(circuit, psi0)
-    assert oracles.walk_reference(circuit, vec, [])
-    return vec
+PACKAGE_1Q = {"hx": pauli.HX, "hy": pauli.HY, "hydag": pauli.HY_DAG}
 
 
 @pytest.mark.parametrize("kind,mat", [
@@ -91,20 +69,10 @@ def _reference_final(circuit, psi0):
 def test_single_qubit_kernels(kind, mat, q):
     rng = np.random.default_rng(q)
     psi0 = StateVector(3, oracles.random_state(3, rng))
-    circuit = _unitary_circuit(3, [Gate(kind, (q,))])
-    _assert_refused(circuit, psi0)
+    vec = psi0.amps.copy()
+    simulator._apply_1q(vec, q, PACKAGE_1Q[kind])
     want = oracles.embed_1q(mat, q, 3) @ psi0.amps
-    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-13)
-
-
-@pytest.mark.parametrize("control,target", [(0, 1), (1, 0), (0, 2), (2, 1)])
-def test_cx_kernel(control, target):
-    rng = np.random.default_rng(control * 3 + target)
-    psi0 = StateVector(3, oracles.random_state(3, rng))
-    circuit = _unitary_circuit(3, [Gate("cx", (control, target))])
-    _assert_refused(circuit, psi0)
-    want = oracles.cx_matrix(control, target, 3) @ psi0.amps
-    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-13)
+    assert np.allclose(vec, want, atol=1e-13)
 
 
 @pytest.mark.parametrize("word,angle", [
@@ -114,20 +82,21 @@ def test_pauli_rotation_kernel(word, angle):
     n = len(word)
     rng = np.random.default_rng(n)
     psi0 = StateVector(n, oracles.random_state(n, rng))
-    circuit = _unitary_circuit(n, [Gate("pauli_rot", angle=angle, string=PauliString(word))])
-    _assert_refused(circuit, psi0)
+    vec = psi0.amps.copy()
+    oracles.rotate(vec, word, angle)
     want = oracles.exp_factor(0.5j * angle, word) @ psi0.amps
-    assert np.allclose(_reference_final(circuit, psi0), want, atol=1e-12)
+    assert np.allclose(vec, want, atol=1e-12)
 
 
 def test_hx_hy_relations():
-    """HX is an involution; HY^dag inverts HY: in the reference walk, as
-    the unit program's basis changes rely on."""
+    """HX is an involution; HY^dag inverts HY, as the unit program's basis
+    changes rely on."""
     psi0 = StateVector(1, oracles.random_state(1, np.random.default_rng(2)))
     for pair in (("hy", "hydag"), ("hx", "hx")):
-        circuit = _unitary_circuit(1, [Gate(kind, (0,)) for kind in pair])
-        _assert_refused(circuit, psi0)
-        assert np.allclose(_reference_final(circuit, psi0), psi0.amps, atol=1e-13)
+        vec = psi0.amps.copy()
+        for kind in pair:
+            simulator._apply_1q(vec, 0, PACKAGE_1Q[kind])
+        assert np.allclose(vec, psi0.amps, atol=1e-13)
 
 
 # --- exact execution ------------------------------------------------------
@@ -136,82 +105,27 @@ def test_hx_hy_relations():
 def test_run_exact_probability_bookkeeping():
     """<0| exp(-i theta X) |0> = cos(theta): success prob cos^2, state |0>."""
     theta = 0.6
-    circuit = Circuit(
-        n_visible=1, n_ancilla=1,
-        gates=(
-            Gate("pauli_rot", angle=2 * theta, string=PauliString("IX")),
-            Gate("measure", (1,), cbit=0),
-            Gate("postselect", cbit=0, value=0),
-            Gate("reset", (1,)),
-        ),
-        n_cbits=1,
-    )
+    circuit = Circuit(1, ((("I", 2 * theta),),))
     res = run_exact(circuit, StateVector.zeros(1))
     assert res.cumulative_success == pytest.approx(math.cos(theta) ** 2, rel=1e-12)
     assert np.allclose(res.final_state.amps, [1, 0], atol=1e-12)
 
 
-def test_run_exact_requires_paired_postselect():
-    bad = Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),), n_cbits=1)
-    with pytest.raises(ValueError, match=r"^gate 0 \(measure\) .*immediately followed"):
-        run_exact(bad, StateVector.zeros(1))
-    orphan = Circuit(1, 0, gates=(Gate("postselect", cbit=0, value=0),), n_cbits=1)
-    with pytest.raises(ValueError, match=r"^gate 0 \(postselect\) .*without a preceding"):
-        run_exact(orphan, StateVector.zeros(1))
-
-
 def test_run_exact_zero_weight_branch():
     """A unit at angle pi keeps its branch with weight cos(pi / 2)^2, about
     4e-33: below BRANCH_FLOOR, so the walk stops before the second unit."""
-    circuit = Circuit(
-        n_visible=1, n_ancilla=1,
-        gates=(
-            Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
-            Gate("measure", (1,), cbit=0),
-            Gate("postselect", cbit=0, value=0),
-            Gate("reset", (1,)),
-            Gate("pauli_rot", angle=0.5, string=PauliString("ZX")),
-            Gate("measure", (1,), cbit=1),
-            Gate("postselect", cbit=1, value=0),
-        ),
-        n_cbits=2,
-    )
+    circuit = Circuit(1, ((("I", math.pi),), (("Z", 0.5),)))
     with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 0 "):
         run_exact(circuit, StateVector.zeros(1))
 
 
-def test_run_exact_flags_ancilla_leak():
-    """A gate outside a unit would leave its ancilla out of |0>: it is
-    refused before the walk, naming the gate."""
-    circuit = Circuit(1, 1, gates=(Gate("hx", (1,)),))
-    with pytest.raises(ValueError, match=r"^gate 0 \(hx\) .*acts on an ancilla outside a unit"):
-        run_exact(circuit, StateVector.zeros(1))
-
-
 def test_reset_factors_out_product_qubit():
-    """A reset of an ancilla in |0>, never touched or post-selected onto 0
-    since, leaves the visible state as it is."""
-    circuit = Circuit(2, 1, gates=(
-        Gate("reset", (2,)),
-        Gate("pauli_rot", angle=0.8, string=PauliString("IIX")),
-        Gate("measure", (2,), cbit=0), Gate("postselect", cbit=0, value=0),
-        Gate("reset", (2,)), Gate("reset", (2,))), n_cbits=1)
+    """A unit of the bias alone, whose ancilla is post-selected onto 0 and
+    reset, leaves the visible state as it is."""
+    circuit = Circuit(2, ((("II", 0.8),),))
     res = run_exact(circuit, StateVector.from_amplitudes([1 / math.sqrt(2)] * 2 + [0, 0]))
     assert np.allclose(res.final_state.amps, [1 / math.sqrt(2)] * 2 + [0, 0], atol=1e-12)
     assert res.cumulative_success == pytest.approx(math.cos(0.4) ** 2, rel=1e-12)
-
-
-def test_reset_rejects_entangled_qubit():
-    """A reset of an ancilla that a unit entangled, before its measure, and
-    any reset of a visible qubit, are refused."""
-    unit = Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),
-                                Gate("reset", (1,))))
-    with pytest.raises(ValueError, match=r"^gate 1 \(reset\) .*reset of an entangled ancilla$"):
-        run_exact(unit, StateVector.zeros(1))
-    bell = StateVector.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-    visible = Circuit(2, 0, gates=(Gate("reset", (1,)),))
-    with pytest.raises(ValueError, match=r"^gate 0 \(reset\) .*reset of a visible qubit$"):
-        run_exact(visible, bell)
 
 
 def test_encoded_circuit_round_trip():
@@ -267,20 +181,20 @@ def test_run_shots_samples_final_distribution():
 
 def test_run_shots_terminal_bases():
     """X-basis sampling of |+++> always yields eigenvalue +1."""
-    circuit = Circuit(3, 0, gates=())
+    circuit = Circuit(3, ())
     run = run_shots(circuit, StateVector.uniform_plus(3), 200, seed=1,
                     terminal_basis="XXX")
     assert run.n_accepted == 200
     assert np.all(run.word_values("XII") == 1.0)
     assert np.all(run.word_values("XXX") == 1.0)
-    one = Circuit(1, 0, gates=())
+    one = Circuit(1, ())
     y_run = run_shots(one, StateVector.from_amplitudes(
         [1 / math.sqrt(2), 1j / math.sqrt(2)]), 200, seed=2, terminal_basis="Y")
     assert np.all(y_run.word_values("Y") == 1.0)
 
 
 def test_word_values_rejects_basis_mismatch():
-    circuit = Circuit(2, 0, gates=())
+    circuit = Circuit(2, ())
     run = run_shots(circuit, StateVector.uniform_plus(2), 10, seed=0,
                     terminal_basis="ZX")
     with pytest.raises(ValueError, match="not measurable"):
@@ -291,7 +205,7 @@ def test_word_values_rejects_basis_mismatch():
 
 
 def test_run_shots_validates_basis():
-    circuit = Circuit(2, 0, gates=())
+    circuit = Circuit(2, ())
     with pytest.raises(ValueError, match="basis"):
         run_shots(circuit, StateVector.zeros(2), 5, seed=0, terminal_basis="ZQ")
     with pytest.raises(ValueError, match="basis"):
@@ -303,10 +217,12 @@ def test_run_shots_validates_basis():
 MIXED = "0.5 YYII\n0.3 IXYZ\n-0.7 ZIIZ\n0.4 XIXI\n0.2 IIIY\n"
 
 
-def _assert_same_bits(circuit, psi0, n_shots, seed, basis=None):
+def _assert_same_bits(circuit, psi0, n_shots, seed, basis=None, layout="single"):
+    """run_shots against the batched reference, which walks the circuit's
+    hardware view in the ancilla layout: the same bits."""
     run = run_shots(circuit, psi0, n_shots, seed, terminal_basis=basis)
     accepted, cbits, terminal = oracles.batched_shots_reference(
-        circuit, psi0, n_shots, seed, terminal_basis=basis)
+        circuit, psi0, n_shots, seed, terminal_basis=basis, layout=layout)
     assert np.array_equal(run.accepted, accepted)
     assert np.array_equal(run.cbits, cbits)
     assert np.array_equal(run.terminal, terminal)
@@ -324,9 +240,9 @@ def test_run_shots_matches_batched_reference_bases(basis):
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 def test_run_shots_matches_batched_reference_routes(route, layout):
     h = parse_hamiltonian(MIXED)
-    circuit = oracles.in_layout(build_qite_circuit(h, 0.2, 0.1, order=1, route=route), layout)
+    circuit = build_qite_circuit(h, 0.2, 0.1, order=1, route=route)
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(5)))
-    run = _assert_same_bits(circuit, psi0, 400, 23, "YXYZ")
+    run = _assert_same_bits(circuit, psi0, 400, 23, "YXYZ", layout)
     assert 0 < run.n_accepted < run.n_shots
 
 
@@ -334,19 +250,7 @@ def test_run_shots_matches_batched_reference_all_rejected():
     """A unit at angle pi reads 1 with probability 1: every shot fails the
     first check.  The kept branch is below BRANCH_FLOOR, so the walk must
     stop there, as exact mode cannot, and no shot reaches the second unit."""
-    circuit = Circuit(
-        n_visible=1, n_ancilla=1,
-        gates=(
-            Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
-            Gate("measure", (1,), cbit=0),
-            Gate("postselect", cbit=0, value=0),
-            Gate("reset", (1,)),
-            Gate("pauli_rot", angle=0.5, string=PauliString("ZX")),
-            Gate("measure", (1,), cbit=1),
-            Gate("postselect", cbit=1, value=0),
-        ),
-        n_cbits=2,
-    )
+    circuit = Circuit(1, ((("I", math.pi),), (("Z", 0.5),)))
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         run_exact(circuit, StateVector.zeros(1))
     run = _assert_same_bits(circuit, StateVector.zeros(1), 50, 8)
@@ -369,7 +273,7 @@ def test_trajectory_advanced_by_steps_equals_whole_circuit():
     four-step circuit: same state, acceptance and replayed bits."""
     h = parse_hamiltonian(TFIM)
     psi0 = StateVector.uniform_plus(3)
-    step = trotter_step(h, 0.1).to_circuit(3, 1)
+    step = trotter_step(h, 0.1).to_circuit(3)
     traj = Trajectory(step, psi0)
     for _ in range(4):
         traj.advance(step)
@@ -385,79 +289,18 @@ def test_trajectory_advanced_by_steps_equals_whole_circuit():
     assert 0 < run.n_accepted < run.n_shots
 
 
-# --- measure/reset semantics shared by both modes ------------------------
-
-
-def _message(error, fn, *args):
-    with pytest.raises(error) as info:
-        fn(*args)
-    return str(info.value)
-
-
-def _advance(circuit, psi0):
-    Trajectory(circuit, psi0).advance(circuit)
-
-
-STRUCTURE_ERRORS = [
-    (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0),), n_cbits=1),
-     StateVector.zeros(1), "immediately followed"),
-    (Circuit(1, 1, gates=(Gate("measure", (1,), cbit=0), Gate("hx", (0,)),
-                          Gate("postselect", cbit=0, value=0)), n_cbits=1),
-     StateVector.zeros(1), "immediately followed"),
-    (Circuit(1, 0, gates=(Gate("postselect", cbit=0, value=0),), n_cbits=1),
-     StateVector.zeros(1), "without a preceding"),
-    (Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),
-                          Gate("reset", (1,)))),
-     StateVector.from_amplitudes([0.6, 0.8j]), "entangled"),
-    (Circuit(1, 1, gates=(Gate("pauli_rot", angle=0.7, string=PauliString("XX")),)),
-     StateVector.zeros(1), "ancillas not returned"),
-]
-
-
-@pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
-def test_run_shots_raises_like_run_exact(circuit, psi0, match):
-    exact = _message(ValueError, run_exact, circuit, psi0)
-    assert match in exact
-    assert _message(ValueError, run_shots, circuit, psi0, 20, 0) == exact
-    assert _message(ValueError, _advance, circuit, psi0) == exact
-
-
-def test_structure_error_raises_after_every_shot_is_rejected():
-    """The circuit is checked before the walk, so a gate outside a unit
-    after the point where the last shot died still raises in shots mode."""
-    circuit = Circuit(1, 1, gates=(
-        Gate("pauli_rot", angle=math.pi - 2e-3, string=PauliString("IX")),
-        Gate("measure", (1,), cbit=0),
-        Gate("postselect", cbit=0, value=0),
-        Gate("hx", (1,)),
-    ), n_cbits=1)
-    accepted, _, _ = oracles.batched_shots_reference(circuit, StateVector.zeros(1), 20, 0)
-    assert not accepted.any()
-    exact = _message(ValueError, run_exact, circuit, StateVector.zeros(1))
-    assert exact.startswith("gate 3 (hx) is not part of a hidden unit")
-    assert _message(ValueError, run_shots, circuit, StateVector.zeros(1), 20, 0) == exact
+# --- unit semantics shared by both modes ----------------------------------
 
 
 def test_reset_of_product_qubit_same_in_both_modes():
-    """Resets of a clean ancilla before, between and after units in two
-    bases: the replayed shots' acceptance and terminal bits follow the
-    exact walk."""
+    """Two units in two bases, each ancilla reset after its post-selection:
+    the replayed shots' acceptance and terminal bits follow the exact
+    walk."""
     a = 0.7
     amps = np.array([math.cos(a), 0, 1j * math.sin(a), 0])
     amps = oracles.exp_factor(0.25j, "IZ") @ oracles.embed_1q(oracles.HX, 1, 2) @ amps
     psi0 = StateVector.from_amplitudes(amps)
-    circuit = Circuit(2, 1, gates=(
-        Gate("reset", (2,)),
-        Gate("pauli_rot", angle=1.3, string=PauliString("ZIX")),
-        Gate("measure", (2,), cbit=0),
-        Gate("postselect", cbit=0, value=0),
-        Gate("reset", (2,)),
-        Gate("pauli_rot", angle=0.9, string=PauliString("XIX")),
-        Gate("measure", (2,), cbit=1),
-        Gate("postselect", cbit=1, value=0),
-        Gate("reset", (2,)),
-        Gate("reset", (2,)),
-    ), n_cbits=2)
+    circuit = Circuit(2, ((("ZI", 1.3),), (("XI", 0.9),)))
     res = run_exact(circuit, psi0)
     n = 20000
     run = run_shots(circuit, psi0, n, seed=12)
@@ -490,28 +333,26 @@ def _assert_records_close(got, want):
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
 
-def _step(text, dtau, route="rbm", layout="single", order=2):
+def _step(text, dtau, route="rbm", order=2):
     h = parse_hamiltonian(text)
-    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits, 1)
-    return oracles.in_layout(step, layout)
+    return trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits)
 
 
 def _assert_walks_equal(text, n_steps, dtau, psi0, route="rbm", layout="single", order=2):
     """run_exact of the whole compiled circuit of n_steps Trotter steps
-    agrees with the reference walk of that circuit, and gives the bits of
-    a trajectory advanced through one step n_steps times: the runs of
-    units stay within a step."""
+    agrees with the reference walk of that circuit in the ancilla layout,
+    and gives the bits of a trajectory advanced through one step n_steps
+    times: the runs of units stay within a step."""
     h = parse_hamiltonian(text)
-    circuit = oracles.in_layout(
-        build_qite_circuit(h, n_steps * dtau, dtau, order, route=route), layout)
+    circuit = build_qite_circuit(h, n_steps * dtau, dtau, order, route=route)
     exact = run_exact(circuit, psi0)
-    vec, record = oracles.with_ancillas(circuit, psi0), []
-    assert oracles.walk_reference(circuit, vec, record)
+    vec, record = oracles.with_ancillas(circuit, psi0, layout), []
+    assert oracles.walk_reference(circuit, vec, record, layout=layout)
     want = StateVector(h.n_qubits, vec.reshape(1 << h.n_qubits, -1)[:, 0]).normalized()
     assert np.max(np.abs(exact.final_state.amps - want.amps)) <= STATE_TOL
     p = math.prod(entry[2] for entry in record)
     assert abs(exact.cumulative_success - p) <= REL_TOL * p
-    step = _step(text, dtau, route, layout, order)
+    step = _step(text, dtau, route, order)
     traj = Trajectory(step, psi0)
     for _ in range(n_steps):
         traj.advance(step)
@@ -534,26 +375,21 @@ def test_compiled_walk_equals_reference_on_ising_step(route, layout):
 @pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
 def test_compiled_walk_equals_reference_on_y_words(route, layout, order):
-    """Units of X, Y and Z letters in turn, and pooled ancillas whose
-    measures and resets interleave."""
+    """Units of X, Y and Z letters in turn, against the reference on
+    pooled ancillas whose measures and resets interleave."""
     psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
     _assert_walks_equal(Y_WORDS, 10, 0.1, psi0, route, layout, order)
 
 
-def _unit(*after):
-    """One post-selected ancilla rotation on 1 visible qubit, then `after`."""
-    return (Gate("pauli_rot", angle=1.1, string=PauliString("XX")),
-            Gate("measure", (1,), cbit=0)) + after
-
-
-def _assert_walk_close(circuit, psi0, steps):
+def _assert_walk_close(circuit, psi0, steps, layout="single"):
     """Advance a trajectory through circuit `steps` times and walk the
-    reference alongside: the same record, to the tolerances, and state."""
+    reference alongside in the ancilla layout: the same record, to the
+    tolerances, and state."""
     traj = Trajectory(circuit, psi0)
-    vec, record, offset = oracles.with_ancillas(circuit, psi0), [], 0
+    vec, record, offset = oracles.with_ancillas(circuit, psi0, layout), [], 0
     for _ in range(steps):
         traj.advance(circuit)
-        assert oracles.walk_reference(circuit, vec, record, offset)
+        assert oracles.walk_reference(circuit, vec, record, offset, layout)
         offset += circuit.n_cbits
     _assert_records_close(traj.record, record)
     want = StateVector(circuit.n_visible,
@@ -562,64 +398,21 @@ def _assert_walk_close(circuit, psi0, steps):
 
 
 def test_reset_of_untouched_postselected_qubit_is_dropped():
-    """Resets of an ancilla post-selected onto 0, while a unit on a second
-    ancilla is still to be measured, are dropped."""
-    circuit = Circuit(1, 2, gates=(
-        Gate("pauli_rot", angle=1.1, string=PauliString("XXI")),
-        Gate("measure", (1,), cbit=0),
-        Gate("postselect", cbit=0, value=0),
-        Gate("pauli_rot", angle=0.3, string=PauliString("ZIX")),
-        Gate("reset", (1,)),
-        Gate("reset", (1,)),
-        Gate("measure", (2,), cbit=1),
-        Gate("postselect", cbit=1, value=0),
-        Gate("reset", (2,)),
-    ), n_cbits=2)
+    """An X unit and a Z unit against the reference on a pool of two
+    ancillas, which resets the first ancilla, post-selected onto 0, only
+    after the second unit's measure: the walk agrees, and its program is
+    an X run and a Z run."""
+    circuit = Circuit(1, ((("X", 1.1),), (("Z", 0.3),)))
     kinds = [op[0] for op in simulator._units(circuit)]
     assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS, simulator._DIAG]
-    _assert_walk_close(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3)
-
-
-def test_entangled_reset_raises_like_reference():
-    circuit = Circuit(1, 1, gates=_unit(
-        Gate("postselect", cbit=0, value=0),
-        Gate("pauli_rot", angle=0.8, string=PauliString("XX")),
-        Gate("reset", (1,)),
-    ), n_cbits=1)
-    psi0 = StateVector.from_amplitudes([0.6, 0.8j])
-    want = _message(SimulationError, oracles.walk_reference, circuit,
-                    oracles.with_ancillas(circuit, psi0), [])
-    assert "entangled" in want
-    assert _message(ValueError, _advance, circuit, psi0) == \
-        "gate 4 (reset) is not part of a hidden unit: reset of an entangled ancilla"
-
-
-@pytest.mark.parametrize("circuit, psi0, match", STRUCTURE_ERRORS)
-def test_structure_errors_raise_like_reference(circuit, psi0, match):
-    """Each circuit that is not made of units is an error of the reference
-    walk too, for the same reason."""
-    want = _message(SimulationError, oracles.walk_reference, circuit,
-                    oracles.with_ancillas(circuit, psi0), [])
-    assert match in want
-    assert match in _message(ValueError, _advance, circuit, psi0)
+    _assert_walk_close(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3, "pooled:2")
 
 
 def test_walk_stops_below_branch_floor_like_reference():
     """A certain |1> fails the post-selection onto 0: the walk stops there,
-    as the reference does, and never reaches the unit after it.  With a
-    malformed gate after that point, the circuit raises before any walk."""
+    as the reference does, and never reaches the unit after it."""
     psi0 = StateVector.from_amplitudes([math.cos(0.25), -1j * math.sin(0.25)])
-    gates = (
-        Gate("pauli_rot", angle=math.pi, string=PauliString("IX")),
-        Gate("measure", (1,), cbit=0),
-        Gate("postselect", cbit=0, value=0),
-        Gate("reset", (1,)),
-    )
-    circuit = Circuit(1, 1, gates=gates + (
-        Gate("pauli_rot", angle=0.3, string=PauliString("ZX")),
-        Gate("measure", (1,), cbit=1),
-        Gate("postselect", cbit=1, value=0),
-    ), n_cbits=2)
+    circuit = Circuit(1, ((("I", math.pi),), (("Z", 0.3),)))
     traj = Trajectory(circuit, psi0)
     for _ in range(2):
         traj.advance(circuit)
@@ -630,9 +423,6 @@ def test_walk_stops_below_branch_floor_like_reference():
     assert traj.record[0][2] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
-    malformed = Circuit(1, 1, gates=gates + (Gate("postselect", cbit=0, value=0),), n_cbits=1)
-    assert _message(ValueError, _advance, malformed, psi0) == \
-        "gate 4 (postselect) is not part of a hidden unit: postselect without a preceding measure"
 
 
 def test_branch_weights_add_up_like_reference():
@@ -645,53 +435,11 @@ def test_branch_weights_add_up_like_reference():
         for q in range(n):
             for _ in range(3):
                 psi0 = StateVector(n, oracles.random_state(n, rng))
-                word = "I" * q + str(rng.choice(list("XYZ"))) + "I" * (n - q - 1) + "X"
-                circuit = Circuit(n, 1, gates=(
-                    Gate("pauli_rot", angle=float(rng.uniform(-3, 3)), string=PauliString(word)),
-                    Gate("measure", (n,), cbit=0),
-                    Gate("postselect", cbit=0, value=0)), n_cbits=1)
+                word = "I" * q + str(rng.choice(list("XYZ"))) + "I" * (n - q - 1)
+                circuit = Circuit(n, (((word, float(rng.uniform(-3, 3))),),))
                 _assert_walk_close(circuit, psi0, 1)
                 checked += 1
     assert checked == 3 * 78
-
-
-# Parts of amplitudes with signed zeros.  An amplitude is assembled from
-# its parts (re + 1j * im would be a complex product, which can change the
-# sign of a zero).
-SIGNED_PARTS = np.array([0.0, -0.0, 0.0, -0.0, 0.6, -0.6, 1.3, -0.8])
-SIGNED_ANGLES = [0.0, math.pi, -math.pi, 2 * math.pi, 3 * math.pi, 0.3, -2.9, 7.0]
-
-
-def _signed_zero_state(n, rng):
-    amps = np.empty(1 << n, dtype=complex)
-    amps.real = rng.choice(SIGNED_PARTS, amps.size)
-    amps.imag = rng.choice(SIGNED_PARTS, amps.size)
-    amps.real[rng.integers(amps.size)] = 1.0
-    return StateVector(n, amps)
-
-
-def test_compiled_walk_keeps_signed_zeros_of_rotations():
-    """Random 1-3-qubit states with +-0.0 parts through random X/Y/Z
-    rotation words, no ancillas: a visible rotation is not part of a unit,
-    so each circuit is refused at its first gate before any walk, and the
-    trajectory's vector keeps its bits, signed zeros included."""
-    rng = np.random.default_rng(31)
-    for _ in range(400):
-        n = int(rng.integers(1, 4))
-        gates = tuple(
-            Gate("pauli_rot", angle=float(rng.choice(SIGNED_ANGLES)),
-                 string=PauliString("".join(rng.choice(list("IXYZ"), n))))
-            for _ in range(int(rng.integers(1, 6))))
-        circuit = Circuit(n, 0, gates=gates)
-        psi0 = _signed_zero_state(n, rng)
-        traj = Trajectory(circuit, psi0)
-        want = traj.vec.copy()
-        for _ in range(2):
-            assert _message(ValueError, traj.advance, circuit) == (
-                "gate 0 (pauli_rot) is not part of a hidden unit: "
-                "it acts on the visible register alone")
-        assert not traj.record
-        assert np.array_equal(traj.vec.view(np.uint64), want.view(np.uint64))
 
 
 def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
