@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .circuits import (
     build_qite_circuit,
+    n_trotter_steps,
     trotter_groups,
     trotter_step,
 )
@@ -62,7 +63,6 @@ from .simulator import (
     StateVector,
     expectation,
     imaginary_time_oracle,
-    n_trotter_steps,
     run_exact,
     run_shots,
     trotterized_oracle,

@@ -31,7 +31,6 @@ from .pauli import (
     merged_letters,
     word_from_sites,
 )
-from .simulator import n_trotter_steps
 
 
 def _emit_unit(frag: Fragment, rotations: list[tuple[str, float]], log_norm: float,
@@ -152,6 +151,20 @@ def trotter_step(
         group.log_norm += extra
         frag.extend(group)
     return frag
+
+
+def n_trotter_steps(tau: float, dtau: float) -> int:
+    for name, value in (("tau", tau), ("dtau", dtau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if dtau <= 0:
+        raise ValueError(f"dtau must be positive, got {dtau}")
+    if not math.isfinite(tau / dtau):
+        raise ValueError(f"tau {tau!r} / dtau {dtau!r} overflows the step count")
+    n = round(tau / dtau)
+    if abs(n * dtau - tau) > 1e-12 * max(1.0, abs(tau)):
+        raise ValueError(f"tau {tau!r} is not an integer multiple of dtau {dtau!r}")
+    return n
 
 
 def build_qite_circuit(

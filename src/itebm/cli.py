@@ -25,6 +25,7 @@ import click
 import numpy as np
 
 from . import ldbm as nets
+from .circuits import n_trotter_steps
 from .decomp import MAX_WALSH_SITES, decompose_sites, mean_unit_success
 from .evolution import iter_evolution, shot_split
 from .pauli import (
@@ -34,7 +35,7 @@ from .pauli import (
     dense_matrix,
     parse_hamiltonian,
 )
-from .simulator import StateVector, chained_oracle, expectation, n_trotter_steps
+from .simulator import StateVector, chained_oracle, expectation
 
 CSV_HEADER = (
     "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,"

@@ -48,9 +48,6 @@ class HiddenUnit:
             if not np.isfinite(w):
                 raise ValueError(f"non-finite weight {w!r} at site {site}")
 
-    def sites(self) -> tuple[int, ...]:
-        return tuple(site for site, _ in self.weights)
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -7,9 +7,11 @@ The lateral network represents amplitudes as
 
 with h ranging over {+1, -1}^M.  Basis-change gates, phase gates, and
 imaginary-time factors are absorbed exactly by appending hidden units and
-shifting parameters; no parameter is ever fitted.  `ldbm_to_dbm` removes the
-lateral couplings in favour of a third (deep) layer using an analytically
-continued two-body identity.
+shifting parameters; no parameter is ever fitted.  The laterals are kept as
+the edge list the absorption rules create: each gate appends its units and
+their edges, so absorbing a gate costs time in the edges it adds, not in M^2.
+`ldbm_to_dbm` removes the lateral couplings in favour of a third (deep) layer
+using an analytically continued two-body identity.
 
 Amplitudes are exact: with z fixed the hidden units interact only through
 the laterals, so the sum over h is done by variable elimination over the
@@ -43,38 +45,59 @@ WIDTH_LIMIT = 20
 _TOL = 1e-15
 
 
+def _complex_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a complex array of the given shape; raises when its shape
+    differs or an entry is not finite."""
+    arr = np.array(value, dtype=complex)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _pair(c: complex) -> list[float]:
+    return [float(np.real(c)), float(np.imag(c))]
+
+
 @dataclass(frozen=True)
 class LdbmNetwork:
     """Visible/hidden network with lateral hidden-hidden couplings.
 
-    lat is stored strictly upper triangular; severed couplings are zeroed in
-    place rather than compacted, so hidden-unit indices are stable.
+    The laterals are an edge list: row e of pairs is (j, k) with
+    0 <= j < k < M, each pair at most once, and lat[e] is its coupling L_jk.
+    Hidden-unit indices are stable: a basis change severs a unit's visible
+    coupling by zeroing it, not by compacting the unit away.
     """
 
     n_visible: int
     a: np.ndarray
     b: np.ndarray
     w: np.ndarray
-    lat: np.ndarray
+    pairs: np.ndarray = ()
+    lat: np.ndarray = ()
     log_norm: complex = 0j
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=complex)
-        b = np.array(self.b, dtype=complex)
-        w = np.array(self.w, dtype=complex).reshape(self.n_visible, -1)
-        lat = np.array(self.lat, dtype=complex).reshape(b.size, b.size)
-        if a.shape != (self.n_visible,):
-            raise ValueError(f"a has shape {a.shape}, expected ({self.n_visible},)")
-        if w.shape != (self.n_visible, b.size):
-            raise ValueError(f"W has shape {w.shape}, expected {(self.n_visible, b.size)}")
-        if np.any(np.tril(lat) != 0):
-            raise ValueError("lateral couplings must be strictly upper triangular")
-        for arr in (a, b, w, lat):
-            if not np.all(np.isfinite(arr.view(float))):
-                raise ValueError("network parameters must be finite")
+        a = _complex_array("a", self.a, (self.n_visible,))
+        b = _complex_array("b", self.b, (np.size(self.b),))
+        w = _complex_array("W", self.w, (self.n_visible, b.size))
+        pairs = np.array(self.pairs, dtype=np.intp)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"pairs has shape {pairs.shape}, expected (E, 2)")
+        lat = _complex_array("lat", self.lat, (len(pairs),))
+        j, k = pairs.T
+        if np.any(j < 0) or np.any(j >= k) or np.any(k >= b.size):
+            raise ValueError(f"each lateral pair (j, k) needs 0 <= j < k < M={b.size}")
+        keys = np.sort(j * b.size + k)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("a lateral pair is repeated")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "log_norm", complex(self.log_norm))
 
@@ -91,15 +114,17 @@ class LdbmNetwork:
         )
 
     def to_json_dict(self) -> dict:
-        pair = lambda c: [float(np.real(c)), float(np.imag(c))]  # noqa: E731
+        """The parameters with L as a dense M x M upper-triangular matrix."""
+        lat = np.zeros((self.n_hidden, self.n_hidden), dtype=complex)
+        lat[self.pairs[:, 0], self.pairs[:, 1]] = self.lat
         return {
             "N": self.n_visible,
             "M": self.n_hidden,
-            "a": [pair(c) for c in self.a],
-            "b": [pair(c) for c in self.b],
-            "W": [[pair(c) for c in row] for row in self.w],
-            "L": [[pair(c) for c in row] for row in self.lat],
-            "log_norm": pair(self.log_norm),
+            "a": [_pair(c) for c in self.a],
+            "b": [_pair(c) for c in self.b],
+            "W": [[_pair(c) for c in row] for row in self.w],
+            "L": [[_pair(c) for c in row] for row in lat],
+            "log_norm": _pair(self.log_norm),
         }
 
 
@@ -110,7 +135,6 @@ def plus_state(n_visible: int) -> LdbmNetwork:
         a=np.zeros(n_visible, dtype=complex),
         b=np.zeros(0, dtype=complex),
         w=np.zeros((n_visible, 0), dtype=complex),
-        lat=np.zeros((0, 0), dtype=complex),
         log_norm=-0.5 * n_visible * math.log(2.0),
     )
 
@@ -169,7 +193,7 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
     log_norm by a single exp at the end, so products over hundreds of units
     neither overflow nor underflow.
     """
-    _, neighbors = _lateral_components(net)
+    edges, neighbors = _lateral_graph(net)
     order, width = _elimination_order(neighbors)
     if width > WIDTH_LIMIT:
         raise ValueError(
@@ -196,15 +220,13 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
     touching: list[set[int]] = [set() for _ in neighbors]
     new_id = itertools.count()
     pair_shifts = []
-    for j, nbrs in enumerate(neighbors):
-        for k in sorted(u for u in nbrs if u > j):
-            coupling = net.lat[j, k]
-            pair_shifts.append(abs(coupling.imag))
-            fid = next(new_id)
-            factors[fid] = ((j, k), np.exp(1j * coupling * np.outer(spin, spin)
-                                           - pair_shifts[-1]))
-            touching[j].add(fid)
-            touching[k].add(fid)
+    for j, k, coupling in edges:
+        pair_shifts.append(abs(coupling.imag))
+        fid = next(new_id)
+        factors[fid] = ((j, k), np.exp(1j * coupling * np.outer(spin, spin)
+                                       - pair_shifts[-1]))
+        touching[j].add(fid)
+        touching[k].add(fid)
     log_scale += math.fsum(pair_shifts)
     binary_exp = np.zeros(rows, dtype=np.int64)
     value = np.ones(rows, dtype=complex)
@@ -274,15 +296,18 @@ def _append_basis_unit(
     severed, and the visible bias is replaced."""
     m = net.n_hidden
     a = net.a.copy()
-    b = np.append(net.b, b_new)
-    w = np.pad(net.w, ((0, 0), (0, 1)))
-    lat = np.pad(net.lat, ((0, 1), (0, 1)))
-    lat[:m, m] = -net.w[l, :]
+    a[l] = a_after
+    w = np.hstack([net.w, np.zeros((net.n_visible, 1), dtype=complex)])
     w[l, :m] = 0.0
     w[l, m] = w_new
-    a[l] = a_after
-    return LdbmNetwork(net.n_visible, a, b, w, lat,
-                       net.log_norm + delta_log_norm)
+    (coupled,) = np.nonzero(net.w[l])
+    new_pairs = np.column_stack([coupled, np.full_like(coupled, m)])
+    return LdbmNetwork(
+        net.n_visible, a, np.append(net.b, b_new), w,
+        np.concatenate([net.pairs, new_pairs]),
+        np.concatenate([net.lat, -net.w[l, coupled]]),
+        net.log_norm + delta_log_norm,
+    )
 
 
 def apply_hx(net: LdbmNetwork, l: int) -> LdbmNetwork:
@@ -340,12 +365,12 @@ def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
     a[l1] += math.pi / 4
     a[l2] += math.pi / 4
     b = np.append(net.b, [-math.pi / 4, phi + math.pi / 4])
-    w = np.pad(net.w, ((0, 0), (0, 2)))
+    w = np.hstack([net.w, np.zeros((net.n_visible, 2), dtype=complex)])
     w[l1, m] = math.pi / 4
     w[l2, m] = math.pi / 4
-    lat = np.pad(net.lat, ((0, 2), (0, 2)))
-    lat[m, m + 1] = math.pi / 4
-    return LdbmNetwork(net.n_visible, a, b, w, lat,
+    return LdbmNetwork(net.n_visible, a, b, w,
+                       np.concatenate([net.pairs, [[m, m + 1]]]),
+                       np.append(net.lat, math.pi / 4),
                        net.log_norm + complex(-math.log(2.0), -math.pi / 4))
 
 
@@ -366,7 +391,6 @@ def apply_diagonal_imaginary(
     support = tuple(term.string.support())
     if not support:
         return replace(net, log_norm=net.log_norm - k)
-    a = net.a
     b_list = [net.b]
     w_cols = [net.w]
     extra_log = 0.0
@@ -378,10 +402,8 @@ def apply_diagonal_imaginary(
                 col[site, 0] = -weight
             w_cols.append(col)
             b_list.append(np.array([-unit.bias], dtype=complex))
-    b = np.concatenate(b_list)
-    w = np.concatenate(w_cols, axis=1)
-    lat = np.pad(net.lat, ((0, b.size - net.n_hidden), (0, b.size - net.n_hidden)))
-    return LdbmNetwork(net.n_visible, a, b, w, lat, net.log_norm + extra_log)
+    return replace(net, b=np.concatenate(b_list), w=np.concatenate(w_cols, axis=1),
+                   log_norm=net.log_norm + extra_log)
 
 
 _BASIS_APPLY = {"hx": apply_hx, "hy": apply_hy, "hydag": apply_hy_dag}
@@ -424,16 +446,11 @@ class DbmNetwork:
     log_norm: complex = 0j
 
     def __post_init__(self) -> None:
-        a = np.array(self.a, dtype=complex)
-        b = np.array(self.b, dtype=complex)
-        b_deep = np.array(self.b_deep, dtype=complex)
-        w = np.array(self.w, dtype=complex).reshape(self.n_visible, b.size)
-        w_deep = np.array(self.w_deep, dtype=complex).reshape(b.size, b_deep.size)
-        for name, arr in (("a", a), ("b", b), ("b_deep", b_deep),
-                          ("w", w), ("w_deep", w_deep)):
-            if not np.all(np.isfinite(arr.view(float))):
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "a", a)
+        b = _complex_array("b", self.b, (np.size(self.b),))
+        b_deep = _complex_array("b_deep", self.b_deep, (np.size(self.b_deep),))
+        w = _complex_array("W", self.w, (self.n_visible, b.size))
+        w_deep = _complex_array("W_deep", self.w_deep, (b.size, b_deep.size))
+        object.__setattr__(self, "a", _complex_array("a", self.a, (self.n_visible,)))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "b_deep", b_deep)
         object.__setattr__(self, "w", w)
@@ -451,80 +468,88 @@ class DbmNetwork:
     def to_ldbm(self) -> LdbmNetwork:
         """Embed as a lateral network (deep units become hidden units whose
         only couplings are laterals to the hidden layer)."""
-        mh, md = self.n_hidden, self.n_deep
-        lat = np.zeros((mh + md, mh + md), dtype=complex)
-        lat[:mh, mh:] = self.w_deep
+        hid, deep = np.nonzero(self.w_deep)
         return LdbmNetwork(
             n_visible=self.n_visible,
             a=self.a,
             b=np.concatenate([self.b, self.b_deep]),
-            w=np.concatenate([self.w, np.zeros((self.n_visible, md))], axis=1),
-            lat=lat,
+            w=np.concatenate([self.w, np.zeros((self.n_visible, self.n_deep))], axis=1),
+            pairs=np.column_stack([hid, self.n_hidden + deep]),
+            lat=self.w_deep[hid, deep],
             log_norm=self.log_norm,
         )
 
     def to_json_dict(self) -> dict:
-        pair = lambda c: [float(np.real(c)), float(np.imag(c))]  # noqa: E731
         return {
             "N": self.n_visible,
             "M": self.n_hidden,
             "M_deep": self.n_deep,
-            "a": [pair(c) for c in self.a],
-            "b": [pair(c) for c in self.b],
-            "b_deep": [pair(c) for c in self.b_deep],
-            "W": [[pair(c) for c in row] for row in self.w],
-            "W_deep": [[pair(c) for c in row] for row in self.w_deep],
-            "log_norm": pair(self.log_norm),
+            "a": [_pair(c) for c in self.a],
+            "b": [_pair(c) for c in self.b],
+            "b_deep": [_pair(c) for c in self.b_deep],
+            "W": [[_pair(c) for c in row] for row in self.w],
+            "W_deep": [[_pair(c) for c in row] for row in self.w_deep],
+            "log_norm": _pair(self.log_norm),
         }
 
 
-def _lateral_components(net: LdbmNetwork) -> tuple[list[list[int]], list[set[int]]]:
-    m = net.n_hidden
-    neighbors: list[set[int]] = [set() for _ in range(m)]
-    rows, cols = np.nonzero(np.abs(net.lat) > _TOL)
-    for j, k in zip(rows.tolist(), cols.tolist()):
+def _lateral_graph(net: LdbmNetwork) -> tuple[list[tuple], list[set[int]]]:
+    """The lateral edges above _TOL as (j, k, L_jk) in (j, k) order, and the
+    set of neighbours of each unit."""
+    keep = np.abs(net.lat) > _TOL
+    pairs, lat = net.pairs[keep], net.lat[keep]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    edges = list(zip(pairs[order, 0].tolist(), pairs[order, 1].tolist(), lat[order]))
+    neighbors: list[set[int]] = [set() for _ in range(net.n_hidden)]
+    for j, k, _ in edges:
         neighbors[j].add(k)
         neighbors[k].add(j)
-    seen = [False] * m
+    return edges, neighbors
+
+
+def _components(neighbors: list[set[int]]) -> tuple[list[tuple], list[int]]:
+    """One walk of the lateral graph: each connected component (sorted, in
+    order of its lowest unit) with whether it is bipartite, and a colouring
+    that gives each component's lowest unit colour 0 and neighbours opposite
+    colours wherever the component is bipartite."""
+    color = [-1] * len(neighbors)
     components = []
-    for start in range(m):
-        if seen[start]:
+    for start in range(len(neighbors)):
+        if color[start] >= 0:
             continue
-        comp, stack = [], [start]
-        seen[start] = True
+        color[start] = 0
+        comp, stack, bipartite = [], [start], True
         while stack:
             node = stack.pop()
             comp.append(node)
             for nxt in neighbors[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
+                if color[nxt] < 0:
+                    color[nxt] = 1 - color[node]
                     stack.append(nxt)
-        components.append(sorted(comp))
-    return components, neighbors
+                elif color[nxt] == color[node]:
+                    bipartite = False
+        components.append((sorted(comp), bipartite))
+    return components, color
 
 
-def _two_color(comp: list[int], neighbors: list[set[int]]) -> dict[int, int] | None:
-    color = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        node = queue.pop()
-        for nxt in neighbors[node]:
-            if nxt not in color:
-                color[nxt] = 1 - color[node]
-                queue.append(nxt)
-            elif color[nxt] == color[node]:
-                return None
-    return color
-
-
-def _strip_weight(k: complex) -> complex:
-    """Weight of the mediating unit replacing a direct coupling exp(-K s s')."""
-    wt = 0.5 * np.arccos(np.exp(-2.0 * k) + 0j)
-    if abs(np.cos(2.0 * wt) - np.exp(-2.0 * k)) > 1e-10:
+def _mediator(
+    coupling: complex, n_visible: int, n_deep: int, sites: list[int], deep: list[int]
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """A hidden unit replacing the direct coupling exp(i coupling s s')
+    between the named visible sites and deep units, via the two-body
+    identity cos(2 w) = e^{-2K}: its W column, its W_deep row and the
+    log_norm it adds."""
+    kk = -1j * coupling
+    wt = complex(0.5 * np.arccos(np.exp(-2.0 * kk) + 0j))
+    if abs(np.cos(2.0 * wt) - np.exp(-2.0 * kk)) > 1e-10:
         raise ValueError(
-            f"coupling {k} lands on an arccos branch point; cannot mediate"
+            f"coupling {kk} lands on an arccos branch point; cannot mediate"
         )
-    return complex(wt)
+    col = np.zeros((n_visible, 1), dtype=complex)
+    col[sites, 0] = -wt
+    row = np.zeros((1, n_deep), dtype=complex)
+    row[0, deep] = -wt
+    return col, row, kk - math.log(2.0)
 
 
 def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
@@ -535,81 +560,55 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
     strips the fewest visible couplings (ties keep the lowest-index unit
     hidden); non-bipartite components go entirely deep.  A deep unit's
     remaining visible couplings, and any deep-deep lateral edge, are each
-    replaced by a mediating hidden unit via the analytically continued
-    two-body identity cos(2 w) = e^{-2K}.
+    replaced by a mediating hidden unit (`_mediator`).
     """
     m = net.n_hidden
-    components, neighbors = _lateral_components(net)
+    edges, neighbors = _lateral_graph(net)
+    components, color = _components(neighbors)
     visible_deg = np.count_nonzero(np.abs(net.w) > _TOL, axis=0)
     deep_flag = [False] * m
-    bipartite = [True] * m
-    for comp in components:
-        if len(comp) == 1 and not neighbors[comp[0]]:
+    for comp, bipartite in components:
+        if len(comp) == 1:
             deep_flag[comp[0]] = visible_deg[comp[0]] == 0
-            continue
-        color = _two_color(comp, neighbors)
-        if color is None:
+        elif not bipartite:
             for j in comp:
                 deep_flag[j] = True
-                bipartite[j] = False
-            continue
-        strips0 = sum(visible_deg[j] for j in comp if color[j] == 1)
-        strips1 = sum(visible_deg[j] for j in comp if color[j] == 0)
-        if strips0 < strips1:
-            deep_color = 1
-        elif strips1 < strips0:
-            deep_color = 0
         else:
-            deep_color = 1 - color[comp[0]]  # lowest unit index stays hidden
-        for j in comp:
-            deep_flag[j] = color[j] == deep_color
+            strips0 = sum(visible_deg[j] for j in comp if color[j] == 1)
+            strips1 = sum(visible_deg[j] for j in comp if color[j] == 0)
+            deep_color = 0 if strips1 < strips0 else 1  # ties: colour 0 stays hidden
+            for j in comp:
+                deep_flag[j] = color[j] == deep_color
 
     hidden_ids = [j for j in range(m) if not deep_flag[j]]
     deep_ids = [j for j in range(m) if deep_flag[j]]
     h_pos = {j: i for i, j in enumerate(hidden_ids)}
     d_pos = {j: i for i, j in enumerate(deep_ids)}
 
-    w_cols = [net.w[:, hidden_ids].copy()]
-    b_hidden = [net.b[hidden_ids].copy()]
-    v_rows = [np.zeros((len(hidden_ids), len(deep_ids)), dtype=complex)]
-    log_norm = net.log_norm
-
-    rows, cols = np.nonzero(np.abs(net.lat) > _TOL)
-    for j, k in zip(rows.tolist(), cols.tolist()):
+    v_hidden = np.zeros((len(hidden_ids), len(deep_ids)), dtype=complex)
+    mediators = []
+    for j, k, coupling in edges:
         if deep_flag[j] != deep_flag[k]:
             hid, deep = (j, k) if deep_flag[k] else (k, j)
-            v_rows[0][h_pos[hid], d_pos[deep]] = net.lat[j, k]
+            v_hidden[h_pos[hid], d_pos[deep]] = coupling
         else:
             assert deep_flag[j] and deep_flag[k], "lateral edge inside hidden layer"
-            kk = -1j * net.lat[j, k]
-            wt = _strip_weight(kk)
-            row = np.zeros((1, len(deep_ids)), dtype=complex)
-            row[0, d_pos[j]] = -wt
-            row[0, d_pos[k]] = -wt
-            v_rows.append(row)
-            w_cols.append(np.zeros((net.n_visible, 1), dtype=complex))
-            b_hidden.append(np.zeros(1, dtype=complex))
-            log_norm += kk - math.log(2.0)
-
+            mediators.append(_mediator(coupling, net.n_visible, len(deep_ids),
+                                       [], [d_pos[j], d_pos[k]]))
     for j in deep_ids:
         for i in np.nonzero(np.abs(net.w[:, j]) > _TOL)[0].tolist():
-            kk = -1j * net.w[i, j]
-            wt = _strip_weight(kk)
-            col = np.zeros((net.n_visible, 1), dtype=complex)
-            col[i, 0] = -wt
-            row = np.zeros((1, len(deep_ids)), dtype=complex)
-            row[0, d_pos[j]] = -wt
-            w_cols.append(col)
-            v_rows.append(row)
-            b_hidden.append(np.zeros(1, dtype=complex))
-            log_norm += kk - math.log(2.0)
+            mediators.append(_mediator(net.w[i, j], net.n_visible, len(deep_ids),
+                                       [i], [d_pos[j]]))
+    log_norm = net.log_norm
+    for _, _, extra in mediators:
+        log_norm += extra
 
     return DbmNetwork(
         n_visible=net.n_visible,
-        a=net.a.copy(),
-        b=np.concatenate(b_hidden),
-        b_deep=net.b[deep_ids].copy(),
-        w=np.concatenate(w_cols, axis=1),
-        w_deep=np.concatenate(v_rows, axis=0),
+        a=net.a,
+        b=np.concatenate([net.b[hidden_ids], np.zeros(len(mediators))]),
+        b_deep=net.b[deep_ids],
+        w=np.hstack([net.w[:, hidden_ids]] + [col for col, _, _ in mediators]),
+        w_deep=np.vstack([v_hidden] + [row for _, row, _ in mediators]),
         log_norm=log_norm,
     )

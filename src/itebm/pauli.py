@@ -23,13 +23,6 @@ HX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 HY = np.array([[-1j, 1j], [1, 1]], dtype=complex) / np.sqrt(2.0)
 HY_DAG = HY.conj().T
 
-PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class PauliString:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import n_trotter_steps, trotter_groups
 from .ir import Circuit, Unit
 from .pauli import (
     HX,
@@ -632,28 +633,12 @@ def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
         yield state
 
 
-def n_trotter_steps(tau: float, dtau: float) -> int:
-    for name, value in (("tau", tau), ("dtau", dtau)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if dtau <= 0:
-        raise ValueError(f"dtau must be positive, got {dtau}")
-    if not math.isfinite(tau / dtau):
-        raise ValueError(f"tau {tau!r} / dtau {dtau!r} overflows the step count")
-    n = round(tau / dtau)
-    if abs(n * dtau - tau) > 1e-12 * max(1.0, abs(tau)):
-        raise ValueError(f"tau {tau!r} is not an integer multiple of dtau {dtau!r}")
-    return n
-
-
 def trotterized_oracle(
     h: Hamiltonian, tau: float, dtau: float, order: int, psi0: StateVector
 ) -> StateVector:
     """Normalized product of per-term exp(-dtau_eff c P) factors, using the
     same term grouping and order as the circuit builder (isolates encoding
     error from Trotter error)."""
-    from .circuits import trotter_groups  # local import avoids a cycle
-
     n_steps = n_trotter_steps(tau, dtau)
     amps = psi0.normalized().amps.copy()
     groups = trotter_groups(h, order)

@@ -118,17 +118,17 @@ def chain_terms(n: int = 8) -> list[tuple[float, str]]:
     return terms
 
 
-def ldbm_amplitudes_bruteforce(n_visible: int, a, b, w, lat,
+def ldbm_amplitudes_bruteforce(n_visible: int, a, b, w, pairs, lat,
                                log_norm: complex) -> np.ndarray:
     """Amplitude vector of a lateral-coupled network by explicit double loop.
 
-    a: (N,), b: (M,), w: (N, M), lat: (M, M) strictly upper triangular.
+    a: (N,), b: (M,), w: (N, M), pairs: (E, 2) hidden-unit pairs (j, k) and
+    lat: (E,) their couplings L_jk.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     w = np.asarray(w, dtype=complex).reshape(n_visible, -1)
     m = b.size
-    lat = np.asarray(lat, dtype=complex).reshape(m, m)
     amps = np.zeros(2**n_visible, dtype=complex)
     for zi in range(2**n_visible):
         z = np.array([1 - 2 * ((zi >> (n_visible - 1 - q)) & 1)
@@ -138,12 +138,19 @@ def ldbm_amplitudes_bruteforce(n_visible: int, a, b, w, lat,
             h = np.array([1 - 2 * ((hi >> j) & 1) for j in range(m)],
                          dtype=float)
             expo = np.dot(a, z) + z @ w @ h + np.dot(b, h)
-            for j in range(m):
-                for k in range(j + 1, m):
-                    expo = expo + h[j] * lat[j, k] * h[k]
+            for (j, k), coupling in zip(pairs, lat):
+                expo = expo + h[j] * coupling * h[k]
             total += np.exp(1j * expo)
         amps[zi] = np.exp(log_norm) * total
     return amps
+
+
+def dense_edges(lat) -> tuple[np.ndarray, np.ndarray]:
+    """The (pairs, couplings) edge list of a dense strictly upper-triangular
+    lateral matrix: every pair j < k, zero couplings included."""
+    lat = np.asarray(lat, dtype=complex)
+    j, k = np.triu_indices(lat.shape[0], k=1)
+    return np.column_stack([j, k]), lat[j, k]
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -212,7 +212,7 @@ def _random_ldbm(rng, n, m, real):
         return x
 
     return LdbmNetwork(n, draw(n), draw(m), draw(n, m),
-                       np.triu(draw(m, m), k=1))
+                       *oracles.dense_edges(np.triu(draw(m, m), k=1)))
 
 
 def _random_z_term(rng, n, max_order):

@@ -246,8 +246,6 @@ def test_success_probability_three_body():
 
 def test_decompose_sites_relabels():
     dec = decompose_sites((4, 1), -0.6, 6)
-    unit = dec.hidden_units[0]
-    assert unit.sites() == (1, 4)
     diag = np.diag(oracles.exp_factor(-0.6, "IZIIZI"))
     for j, z in enumerate(_spins(6)):
         assert _realized(dec, z) == pytest.approx(diag[j].real, rel=1e-12)

@@ -35,14 +35,14 @@ def _random_net(n, m, rng, scale=0.4, real=False):
             x = x + 1j * rng.normal(size=shape) * scale
         return x
 
-    lat = np.triu(draw(m, m), k=1)
-    return LdbmNetwork(n, draw(n), draw(m), draw(n, m), lat,
+    pairs, lat = oracles.dense_edges(np.triu(draw(m, m), k=1))
+    return LdbmNetwork(n, draw(n), draw(m), draw(n, m), pairs, lat,
                        log_norm=complex(draw()))
 
 
 def _oracle_amps(net):
     return oracles.ldbm_amplitudes_bruteforce(
-        net.n_visible, net.a, net.b, net.w, net.lat, net.log_norm
+        net.n_visible, net.a, net.b, net.w, net.pairs, net.lat, net.log_norm
     )
 
 
@@ -76,12 +76,26 @@ def test_amplitudes_match_bruteforce(seed):
 
 
 def test_network_validation():
-    with pytest.raises(ValueError, match="upper triangular"):
-        LdbmNetwork(1, [0], [0, 0], [[0, 0]], [[0, 0], [1, 0]])
     with pytest.raises(ValueError, match="finite"):
-        LdbmNetwork(1, [math.inf], [], np.zeros((1, 0)), np.zeros((0, 0)))
+        LdbmNetwork(1, [math.inf], [], np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="finite"):
+        LdbmNetwork(1, [0], [0, 0], [[0, 0]], [[0, 1]], [math.nan])
     with pytest.raises(ValueError, match="shape"):
-        LdbmNetwork(2, [0], [0], [[0], [0]], [[0]])
+        LdbmNetwork(2, [0], [0], [[0], [0]])
+
+
+@pytest.mark.parametrize("pairs,lat,message", [
+    ([[1, 0]], [0.5], "0 <= j < k < M=3"),
+    ([[1, 1]], [0.5], "0 <= j < k < M=3"),
+    ([[-1, 1]], [0.5], "0 <= j < k < M=3"),
+    ([[1, 3]], [0.5], "0 <= j < k < M=3"),
+    ([[0, 2], [1, 2], [0, 2]], [0.5, 0.1, 0.2], "repeated"),
+    ([[0, 1], [1, 2]], [0.5], "lat has shape"),
+    ([[0, 1, 2]], [0.5], "pairs has shape"),
+])
+def test_lateral_edge_validation(pairs, lat, message):
+    with pytest.raises(ValueError, match=message):
+        LdbmNetwork(1, [0], [0, 0, 0], [[0, 0, 0]], pairs, lat)
 
 
 def test_elimination_width_limit():
@@ -90,10 +104,11 @@ def test_elimination_width_limit():
     with pytest.raises(ValueError, match="elimination width 21 .* width limit 20"):
         raw_amplitudes(_random_net(1, 22, np.random.default_rng(0)))
     m = 200
-    chain = np.diag(np.full(m - 1, 0.3 + 0.1j), k=1)
+    chain = np.column_stack([np.arange(m - 1), np.arange(1, m)])
     rng = np.random.default_rng(1)
     net = LdbmNetwork(2, rng.normal(size=2), rng.normal(size=m) * 0.4,
-                      rng.normal(size=(2, m)) * 0.4, chain, log_norm=-60.0)
+                      rng.normal(size=(2, m)) * 0.4, chain,
+                      np.full(m - 1, 0.3 + 0.1j), log_norm=-60.0)
     got = raw_amplitudes(net)
     assert np.all(np.isfinite(got))
     # the chain's transfer-matrix product, one site at a time
@@ -136,7 +151,7 @@ def test_marginalization_stays_in_log_space():
     with np.errstate(over="ignore"):
         assert np.isinf(np.prod(np.full(m, 2.0 * math.cosh(1.0))))
     net = LdbmNetwork(1, [0.0], np.full(m, -1j), np.zeros((1, m)),
-                      np.zeros((m, m)), log_norm=-789.0)
+                      log_norm=-789.0)
     want = math.exp(m * math.log(2.0 * math.cosh(1.0)) - 789.0)
     got = raw_amplitudes(net)
     assert np.all(np.isfinite(got))
@@ -149,7 +164,7 @@ def test_real_params_flag():
     assert not _random_net(2, 3, rng, real=False).real_params
     # log_norm may be complex without breaking parameter reality
     net = plus_state(1)
-    assert LdbmNetwork(1, net.a, net.b, net.w, net.lat, 1j).real_params
+    assert LdbmNetwork(1, net.a, net.b, net.w, net.pairs, net.lat, 1j).real_params
 
 
 def test_json_round_trip():
@@ -162,7 +177,10 @@ def test_json_round_trip():
         return arr[..., 0] + 1j * arr[..., 1]
 
     assert (d["N"], d["M"]) == (2, 3)
-    for key, value in (("a", net.a), ("b", net.b), ("W", net.w), ("L", net.lat)):
+    lat = np.zeros((3, 3), dtype=complex)
+    for (j, k), coupling in zip(net.pairs, net.lat):
+        lat[j, k] = coupling
+    for key, value in (("a", net.a), ("b", net.b), ("W", net.w), ("L", lat)):
         assert np.array_equal(unpair(d[key]), value)
     assert complex(*d["log_norm"]) == net.log_norm
 
@@ -198,7 +216,8 @@ def test_basis_gates_sever_visible_couplings():
     net = _random_net(2, 3, np.random.default_rng(4))
     new = apply_hx(net, 0)
     assert np.all(new.w[0, :3] == 0)          # old couplings severed
-    assert np.allclose(new.lat[:3, 3], -net.w[0, :])  # moved to laterals
+    assert new.pairs[-3:].tolist() == [[0, 3], [1, 3], [2, 3]]
+    assert np.array_equal(new.lat[-3:], -net.w[0, :])  # moved to laterals
     assert new.w[0, 3] == pytest.approx(math.pi / 4)
     assert new.a[0] == pytest.approx(math.pi / 4)
 
@@ -329,28 +348,62 @@ def test_full_trotter_step_absorption():
     assert statevector(net).fidelity(ref) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tfim_trajectory_matches_dense_factors():
-    """Ten second-order steps of the 3-qubit TFIM at dtau 0.1, absorbed into
-    one network (210 units, far past 2^M enumeration): at every step the
-    state and the raw norm, tracked through log_norm, equal the dense
-    product of the same exp(-dtau c P) factors."""
+@pytest.fixture(scope="module")
+def tfim_trajectory():
+    """100 second-order steps of the 3-qubit TFIM at dtau 0.1 absorbed into
+    one network, with the dense product of the same exp(-dtau c P) factors,
+    each applied as cosh(k) - sinh(k) P: {step: (network, dense state)} at
+    steps 1-10 and every 10th step."""
     from itebm.circuits import trotter_groups
     from itebm.pauli import parse_hamiltonian
 
     terms = oracles.tfim_terms(3)
     h = parse_hamiltonian("".join(f"{c} {w}\n" for c, w in terms))
+    words = {w: oracles.word_matrix(w) for _, w in terms}
     dtau = 0.1
     net = plus_state(3)
     psi = np.full(8, 1 / math.sqrt(8), dtype=complex)
-    for _ in range(10):
+    checkpoints = {}
+    for step in range(1, 101):
         for group, factor in trotter_groups(h, 2):
             for t in group:
                 net = apply_term_imaginary(net, t, dtau * factor)
-                psi = oracles.exp_factor(dtau * factor * t.coefficient, t.string.word) @ psi
+                k = dtau * factor * t.coefficient
+                psi = math.cosh(k) * psi - math.sinh(k) * (words[t.string.word] @ psi)
+        if step <= 10 or step % 10 == 0:
+            checkpoints[step] = (net, psi)
+    return checkpoints
+
+
+def test_tfim_trajectory_matches_dense_factors(tfim_trajectory):
+    """Ten second-order steps of the 3-qubit TFIM at dtau 0.1, absorbed into
+    one network (210 units, far past 2^M enumeration): at every step the
+    state and the raw norm, tracked through log_norm, equal the dense
+    product of the same exp(-dtau c P) factors."""
+    for step in range(1, 11):
+        net, psi = tfim_trajectory[step]
         raw = raw_amplitudes(net)
         assert oracles.fidelity(raw, psi) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
-    assert net.n_hidden == 210
+    assert tfim_trajectory[10][0].n_hidden == 210
+
+
+def test_long_tfim_trajectory_matches_dense_factors(tfim_trajectory):
+    """At every 10th of 100 steps (2,100 units at the end) the absorbed
+    network's state and raw norm equal the dense factor product's."""
+    for step in range(10, 101, 10):
+        net, psi = tfim_trajectory[step]
+        raw = raw_amplitudes(net)
+        assert abs(oracles.fidelity(raw, psi) - 1.0) <= 1e-12
+        assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(psi), rel=1e-9)
+    assert tfim_trajectory[100][0].n_hidden == 2100
+
+
+def test_absorption_appends_few_edges(tfim_trajectory):
+    """The lateral graph holds O(M) edges, not M^2 / 2 entries: every unit a
+    gate appends brings at most a couple of edges with it."""
+    net = tfim_trajectory[100][0]
+    assert net.lat.size <= 2 * net.n_hidden
 
 
 def test_state_and_norm_marginalizes_once(monkeypatch):
@@ -394,11 +447,10 @@ def test_basis_gate_on_occupied_qubit_splits_layers():
 def test_nonbipartite_component_goes_deep():
     """A lateral triangle cannot be two-colored; all three units go deep."""
     m = 3
-    lat = np.zeros((m, m), dtype=complex)
-    lat[0, 1] = lat[0, 2] = lat[1, 2] = 0.31 + 0.12j
     rng = np.random.default_rng(6)
     net = LdbmNetwork(2, rng.normal(size=2) * 0.3, rng.normal(size=m) * 0.3,
-                      rng.normal(size=(2, m)) * 0.3, lat)
+                      rng.normal(size=(2, m)) * 0.3, [[0, 1], [0, 2], [1, 2]],
+                      np.full(3, 0.31 + 0.12j))
     dbm = ldbm_to_dbm(net)
     assert dbm.n_deep == 3
     got = raw_amplitudes(dbm.to_ldbm())
@@ -413,8 +465,10 @@ def test_conversion_preserves_state(seed):
     m = int(rng.integers(0, 5))
     net = _random_net(n, m, rng)
     dbm = ldbm_to_dbm(net)
-    assert np.count_nonzero(dbm.to_ldbm().lat[:dbm.n_hidden, :dbm.n_hidden]) == 0
-    got = statevector(dbm.to_ldbm())
+    lateral = dbm.to_ldbm()
+    assert np.all(lateral.pairs[:, 1] >= dbm.n_hidden)  # none inside the hidden layer
+    assert lateral.lat.size == np.count_nonzero(dbm.w_deep)
+    got = statevector(lateral)
     assert got.fidelity(statevector(net)) >= 1.0 - 1e-9
 
 
@@ -428,3 +482,5 @@ def test_dbm_json_dict():
 def test_dbm_validation():
     with pytest.raises(ValueError, match="finite"):
         DbmNetwork(1, [math.nan], [], [], np.zeros((1, 0)), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="a has shape"):
+        DbmNetwork(2, [0.1, 0.2, 0.3], [0.5], [], [[0.1], [0.2]], np.zeros((1, 0)))
