@@ -8,12 +8,14 @@ register, which is the marginalized auxiliary-field factor; the circuit's
 log_norm accumulates ln(2A) per unit so the encoded operator is recovered
 exactly.
 
-Two compilation routes exist per term: "rbm" rotates with the term's own
-letters (one ancilla rotation per weight), while "word" encodes the whole
-term as one unit, a rotation X_anc ⊗ P on the term's word P plus a bias.
-Neither route puts a gate on the visible register alone.  The builders
-append units, each a tuple of (visible word, angle) rotations, to a
-`Fragment`.
+Every unit comes from `decomp.cascade_diagonal` on a table of commuting
+couplings, one rule for all of them; a route only says what a site of that
+table is.  On the "rbm" route a site is a qubit carrying its letter (one
+ancilla rotation per weight).  On the "word" route a site is a term's whole
+word P: P squares to 1, so it acts as one spin, and the term is the
+one-body unit, a rotation X_anc ⊗ P plus a bias.  Neither route puts a gate
+on the visible register alone.  Units, each a tuple of (visible word, angle)
+rotations, are appended to a `Fragment`.
 """
 from __future__ import annotations
 
@@ -33,67 +35,32 @@ from .pauli import (
 )
 
 
-def _emit_unit(frag: Fragment, rotations: list[tuple[str, float]], log_norm: float,
-               mean_success: float) -> None:
-    """Append one hidden unit, its (visible word, angle) rotations."""
-    frag.units.append(tuple(rotations))
-    frag.log_norm += log_norm
-    frag.model_success *= mean_success
-
-
-def _rbm_units(
-    frag: Fragment, table: dict[tuple[int, ...], float], letters: str, n_qubits: int
-) -> float:
-    """Append the hidden units of a table of couplings sharing one letter
-    word; returns the scalar log-norm shift of any identity remainder
-    (which needs no ancilla)."""
+def _emit_units(frag: Fragment, table: dict[tuple[int, ...], float],
+                words: list[str | None]) -> float:
+    """Append the hidden units of a table of commuting couplings, table site q
+    rotating with words[q]; returns the scalar log-norm shift of any
+    identity remainder (which needs no ancilla)."""
     extra = 0.0
-    for dec in cascade_diagonal(table, n_qubits):
+    for dec in cascade_diagonal(table, len(words)):
         if not dec.hidden_units:  # identity remainder: pure scalar
             extra += dec.log_norm
             continue
         (unit,) = dec.hidden_units
-        rotations = [(word_from_sites(n_qubits, {q: letters[q]}).word, 2.0 * w)
-                     for q, w in unit.weights]
+        rotations = [(words[q], 2.0 * w) for q, w in unit.weights]
         if unit.bias != 0.0:
-            rotations.append(("I" * n_qubits, 2.0 * unit.bias))
-        _emit_unit(frag, rotations, LN2 + dec.log_norm, mean_unit_success(unit))
+            rotations.append(("I" * len(rotations[0][0]), 2.0 * unit.bias))
+        frag.units.append(tuple(rotations))
+        frag.log_norm += LN2 + dec.log_norm
+        frag.model_success *= mean_unit_success(unit)
     return extra
 
 
-def _term_rbm(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
-    """Append one term's units on the rbm route; returns its scalar
-    log-norm shift."""
-    coupling = dtau * term.coefficient
-    support = term.string.support()
-    if not support:
-        return -coupling
-    if coupling == 0.0:
-        return 0.0
-    return _rbm_units(frag, {support: coupling}, term.string.word, term.string.n_qubits)
-
-
-def _term_word(frag: Fragment, term: HamiltonianTerm, dtau: float) -> float:
-    """Append one term's single unit, a rotation X_anc ⊗ P on its word P
-    plus a bias; returns its scalar log-norm shift.
-
-    P squares to 1, so with k = |dtau c|, s the sign of dtau c and
-    w = acos(e^{-2k}) / 2, post-selection leaves cos(w P + s w) =
-    e^{-k} e^{-s k P}: the unit's log_norm is k."""
-    coupling = dtau * term.coefficient
-    support = term.string.support()
-    if not support:
-        return -coupling
-    if coupling == 0.0:
-        return 0.0
-    k = abs(coupling)
-    s = -1.0 if coupling < 0 else 1.0
-    w = 0.5 * math.acos(math.exp(-2.0 * k))
-    rotations = [(term.string.word, 2.0 * w)]
-    if s * w != 0.0:
-        rotations.append(("I" * term.string.n_qubits, 2.0 * s * w))
-    _emit_unit(frag, rotations, k, 0.5 * (1.0 + math.exp(-4.0 * k)))
-    return 0.0
+def _letter_words(letters: str) -> list[str | None]:
+    """Per qubit, the one-letter word of the letter it carries; None where
+    it carries I."""
+    n = len(letters)
+    return [None if ch == "I" else word_from_sites(n, {q: ch}).word
+            for q, ch in enumerate(letters)]
 
 
 def trotter_groups(
@@ -125,29 +92,36 @@ def trotter_step(
 ) -> Fragment:
     """One Trotter step as a fragment of units on n visible qubits.
 
-    On the rbm route, a group whose terms share a consistent letter map is
-    decomposed as one coupling table, folding induced couplings into the
-    group's own pending terms; otherwise terms are encoded one at a time in
-    input order (each term still compensates its own induced couplings).
+    Each group becomes coupling tables, and `_emit_units` turns each table
+    into units.  On the rbm route a table site is a qubit carrying its
+    letter: a group whose terms share a consistent letter map is one table
+    over the qubits, folding induced couplings into the group's own pending
+    terms; otherwise each term is its own table, in input order (each term
+    still compensates its own induced couplings).  On the word route a
+    table site is a term's whole word, so each term is a one-site table.
     """
     if route not in ("rbm", "word"):
         raise ValueError(f"unknown route {route!r}")
     frag = Fragment()
     for terms, factor in trotter_groups(h, order):
         dtau_eff = dtau * factor
-        group = Fragment()
         letters = merged_letters([t.string.word for t in terms]) if route == "rbm" else None
-        if route == "rbm" and letters is not None:
+        if letters is not None:
             table: dict[tuple[int, ...], float] = {}
             for t in terms:
                 key = t.string.support()
                 table[key] = table.get(key, 0.0) + dtau_eff * t.coefficient
-            extra = _rbm_units(group, table, letters, h.n_qubits)
+            tables = [(table, _letter_words(letters))]
+        elif route == "rbm":
+            tables = [({t.string.support(): dtau_eff * t.coefficient},
+                       _letter_words(t.string.word)) for t in terms]
         else:
-            make = _term_rbm if route == "rbm" else _term_word
-            extra = 0.0
-            for t in terms:
-                extra += make(group, t, dtau_eff)
+            tables = [({(0,) if t.string.order else (): dtau_eff * t.coefficient},
+                       [t.string.word]) for t in terms]
+        group = Fragment()
+        extra = 0.0
+        for table, words in tables:
+            extra += _emit_units(group, table, words)
         group.log_norm += extra
         frag.extend(group)
     return frag
@@ -159,6 +133,8 @@ def n_trotter_steps(tau: float, dtau: float) -> int:
             raise ValueError(f"{name} must be finite, got {value}")
     if dtau <= 0:
         raise ValueError(f"dtau must be positive, got {dtau}")
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     if not math.isfinite(tau / dtau):
         raise ValueError(f"tau {tau!r} / dtau {dtau!r} overflows the step count")
     n = round(tau / dtau)

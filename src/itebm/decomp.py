@@ -10,18 +10,22 @@ alongside* the target, so reconstruction reads
 
     exp(-K_top P) = exp(log_norm) * sum_h(...) * exp(+sum induced K_P P_P).
 
-Closed forms are used for orders 1-4; higher orders use a 1-D root find for
-the equal-weight solution (odd orders pin the bias C = W, which reproduces
-the even form with M -> M+1).
+An odd order is the next even order with its extra site pinned to z = +1:
+that site's weight becomes the bias C, and a coupling on S ∪ {m} becomes one
+on S.  Closed forms are written for orders 2 and 4, and orders 1 and 3 are
+those forms pinned; higher orders use a 1-D root find for the equal-weight
+solution, whose odd mode (bias C = W) is the same pinning of the even form
+with M -> M+1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import HamiltonianTerm, word_from_sites
+from .pauli import HamiltonianTerm, PauliString, word_from_sites
 
 LN2 = math.log(2.0)
 
@@ -80,17 +84,26 @@ def _sign(k: float) -> float:
     return -1.0 if k < 0 else 1.0
 
 
+def _pin_last(dec: Decomposition, m: int) -> Decomposition:
+    """The order-m form of a bias-free order-(m+1) decomposition, its site m
+    pinned to z = +1: that site's weight becomes the bias, and a coupling
+    on S ∪ {m} becomes one on S (the word loses its last letter)."""
+    if not dec.hidden_units:
+        return dec
+    (unit,) = dec.hidden_units
+    *weights, (_, bias) = unit.weights
+    induced = tuple(HamiltonianTerm(t.coefficient, PauliString(t.string.word[:m]))
+                    for t in dec.induced_terms)
+    return Decomposition(dec.log_norm, (HiddenUnit(bias, tuple(weights)),), induced)
+
+
 def decompose_one_body(coupling: float) -> Decomposition:
-    """exp(-K * sigma) as one unit: weight W on site 0, bias s*W.
+    """exp(-K * sigma): the two-body form pinned, weight W on site 0, bias s*W.
 
     cos(2W) = exp(-2|K|), A = exp(|K|)/2.  The identity part of the operator
     is absorbed into the ancilla bias, so nothing is induced.
     """
-    k = abs(coupling)
-    s = _sign(coupling)
-    w = 0.5 * math.acos(math.exp(-2.0 * k))
-    unit = HiddenUnit(bias=s * w, weights=((0, w),))
-    return Decomposition(log_norm=k - LN2, hidden_units=(unit,), induced_terms=())
+    return _pin_last(decompose_two_body(coupling), 1)
 
 
 def decompose_two_body(coupling: float) -> Decomposition:
@@ -106,31 +119,14 @@ def _three_four_w(k: float) -> float:
     return 0.5 * math.atan((1.0 - math.exp(-8.0 * k)) ** 0.25)
 
 
-def _three_four_log_norm(w: float) -> float:
-    # A = (1/2) * [sec^4(2W) * sec(4W)]^(1/8)
-    return -LN2 - 0.5 * math.log(math.cos(2 * w)) - 0.125 * math.log(math.cos(4 * w))
-
-
 def decompose_three_body(coupling: float) -> Decomposition:
-    """exp(-K * sigma sigma sigma): equal weights W, bias s*W.
+    """exp(-K * sigma sigma sigma): the four-body form pinned, equal
+    weights W, bias s*W.
 
     Induces equal one-body couplings -(s/8) ln cos(4W) on each site and
     equal two-body couplings -(1/8) ln cos(4W) on each pair.
     """
-    if coupling == 0.0:
-        return Decomposition(0.0, (), ())
-    k = abs(coupling)
-    s = _sign(coupling)
-    w = _three_four_w(k)
-    unit = HiddenUnit(bias=s * w, weights=((0, w), (1, w), (2, w)))
-    c2 = -0.125 * math.log(math.cos(4 * w))
-    induced = tuple(
-        HamiltonianTerm(c2, word_from_sites(3, {i: "Z", j: "Z"}))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ) + tuple(
-        HamiltonianTerm(s * c2, word_from_sites(3, {i: "Z"})) for i in range(3)
-    )
-    return Decomposition(_three_four_log_norm(w), (unit,), induced)
+    return _pin_last(decompose_four_body(coupling), 3)
 
 
 def decompose_four_body(coupling: float) -> Decomposition:
@@ -153,7 +149,9 @@ def decompose_four_body(coupling: float) -> Decomposition:
     ) + tuple(
         HamiltonianTerm(s * c2, word_from_sites(4, {i: "Z", 3: "Z"})) for i in range(3)
     )
-    return Decomposition(_three_four_log_norm(w), (unit,), induced)
+    # A = (1/2) * [sec^4(2W) * sec(4W)]^(1/8)
+    log_norm = -LN2 - 0.5 * math.log(math.cos(2 * w)) + c2
+    return Decomposition(log_norm, (unit,), induced)
 
 
 def _k_equal_weights(m_eff: int, w: float) -> float:
@@ -239,10 +237,14 @@ def _parity_transform(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _spin_table(m: int) -> np.ndarray:
-    """(2^m, m) array of z values; column j holds +1 where bit j is clear."""
+    """(2^m, m) read-only array of z values; column j holds +1 where bit j
+    is clear."""
     idx = np.arange(1 << m)
-    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)[None, :]) & 1)
+    spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(m)[None, :]) & 1)
+    spins.flags.writeable = False
+    return spins
 
 
 def induced_couplings(m: int, unit: HiddenUnit) -> list[tuple[tuple[int, ...], float]]:

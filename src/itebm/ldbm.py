@@ -254,7 +254,8 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
             value *= msg
             binary_exp += rescale(value)
     log_scale += math.log(2.0) * binary_exp
-    return np.exp(net.log_norm + 1j * (z_spins @ net.a) + log_scale) * value
+    with np.errstate(over="ignore", invalid="ignore"):  # state_and_norm reports it
+        return np.exp(net.log_norm + 1j * (z_spins @ net.a) + log_scale) * value
 
 
 def raw_amplitudes(net: LdbmNetwork) -> np.ndarray:
@@ -264,9 +265,15 @@ def raw_amplitudes(net: LdbmNetwork) -> np.ndarray:
 
 def state_and_norm(net: LdbmNetwork) -> tuple[StateVector, float]:
     """Normalized state and the norm it discarded, from one marginalization;
-    raises when every amplitude vanishes."""
+    raises when every amplitude vanishes, or when an amplitude or the norm
+    overflows the float range."""
     raw = raw_amplitudes(net)
-    norm = np.linalg.norm(raw)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("network amplitudes overflow the float range")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(raw)
+    if not np.isfinite(norm):
+        raise ValueError(f"network norm overflows the float range ({norm})")
     if norm < 1e-300:
         raise ValueError("network amplitudes are identically zero")
     return StateVector(net.n_visible, raw / norm), float(norm)

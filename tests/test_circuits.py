@@ -5,6 +5,7 @@ import pytest
 
 from itebm.circuits import build_qite_circuit, trotter_groups, trotter_step
 from itebm import simulator
+from itebm.decomp import decompose_one_body
 from itebm.ir import Circuit, Fragment, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian
 from itebm.simulator import StateVector, run_exact
@@ -91,6 +92,27 @@ def test_word_route_structure():
         assert circuit.n_cbits == 1
         assert circuit.log_norm == k
         assert circuit.model_success == 0.5 * (1.0 + math.exp(-4.0 * k))
+
+
+@pytest.mark.parametrize("coeff", [0.9, -0.9, 2.5, -0.01])
+def test_word_route_is_the_one_body_unit_on_the_word(coeff):
+    """Each term's unit is decompose_one_body(dtau c) with its site 0 the
+    term's whole word, angles == its own.  Its log_norm, ln 2 + (k - ln 2),
+    is k but for the rounding at ln 2, one ulp of max(k, ln 2) at most; its
+    mean success is (1 + e^{-4k}) / 2 to 1e-14."""
+    h = parse_hamiltonian(f"{coeff!r} XYZ\n{-0.5 * coeff!r} ZIX\n")
+    dtau = 0.3
+    units = []
+    for term in h.terms:
+        k = dtau * abs(term.coefficient)
+        (unit,) = decompose_one_body(dtau * term.coefficient).hidden_units
+        units.append(((term.string.word, 2.0 * unit.weights[0][1]), ("III", 2.0 * unit.bias)))
+        circuit = oracles.one_term_circuit(term, dtau, "word")
+        assert circuit.units == (units[-1],)
+        assert abs(circuit.log_norm - k) <= math.ulp(max(k, math.log(2.0)))
+        assert circuit.model_success == pytest.approx(
+            0.5 * (1.0 + math.exp(-4.0 * k)), rel=1e-14, abs=0.0)
+    assert trotter_step(h, dtau, order=1, route="word").units == units
 
 
 def test_three_body_unit_count():

@@ -388,13 +388,18 @@ def test_non_positive_shots_is_usage_error_before_the_csv_header(runner, tfim_fi
     (["evolve", "--tau", "0.5,nan"], "tau must be finite, got nan"),
     (["evolve", "--tau", "1e300", "--dtau", "1e-300"], "overflows the step count"),
     (["ising-demo", "--dtau", "inf"], "dtau must be finite, got inf"),
+    (["evolve", "--tau", "0.5,-0.5", "--dtau", "0.5"], "tau must be >= 0, got -0.5"),
+    (["evolve", "--tau", "-1", "--dtau", "-0.5"], "dtau must be positive, got -0.5"),
+    (["ising-demo", "--dtau", "0"], "dtau must be positive, got 0.0"),
 ], ids=["evolve-dtau-inf", "evolve-dtau-nan", "evolve-tau-inf", "evolve-tau-nan",
-        "evolve-step-count-overflow", "ising-demo-dtau-inf"])
+        "evolve-step-count-overflow", "ising-demo-dtau-inf", "evolve-tau-negative",
+        "evolve-dtau-negative", "ising-demo-dtau-zero"])
 def test_non_finite_tau_or_dtau_is_usage_error_before_the_csv_header(runner, tfim_file,
                                                                      tmp_path, command, message):
     """An infinite dtau used to walk 0 steps and print the initial state's
     values at every tau; an infinite tau, or a tau / dtau that overflows,
-    ended in an OverflowError (exit 3)."""
+    ended in an OverflowError (exit 3).  A negative tau or a non-positive
+    dtau is reported by n_trotter_steps too."""
     out = tmp_path / "run.csv"
     if command[0] == "evolve":
         command = [*command, "--hamiltonian", tfim_file]
@@ -627,6 +632,20 @@ def test_ldbm_script_argument_errors_are_usage_errors(runner, tmp_path, text, qu
     result = _run_script(runner, tmp_path, text, qubits)
     assert result.exit_code == 2, (text, result.output)
     assert fragment in result.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("imag ZZ 400\n", "error: network norm overflows the float range (inf)"),
+    ("imag ZZ 1e308\n", "error: network amplitudes overflow the float range"),
+], ids=["norm-inf", "amplitudes-nan"])
+def test_ldbm_overflow_is_a_runtime_error(runner, tmp_path, text, message):
+    """Amplitudes past the float range used to print as a zero or nan state
+    with exit 0; they exit 3 and print no amplitude."""
+    result = _run_script(runner, tmp_path, text, qubits=2)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == message + "\n"
+    assert result.stdout == ""
+
 
 def test_ldbm_reads_stdin(runner):
     result = runner.invoke(main, ["ldbm", "-", "--qubits", "1"], input="hx 0\n")

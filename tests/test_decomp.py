@@ -108,6 +108,48 @@ def test_four_body_reconstruction(k):
     assert len(dec.induced_terms) == 6
 
 
+def _explicit_one_body(coupling):
+    """The one-body form written out: weight W on site 0, bias s*W."""
+    k = abs(coupling)
+    s = -1.0 if coupling < 0 else 1.0
+    w = 0.5 * math.acos(math.exp(-2.0 * k))
+    return Decomposition(k - math.log(2.0), (HiddenUnit(s * w, ((0, w),)),), ())
+
+
+def _explicit_three_body(coupling):
+    """The three-body form written out: equal weights W, bias s*W, pairs
+    induced at c2 and singles at s*c2."""
+    if coupling == 0.0:
+        return Decomposition(0.0, (), ())
+    k = abs(coupling)
+    s = -1.0 if coupling < 0 else 1.0
+    w = 0.5 * math.atan((1.0 - math.exp(-8.0 * k)) ** 0.25)
+    c2 = -0.125 * math.log(math.cos(4 * w))
+    induced = tuple(HamiltonianTerm(c2, PauliString(p)) for p in ("ZZI", "ZIZ", "IZZ")) \
+        + tuple(HamiltonianTerm(s * c2, PauliString(p)) for p in ("ZII", "IZI", "IIZ"))
+    log_norm = -math.log(2.0) - 0.5 * math.log(math.cos(2 * w)) \
+        - 0.125 * math.log(math.cos(4 * w))
+    return Decomposition(log_norm, (HiddenUnit(s * w, ((0, w), (1, w), (2, w))),), induced)
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-9, -1e-9, 0.01, -0.01, 0.3, -0.3, 1.0, -1.0,
+                               2.5, -2.5, 10.0, -10.0])
+@pytest.mark.parametrize("fn, explicit", [
+    (decompose_one_body, _explicit_one_body),
+    (decompose_three_body, _explicit_three_body),
+], ids=["one", "three"])
+def test_odd_forms_are_the_pinned_even_forms_bit_for_bit(fn, explicit, k):
+    """Pinning the last site of the two- and four-body forms gives exactly
+    the explicit one- and three-body formulas: unit, induced terms and
+    log_norm are == theirs."""
+    dec, want = fn(k), explicit(k)
+    assert dec.hidden_units == want.hidden_units
+    assert len(dec.induced_terms) == len(want.induced_terms)
+    for got_term, want_term in zip(dec.induced_terms, want.induced_terms):
+        assert got_term == want_term
+    assert dec.log_norm == want.log_norm
+
+
 def test_three_four_body_zero_coupling():
     for fn in (decompose_three_body, decompose_four_body):
         dec = fn(0.0)

@@ -662,6 +662,8 @@ def test_n_trotter_steps():
         n_trotter_steps(1.0, 0.3)
     with pytest.raises(ValueError, match="positive"):
         n_trotter_steps(1.0, 0.0)
+    with pytest.raises(ValueError, match="^tau must be >= 0, got -1.0$"):
+        n_trotter_steps(-1.0, 0.01)
 
 
 @pytest.mark.parametrize("tau, dtau, match", [
