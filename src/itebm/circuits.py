@@ -41,7 +41,7 @@ def _emit_units(frag: Fragment, table: dict[tuple[int, ...], float],
     rotating with words[q]; returns the scalar log-norm shift of any
     identity remainder (which needs no ancilla)."""
     extra = 0.0
-    for dec in cascade_diagonal(table, len(words)):
+    for dec in cascade_diagonal(table):
         if not dec.hidden_units:  # identity remainder: pure scalar
             extra += dec.log_norm
             continue

@@ -10,6 +10,10 @@ alongside* the target, so reconstruction reads
 
     exp(-K_top P) = exp(log_norm) * sum_h(...) * exp(+sum induced K_P P_P).
 
+Couplings are a {sites: K} table keyed by sorted site tuples, both the
+induced couplings of a `Decomposition` and the input of `cascade_diagonal`;
+this module knows sites and spins, not Pauli words.
+
 An odd order is the next even order with its extra site pinned to z = +1:
 that site's weight becomes the bias C, and a coupling on S ∪ {m} becomes one
 on S.  Closed forms are written for orders 2 and 4, and orders 1 and 3 are
@@ -24,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .pauli import HamiltonianTerm, PauliString, word_from_sites
 
 LN2 = math.log(2.0)
 
@@ -57,16 +59,18 @@ class HiddenUnit:
 class Decomposition:
     """Hidden units, their normalization, and the couplings emitted alongside.
 
-    log_norm is ln A.  induced_terms hold the lower-order couplings K_P the
-    unit applies in addition to its top-order target (see module docstring
-    for the reconstruction identity).
+    log_norm is ln A.  induced is the {sites: K_P} table of lower-order
+    couplings the unit applies in addition to its top-order target (see
+    module docstring for the reconstruction identity).
     """
 
     log_norm: float
     hidden_units: tuple[HiddenUnit, ...]
-    induced_terms: tuple[HamiltonianTerm, ...]
+    induced: dict[tuple[int, ...], float]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, n_qubits: int) -> dict:
+        """JSON form; each induced coupling is written as its width-n word,
+        Z on the coupling's sites and I elsewhere."""
         return {
             "log_norm": self.log_norm,
             "hidden_units": [
@@ -74,8 +78,9 @@ class Decomposition:
                 for u in self.hidden_units
             ],
             "induced": [
-                {"coeff": t.coefficient, "word": t.string.word}
-                for t in self.induced_terms
+                {"coeff": k, "word": "".join("Z" if q in sites else "I"
+                                             for q in range(n_qubits))}
+                for sites, k in self.induced.items()
             ],
         }
 
@@ -87,13 +92,12 @@ def _sign(k: float) -> float:
 def _pin_last(dec: Decomposition, m: int) -> Decomposition:
     """The order-m form of a bias-free order-(m+1) decomposition, its site m
     pinned to z = +1: that site's weight becomes the bias, and a coupling
-    on S ∪ {m} becomes one on S (the word loses its last letter)."""
+    on S ∪ {m} becomes one on S."""
     if not dec.hidden_units:
         return dec
     (unit,) = dec.hidden_units
     *weights, (_, bias) = unit.weights
-    induced = tuple(HamiltonianTerm(t.coefficient, PauliString(t.string.word[:m]))
-                    for t in dec.induced_terms)
+    induced = {tuple(q for q in sites if q != m): k for sites, k in dec.induced.items()}
     return Decomposition(dec.log_norm, (HiddenUnit(bias, tuple(weights)),), induced)
 
 
@@ -112,7 +116,7 @@ def decompose_two_body(coupling: float) -> Decomposition:
     s = _sign(coupling)
     w = 0.5 * math.acos(math.exp(-2.0 * k))
     unit = HiddenUnit(bias=0.0, weights=((0, w), (1, s * w)))
-    return Decomposition(log_norm=k - LN2, hidden_units=(unit,), induced_terms=())
+    return Decomposition(log_norm=k - LN2, hidden_units=(unit,), induced={})
 
 
 def _three_four_w(k: float) -> float:
@@ -137,18 +141,14 @@ def decompose_four_body(coupling: float) -> Decomposition:
     containing the flipped site.
     """
     if coupling == 0.0:
-        return Decomposition(0.0, (), ())
+        return Decomposition(0.0, (), {})
     k = abs(coupling)
     s = _sign(coupling)
     w = _three_four_w(k)
     unit = HiddenUnit(bias=0.0, weights=((0, w), (1, w), (2, w), (3, s * w)))
     c2 = -0.125 * math.log(math.cos(4 * w))
-    induced = tuple(
-        HamiltonianTerm(c2, word_from_sites(4, {i: "Z", j: "Z"}))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ) + tuple(
-        HamiltonianTerm(s * c2, word_from_sites(4, {i: "Z", 3: "Z"})) for i in range(3)
-    )
+    induced = {(0, 1): c2, (0, 2): c2, (1, 2): c2,
+               (0, 3): s * c2, (1, 3): s * c2, (2, 3): s * c2}
     # A = (1/2) * [sec^4(2W) * sec(4W)]^(1/8)
     log_norm = -LN2 - 0.5 * math.log(math.cos(2 * w)) + c2
     return Decomposition(log_norm, (unit,), induced)
@@ -247,12 +247,12 @@ def _spin_table(m: int) -> np.ndarray:
     return spins
 
 
-def induced_couplings(m: int, unit: HiddenUnit) -> list[tuple[tuple[int, ...], float]]:
+def induced_couplings(m: int, unit: HiddenUnit) -> dict[tuple[int, ...], float]:
     """All 2^m couplings realized by a unit on local sites 0..m-1.
 
     Evaluates L(z) = ln[2 cos(C + sum W_r z_r)] on every configuration and
-    applies the inverse parity transform.  Returns (subset, K_P) pairs in
-    mask order; the empty subset carries ln A.
+    applies the inverse parity transform.  Returns the {subset: K_P} table
+    in mask order; the empty subset carries ln A.
     """
     if m > MAX_WALSH_SITES:
         raise ValueError(f"order {m} exceeds the Walsh site limit {MAX_WALSH_SITES}")
@@ -266,11 +266,27 @@ def induced_couplings(m: int, unit: HiddenUnit) -> list[tuple[tuple[int, ...], f
     if np.min(margin) <= 1e-300:
         raise ValueError("coupling at domain boundary: marginalized factor not positive")
     couplings = -_parity_transform(np.log(margin)) / float(1 << m)
-    out: list[tuple[tuple[int, ...], float]] = []
-    for mask in range(1 << m):
-        subset = tuple(j for j in range(m) if (mask >> j) & 1)
-        out.append((subset, float(couplings[mask])))
-    return out
+    return {tuple(j for j in range(m) if (mask >> j) & 1): float(couplings[mask])
+            for mask in range(1 << m)}
+
+
+def max_log_error(dec: Decomposition, sites: tuple[int, ...], coupling: float) -> float:
+    """Largest gap, over every configuration z of the sites, between ln of
+    the factor dec realizes, log_norm + sum_units ln[2 cos(C + sum W_r z_r)],
+    and ln of its target, -K prod z - sum_P K_P prod_{q in P} z_q.  In log
+    space no factor of exp(|K|) overflows; a gap past the float range is inf.
+    """
+    pos = {q: j for j, q in enumerate(sorted(sites))}
+    spins = _spin_table(len(pos))
+    target = -coupling * np.prod(spins, axis=1)
+    for sub, k_p in dec.induced.items():
+        target -= k_p * np.prod(spins[:, [pos[q] for q in sub]], axis=1)
+    realized = np.full(len(spins), dec.log_norm)
+    for u in dec.hidden_units:
+        angle = u.bias + sum(w * spins[:, pos[q]] for q, w in u.weights)
+        realized += np.log(2.0 * np.cos(angle))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(realized - target)))
 
 
 def mean_unit_success(unit: HiddenUnit) -> float:
@@ -294,55 +310,40 @@ def mean_success_three_body(coupling: float) -> float:
     return (3.0 + 4.0 * math.cos(2 * w) ** 2 + math.cos(4 * w) ** 2) / 8.0
 
 
-def _relabel(dec: Decomposition, sites: tuple[int, ...], n_qubits: int) -> Decomposition:
-    """Map a local order-m decomposition onto global sites / word width."""
+def _relabel(dec: Decomposition, sites: tuple[int, ...]) -> Decomposition:
+    """Map a decomposition on local sites 0..m-1 onto the sorted global
+    sites, local site q becoming sites[q]."""
     units = tuple(
         HiddenUnit(u.bias, tuple((sites[q], w) for q, w in u.weights))
         for u in dec.hidden_units
     )
-    induced = tuple(
-        HamiltonianTerm(
-            t.coefficient,
-            word_from_sites(n_qubits, {sites[q]: "Z" for q in t.string.support()}),
-        )
-        for t in dec.induced_terms
-    )
+    induced = {tuple(sites[q] for q in sub): k for sub, k in dec.induced.items()}
     return Decomposition(dec.log_norm, units, induced)
 
 
-def _diagonal_unit(sites: tuple[int, ...], coupling: float, n_qubits: int) -> Decomposition:
-    """One emitted unit for exp(-K Z...Z) on the given global sites."""
+def _diagonal_unit(sites: tuple[int, ...], coupling: float) -> Decomposition:
+    """One emitted unit for exp(-K Z...Z) on the given sorted global sites."""
     m = len(sites)
     if m == 1:
-        return _relabel(decompose_one_body(coupling), sites, n_qubits)
+        return _relabel(decompose_one_body(coupling), sites)
     if m == 2:
-        return _relabel(decompose_two_body(coupling), sites, n_qubits)
+        return _relabel(decompose_two_body(coupling), sites)
     if m == 3:
-        return _relabel(decompose_three_body(coupling), sites, n_qubits)
+        return _relabel(decompose_three_body(coupling), sites)
     if m == 4:
-        return _relabel(decompose_four_body(coupling), sites, n_qubits)
+        return _relabel(decompose_four_body(coupling), sites)
     w, sign_flip, c = solve_general_weight(m, coupling)
     weights = [w] * m
     if sign_flip:
         weights[-1] = -w
     unit = HiddenUnit(bias=c, weights=tuple(enumerate(weights)))
-    log_norm = 0.0
-    induced: list[HamiltonianTerm] = []
-    for subset, k_p in induced_couplings(m, unit):
-        if not subset:
-            log_norm = k_p
-        elif len(subset) == m:
-            if abs(k_p - coupling) > 1e-9 * max(1.0, abs(coupling)):
-                raise AssertionError(
-                    f"general solve round-trip failed: {k_p} vs {coupling}"
-                )
-        elif abs(k_p) > INDUCED_CUTOFF:
-            induced.append(
-                HamiltonianTerm(
-                    k_p, word_from_sites(m, {q: "Z" for q in subset})
-                )
-            )
-    return _relabel(Decomposition(log_norm, (unit,), tuple(induced)), sites, n_qubits)
+    table = induced_couplings(m, unit)
+    log_norm = table.pop(())
+    k_top = table.pop(tuple(range(m)))
+    if abs(k_top - coupling) > 1e-9 * max(1.0, abs(coupling)):
+        raise AssertionError(f"general solve round-trip failed: {k_top} vs {coupling}")
+    induced = {sub: k_p for sub, k_p in table.items() if abs(k_p) > INDUCED_CUTOFF}
+    return _relabel(Decomposition(log_norm, (unit,), induced), sites)
 
 
 def decompose_sites(
@@ -361,13 +362,11 @@ def decompose_sites(
     if any(not 0 <= q < n_qubits for q in sites):
         raise ValueError(f"sites {sites} out of range for {n_qubits} qubits")
     if coupling == 0.0:
-        return Decomposition(0.0, (), ())
-    return _diagonal_unit(sites, coupling, n_qubits)
+        return Decomposition(0.0, (), {})
+    return _diagonal_unit(sites, coupling)
 
 
-def cascade_diagonal(
-    couplings: dict[tuple[int, ...], float], n_qubits: int
-) -> list[Decomposition]:
+def cascade_diagonal(couplings: dict[tuple[int, ...], float]) -> list[Decomposition]:
     """Decompose a table of commuting Z-string couplings, highest order first.
 
     Each emitted unit's induced couplings are subtracted from the remaining
@@ -387,13 +386,12 @@ def cascade_diagonal(
             k = table.pop(sites)
             if k == 0.0:
                 continue
-            dec = _diagonal_unit(sites, k, n_qubits)
+            dec = _diagonal_unit(sites, k)
             out.append(dec)
-            for t in dec.induced_terms:
-                sub = t.string.support()
-                table[sub] = table.get(sub, 0.0) - t.coefficient
+            for sub, k_p in dec.induced.items():
+                table[sub] = table.get(sub, 0.0) - k_p
     identity = table.pop((), 0.0)
     if identity != 0.0:
-        out.append(Decomposition(log_norm=-identity, hidden_units=(), induced_terms=()))
+        out.append(Decomposition(log_norm=-identity, hidden_units=(), induced={}))
     assert not table, f"cascade left unprocessed couplings: {table}"
     return out

@@ -285,8 +285,8 @@ def statevector(net: LdbmNetwork) -> StateVector:
 
 
 def statevector_norm(net: LdbmNetwork) -> float:
-    """The norm discarded by statevector()."""
-    return float(np.linalg.norm(raw_amplitudes(net)))
+    """The norm discarded by statevector(); raises as state_and_norm does."""
+    return state_and_norm(net)[1]
 
 
 def _check_site(net: LdbmNetwork, l: int) -> None:
@@ -401,7 +401,7 @@ def apply_diagonal_imaginary(
     b_list = [net.b]
     w_cols = [net.w]
     extra_log = 0.0
-    for dec in cascade_diagonal({support: k}, net.n_visible):
+    for dec in cascade_diagonal({support: k}):
         extra_log += dec.log_norm
         for unit in dec.hidden_units:
             col = np.zeros((net.n_visible, 1), dtype=complex)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -116,9 +117,42 @@ def test_decompose_two_body(runner):
     assert payload["mean_success_product"] == pytest.approx(
         0.5 * (1 + math.exp(-2.0))
     )
-    assert "max entrywise error" in result.stderr
+    assert "max entrywise log error" in result.stderr
     err = float(result.stderr.rsplit(" ", 1)[1])
     assert err < 1e-12
+
+
+def _verify_error(runner, word, k):
+    """The --verify log error of `decompose WORD K`, with any RuntimeWarning
+    raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, ["decompose", word, k, "--verify"])
+    assert result.exit_code == 0, result.output
+    json.loads(result.stdout)
+    head, value = result.stderr.rsplit(" ", 1)
+    assert head == "verify: max entrywise log error"
+    return float(value)
+
+
+@pytest.mark.parametrize("word, k", [("Z", "800"), ("ZZ", "1e308"), ("ZZZ", "1e308")])
+def test_decompose_verify_does_not_overflow_at_large_k(runner, word, k):
+    """The check compares logarithms, so a factor of exp(|K|) beyond the
+    float range neither stops it (exit 3, "math range error") nor warns.
+    Here the unit's angle rounds to pi/2, so the realized factor is far from
+    its target; the gap of ~2e308 for ZZ 1e308 reads inf."""
+    err = _verify_error(runner, word, k)
+    assert err > 1e3
+    assert math.isinf(err) == (word == "ZZ")
+
+
+def test_decompose_verify_reports_a_log_gap(runner):
+    """At K = 400, W = acos(e^-800)/2 rounds to pi/4, so the aligned
+    configuration realizes e^(400 - ln 2) * 2 cos(pi/2) where the target is
+    e^-400: a log gap of 800 + ln cos(pi/2), about 763 (printed to four
+    digits), which used to read as an absolute error of 9.9e158."""
+    assert _verify_error(runner, "ZZ", "400") == pytest.approx(
+        800 + math.log(math.cos(math.pi / 2)), abs=0.05)
 
 
 def test_decompose_three_body_lists_induced(runner):
@@ -128,6 +162,21 @@ def test_decompose_three_body_lists_induced(runner):
     assert len(payload["induced"]) == 6
     orders = sorted(ind["word"].count("Z") for ind in payload["induced"])
     assert orders == [1, 1, 1, 2, 2, 2]
+
+
+def test_decompose_induced_words_span_the_word(runner):
+    """Each induced coupling prints as a word as wide as WORD, Z on the
+    coupling's sites, with the coefficient of the library's table."""
+    result = runner.invoke(main, ["decompose", "XIYIZ", "0.3"])
+    assert result.exit_code == 0
+    want = decompose_sites((0, 2, 4), 0.3, 5).induced
+    induced = json.loads(result.stdout)["induced"]
+    assert len(induced) == len(want) > 0
+    for ind in induced:
+        word = ind["word"]
+        sites = tuple(q for q, ch in enumerate(word) if ch == "Z")
+        assert len(word) == 5 and set(word) <= {"I", "Z"} and set(sites) <= {0, 2, 4}
+        assert ind["coeff"] == want[sites]
 
 
 def test_decompose_ignores_letters_outside_support(runner):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itebm.decomp
 from itebm.decomp import (
     Decomposition,
     HiddenUnit,
@@ -57,10 +59,7 @@ def _target(couplings, z):
 
 def _full_table(dec, top_sites, coupling):
     """Coupling table a single decomposition is expected to realize."""
-    table = {tuple(top_sites): coupling}
-    for t in dec.induced_terms:
-        table[t.string.support()] = table.get(t.string.support(), 0.0) + t.coefficient
-    return table
+    return {tuple(top_sites): coupling, **dec.induced}
 
 
 @pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 2.0, -0.4, -1.7])
@@ -69,7 +68,7 @@ def test_one_body_matches_propagator(k):
     diag = np.diag(oracles.exp_factor(k, "Z"))
     for z, ref in zip(_spins(1), diag):
         assert _realized(dec, z) == pytest.approx(ref.real, rel=1e-12)
-    assert dec.induced_terms == ()
+    assert dec.induced == {}
 
 
 @pytest.mark.parametrize("k", [0.05, 0.5, 1.0, 2.0, -0.3, -2.0])
@@ -88,8 +87,8 @@ def test_three_body_reconstruction(k):
     table = _full_table(dec, (0, 1, 2), k)
     for z in _spins(3):
         assert _realized(dec, z) == pytest.approx(_target(table, z), rel=1e-12)
-    pair_coeffs = [t.coefficient for t in dec.induced_terms if t.string.order == 2]
-    single_coeffs = [t.coefficient for t in dec.induced_terms if t.string.order == 1]
+    pair_coeffs = [c for sites, c in dec.induced.items() if len(sites) == 2]
+    single_coeffs = [c for sites, c in dec.induced.items() if len(sites) == 1]
     assert len(pair_coeffs) == 3 and len(single_coeffs) == 3
     w = dec.hidden_units[0].weights[0][1]
     c2 = -0.125 * math.log(math.cos(4 * w))
@@ -104,8 +103,8 @@ def test_four_body_reconstruction(k):
     for z in _spins(4):
         assert _realized(dec, z) == pytest.approx(_target(table, z), rel=1e-12)
     assert dec.hidden_units[0].bias == 0.0
-    assert all(t.string.order == 2 for t in dec.induced_terms)
-    assert len(dec.induced_terms) == 6
+    assert all(len(sites) == 2 for sites in dec.induced)
+    assert len(dec.induced) == 6
 
 
 def _explicit_one_body(coupling):
@@ -113,20 +112,19 @@ def _explicit_one_body(coupling):
     k = abs(coupling)
     s = -1.0 if coupling < 0 else 1.0
     w = 0.5 * math.acos(math.exp(-2.0 * k))
-    return Decomposition(k - math.log(2.0), (HiddenUnit(s * w, ((0, w),)),), ())
+    return Decomposition(k - math.log(2.0), (HiddenUnit(s * w, ((0, w),)),), {})
 
 
 def _explicit_three_body(coupling):
     """The three-body form written out: equal weights W, bias s*W, pairs
     induced at c2 and singles at s*c2."""
     if coupling == 0.0:
-        return Decomposition(0.0, (), ())
+        return Decomposition(0.0, (), {})
     k = abs(coupling)
     s = -1.0 if coupling < 0 else 1.0
     w = 0.5 * math.atan((1.0 - math.exp(-8.0 * k)) ** 0.25)
     c2 = -0.125 * math.log(math.cos(4 * w))
-    induced = tuple(HamiltonianTerm(c2, PauliString(p)) for p in ("ZZI", "ZIZ", "IZZ")) \
-        + tuple(HamiltonianTerm(s * c2, PauliString(p)) for p in ("ZII", "IZI", "IIZ"))
+    induced = {(0, 1): c2, (0, 2): c2, (1, 2): c2, (0,): s * c2, (1,): s * c2, (2,): s * c2}
     log_norm = -math.log(2.0) - 0.5 * math.log(math.cos(2 * w)) \
         - 0.125 * math.log(math.cos(4 * w))
     return Decomposition(log_norm, (HiddenUnit(s * w, ((0, w), (1, w), (2, w))),), induced)
@@ -144,16 +142,14 @@ def test_odd_forms_are_the_pinned_even_forms_bit_for_bit(fn, explicit, k):
     log_norm are == theirs."""
     dec, want = fn(k), explicit(k)
     assert dec.hidden_units == want.hidden_units
-    assert len(dec.induced_terms) == len(want.induced_terms)
-    for got_term, want_term in zip(dec.induced_terms, want.induced_terms):
-        assert got_term == want_term
+    assert list(dec.induced.items()) == list(want.induced.items())
     assert dec.log_norm == want.log_norm
 
 
 def test_three_four_body_zero_coupling():
     for fn in (decompose_three_body, decompose_four_body):
         dec = fn(0.0)
-        assert dec == Decomposition(0.0, (), ())
+        assert dec == Decomposition(0.0, (), {})
 
 
 def test_three_body_log_norm_closed_form():
@@ -300,7 +296,7 @@ def test_decompose_sites_validation():
         decompose_sites((), 0.5, 3)
     with pytest.raises(ValueError, match="range"):
         decompose_sites((0, 3), 0.5, 3)
-    assert decompose_sites((0, 1), 0.0, 3) == Decomposition(0.0, (), ())
+    assert decompose_sites((0, 1), 0.0, 3) == Decomposition(0.0, (), {})
     for k in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="coupling must be finite"):
             decompose_sites((0, 1), k, 3)
@@ -316,20 +312,20 @@ def test_cascade_reconstructs_random_table(seed):
         order = int(rng.integers(1, 5))
         sites = tuple(sorted(rng.choice(n, size=order, replace=False).tolist()))
         table[sites] = table.get(sites, 0.0) + float(rng.uniform(-0.8, 0.8))
-    decs = cascade_diagonal(table, n)
+    decs = cascade_diagonal(table)
     for z in _spins(n):
         assert _realized(decs, z) == pytest.approx(_target(table, z), rel=1e-11)
 
 
 def test_cascade_emits_highest_order_first():
-    decs = cascade_diagonal({(0,): 0.3, (0, 1, 2): 0.5}, 3)
+    decs = cascade_diagonal({(0,): 0.3, (0, 1, 2): 0.5})
     orders = [len(d.hidden_units[0].weights) for d in decs if d.hidden_units]
     assert orders == sorted(orders, reverse=True)
     assert orders[0] == 3
 
 
 def test_cascade_identity_remainder():
-    decs = cascade_diagonal({(): 0.7, (0, 1): 0.4}, 2)
+    decs = cascade_diagonal({(): 0.7, (0, 1): 0.4})
     tail = decs[-1]
     assert tail.hidden_units == () and tail.log_norm == pytest.approx(-0.7)
     for z in _spins(2):
@@ -339,7 +335,7 @@ def test_cascade_identity_remainder():
 
 
 def test_cascade_drops_exact_zeros():
-    decs = cascade_diagonal({(0,): 0.0, (1,): 0.5}, 2)
+    decs = cascade_diagonal({(0,): 0.0, (1,): 0.5})
     assert len(decs) == 1
 
 
@@ -351,7 +347,7 @@ def test_decompose_diagonal_hamiltonian():
         (0, 1): 0.4 * tau, (1, 2): -0.3 * tau,
         (0, 2): 0.2 * tau, (1,): 0.1 * tau,
     }
-    decs = cascade_diagonal(table, 3)
+    decs = cascade_diagonal(table)
     for z in _spins(3):
         assert _realized(decs, z) == pytest.approx(_target(table, z), rel=1e-11)
 
@@ -364,7 +360,20 @@ def test_hidden_unit_validation():
 
 
 def test_decomposition_json_dict():
-    d = decompose_two_body(0.5).to_json_dict()
+    d = decompose_two_body(0.5).to_json_dict(2)
     assert set(d) == {"log_norm", "hidden_units", "induced"}
     assert d["hidden_units"][0]["weights"][0][0] == 0
     assert d["induced"] == []
+
+
+def test_decomp_knows_no_pauli_words():
+    """Induced couplings are a {sites: K} table, so decomp imports nothing
+    from the Pauli-word module."""
+    tree = ast.parse(open(itebm.decomp.__file__, encoding="utf-8").read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if name.split(".")[-1] == "pauli"] == []

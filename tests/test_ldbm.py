@@ -421,6 +421,16 @@ def test_state_and_norm_marginalizes_once(monkeypatch):
         ldbm.state_and_norm(replace(net, log_norm=-1e4))
 
 
+@pytest.mark.parametrize("k, match", [(400.0, "norm overflows"),
+                                      (1e308, "amplitudes overflow")])
+def test_statevector_norm_raises_on_overflow(k, match):
+    """statevector_norm fails as loudly as state_and_norm, instead of
+    returning inf (K = 400) or nan (K = 1e308)."""
+    net = apply_term_imaginary(zero_state(2), HamiltonianTerm(k, PauliString("ZZ")), 1.0)
+    with pytest.raises(ValueError, match=match):
+        statevector_norm(net)
+
+
 # --- three-layer conversion ------------------------------------------------
 
 
