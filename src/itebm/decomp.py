@@ -213,11 +213,11 @@ def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
         w, step = nxt, abs(nxt - w)
         if step <= 1e-15:
             break
-    for _ in range(2):  # Newton polish with the analytic derivative
+    for _ in range(2):  # Newton polish, kept in the bracket: near K = 0, K' is near 0 too
         resid = _k_equal_weights(m_eff, w) - k
         deriv = _k_equal_weights_deriv(m_eff, w)
-        if deriv > 0.0:
-            w = min(max(w - resid / deriv, 0.0), w_hi)
+        if deriv > 0.0 and lo <= w - resid / deriv <= hi:
+            w -= resid / deriv
     c = w if m % 2 else 0.0
     return w, sign_flip, c
 

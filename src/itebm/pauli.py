@@ -17,12 +17,6 @@ from .ir import Gate
 
 _LETTERS = frozenset("IXYZ")
 
-#: Single-qubit basis-change matrices.  HX is the ordinary Hadamard.
-#: HY satisfies sigma_y = HY @ sigma_z @ HY^dag (note: HY is not Hermitian).
-HX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-HY = np.array([[-1j, 1j], [1, 1]], dtype=complex) / np.sqrt(2.0)
-HY_DAG = HY.conj().T
-
 
 @dataclass(frozen=True)
 class PauliString:

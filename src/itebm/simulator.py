@@ -6,18 +6,19 @@ each visible site, then its measure and postselect onto 0.  So all
 accepted shots follow the same post-selected path: a `Trajectory` walks a
 single state forward through circuits, and each unit appends its branch
 probabilities to a record.  A circuit's units, one Trotter step, are
-compiled once into its unit program (`_units`), and the trajectory binds
-the program to its own vector and buffers and walks it `repeats` times, so
-each op runs on precomputed views without allocating.
+compiled once into its unit program (`_units`), and the trajectory walks
+it `repeats` times, in place on its own vector and buffers.
 
 Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
 Theta = sum_r (angle_r / 2) V_r, so the ancilla never enters the vector.
-With its X sites rotated by HX and its Y sites by HY^dag, as the paper
-encodes X and Y couplings, a unit is diagonal, so consecutive units whose
-letters agree are one op, between two basis changes unless they are I/Z,
-that reads all their branch probabilities from one matrix-vector product.
-A program has these two kinds of op only.  It agrees with the gate-by-gate
-walk (`tests/oracles.walk_reference`) to rounding.
+With each site in its letter's basis, as the paper encodes X and Y
+couplings, a unit is diagonal, so consecutive units whose letters agree
+are one run that reads all their branch probabilities from one
+matrix-vector product.  Two basis layers on one site cancel, so the
+vector stays in the letters of the last run it walked, and enters the
+next run by one transition that changes only the sites whose letter
+changes; reads rotate a copy.  The walk agrees with the gate-by-gate walk
+(`tests/oracles.walk_reference`) to rounding.
 
 Exact mode multiplies the kept-branch probabilities; sampled mode replays
 the record with per-shot Born-rule draws, discarding shots at their first
@@ -44,8 +45,6 @@ import numpy as np
 from .circuits import n_trotter_steps, trotter_groups
 from .ir import Circuit, Unit
 from .pauli import (
-    HX,
-    HY_DAG,
     Hamiltonian,
     PauliString,
     apply_word,
@@ -133,14 +132,6 @@ class ExactRunResult:
     log_norm: float
 
 
-def _apply_1q(vec: np.ndarray, q: int, mat: np.ndarray) -> None:
-    shaped = vec.reshape(1 << q, 2, -1)
-    a0 = shaped[:, 0, :].copy()
-    a1 = shaped[:, 1, :]
-    shaped[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    shaped[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
 def _visible(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     """psi0's normalized amplitudes, a new array, once its width is checked."""
     if psi0.n_qubits != circuit.n_visible:
@@ -151,21 +142,18 @@ def _visible(circuit: Circuit, psi0: StateVector) -> np.ndarray:
     return psi0.normalized().amps
 
 
-# Opcodes of a compiled program: (opcode, operands...) tuples, see _units.
-_BASIS, _DIAG = range(2)
-
-
 #: Consecutive units share one run while the product of their smallest
 #: cos^2 stays above this, so that every partial sum S_k of the run's kept
 #: weight is a normal double.
 _RUN_FLOOR = 1e-200
-#: A basis change applies Kronecker blocks of at most this many qubits:
-#: at 8 qubits, two 16 x 16 matrix products.
+#: A transition applies Kronecker blocks of at most this many qubits: at 8
+#: qubits, two 16 x 16 matrix products.
 _BLOCK = 4
 _TO_Z = str.maketrans("XY", "ZZ")
-#: Per letter P, sqrt(2) B, where B P B^dag = Z: sqrt(2) HX and sqrt(2)
-#: HY^dag (see pauli.HY), whose entries are exact.
-_TO_Z_1Q = {"X": np.array([[1, 1], [1, -1]]), "Y": np.array([[1j, 1], [-1j, 1]])}
+#: Per letter P, B_P with B_P P B_P^dag = Z, times 2 for X and Y: 1, sqrt(2) times the
+#: Hadamard, and [[i, 1], [-i, 1]].  Each B_b B_a^dag has exact entries: +-1, +-i, 1 +- i.
+_TO_Z_1Q = {"Z": np.eye(2), "X": np.array([[1, 1], [1, -1]]),
+            "Y": np.array([[1j, 1], [-1j, 1]])}
 
 
 def _unit_diagonal(rotations: Unit, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,61 +172,59 @@ def _unit_diagonal(rotations: Unit, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin * sin
 
 
-def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]], scale: float) -> tuple:
+def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]]) -> tuple:
     """One op for consecutive units, each (cos, sin^2, cbit) in one basis.
 
     Its table's rows are cum_k = C_k^2, C_k = prod_{j<=k} cos_j, and then
     cum_{k-1} sin_k^2: with w = |psi|^2, unit k keeps the weight
     S_k = w . cum_k and reads 1 with the weight w . (cum_{k-1} sin_k^2).
-    The op also carries scale C_K, which leaves psi with the weight
-    scale^2 S_K.
+    The op also carries C_K, which leaves psi with the weight S_K.
     """
     cos = np.cumprod([c for c, _, _ in run], axis=0)
     cum = cos * cos
     before = np.vstack([np.ones_like(cum[:1]), cum[:-1]])
     table = np.vstack([cum, before * np.array([s for _, s, _ in run])])
-    return (_DIAG, table, (scale * cos[-1]).astype(complex),
-            tuple(cbit for _, _, cbit in run))
+    return table, cos[-1].astype(complex), tuple(cbit for _, _, cbit in run)
 
 
-def _basis_change(letters: str) -> tuple[list[tuple], list[tuple], float]:
-    """The ops before and after a run that take its X and Y sites to Z and
-    back, and the scale that the run applies.  A run of I/Z words has no
-    such ops and the scale 1.  Else each is one op, a product of Kronecker
-    blocks of at most _BLOCK consecutive qubits (`_bind`) over the span of
-    the m X and Y sites.  The blocks are sqrt(2) times unitary on each of
-    those sites, so that they add and subtract amplitudes without rounding
-    a product; the run renormalizes after the first op, and its scale
-    2^(-m/2) undoes the second op's factor.
+def _transition(frame: str, letters: str) -> tuple[str, tuple | None]:
+    """The frame in which a vector held in frame's letters walks a run of
+    letters, each site that letters leave as I keeping its letter, and the
+    op that takes it there: None if no site changes, else Kronecker blocks
+    (lo, hi, mat) of at most _BLOCK consecutive qubits (`_bind`) over the
+    span of the changed sites, with the factor B_b B_a^dag (`_TO_Z_1Q`) on
+    a site taken from a to b.  That is sqrt(2) or 2 times unitary, so that
+    no product rounds; a run renormalizes after it, and a read normalizes.
     """
-    sites = [q for q, ch in enumerate(letters) if ch in _TO_Z_1Q]
+    new = "".join(a if b == "I" else b for a, b in zip(frame, letters))
+    sites = [q for q, (a, b) in enumerate(zip(frame, new)) if a != b]
     if not sites:
-        return [], [], 1.0
+        return new, None
     blocks = []
     for lo in range(sites[0], sites[-1] + 1, _BLOCK):
         hi = min(lo + _BLOCK, sites[-1] + 1)
         mat = np.ones((1, 1), dtype=complex)
-        for ch in letters[lo:hi]:
-            mat = np.kron(mat, _TO_Z_1Q.get(ch, np.eye(2)))
+        for a, b in zip(frame[lo:hi], new[lo:hi]):
+            mat = np.kron(mat, _TO_Z_1Q[b] @ _TO_Z_1Q[a].conj().T if a != b else np.eye(2))
         blocks.append((lo, hi, mat))
-    return ([(_BASIS, tuple(blocks))],
-            [(_BASIS, tuple((lo, hi, mat.conj().T) for lo, hi, mat in blocks))],
-            2.0 ** (-len(sites) / 2))
+    return new, tuple(blocks)
 
 
-def _units(circuit: Circuit) -> tuple[tuple, ...]:
-    """The unit program of a circuit's step, on its visible register alone.
+def _units(circuit: Circuit) -> tuple[tuple[str, tuple], ...]:
+    """The unit program of a circuit's step, on its visible register alone:
+    its runs, each (letters, op).
 
     Post-selection of a unit leaves cos(Theta) psi, Theta = sum_r
     (angle_r / 2) V_r over its rotations, kept with weight
     |cos(Theta) psi|^2 against |sin(Theta) psi|^2 read as 1.  Its V_r put at
     most one letter on each site, else the unit is a ValueError naming it,
-    so they are Z words once each X site is rotated by HX and each Y site
-    by HY^dag, and cos(Theta) is diagonal there.  Consecutive units whose
-    letters agree site by site form one _DIAG op, split where their cos^2
-    could take the kept weight below _RUN_FLOOR, between the _BASIS ops
-    into and out of their basis (none for I/Z words).  The program is one
-    of the circuit's `repeats`: no run spans two steps.
+    so they are Z words once each site is in its letter's basis
+    (`_transition`), and cos(Theta) is diagonal there.  Consecutive units
+    whose letters agree site by site form one run, split where their cos^2
+    could take the kept weight below _RUN_FLOOR.  Its letters carry each
+    site's letter in the run, I where no unit of it has one, and its op
+    (`_diag_op`) applies it.  The program is one of the circuit's
+    `repeats`: no run spans two steps.
     """
     nv = circuit.n_visible
     runs: list = []  # [letters, units] per run
@@ -257,78 +243,73 @@ def _units(circuit: Circuit) -> tuple[tuple, ...]:
             runs.append([letters, []])
             bound = low
         runs[-1][1].append((cos, sin2, cbit))
-    program: list[tuple] = []
-    for letters, run in runs:
-        before, after, scale = _basis_change(letters)
-        program += [*before, _diag_op(run, scale), *after]
-    return tuple(program)
+    return tuple((letters, _diag_op(run)) for letters, run in runs)
 
 
-def _bind(program: tuple[tuple, ...], vec: np.ndarray, buf: np.ndarray) -> tuple[tuple, ...]:
-    """Resolve a unit program against one vector and buf, a scratch vector
-    of its size.  Each basis change gets one matrix product (a, b, out) per
-    block, from vec to buf and back, and buf if its result ends there; a
+def _bind(blocks: tuple, vec: np.ndarray, buf: np.ndarray) -> tuple:
+    """Resolve a transition's blocks against one vector and buf, a scratch
+    vector of its size: one matrix product (a, b, out) per block, from vec
+    to buf and back, then vec and the array that holds the result.  A
     block that ends the register multiplies its view by the transpose from
     the right, so that a block at either end is one plain product.  The
-    views stay valid while the arrays live, so a trajectory binds a program
-    once and walks it any number of times."""
+    views stay valid while the arrays live, so a trajectory binds a
+    transition once and applies it (`_rotate`) any number of times."""
     n = vec.size.bit_length() - 1
-    bound: list[tuple] = []
-    for op in program:
-        if op[0] == _BASIS:
-            products, src, dst = [], vec, buf
-            for lo, hi, mat in op[1]:
-                if hi == n:
-                    shape = (1 << lo, 1 << (hi - lo))
-                    products.append((src.reshape(shape), mat.T.copy(), dst.reshape(shape)))
-                else:
-                    shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
-                    products.append((mat, src.reshape(shape), dst.reshape(shape)))
-                src, dst = dst, src
-            op = (_BASIS, tuple(products), None if src is vec else src)
-        bound.append(op)
-    return tuple(bound)
+    products, src, dst = [], vec, buf
+    for lo, hi, mat in blocks:
+        if hi == n:
+            shape = (1 << lo, 1 << (hi - lo))
+            products.append((src.reshape(shape), mat.T.copy(), dst.reshape(shape)))
+        else:
+            shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
+            products.append((mat, src.reshape(shape), dst.reshape(shape)))
+        src, dst = dst, src
+    return tuple(products), vec, src
 
 
-def _walk(program: tuple[tuple, ...], vec: np.ndarray, weights: np.ndarray, record: list,
-          cbit_offset: int = 0) -> bool:
-    """Walk a vector in place through a unit program bound to it (`_bind`),
-    with weights as its |amp|^2 buffer.
+def _rotate(bound: tuple) -> None:
+    """Apply a transition bound to a vector (`_bind`) to that vector."""
+    products, vec, result = bound
+    for a, b, out in products:
+        np.matmul(a, b, out=out)
+    if result is not vec:
+        vec[:] = result
+
+
+def _walk(runs: tuple[tuple[str, tuple], ...], vec: np.ndarray, weights: np.ndarray,
+          record: list, enter, cbit_offset: int = 0) -> bool:
+    """Walk a vector in place through a unit program's runs (`_units`),
+    with weights as its |amp|^2 buffer; enter(letters) first takes the
+    vector into each run's letters (`Trajectory._enter`).
 
     A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
-    to record per unit and applies each cos(Theta), and 1 / sqrt(p_kept)
-    of the run, between the basis changes around it.  Returns False at a
-    kept branch below BRANCH_FLOOR.  A stop inside a run leaves the vector
-    in the run's basis, which no caller reads: the walk stops for good, and
-    a stopped `Trajectory` raises before it would read the state.
+    to record per unit and applies each cos(Theta), and 1 / sqrt of the
+    run's last kept weight.  Returns False at a kept branch below
+    BRANCH_FLOOR.  A stop inside a run leaves the vector as it entered the
+    run, which no caller reads: the walk stops for good, and a stopped
+    `Trajectory` raises before it would read the state.
 
     A unit records its kept and read-1 weights each over their sum, which
-    is the weight that entered it (cos^2 + sin^2 = 1), and scales the state
-    back to weight 1.  Its factors are rounded once, at compile time, so
-    their error repeats at every step: over the sum it cancels, in the kept
-    weight alone it would add up over thousands of units.  A basis change
-    sums through BLAS, whose kernel the host selects, so its last bits may
-    differ between hosts.
+    is the weight that entered it (cos^2 + sin^2 = 1), and the run scales
+    the state back to weight 1, whatever weight its transition left.  Its
+    factors are rounded once, at compile time, so their error repeats at
+    every step: over the sum it cancels, in the kept weight alone it would
+    add up over thousands of units.  A transition sums through BLAS, whose
+    kernel the host selects, so its last bits may differ between hosts.
     """
-    for op in program:
-        if op[0] == _DIAG:
-            _, table, cos, cbits = op
-            np.absolute(vec, weights)
-            np.square(weights, weights)
-            sums = np.dot(table, weights).tolist()
-            for k, cbit in enumerate(cbits):
-                kept, other = sums[k], sums[len(cbits) + k]
-                p = kept / (kept + other)
-                record.append((cbit + cbit_offset, other / (kept + other), p))
-                if p < BRANCH_FLOOR:
-                    return False
-            vec *= cos
-            vec /= math.sqrt(kept)
-        else:  # _BASIS
-            for a, b, out in op[1]:
-                np.matmul(a, b, out=out)
-            if op[2] is not None:
-                vec[:] = op[2]
+    for letters, (table, cos, cbits) in runs:
+        enter(letters)
+        np.absolute(vec, weights)
+        np.square(weights, weights)
+        sums = np.dot(table, weights).tolist()
+        for k, cbit in enumerate(cbits):
+            kept, other = sums[k], sums[len(cbits) + k]
+            p = kept / (kept + other)
+            record.append((cbit + cbit_offset, other / (kept + other), p))
+            if p < BRANCH_FLOOR:
+                return False
+        vec *= cos
+        vec /= math.sqrt(kept)
     return True
 
 
@@ -406,12 +387,18 @@ class Trajectory:
     walked, and cumulative_success the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
     good (`stopped`), mid-repeats too; it is the last record entry.  The
-    vector is not read after a stop, which can leave it in a run's basis:
-    `final_state` raises, and so does `sample` before any shot past the
-    stop would read it.  The vector holds the visible register alone.  The
-    circuit last walked keeps its unit program (`_units`), bound to this
-    trajectory's vector and buffers, so walking one step n times, as
-    `repeats` or as n advances, compiles and binds it once.
+    vector is not read after a stop: `final_state` raises, and so does
+    `sample` before any shot past the stop would read it.
+
+    The vector holds the visible register alone, in the letters of frame:
+    each site in the basis of the last letter that a run put on it, Z
+    before any.  It enters each run by one transition from frame
+    (`_transition`), bound to this trajectory's vector and buffer the
+    first time that (frame, letters) occurs and kept, so runs whose letters
+    agree need none between them.  Reads (`final_state`, `sample`) rotate
+    a copy of the vector through a transition.  The circuit last walked
+    keeps its unit program (`_units`), so walking one step n times, as
+    `repeats` or as n advances, compiles it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
@@ -421,16 +408,36 @@ class Trajectory:
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
+        self.frame = "Z" * self.n_visible
         self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
-        self._bound: tuple[Circuit | None, tuple] = (None, ())
+        self._transitions: dict[tuple[str, str], tuple[str, tuple | None]] = {}
+        self._program: tuple[Circuit | None, tuple] = (None, ())
+
+    def _enter(self, letters: str) -> None:
+        """Take the vector into a run's letters."""
+        key = (self.frame, letters)
+        if key not in self._transitions:
+            frame, blocks = _transition(*key)
+            self._transitions[key] = frame, blocks and _bind(blocks, self.vec, self._buf)
+        self.frame, bound = self._transitions[key]
+        if bound:
+            _rotate(bound)
+
+    def _read(self, letters: str) -> np.ndarray:
+        """A copy of the vector in letters, one of Z/X/Y per site."""
+        blocks = _transition(self.frame, letters)[1]
+        vec = self.vec.copy()
+        if blocks:
+            _rotate(_bind(blocks, vec, np.empty_like(vec)))
+        return vec
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
-            if self._bound[0] is not circuit:
-                self._bound = (circuit, _bind(_units(circuit), self.vec, self._buf))
+            if self._program[0] is not circuit:
+                self._program = (circuit, _units(circuit))
             start, step_cbits = len(self.record), len(circuit.units)
             self.stopped = not all(  # stops at the first sub-floor branch
-                _walk(self._bound[1], self.vec, self._weights, self.record,
+                _walk(self._program[1], self.vec, self._weights, self.record, self._enter,
                       self.n_cbits + r * step_cbits) for r in range(circuit.repeats))
             self.cumulative_success = math.prod(
                 (entry[2] for entry in self.record[start:]), start=self.cumulative_success)
@@ -440,7 +447,7 @@ class Trajectory:
         """The renormalized visible-register state."""
         if self.stopped:
             raise _zero_weight(self.record[-1])
-        return StateVector(self.n_visible, self.vec).normalized()
+        return StateVector(self.n_visible, self._read("Z" * self.n_visible)).normalized()
 
     def sample(self, n_shots: int, seed: int, terminal_basis: str | None = None) -> ShotRun:
         """Replay n_shots against the record, drawing one variate per
@@ -466,10 +473,7 @@ class Trajectory:
             if p_kept < BRANCH_FLOOR:
                 raise _zero_weight(record[i])
         if alive.size:
-            vec = self.vec.copy()
-            for q, ch in enumerate(basis):
-                if ch != "Z":
-                    _apply_1q(vec, q, HX if ch == "X" else HY_DAG)
+            vec = self._read(basis)
             cums = np.cumsum(np.abs(vec) ** 2)
             cums /= cums[-1]
             # searchsorted counts the cumulative weights below each draw

@@ -171,12 +171,13 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
     in a (shots, 2^n) array, shots are compacted at each failed postselect,
     and a reset zeroes a qubit that a measurement already projected.
 
-    Uses the package's word_action and basis matrices, as the original did,
-    so that equal draws give equal bits, and walks the circuit's gates in
-    the ancilla `layout` (`hardware_gates`).  Returns (accepted, cbits,
-    terminal).
+    Uses the package's word_action, as the original did, so that equal
+    draws give equal bits, and this module's HX and HY_DAG for the terminal
+    basis, where the package rotates through its own exact transitions.
+    Walks the circuit's gates in the ancilla `layout` (`hardware_gates`).
+    Returns (accepted, cbits, terminal).
     """
-    from itebm.pauli import HX, HY_DAG, word_action
+    from itebm.pauli import word_action
 
     gates, n_ancilla = hardware_gates(circuit, layout)
     nv = circuit.n_visible

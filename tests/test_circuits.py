@@ -259,7 +259,7 @@ def test_build_qite_circuit_repeats_steps():
 def test_build_qite_circuit_is_the_step_repeated(name, n_steps):
     """The circuit holds one step's units, walked n_steps times, and its
     whole-circuit n_cbits, log_norm and model_success equal those of the
-    unrolled step; the chain step compiles to its 10-op unit program."""
+    unrolled step; the chain step compiles to its four-run unit program."""
     terms = oracles.tfim_terms(3) if name == "tfim" else oracles.chain_terms(8)
     h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
     circuit = build_qite_circuit(h, n_steps * 0.01, 0.01)
@@ -270,7 +270,7 @@ def test_build_qite_circuit_is_the_step_repeated(name, n_steps):
     assert circuit.log_norm == unrolled.log_norm
     assert circuit.model_success == unrolled.model_success
     if name == "chain":
-        assert len(simulator._units(circuit)) == 10
+        assert len(simulator._units(circuit)) == 4
 
 
 def test_circuit_cbits_split_into_repeats():

@@ -222,6 +222,14 @@ def test_decompose_reads_a_negative_coupling_as_k(runner):
     assert json.loads(want.stdout)["log_norm"] == decompose_sites((0, 1), -0.5, 2).log_norm
 
 
+def test_decompose_verify_round_trips_a_tiny_high_order_coupling(runner):
+    """An order-7 K of 1e-30, where the weight solver's Newton polish used
+    to leave its bracket (exit 3, "general solve round-trip failed")."""
+    result = runner.invoke(main, ["decompose", "ZZZZZZZ", "1e-30", "--verify"])
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr.startswith("verify: max entrywise log error ")
+
+
 def test_decompose_misspelt_option_is_usage_error(runner):
     result = runner.invoke(main, ["decompose", "ZZ", "0.5", "--verfy"])
     assert result.exit_code == 2
@@ -296,7 +304,7 @@ def test_evolve_exact_at_twelve_sites_builds_no_dense_matrix(runner, tmp_path, m
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "symmetry-sector leak: a basis change rounds amplitude into the odd "
+    "symmetry-sector leak: a transition rounds amplitude into the odd "
     "sector, which then grows as e^(2 tau) (ROADMAP item 5)"))
 def test_evolve_exact_keeps_the_symmetry_sector_of_its_state(runner, tmp_path):
     """ZZ + 0.5 XX commutes with ZZ, and |00> lies in the even sector,
@@ -440,9 +448,10 @@ def test_non_positive_shots_is_usage_error_before_the_csv_header(runner, tfim_fi
     (["evolve", "--tau", "0.5,-0.5", "--dtau", "0.5"], "tau must be >= 0, got -0.5"),
     (["evolve", "--tau", "-1", "--dtau", "-0.5"], "dtau must be positive, got -0.5"),
     (["ising-demo", "--dtau", "0"], "dtau must be positive, got 0.0"),
+    (["evolve", "--tau", ","], "--tau is empty"),
 ], ids=["evolve-dtau-inf", "evolve-dtau-nan", "evolve-tau-inf", "evolve-tau-nan",
         "evolve-step-count-overflow", "ising-demo-dtau-inf", "evolve-tau-negative",
-        "evolve-dtau-negative", "ising-demo-dtau-zero"])
+        "evolve-dtau-negative", "ising-demo-dtau-zero", "evolve-tau-empty"])
 def test_non_finite_tau_or_dtau_is_usage_error_before_the_csv_header(runner, tfim_file,
                                                                      tmp_path, command, message):
     """An infinite dtau used to walk 0 steps and print the initial state's
@@ -456,6 +465,60 @@ def test_non_finite_tau_or_dtau_is_usage_error_before_the_csv_header(runner, tfi
     assert result.exit_code == 2, result.stderr
     assert message in result.stderr
     assert result.stdout == "" and not out.exists()
+
+def test_evolve_invalid_hamiltonian_is_usage_error(runner, tmp_path):
+    ham = tmp_path / "zq.txt"
+    ham.write_text("1 ZQ\n")
+    result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham)])
+    assert result.exit_code == 2
+    assert "invalid hamiltonian: line 1: invalid Pauli letters ['Q'] in 'ZQ'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_evolve_shots_without_an_x_term_reads_x_as_zero(runner, tmp_path):
+    """A Hamiltonian of ZZ alone leaves the X column without terms: it
+    reads 0 with error 0, and the ZZ column is E."""
+    ham = tmp_path / "zz.txt"
+    ham.write_text("1 ZZ\n")
+    result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham), "--mode", "shots",
+                                  "--tau", "0.1", "--shots", "200", "--batches", "2"])
+    assert result.exit_code == 0, result.stderr
+    (row,) = _rows(result.stdout)
+    assert row["X_mean"] == row["X_err"] == "0"
+    assert (row["ZZ_mean"], row["ZZ_err"]) == (row["E_mean"], row["E_err"])
+    assert float(row["E_err"]) > 0
+
+
+def test_evolve_shots_without_a_complete_batch_is_runtime_error(runner, tmp_path):
+    """The three words XYZ, YYX and ZXY need three measurement bases, and
+    at tau 0.1 no batch of 600 shots has an accepted shot in all three:
+    exit 3 after the header, with no row."""
+    ham = tmp_path / "three.txt"
+    ham.write_text("1 XYZ\n1 YYX\n1 ZXY\n")
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(ham), "--mode", "shots", "--tau", "0.1,0.3",
+        "--dtau", "0.05", "--shots", "6000", "--batches", "10", "--seed", "3",
+    ])
+    assert result.exit_code == 3
+    assert result.stdout.splitlines() == [
+        "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,acceptance,acceptance_model,"
+        "effective_samples"]
+    assert result.stderr == ("error: only 0 batch(es) have accepted shots in all required "
+                             "bases at tau=0.1; increase --shots\n")
+
+
+def test_evolve_from_zero_on_zz_keeps_its_eigenstate(runner, tmp_path):
+    """|00> is the ZZ eigenstate of E 1: the exact walk reads E 1 at tau
+    0.1, kept with acceptance e^-0.4."""
+    ham = tmp_path / "zz.txt"
+    ham.write_text("1 ZZ\n")
+    result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham), "--init", "zero",
+                                  "--tau", "0.1"])
+    assert result.exit_code == 0, result.stderr
+    (row,) = _rows(result.stdout)
+    assert float(row["E_mean"]) == 1.0 and row["E_err"] == "0"
+    assert float(row["acceptance"]) == pytest.approx(math.exp(-0.4), rel=1e-11)
+
 
 def test_evolve_zero_weight_trajectory_is_runtime_error(runner, tmp_path):
     ham = tmp_path / "z.txt"
@@ -659,6 +722,7 @@ def test_ldbm_script_errors(runner, tmp_path):
         ("hx 4\n", 2, "out of range"),
         ("rz 0 spin\n", 1, "expected number"),
         ("imag ZZ 0.1\n", 1, "does not match"),
+        ("hx x\n", 1, "expected qubit index, got 'x'"),
     ]
     for text, qubits, fragment in cases:
         result = _run_script(runner, tmp_path, text, qubits)
@@ -673,11 +737,13 @@ def test_ldbm_script_errors(runner, tmp_path):
     ("hx 0\nrzz 0 1 inf\n", 2, "line 2: non-finite angle inf"),
     ("rzz 0 0 0.3\n", 2, "line 1: rzz requires two distinct qubits"),
     ("imag Z nan\n", 1, "line 1: non-finite coefficient nan"),
-], ids=["rz-nan", "rzz-inf", "rzz-one-qubit", "imag-nan"])
+    ("hx 0\n", 0, "--qubits must be >= 1, got 0"),
+], ids=["rz-nan", "rzz-inf", "rzz-one-qubit", "imag-nan", "qubits-zero"])
 def test_ldbm_script_argument_errors_are_usage_errors(runner, tmp_path, text, qubits,
                                                       fragment):
     """A non-finite angle or a repeated rzz qubit is reported with its line
-    number and exit 2, like a non-finite imag coefficient."""
+    number and exit 2, like a non-finite imag coefficient; a register of no
+    qubits exits 2 as well."""
     result = _run_script(runner, tmp_path, text, qubits)
     assert result.exit_code == 2, (text, result.output)
     assert fragment in result.stderr

@@ -179,6 +179,32 @@ def test_general_solver_round_trip(m, frac, negate):
     assert top == pytest.approx(k, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", range(5, 15))
+def test_general_solver_round_trips_down_to_tiny_couplings(m):
+    """K = +-10^-e for every third decade e up to 300, at orders 5 to 14:
+    every K in range gets a weight whose unit's top coupling, summed over
+    all 2^m spin configurations, is K to 1e-9, the bound of the round
+    trip in `decompose_sites`.  Near K = 0 the derivative of K(W) is near
+    0 as well, where a Newton polish off the solver's bracket would leave
+    the root."""
+    z = 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
+    parity = np.prod(z, axis=1)
+    solved = 0
+    for e in range(0, 301, 3):
+        for k in (10.0 ** -e, -(10.0 ** -e)):
+            try:
+                w, sign_flip, c = solve_general_weight(m, k)
+            except ValueError as exc:
+                assert e == 0 and "exceeds the double-precision" in str(exc)
+                continue
+            weights = np.full(m, w)
+            weights[-1] *= -1.0 if sign_flip else 1.0
+            top = -np.mean(parity * np.log(2.0 * np.cos(c + z @ weights)))
+            assert abs(top - k) <= 1e-9, (e, k, w, top)
+            solved += 1
+    assert solved >= 2 * 100
+
+
 def test_general_solver_agrees_with_closed_forms():
     for k in (0.1, 0.5, 1.0):
         w2, _, c2 = solve_general_weight(2, k)

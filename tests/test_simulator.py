@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from itebm import pauli, simulator
+from itebm import simulator
 from itebm.circuits import build_qite_circuit, trotter_step
 from itebm.ir import Circuit
 from itebm.pauli import parse_hamiltonian
@@ -53,26 +53,56 @@ def test_statevector_algebra():
     assert scaled.normalized().norm == pytest.approx(1.0)
 
 
-# --- single-qubit kernels -------------------------------------------------
+# --- transitions and rotation kernels --------------------------------------
 #
-# `_apply_1q` rotates the final state into a terminal basis for sampling,
-# and the gate-level references apply each rotation from its word action
-# (`oracles.rotate`): both against dense matrices.
+# A trajectory enters each run, and reads its state, through one
+# `_transition` from the letters it holds, and the gate-level references
+# apply each rotation from its word action (`oracles.rotate`): both against
+# dense matrices.
 
-PACKAGE_1Q = {"hx": pauli.HX, "hy": pauli.HY, "hydag": pauli.HY_DAG}
+#: Per letter P, B_P with B_P P B_P^dag = Z, times 2 for X and Y.
+DENSE_B = {"Z": np.eye(2), "X": math.sqrt(2) * oracles.HX, "Y": math.sqrt(2) * oracles.HY_DAG}
 
 
-@pytest.mark.parametrize("kind,mat", [
-    ("hx", oracles.HX), ("hy", oracles.HY), ("hydag", oracles.HY_DAG),
-])
-@pytest.mark.parametrize("q", [0, 1, 2])
-def test_single_qubit_kernels(kind, mat, q):
-    rng = np.random.default_rng(q)
-    psi0 = StateVector(3, oracles.random_state(3, rng))
-    vec = psi0.amps.copy()
-    simulator._apply_1q(vec, q, PACKAGE_1Q[kind])
-    want = oracles.embed_1q(mat, q, 3) @ psi0.amps
-    assert np.allclose(vec, want, atol=1e-13)
+def _apply_transition(blocks, vec):
+    """vec through a transition's blocks, bound to it and its own buffer."""
+    if blocks is not None:
+        simulator._rotate(simulator._bind(blocks, vec, np.empty_like(vec)))
+    return vec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transition_is_the_dense_product_of_basis_changes(n):
+    """From random frames (Z/X/Y per site) to random letters (I/Z/X/Y per
+    site): a site that letters leave as I keeps its letter, the op is None
+    when no site changes, and else its blocks, of at most _BLOCK qubits
+    over the span of the changed sites, take a random vector to the dense
+    product of B_b B_a^dag over the changed sites, to 1e-13.  The
+    transition back multiplies it by 2^m, m the X and Y letters on both
+    sides of the changed sites."""
+    rng = np.random.default_rng(70 + n)
+    for _ in range(40):
+        frame = "".join(rng.choice(list("ZXY"), n))
+        letters = "".join(rng.choice(list("IZXY"), n))
+        new, blocks = simulator._transition(frame, letters)
+        assert new == "".join(a if b == "I" else b for a, b in zip(frame, letters))
+        changed = [q for q in range(n) if frame[q] != new[q]]
+        want, m = np.ones((1, 1)), 0
+        for a, b in zip(frame, new):
+            want = np.kron(want, DENSE_B[b] @ DENSE_B[a].conj().T if a != b else np.eye(2))
+            m += (a != b) * ((a != "Z") + (b != "Z"))
+        if not changed:
+            assert blocks is None
+            continue
+        spans = [(lo, hi) for lo, hi, _ in blocks]
+        assert spans[0][0] == changed[0] and spans[-1][1] == changed[-1] + 1
+        assert all(hi - lo <= simulator._BLOCK for lo, hi in spans)
+        vec = oracles.random_state(n, rng)
+        there = _apply_transition(blocks, vec.copy())
+        assert np.max(np.abs(there - want @ vec)) <= 1e-13
+        back, blocks_back = simulator._transition(new, frame)
+        assert back == frame
+        assert np.max(np.abs(_apply_transition(blocks_back, there) - 2 ** m * vec)) <= 1e-13
 
 
 @pytest.mark.parametrize("word,angle", [
@@ -86,17 +116,6 @@ def test_pauli_rotation_kernel(word, angle):
     oracles.rotate(vec, word, angle)
     want = oracles.exp_factor(0.5j * angle, word) @ psi0.amps
     assert np.allclose(vec, want, atol=1e-12)
-
-
-def test_hx_hy_relations():
-    """HX is an involution; HY^dag inverts HY, as the unit program's basis
-    changes rely on."""
-    psi0 = StateVector(1, oracles.random_state(1, np.random.default_rng(2)))
-    for pair in (("hy", "hydag"), ("hx", "hx")):
-        vec = psi0.amps.copy()
-        for kind in pair:
-            simulator._apply_1q(vec, 0, PACKAGE_1Q[kind])
-        assert np.allclose(vec, psi0.amps, atol=1e-13)
 
 
 # --- exact execution ------------------------------------------------------
@@ -403,8 +422,7 @@ def test_reset_of_untouched_postselected_qubit_is_dropped():
     after the second unit's measure: the walk agrees, and its program is
     an X run and a Z run."""
     circuit = Circuit(1, ((("X", 1.1),), (("Z", 0.3),)))
-    kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS, simulator._DIAG]
+    assert [letters for letters, _ in simulator._units(circuit)] == ["X", "Z"]
     _assert_walk_close(circuit, StateVector.from_amplitudes([0.6, 0.8j]), 3, "pooled:2")
 
 
@@ -427,7 +445,7 @@ def test_walk_stops_below_branch_floor_like_reference():
 
 def test_branch_weights_add_up_like_reference():
     """One unit with a random X, Y or Z on each qubit q of random states of
-    up to 12 qubits, so that the basis change's blocks start, end and sit
+    up to 12 qubits, so that the transition's blocks start, end and sit
     inside the register: p and p1 agree with the reference's."""
     rng = np.random.default_rng(21)
     checked = 0
@@ -444,8 +462,8 @@ def test_branch_weights_add_up_like_reference():
 
 def test_trajectory_rebinds_when_the_circuit_changes(monkeypatch):
     """One vector advanced through the unit programs of circuits a, b, b
-    and a compiles and binds each time the circuit changes, three times,
-    and agrees with the reference throughout."""
+    and a compiles each time the circuit changes, three times, and agrees
+    with the reference throughout."""
     compiled = []
     units = simulator._units
     monkeypatch.setattr(simulator, "_units", lambda c: compiled.append(c) or units(c))

@@ -4,7 +4,8 @@ Every circuit walks its unit program (`simulator._units`) on the visible
 register, and a unit whose words put two letters on one site raises a
 ValueError naming it.  Each unit applies cos(Theta) and records its branch
 probabilities, and consecutive units whose letters agree site by site are
-one op between the basis changes into and out of their letters' basis.  It
+one run, entered by one transition from the letters that the vector holds
+(`simulator._transition`), none if no site's letter changes.  The walk
 agrees with `oracles.walk_reference`, the gate-by-gate walk of the
 circuit's hardware view in an ancilla layout (`oracles.hardware_gates`),
 to rounding, not to the bit.  The tolerances are fixed here, before any
@@ -51,6 +52,16 @@ def _assert_records_close(got, want):
 
 def _log_acceptance(record):
     return math.fsum(math.log(entry[2]) for entry in record)
+
+
+def _rotated_vectors(monkeypatch):
+    """The list to which each transition applied (`simulator._rotate`)
+    appends the vector it rotates: a trajectory's own for a run, a copy for
+    a read."""
+    rotate, rotated = simulator._rotate, []
+    monkeypatch.setattr(simulator, "_rotate",
+                        lambda bound: rotated.append(bound[1]) or rotate(bound))
+    return rotated
 
 
 def _assert_units_close(circuits, psi0, layout="single"):
@@ -121,22 +132,36 @@ def test_units_agree_with_reference_on_overlapping_words():
 
 def test_chain_step_compiles_to_four_runs_and_basis_changes():
     """The chain step's units are four runs: its first 8 X units, its 64 ZZ
-    and ZZZ units, its 8 YY units and its last 8 X units.  Each X or Y run
-    sits between two basis changes of two 16 x 16 blocks; the vector holds
-    2^8 amplitudes."""
+    and ZZZ units, its 8 YY units and its last 8 X units.  From Z, each run
+    but the second step's first is entered by one transition of two
+    16 x 16 blocks; the vector holds 2^8 amplitudes."""
     step = _step(CHAIN, 0.01)
     program = simulator._units(step)
-    basis, diag = simulator._BASIS, simulator._DIAG
-    assert [op[0] for op in program] == [basis, diag, basis, diag, basis, diag,
-                                         basis, basis, diag, basis]
-    assert [len(op[3]) for op in program if op[0] == diag] == [8, 64, 8, 8]
-    for op in program:
-        if op[0] == basis:
-            assert [(lo, hi, mat.shape) for lo, hi, mat in op[1]] == \
-                [(0, 4, (16, 16)), (4, 8, (16, 16))]
+    assert [letters for letters, _ in program] == ["X" * 8, "Z" * 8, "Y" * 8, "X" * 8]
+    assert [len(op[2]) for _, op in program] == [8, 64, 8, 8]
+    frame, changes = "Z" * 8, []
+    for letters, _ in program * 2:
+        frame, blocks = simulator._transition(frame, letters)
+        changes.append(blocks and [(lo, hi, mat.shape) for lo, hi, mat in blocks])
+    halves = [(0, 4, (16, 16)), (4, 8, (16, 16))]
+    assert changes == [halves] * 4 + [None] + [halves] * 3
     traj = Trajectory(step, StateVector.uniform_plus(8))
     traj.advance(step)
     assert traj.vec.size == 1 << 8
+
+
+def test_chain_steps_enter_their_runs_by_three_transitions_each(monkeypatch):
+    """200 chain steps apply 1 + 3 * 200 transitions to the trajectory's
+    vector: Z to X before the first step, then X to Z, Z to Y and Y to X in
+    each, whose last run leaves the vector in the next step's first
+    letters."""
+    rotated = _rotated_vectors(monkeypatch)
+    step = _step(CHAIN, 0.01)
+    traj = Trajectory(step, StateVector.uniform_plus(8))
+    for _ in range(200):
+        traj.advance(step)
+    assert len(rotated) == 1 + 3 * 200 and all(vec is traj.vec for vec in rotated)
+    assert traj.frame == "X" * 8
 
 
 def test_unit_below_branch_floor_stops_at_the_reference_index():
@@ -167,8 +192,7 @@ def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_referenc
                      (("Z", math.pi / 2), ("I", -math.pi / 2))])
     circuit = step.to_circuit(1, repeats=3)
     unrolled = step.repeated(3).to_circuit(1)
-    basis, diag = simulator._BASIS, simulator._DIAG
-    assert [op[0] for op in simulator._units(circuit)] == [diag, basis, diag, basis, diag]
+    assert [letters for letters, _ in simulator._units(circuit)] == ["Z", "X", "Z"]
     psi0 = StateVector.uniform_plus(1)
     traj = Trajectory(circuit, psi0)
     traj.advance(circuit)
@@ -193,11 +217,12 @@ def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_referenc
     assert np.array_equal(shots.terminal, terminal)
 
 
-def _assert_long_run_splits(letter):
+def _assert_long_run_splits(letter, monkeypatch):
     """64 consecutive units of words with one letter, each kept with
     probability near 1e-5, multiply to below 1e-300: the run is split so
-    that its partial sums stay normal, each part between its basis changes
-    unless the letter is Z, and the log acceptance still agrees."""
+    that its partial sums stay normal, the walk enters the letter's basis
+    once, unless the letter is Z, and needs no transition between the
+    parts, and the log acceptance still agrees."""
     rng = np.random.default_rng(41)
     words = [f"{letter}I", f"I{letter}", f"{letter}{letter}"]
     units = []
@@ -206,23 +231,22 @@ def _assert_long_run_splits(letter):
         units.append(((words[cbit % 3], angle), ("II", 1e-3)))
     circuit = Circuit(2, tuple(units))
     program = simulator._units(circuit)
-    runs = [op for op in program if op[0] == simulator._DIAG]
-    assert len(runs) > 1 and sum(len(op[3]) for op in runs) == 64
-    basis, diag = simulator._BASIS, simulator._DIAG
-    assert [op[0] for op in program] == ([diag] if letter == "Z" else [basis, diag, basis]) \
-        * len(runs)
+    assert len(program) > 1 and sum(len(op[2]) for _, op in program) == 64
+    assert all(set(letters) <= {letter, "I"} for letters, _ in program)
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
+    rotated = _rotated_vectors(monkeypatch)
     traj = _assert_units_close([circuit], psi0)
+    assert sum(vec is traj.vec for vec in rotated) == (letter != "Z")
     assert _log_acceptance(traj.record) < math.log(1e-300)
 
 
-def test_long_diagonal_run_below_the_smallest_double():
-    _assert_long_run_splits("Z")
+def test_long_diagonal_run_below_the_smallest_double(monkeypatch):
+    _assert_long_run_splits("Z", monkeypatch)
 
 
 @pytest.mark.parametrize("letter", ["X", "Y"])
-def test_long_rotated_run_below_the_smallest_double(letter):
-    _assert_long_run_splits(letter)
+def test_long_rotated_run_below_the_smallest_double(letter, monkeypatch):
+    _assert_long_run_splits(letter, monkeypatch)
 
 
 @pytest.mark.parametrize("site_letters, blocks", [
@@ -233,9 +257,9 @@ def test_long_rotated_run_below_the_smallest_double(letter):
 ])
 def test_units_of_agreeing_letters_are_one_run(site_letters, blocks):
     """Units whose words carry site_letters[q] on site q, or I, on 1, 3 and
-    5 qubits: one run between two basis changes of Kronecker blocks over
-    the X and Y sites (none for Z alone), which agrees with the reference
-    on a random state."""
+    5 qubits: one run, entered from Z by one transition of Kronecker blocks
+    over the X and Y sites (none for Z alone) and from its own letters by
+    none, which agrees with the reference on a random state."""
     n = len(site_letters)
     rng = np.random.default_rng(53 + n)
     units = []
@@ -247,29 +271,28 @@ def test_units_of_agreeing_letters_are_one_run(site_letters, blocks):
             unit.append((word, rng.uniform(-2, 2)))
         units.append(tuple(unit))
     circuit = Circuit(n, tuple(units))
-    program = simulator._units(circuit)
-    basis, diag = simulator._BASIS, simulator._DIAG
-    assert [op[0] for op in program] == ([basis, diag, basis] if blocks else [diag])
-    assert len(program[len(program) // 2][3]) == 12
-    for op in program[::2] if blocks else ():
-        assert [(lo, hi) for lo, hi, _ in op[1]] == blocks
+    ((letters, op),) = simulator._units(circuit)
+    assert letters == site_letters and len(op[2]) == 12
+    frame, entry = simulator._transition("Z" * n, letters)
+    assert [(lo, hi) for lo, hi, _ in entry or ()] == blocks
+    assert (entry is None) == (not blocks)
+    assert simulator._transition(frame, letters) == (letters, None)
     psi0 = StateVector.from_amplitudes(oracles.random_state(n, rng))
     _assert_units_close([circuit] * 3, psi0)
 
 
 def test_units_whose_letters_conflict_start_a_new_run():
     """A unit that puts another letter on a site of the run so far starts
-    a new run, in its own basis; one whose letters agree joins it."""
+    a new run, in its own basis; one whose letters agree joins it.  The
+    vector ends in the letters last put on each site."""
     rng = np.random.default_rng(59)
     words = ["XI", "IY", "XY", "YI", "ZZ", "IZ", "XI"]
     circuit = Circuit(2, tuple(((word, rng.uniform(-2, 2)),) for word in words))
     program = simulator._units(circuit)
-    basis, diag = simulator._BASIS, simulator._DIAG
-    assert [op[0] for op in program] == [basis, diag, basis, basis, diag, basis,
-                                         diag, basis, diag, basis]
-    assert [len(op[3]) for op in program if op[0] == diag] == [3, 1, 2, 1]
+    assert [letters for letters, _ in program] == ["XY", "YI", "ZZ", "XI"]
+    assert [len(op[2]) for _, op in program] == [3, 1, 2, 1]
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
-    _assert_units_close([circuit] * 3, psi0)
+    assert _assert_units_close([circuit] * 3, psi0).frame == "XZ"
 
 
 @pytest.mark.parametrize("letter, psi0", [
@@ -281,14 +304,14 @@ def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0):
     walk at the fourth unit of a five-unit run in the letter's basis: the
     record ends where the reference's does, the state cannot be read, and
     a replay rejects every shot by that unit, so that it never reads the
-    vector the stop left in the rotated basis.  (No shot can pass a branch kept
-    with probability below BRANCH_FLOOR, where `sample` would raise.)"""
+    vector the stop left as it entered the run.  (No shot can pass a branch
+    kept with probability below BRANCH_FLOOR, where `sample` would
+    raise.)"""
     near_pi = math.pi - 2e-15
     words = [f"{letter}I", f"I{letter}", f"{letter}{letter}", f"{letter}I", f"I{letter}"]
     angles = [0.4, -0.3, 0.2, near_pi, 0.5]
     circuit = Circuit(2, tuple(((word, angle),) for word, angle in zip(words, angles)))
-    kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
+    assert [letters for letters, _ in simulator._units(circuit)] == [letter * 2]
     traj = _assert_units_close([circuit], psi0)
     assert traj.stopped and len(traj.record) == 4
     assert traj.record[-1][2] < simulator.BRANCH_FLOOR
@@ -328,12 +351,11 @@ def test_eight_body_term_walks_a_unit_program():
     term, every step keeps the reference's log acceptance and state, and
     its record the reference's cbits.  Single p_kept are not
     compared: inside the step the cascade weighs some X-basis states up to
-    2.6e45 times as heavily as |+>^8, so a 1e-17 rounding in the basis
-    change, whose sums a BLAS kernel orders as it selects, moves them far
+    2.6e45 times as heavily as |+>^8, so a 1e-17 rounding in a
+    transition, whose sums a BLAS kernel orders as it selects, moves them far
     (the reference keeps those amplitudes at exact zeros)."""
     step = _step("0.3 XXXXXXXX\n", 0.01, order=1)
-    kinds = [op[0] for op in simulator._units(step)]
-    assert kinds == [simulator._BASIS, simulator._DIAG, simulator._BASIS]
+    assert [letters for letters, _ in simulator._units(step)] == ["X" * 8]
     psi0 = StateVector.uniform_plus(8)
     traj = Trajectory(step, psi0)
     vec, record, offset = oracles.with_ancillas(step, psi0), [], 0
@@ -366,13 +388,12 @@ def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
 def test_diagonal_runs_stay_within_a_step():
     """A repeated circuit is its step walked `repeats` times, to the bit: a
     step of diagonal units only is one run, and the program of four steps
-    is that one run, walked four times."""
+    is that one run, walked four times without a transition."""
     h = parse_hamiltonian("1 ZZI\n0.5 IZZ\n-0.7 ZIZ\n0.3 IIZ\n")
     psi0 = StateVector.from_amplitudes(oracles.random_state(3, np.random.default_rng(47)))
     circuit = build_qite_circuit(h, 0.4, 0.1)
     assert circuit.repeats == 4
-    kinds = [op[0] for op in simulator._units(circuit)]
-    assert kinds == [simulator._DIAG]
+    assert [letters for letters, _ in simulator._units(circuit)] == ["ZZZ"]
     step = trotter_step(h, 0.1).to_circuit(3)
     traj = Trajectory(step, psi0)
     for _ in range(4):
@@ -380,6 +401,7 @@ def test_diagonal_runs_stay_within_a_step():
     exact = run_exact(circuit, psi0)
     assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
     assert traj.cumulative_success == exact.cumulative_success
+    assert traj.frame == "ZZZ" and all(op is None for _, op in traj._transitions.values())
 
 
 # Hamiltonians whose every built circuit must be made of units.
