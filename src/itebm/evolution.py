@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import trotter_step
-from .pauli import Hamiltonian, apply_word
+from .pauli import Hamiltonian, apply_word, merged_letters
 from .simulator import (
     StateVector,
     Trajectory,
@@ -24,22 +24,20 @@ from .stats import jackknife
 
 
 def _measurement_groups(h: Hamiltonian) -> list[tuple[str, list[int]]]:
-    """Greedy first-fit grouping of terms into joint measurement bases."""
-    groups: list[tuple[list[str | None], list[int]]] = []
+    """Greedy first-fit grouping of terms into joint measurement bases: a
+    term joins the first group whose letters agree with its own on every
+    site (`merged_letters`), and a site that no member uses is read in Z."""
+    groups: list[list] = []  # [letters, members] per group
     for idx, term in enumerate(h.terms):
-        word = term.string.word
-        for basis, members in groups:
-            if all(basis[q] in (None, word[q]) for q in term.string.support()):
-                for q in term.string.support():
-                    basis[q] = word[q]
-                members.append(idx)
+        for group in groups:
+            merged = merged_letters([group[0], term.string.word])
+            if merged is not None:
+                group[0] = merged
+                group[1].append(idx)
                 break
         else:
-            basis = [None] * h.n_qubits
-            for q in term.string.support():
-                basis[q] = word[q]
-            groups.append((basis, [idx]))
-    return [("".join(ch or "Z" for ch in basis), members) for basis, members in groups]
+            groups.append([term.string.word, [idx]])
+    return [(letters.replace("I", "Z"), members) for letters, members in groups]
 
 
 def _derive_seed(seed: int, stream: int) -> int:

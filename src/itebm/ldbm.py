@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decomp import cascade_diagonal
-from .pauli import HamiltonianTerm, basis_rotation_layer
+from .pauli import HamiltonianTerm, PauliString
 from .simulator import StateVector
 
 #: Largest elimination width `_marginalize` accepts: its biggest message
@@ -413,26 +413,28 @@ def apply_diagonal_imaginary(
                    log_norm=net.log_norm + extra_log)
 
 
-_BASIS_APPLY = {"hx": apply_hx, "hy": apply_hy, "hydag": apply_hy_dag}
+#: Per letter, the basis change absorbed before a word's diagonal form D
+#: (HX, HY^dag) and the one absorbed after it (HX, HY): P = U_after D U_before.
+_BASIS = {"X": (apply_hx, apply_hx), "Y": (apply_hy_dag, apply_hy)}
 
 
 def apply_term_imaginary(
     net: LdbmNetwork, term: HamiltonianTerm, dtau: float
 ) -> LdbmNetwork:
-    """Absorb exp(-dtau c P) for an arbitrary Pauli word by conjugating the
-    diagonal absorption with the appropriate basis rotations."""
-    if len(term.string.word) != net.n_visible:
-        raise ValueError(
-            f"term width {len(term.string.word)} != network width {net.n_visible}"
-        )
-    pre, post, diagonal = basis_rotation_layer(term.string)
-    for g in post:
-        net = _BASIS_APPLY[g.kind](net, g.qubits[0])
-    net = apply_diagonal_imaginary(
-        net, HamiltonianTerm(term.coefficient, diagonal), dtau
-    )
-    for g in pre:
-        net = _BASIS_APPLY[g.kind](net, g.qubits[0])
+    """Absorb exp(-dtau c P) for an arbitrary Pauli word by reading its
+    letters: each X or Y site enters its letter's basis (`_BASIS`), in
+    site order, the word with Z on those sites is absorbed as a diagonal
+    term, and each site leaves its basis again, in site order."""
+    word = term.string.word
+    if len(word) != net.n_visible:
+        raise ValueError(f"term width {len(word)} != network width {net.n_visible}")
+    rotated = [(q, _BASIS[ch]) for q, ch in enumerate(word) if ch in _BASIS]
+    for q, (enter, _) in rotated:
+        net = enter(net, q)
+    diagonal = PauliString(word.replace("X", "Z").replace("Y", "Z"))
+    net = apply_diagonal_imaginary(net, HamiltonianTerm(term.coefficient, diagonal), dtau)
+    for q, (_, leave) in rotated:
+        net = leave(net, q)
     return net
 
 

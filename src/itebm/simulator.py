@@ -17,8 +17,10 @@ are one run that reads all their branch probabilities from one
 matrix-vector product.  Two basis layers on one site cancel, so the
 vector stays in the letters of the last run it walked, and enters the
 next run by one transition that changes only the sites whose letter
-changes; reads rotate a copy.  The walk agrees with the gate-by-gate walk
-(`tests/oracles.walk_reference`) to rounding.
+changes.  A transition is data, bound to no vector: a trajectory builds
+each (frame, letters) transition once and applies it (`_rotate`) to its
+vector for a walk, and to a copy for a read.  The walk agrees with the
+gate-by-gate walk (`tests/oracles.walk_reference`) to rounding.
 
 Exact mode multiplies the kept-branch probabilities; sampled mode replays
 the record with per-shot Born-rule draws, discarding shots at their first
@@ -191,10 +193,12 @@ def _transition(frame: str, letters: str) -> tuple[str, tuple | None]:
     """The frame in which a vector held in frame's letters walks a run of
     letters, each site that letters leave as I keeping its letter, and the
     op that takes it there: None if no site changes, else Kronecker blocks
-    (lo, hi, mat) of at most _BLOCK consecutive qubits (`_bind`) over the
-    span of the changed sites, with the factor B_b B_a^dag (`_TO_Z_1Q`) on
-    a site taken from a to b.  That is sqrt(2) or 2 times unitary, so that
-    no product rounds; a run renormalizes after it, and a read normalizes.
+    (lo, hi, mat) of at most _BLOCK consecutive qubits over the span of the
+    changed sites, with the factor B_b B_a^dag (`_TO_Z_1Q`) on a site taken
+    from a to b.  That is sqrt(2) or 2 times unitary, so that no product
+    rounds; a run renormalizes after it, and a read normalizes.  Each mat
+    is held as `_rotate` multiplies by it: the block that ends the register
+    transposed, so that a block at either end is one plain product.
     """
     new = "".join(a if b == "I" else b for a, b in zip(frame, letters))
     sites = [q for q, (a, b) in enumerate(zip(frame, new)) if a != b]
@@ -206,8 +210,29 @@ def _transition(frame: str, letters: str) -> tuple[str, tuple | None]:
         mat = np.ones((1, 1), dtype=complex)
         for a, b in zip(frame[lo:hi], new[lo:hi]):
             mat = np.kron(mat, _TO_Z_1Q[b] @ _TO_Z_1Q[a].conj().T if a != b else np.eye(2))
-        blocks.append((lo, hi, mat))
+        blocks.append((lo, hi, mat.T.copy() if hi == len(frame) else mat))
     return new, tuple(blocks)
+
+
+def _rotate(blocks: tuple, vec: np.ndarray, buf: np.ndarray) -> None:
+    """Apply a transition's blocks (`_transition`) to vec in place, with
+    buf, a scratch vector of its size: one matrix product per block, on
+    reshaped views from vec to buf and back.  A block that ends the
+    register multiplies its view from the right.  The products sum through
+    BLAS, whose kernel the host selects, so their last bits may differ
+    between hosts."""
+    n = vec.size.bit_length() - 1
+    src, dst = vec, buf
+    for lo, hi, mat in blocks:
+        if hi == n:
+            shape = (1 << lo, 1 << (hi - lo))
+            np.matmul(src.reshape(shape), mat, out=dst.reshape(shape))
+        else:
+            shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
+            np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    if src is not vec:
+        vec[:] = src
 
 
 def _units(circuit: Circuit) -> tuple[tuple[str, tuple], ...]:
@@ -244,73 +269,6 @@ def _units(circuit: Circuit) -> tuple[tuple[str, tuple], ...]:
             bound = low
         runs[-1][1].append((cos, sin2, cbit))
     return tuple((letters, _diag_op(run)) for letters, run in runs)
-
-
-def _bind(blocks: tuple, vec: np.ndarray, buf: np.ndarray) -> tuple:
-    """Resolve a transition's blocks against one vector and buf, a scratch
-    vector of its size: one matrix product (a, b, out) per block, from vec
-    to buf and back, then vec and the array that holds the result.  A
-    block that ends the register multiplies its view by the transpose from
-    the right, so that a block at either end is one plain product.  The
-    views stay valid while the arrays live, so a trajectory binds a
-    transition once and applies it (`_rotate`) any number of times."""
-    n = vec.size.bit_length() - 1
-    products, src, dst = [], vec, buf
-    for lo, hi, mat in blocks:
-        if hi == n:
-            shape = (1 << lo, 1 << (hi - lo))
-            products.append((src.reshape(shape), mat.T.copy(), dst.reshape(shape)))
-        else:
-            shape = (1 << (hi - lo), -1) if lo == 0 else (1 << lo, 1 << (hi - lo), -1)
-            products.append((mat, src.reshape(shape), dst.reshape(shape)))
-        src, dst = dst, src
-    return tuple(products), vec, src
-
-
-def _rotate(bound: tuple) -> None:
-    """Apply a transition bound to a vector (`_bind`) to that vector."""
-    products, vec, result = bound
-    for a, b, out in products:
-        np.matmul(a, b, out=out)
-    if result is not vec:
-        vec[:] = result
-
-
-def _walk(runs: tuple[tuple[str, tuple], ...], vec: np.ndarray, weights: np.ndarray,
-          record: list, enter, cbit_offset: int = 0) -> bool:
-    """Walk a vector in place through a unit program's runs (`_units`),
-    with weights as its |amp|^2 buffer; enter(letters) first takes the
-    vector into each run's letters (`Trajectory._enter`).
-
-    A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
-    to record per unit and applies each cos(Theta), and 1 / sqrt of the
-    run's last kept weight.  Returns False at a kept branch below
-    BRANCH_FLOOR.  A stop inside a run leaves the vector as it entered the
-    run, which no caller reads: the walk stops for good, and a stopped
-    `Trajectory` raises before it would read the state.
-
-    A unit records its kept and read-1 weights each over their sum, which
-    is the weight that entered it (cos^2 + sin^2 = 1), and the run scales
-    the state back to weight 1, whatever weight its transition left.  Its
-    factors are rounded once, at compile time, so their error repeats at
-    every step: over the sum it cancels, in the kept weight alone it would
-    add up over thousands of units.  A transition sums through BLAS, whose
-    kernel the host selects, so its last bits may differ between hosts.
-    """
-    for letters, (table, cos, cbits) in runs:
-        enter(letters)
-        np.absolute(vec, weights)
-        np.square(weights, weights)
-        sums = np.dot(table, weights).tolist()
-        for k, cbit in enumerate(cbits):
-            kept, other = sums[k], sums[len(cbits) + k]
-            p = kept / (kept + other)
-            record.append((cbit + cbit_offset, other / (kept + other), p))
-            if p < BRANCH_FLOOR:
-                return False
-        vec *= cos
-        vec /= math.sqrt(kept)
-    return True
 
 
 def _zero_weight(entry: tuple) -> SimulationError:
@@ -393,12 +351,13 @@ class Trajectory:
     The vector holds the visible register alone, in the letters of frame:
     each site in the basis of the last letter that a run put on it, Z
     before any.  It enters each run by one transition from frame
-    (`_transition`), bound to this trajectory's vector and buffer the
-    first time that (frame, letters) occurs and kept, so runs whose letters
-    agree need none between them.  Reads (`final_state`, `sample`) rotate
-    a copy of the vector through a transition.  The circuit last walked
-    keeps its unit program (`_units`), so walking one step n times, as
-    `repeats` or as n advances, compiles it once.
+    (`_transition`), and reads (`final_state`, `sample`) rotate a copy of
+    it the same way.  A transition is data, bound to no vector: the
+    trajectory builds it the first time that (frame, letters) occurs and
+    keeps it for walks and reads alike, and runs whose letters agree need
+    none between them.  The circuit last walked keeps its unit program
+    (`_units`), so walking one step n times, as `repeats` or as n
+    advances, compiles it once.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
@@ -413,23 +372,57 @@ class Trajectory:
         self._transitions: dict[tuple[str, str], tuple[str, tuple | None]] = {}
         self._program: tuple[Circuit | None, tuple] = (None, ())
 
-    def _enter(self, letters: str) -> None:
-        """Take the vector into a run's letters."""
+    def _enter(self, letters: str, vec: np.ndarray) -> str:
+        """Rotate vec, the trajectory's vector or a copy of it, from frame
+        into letters by the transition built once for (frame, letters), and
+        return the frame that it leaves vec in."""
         key = (self.frame, letters)
         if key not in self._transitions:
-            frame, blocks = _transition(*key)
-            self._transitions[key] = frame, blocks and _bind(blocks, self.vec, self._buf)
-        self.frame, bound = self._transitions[key]
-        if bound:
-            _rotate(bound)
+            self._transitions[key] = _transition(*key)
+        frame, blocks = self._transitions[key]
+        if blocks:
+            _rotate(blocks, vec, self._buf)
+        return frame
 
     def _read(self, letters: str) -> np.ndarray:
         """A copy of the vector in letters, one of Z/X/Y per site."""
-        blocks = _transition(self.frame, letters)[1]
         vec = self.vec.copy()
-        if blocks:
-            _rotate(_bind(blocks, vec, np.empty_like(vec)))
+        self._enter(letters, vec)
         return vec
+
+    def _walk(self, runs: tuple[tuple[str, tuple], ...], cbit_offset: int) -> bool:
+        """Walk the vector in place through a unit program's runs (`_units`),
+        entering each run's letters first.
+
+        A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
+        to record per unit and applies each cos(Theta), and 1 / sqrt of the
+        run's last kept weight.  Returns False at a kept branch below
+        BRANCH_FLOOR.  A stop inside a run leaves the vector as it entered
+        the run, which nothing reads: the walk stops for good, and a
+        stopped trajectory raises before it would read the state.
+
+        A unit records its kept and read-1 weights each over their sum,
+        which is the weight that entered it (cos^2 + sin^2 = 1), and the run
+        scales the state back to weight 1, whatever weight its transition
+        left.  Its factors are rounded once, at compile time, so their error
+        repeats at every step: over the sum it cancels, in the kept weight
+        alone it would add up over thousands of units.
+        """
+        vec, weights = self.vec, self._weights
+        for letters, (table, cos, cbits) in runs:
+            self.frame = self._enter(letters, vec)
+            np.absolute(vec, weights)
+            np.square(weights, weights)
+            sums = np.dot(table, weights).tolist()
+            for k, cbit in enumerate(cbits):
+                kept, other = sums[k], sums[len(cbits) + k]
+                p = kept / (kept + other)
+                self.record.append((cbit + cbit_offset, other / (kept + other), p))
+                if p < BRANCH_FLOOR:
+                    return False
+            vec *= cos
+            vec /= math.sqrt(kept)
+        return True
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
@@ -437,8 +430,8 @@ class Trajectory:
                 self._program = (circuit, _units(circuit))
             start, step_cbits = len(self.record), len(circuit.units)
             self.stopped = not all(  # stops at the first sub-floor branch
-                _walk(self._program[1], self.vec, self._weights, self.record, self._enter,
-                      self.n_cbits + r * step_cbits) for r in range(circuit.repeats))
+                self._walk(self._program[1], self.n_cbits + r * step_cbits)
+                for r in range(circuit.repeats))
             self.cumulative_success = math.prod(
                 (entry[2] for entry in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits

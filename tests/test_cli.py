@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import itebm
-from itebm import cli, pauli
+from itebm import cli, pauli, simulator
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
 from itebm.decomp import decompose_sites
 from itebm.evolution import _derive_seed, _measurement_groups
@@ -55,6 +55,13 @@ def test_measurement_groups_fill_unused_with_z():
     h = parse_hamiltonian("1 XI\n")
     groups = _measurement_groups(h)
     assert groups == [("XZ", [0])]
+
+
+def test_measurement_groups_first_fit_skips_a_conflicting_group():
+    """ZZ conflicts with XZ on site 0 and opens group 1; ZI conflicts with
+    group 0 too, and joins group 1."""
+    h = parse_hamiltonian("1 XZ\n1 ZZ\n1 ZI\n")
+    assert _measurement_groups(h) == [("XZ", [0]), ("ZZ", [1, 2])]
 
 
 def _modules_after_import(module: str, then: str = "") -> set[str]:
@@ -301,6 +308,31 @@ def test_evolve_exact_at_twelve_sites_builds_no_dense_matrix(runner, tmp_path, m
     assert len(_rows(result.stdout)) == 1
     assert result.stderr.startswith("tau 0.05: E ") and "dense oracle" in result.stderr
     assert float(result.stderr.rsplit(" ", 1)[1]) < 1e-3
+
+
+CHAIN_EXACT = ["--mode", "exact", "--tau", "0.25,0.5,0.75,1,1.25,1.5,1.75,2", "--dtau", "0.01"]
+ISING_SHOTS = ["ising-demo", "--mode", "shots", "--shots", "8000", "--batches", "10"]
+
+
+@pytest.mark.parametrize("argv, built", [(CHAIN_EXACT, 5), (ISING_SHOTS, 3)],
+                         ids=["chain-exact", "ising-shots"])
+def test_a_trajectory_builds_each_transition_once(runner, tmp_path, monkeypatch, argv, built):
+    """Walks and reads share the trajectory's transitions, one per (frame,
+    letters).  The benchmark's chain-exact command, on the chain's letters,
+    builds 5: Z to X, then X to Z, Z to Y, Y to X and X to X in the steps;
+    its 8 reads into Z reuse X to Z.  The ising-shots command builds 3: Z
+    to X, X to Z and X to X; its 20 reads, into ZZZ and XXX at 10
+    checkpoints, reuse the last two."""
+    built_keys, transition = [], simulator._transition
+    monkeypatch.setattr(simulator, "_transition",
+                        lambda *key: built_keys.append(key) or transition(*key))
+    if argv[0] != "ising-demo":
+        path = tmp_path / "chain.txt"
+        path.write_text("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
+        argv = ["evolve", "--hamiltonian", str(path), *argv]
+    result = runner.invoke(main, [*argv, "--out", str(tmp_path / "run.csv")])
+    assert result.exit_code == 0, result.output
+    assert len(set(built_keys)) == len(built_keys) == built
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -107,7 +107,7 @@ def test_one_step_compiled_and_walked_once(monkeypatch, mode, taus, walked):
     """Ascending checkpoints walk the largest checkpoint's step count; an
     earlier checkpoint restarts the walk from psi0."""
     calls = {"walk": 0, "compile": 0}
-    walk, compile_step = simulator._walk, evolution.trotter_step
+    walk, compile_step = simulator.Trajectory._walk, evolution.trotter_step
 
     def counting_walk(*args):
         calls["walk"] += 1
@@ -117,7 +117,7 @@ def test_one_step_compiled_and_walked_once(monkeypatch, mode, taus, walked):
         calls["compile"] += 1
         return compile_step(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "_walk", counting_walk)
+    monkeypatch.setattr(simulator.Trajectory, "_walk", counting_walk)
     monkeypatch.setattr(evolution, "trotter_step", counting_compile)
     h = parse_hamiltonian(ISING_TEXT)
     rows = list(iter_evolution(h, taus, 0.01, 2, "rbm",

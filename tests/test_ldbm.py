@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from dataclasses import replace
@@ -5,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from itebm import ldbm
 from itebm.ldbm import (
     DbmNetwork,
     LdbmNetwork,
@@ -331,6 +333,21 @@ def test_term_imaginary_grows_by_basis_pairs():
     new = apply_term_imaginary(net, HamiltonianTerm(1.0, PauliString("XI")), 0.3)
     assert new.n_hidden == 3
     assert new.real_params
+
+
+def test_network_knows_no_gates():
+    """The network absorbs a term by reading its letters, so ldbm imports
+    neither the hardware gate view (`ir.Gate`) nor the layer that writes
+    it (`pauli.basis_rotation_layer`)."""
+    tree = ast.parse(open(ldbm.__file__, encoding="utf-8").read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    gates = {"ir", "Gate", "basis_rotation_layer"}
+    assert [name for name in imported if name.split(".")[-1] in gates] == []
 
 
 def test_full_trotter_step_absorption():

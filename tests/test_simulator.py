@@ -65,9 +65,9 @@ DENSE_B = {"Z": np.eye(2), "X": math.sqrt(2) * oracles.HX, "Y": math.sqrt(2) * o
 
 
 def _apply_transition(blocks, vec):
-    """vec through a transition's blocks, bound to it and its own buffer."""
+    """vec through a transition's blocks, with its own buffer."""
     if blocks is not None:
-        simulator._rotate(simulator._bind(blocks, vec, np.empty_like(vec)))
+        simulator._rotate(blocks, vec, np.empty_like(vec))
     return vec
 
 

@@ -60,7 +60,7 @@ def _rotated_vectors(monkeypatch):
     a read."""
     rotate, rotated = simulator._rotate, []
     monkeypatch.setattr(simulator, "_rotate",
-                        lambda bound: rotated.append(bound[1]) or rotate(bound))
+                        lambda blocks, vec, buf: rotated.append(vec) or rotate(blocks, vec, buf))
     return rotated
 
 
