@@ -65,7 +65,6 @@ from .simulator import (
     imaginary_time_oracle,
     run_exact,
     run_shots,
-    trotterized_oracle,
 )
 from .stats import Estimate, bootstrap, jackknife
 
@@ -85,6 +84,6 @@ __all__ = [
     "mean_success_two_body", "mean_unit_success", "n_trotter_steps",
     "parse_hamiltonian", "plus_state", "raw_amplitudes", "run_exact",
     "run_shots", "solve_general_weight", "statevector", "statevector_norm",
-    "trotter_groups", "trotter_step", "trotterized_oracle", "word_from_sites",
+    "trotter_groups", "trotter_step", "word_from_sites",
     "zero_state",
 ]

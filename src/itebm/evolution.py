@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import trotter_step
+from .circuits import n_trotter_steps, trotter_step
 from .pauli import Hamiltonian, apply_word, merged_letters
 from .simulator import (
     StateVector,
     Trajectory,
     chained_oracle,
     expectation,
-    n_trotter_steps,
 )
 from .stats import jackknife
 

@@ -14,10 +14,12 @@ their edges, so absorbing a gate costs time in the edges it adds, not in M^2.
 using an analytically continued two-body identity.
 
 Amplitudes are exact: with z fixed the hidden units interact only through
-the laterals, so the sum over h is done by variable elimination over the
-lateral graph in greedy min-degree order.  Its cost grows as
-2^N * M * 2^width, where the width is the most neighbours a unit has when it
-is summed out, not as 2^M; nets wider than WIDTH_LIMIT are refused.
+the laterals, so the sum over h is done by bucket elimination over the
+lateral graph in greedy min-degree order: each factor waits in the bucket
+of its first unit in that order until that unit is summed out.  Its cost
+grows as 2^N * M * 2^width, where the width is the most neighbours a unit
+has when it is summed out, not as 2^M; nets wider than WIDTH_LIMIT are
+refused.
 
 Conventions: a real parameter set gives pure-phase summands ("unitary"
 summands); log_norm collects every scalar prefactor so raw amplitudes are
@@ -27,7 +29,6 @@ and qubit 0 is the most significant bit, matching the simulator.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -185,13 +186,15 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
     With the visible spins fixed, unit j carries the unary factor
     exp(i theta_j h_j), theta_j = b_j + z.W[:, j], and each lateral edge the
     pairwise factor exp(i L_jk h_j h_k).  Units are summed out in
-    `_elimination_order`: one einsum over a leading row axis multiplies the
-    factors touching the unit and sums it out, leaving a message over its
-    neighbours.  Every factor is kept at largest modulus at most 1 per row
-    (exponential factors by shifting their exponent, messages by an exact
-    power-of-two rescale), and the logs of those scales are applied with
-    log_norm by a single exp at the end, so products over hundreds of units
-    neither overflow nor underflow.
+    `_elimination_order`, by buckets: each factor waits in the bucket of
+    the first of its units in that order.  Summing out a unit is one einsum
+    over a leading row axis that multiplies the factors of its bucket and
+    sums the unit out, leaving a message over its neighbours, which waits
+    in the bucket of the first of them.  Every factor is kept at largest
+    modulus at most 1 per row (exponential factors by shifting their
+    exponent, messages by an exact power-of-two rescale), and the logs of
+    those scales are applied with log_norm by a single exp at the end, so
+    products over hundreds of units neither overflow nor underflow.
     """
     edges, neighbors = _lateral_graph(net)
     order, width = _elimination_order(neighbors)
@@ -214,42 +217,32 @@ def _marginalize(net: LdbmNetwork, z_spins: np.ndarray) -> np.ndarray:
     shift = np.abs(theta.imag)
     unary = np.exp(1j * theta[:, :, None] * spin - shift[:, :, None])
     log_scale = shift.sum(axis=1)
-    # factor id -> (units, array); messages lead with the row axis, pairwise
-    # factors have none
-    factors: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    touching: list[set[int]] = [set() for _ in neighbors]
-    new_id = itertools.count()
+    # unit -> its bucket: (units, array) per factor whose first unit in
+    # `order` it is, in the order the factors were made; messages lead with
+    # the row axis, pairwise factors have none
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    buckets: dict[int, list] = {v: [] for v in order}
     pair_shifts = []
     for j, k, coupling in edges:
         pair_shifts.append(abs(coupling.imag))
-        fid = next(new_id)
-        factors[fid] = ((j, k), np.exp(1j * coupling * np.outer(spin, spin)
-                                       - pair_shifts[-1]))
-        touching[j].add(fid)
-        touching[k].add(fid)
+        buckets[min(j, k, key=rank)].append(
+            ((j, k), np.exp(1j * coupling * np.outer(spin, spin) - pair_shifts[-1])))
     log_scale += math.fsum(pair_shifts)
     binary_exp = np.zeros(rows, dtype=np.int64)
     value = np.ones(rows, dtype=complex)
     for v in order:
-        ids = sorted(touching[v])
-        scope = sorted({u for fid in ids for u in factors[fid][0]} - {v})
+        bucket = buckets.pop(v)
+        scope = sorted({u for units, _ in bucket for u in units} - {v})
         label = {u: i for i, u in enumerate(scope, start=2)}
         label[v] = 1
         operands: list = [unary[:, v], [0, 1]]
-        for fid in ids:
-            units, arr = factors.pop(fid)
-            for u in units:
-                if u != v:
-                    touching[u].discard(fid)
+        for units, arr in bucket:
             row_axis = [0] if arr.ndim > len(units) else []
             operands += [arr, row_axis + [label[u] for u in units]]
         msg = np.einsum(*operands, [0] + [label[u] for u in scope])
         if scope:
             binary_exp += rescale(msg)
-            fid = next(new_id)
-            factors[fid] = (tuple(scope), msg)
-            for u in scope:
-                touching[u].add(fid)
+            buckets[min(scope, key=rank)].append((tuple(scope), msg))
         else:
             value *= msg
             binary_exp += rescale(value)

@@ -5,9 +5,10 @@ rotations X_a ⊗ V_r on the ancilla, whose V_r put at most one letter on
 each visible site, then its measure and postselect onto 0.  So all
 accepted shots follow the same post-selected path: a `Trajectory` walks a
 single state forward through circuits, and each unit appends its branch
-probabilities to a record.  A circuit's units, one Trotter step, are
-compiled once into its unit program (`_units`), and the trajectory walks
-it `repeats` times, in place on its own vector and buffers.
+probabilities to a record, whose entry i is cbit i.  A circuit's units,
+one Trotter step, are compiled once into its unit program (`_units`), and
+the trajectory walks it `repeats` times, in place on its own vector and
+buffers.
 
 Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
 Theta = sum_r (angle_r / 2) V_r, so the ancilla never enters the vector.
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import n_trotter_steps, trotter_groups
 from .ir import Circuit, Unit
 from .pauli import (
     Hamiltonian,
@@ -174,19 +174,19 @@ def _unit_diagonal(rotations: Unit, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin * sin
 
 
-def _diag_op(run: list[tuple[np.ndarray, np.ndarray, int]]) -> tuple:
-    """One op for consecutive units, each (cos, sin^2, cbit) in one basis.
+def _diag_op(run: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One op for consecutive units, each (cos, sin^2) in one basis.
 
     Its table's rows are cum_k = C_k^2, C_k = prod_{j<=k} cos_j, and then
     cum_{k-1} sin_k^2: with w = |psi|^2, unit k keeps the weight
     S_k = w . cum_k and reads 1 with the weight w . (cum_{k-1} sin_k^2).
     The op also carries C_K, which leaves psi with the weight S_K.
     """
-    cos = np.cumprod([c for c, _, _ in run], axis=0)
+    cos = np.cumprod([c for c, _ in run], axis=0)
     cum = cos * cos
     before = np.vstack([np.ones_like(cum[:1]), cum[:-1]])
-    table = np.vstack([cum, before * np.array([s for _, s, _ in run])])
-    return table, cos[-1].astype(complex), tuple(cbit for _, _, cbit in run)
+    table = np.vstack([cum, before * np.array([s for _, s in run])])
+    return table, cos[-1].astype(complex)
 
 
 def _transition(frame: str, letters: str) -> tuple[str, tuple | None]:
@@ -254,10 +254,10 @@ def _units(circuit: Circuit) -> tuple[tuple[str, tuple], ...]:
     nv = circuit.n_visible
     runs: list = []  # [letters, units] per run
     bound = 0.0
-    for cbit, unit in enumerate(circuit.units):
+    for i, unit in enumerate(circuit.units):
         letters = merged_letters(["I" * nv, *(word for word, _ in unit)])
         if letters is None:
-            raise ValueError(f"unit {cbit} is not a hidden unit: its words put two letters "
+            raise ValueError(f"unit {i} is not a hidden unit: its words put two letters "
                              "on one site")
         cos, sin2 = _unit_diagonal(unit, nv)
         low = float(np.min(cos * cos))
@@ -267,14 +267,14 @@ def _units(circuit: Circuit) -> tuple[tuple[str, tuple], ...]:
         else:
             runs.append([letters, []])
             bound = low
-        runs[-1][1].append((cos, sin2, cbit))
+        runs[-1][1].append((cos, sin2))
     return tuple((letters, _diag_op(run)) for letters, run in runs)
 
 
-def _zero_weight(entry: tuple) -> SimulationError:
+def _zero_weight(cbit: int, p_kept: float) -> SimulationError:
     return SimulationError(
-        f"zero-weight trajectory: postselect on cbit {entry[0]} has "
-        f"branch probability {entry[2]:.3g}"
+        f"zero-weight trajectory: postselect on cbit {cbit} has "
+        f"branch probability {p_kept:.3g}"
     )
 
 
@@ -282,31 +282,30 @@ class ShotRun:
     """Array-backed per-shot outcomes of a sampled run.
 
     Each measurement was immediately post-selected, so a shot is described
-    by the record of the walk it replayed and rejected_at, the index of the
-    record entry whose post-selection it failed (len(record) if it passed
-    them all).  accepted holds one flag per shot; terminal bits are per
-    visible qubit in the run's measurement basis, -1 for rejected shots.
+    by rejected_at, the cbit whose post-selection it failed, which is that
+    unit's index in the record of the walk it replayed (n_recorded, the
+    record's length, if it passed them all).  accepted holds one flag per
+    shot; terminal bits are per visible qubit in the run's measurement
+    basis, -1 for rejected shots.
     """
 
-    def __init__(self, basis: str, record: list, n_cbits: int,
+    def __init__(self, basis: str, n_recorded: int, n_cbits: int,
                  rejected_at: np.ndarray, terminal: np.ndarray) -> None:
         self.basis = basis
-        self.record = record
+        self.n_recorded = n_recorded
         self.n_cbits = n_cbits
         self.rejected_at = rejected_at
-        self.accepted = rejected_at == len(record)
+        self.accepted = rejected_at == n_recorded
         self.terminal = terminal
 
     @property
     def cbits(self) -> np.ndarray:
         """(n_shots, n_cbits) classical bits: 0, the post-selected value, at
-        each record entry before a shot's rejection, 1 at it, and -1 after
-        it and at cbits the record never reached."""
+        each cbit before a shot's rejection, 1 at it, and -1 after it and
+        at cbits the record never reached."""
         cbits = np.full((self.n_shots, self.n_cbits), -1, dtype=np.int8)
-        if self.record:
-            cols = np.array([entry[0] for entry in self.record])
-            index, at = np.arange(len(self.record)), self.rejected_at[:, None]
-            cbits[:, cols] = np.where(index <= at, index == at, -1)
+        index, at = np.arange(self.n_recorded), self.rejected_at[:, None]
+        cbits[:, :self.n_recorded] = np.where(index <= at, index == at, -1)
         return cbits
 
     @property
@@ -340,9 +339,10 @@ class ShotRun:
 class Trajectory:
     """One post-selected state, walked forward in place through circuits.
 
-    record holds (cbit, p1, p_kept) per unit, each post-selected onto 0,
-    in walk order, with cbits numbered on across the circuits and repeats
-    walked, and cumulative_success the in-order product of the kept-branch
+    record holds (p1, p_kept) per unit, each post-selected onto 0, in walk
+    order: entry i is cbit i, numbered on across the circuits and repeats
+    walked, as the one ancilla is measured once per unit.
+    cumulative_success is the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
     good (`stopped`), mid-repeats too; it is the last record entry.  The
     vector is not read after a stop: `final_state` raises, and so does
@@ -363,7 +363,7 @@ class Trajectory:
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
         self.n_visible = circuit.n_visible
         self.vec = _visible(circuit, psi0)
-        self.record: list[tuple[int, float, float]] = []
+        self.record: list[tuple[float, float]] = []
         self.cumulative_success = 1.0
         self.n_cbits = 0
         self.stopped = False
@@ -390,16 +390,18 @@ class Trajectory:
         self._enter(letters, vec)
         return vec
 
-    def _walk(self, runs: tuple[tuple[str, tuple], ...], cbit_offset: int) -> bool:
+    def _walk(self, runs: tuple[tuple[str, tuple], ...]) -> bool:
         """Walk the vector in place through a unit program's runs (`_units`),
         entering each run's letters first.
 
-        A run of units appends (cbit + cbit_offset, p1 = P(read 1), p_kept)
-        to record per unit and applies each cos(Theta), and 1 / sqrt of the
-        run's last kept weight.  Returns False at a kept branch below
-        BRANCH_FLOOR.  A stop inside a run leaves the vector as it entered
-        the run, which nothing reads: the walk stops for good, and a
-        stopped trajectory raises before it would read the state.
+        A run reads all its units' kept and read-1 weights from one product
+        with its table (`_diag_op`) and appends (p1 = P(read 1), p_kept) to
+        record per unit, in order, up to and including the first p_kept
+        below BRANCH_FLOOR, where it returns False.  Else it applies its
+        cos(Theta) and 1 / sqrt of its last kept weight.  A stop inside a run
+        leaves the vector as it entered the run, which nothing reads: the
+        walk stops for good, and a stopped trajectory raises before it would
+        read the state.
 
         A unit records its kept and read-1 weights each over their sum,
         which is the weight that entered it (cos^2 + sin^2 = 1), and the run
@@ -409,37 +411,39 @@ class Trajectory:
         alone it would add up over thousands of units.
         """
         vec, weights = self.vec, self._weights
-        for letters, (table, cos, cbits) in runs:
+        for letters, (table, cos) in runs:
             self.frame = self._enter(letters, vec)
             np.absolute(vec, weights)
             np.square(weights, weights)
-            sums = np.dot(table, weights).tolist()
-            for k, cbit in enumerate(cbits):
-                kept, other = sums[k], sums[len(cbits) + k]
-                p = kept / (kept + other)
-                self.record.append((cbit + cbit_offset, other / (kept + other), p))
-                if p < BRANCH_FLOOR:
-                    return False
+            sums, half = np.dot(table, weights), len(table) // 2
+            kept, other = sums[:half], sums[half:]
+            total = kept + other
+            p_kept = (kept / total).tolist()
+            # the entries up to and including the first p_kept below the floor
+            end = (int(np.argmax(np.less(p_kept, BRANCH_FLOOR))) + 1
+                   if min(p_kept) < BRANCH_FLOOR else None)
+            self.record += zip((other / total).tolist(), p_kept[:end])
+            if end:
+                return False
             vec *= cos
-            vec /= math.sqrt(kept)
+            vec /= math.sqrt(kept[-1])
         return True
 
     def advance(self, circuit: Circuit) -> None:
         if not self.stopped:
             if self._program[0] is not circuit:
                 self._program = (circuit, _units(circuit))
-            start, step_cbits = len(self.record), len(circuit.units)
+            start = len(self.record)
             self.stopped = not all(  # stops at the first sub-floor branch
-                self._walk(self._program[1], self.n_cbits + r * step_cbits)
-                for r in range(circuit.repeats))
+                self._walk(self._program[1]) for _ in range(circuit.repeats))
             self.cumulative_success = math.prod(
-                (entry[2] for entry in self.record[start:]), start=self.cumulative_success)
+                (p for _, p in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits
 
     def final_state(self) -> StateVector:
         """The renormalized visible-register state."""
         if self.stopped:
-            raise _zero_weight(self.record[-1])
+            raise _zero_weight(len(self.record) - 1, self.record[-1][1])
         return StateVector(self.n_visible, self._read("Z" * self.n_visible)).normalized()
 
     def sample(self, n_shots: int, seed: int, terminal_basis: str | None = None) -> ShotRun:
@@ -453,18 +457,17 @@ class Trajectory:
         if len(basis) != nv or set(basis) - set("ZXY"):
             raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
         rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-        record = list(self.record)
         alive = np.arange(n_shots)
-        rejected_at = np.full(n_shots, len(record))
+        rejected_at = np.full(n_shots, len(self.record))
         terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-        for i, (_, p1, p_kept) in enumerate(record):
+        for i, (p1, p_kept) in enumerate(self.record):
             keep = ~(rng.random(alive.size) < p1)
             rejected_at[alive[~keep]] = i
             alive = alive[keep]
             if not alive.size:
                 break
             if p_kept < BRANCH_FLOOR:
-                raise _zero_weight(record[i])
+                raise _zero_weight(i, p_kept)
         if alive.size:
             vec = self._read(basis)
             cums = np.cumsum(np.abs(vec) ** 2)
@@ -473,7 +476,7 @@ class Trajectory:
             indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << nv) - 1)
             shifts = np.arange(nv - 1, -1, -1)
             terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
-        return ShotRun(basis, record, self.n_cbits, rejected_at, terminal)
+        return ShotRun(basis, len(self.record), self.n_cbits, rejected_at, terminal)
 
 
 def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
@@ -629,20 +632,3 @@ def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
         at = tau
         yield state
 
-
-def trotterized_oracle(
-    h: Hamiltonian, tau: float, dtau: float, order: int, psi0: StateVector
-) -> StateVector:
-    """Normalized product of per-term exp(-dtau_eff c P) factors, using the
-    same term grouping and order as the circuit builder (isolates encoding
-    error from Trotter error)."""
-    n_steps = n_trotter_steps(tau, dtau)
-    amps = psi0.normalized().amps.copy()
-    groups = trotter_groups(h, order)
-    for _ in range(n_steps):
-        for terms, factor in groups:
-            for t in terms:
-                k = dtau * factor * t.coefficient
-                amps = np.cosh(k) * amps - np.sinh(k) * apply_word(t.string.word, amps)
-        amps /= np.linalg.norm(amps)
-    return StateVector(h.n_qubits, amps)

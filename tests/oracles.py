@@ -90,6 +90,26 @@ def imaginary_evolved(terms: list[tuple[float, str]], n: int, tau: float,
     return psi / np.linalg.norm(psi)
 
 
+def trotterized_oracle(h, tau: float, dtau: float, order: int, psi0):
+    """Normalized product of per-term exp(-dtau_eff c P) factors, using the
+    same term grouping and order as the circuit builder (isolates encoding
+    error from Trotter error)."""
+    from itebm.circuits import n_trotter_steps, trotter_groups
+    from itebm.pauli import apply_word
+    from itebm.simulator import StateVector
+
+    n_steps = n_trotter_steps(tau, dtau)
+    amps = psi0.normalized().amps.copy()
+    groups = trotter_groups(h, order)
+    for _ in range(n_steps):
+        for terms, factor in groups:
+            for t in terms:
+                k = dtau * factor * t.coefficient
+                amps = np.cosh(k) * amps - np.sinh(k) * apply_word(t.string.word, amps)
+        amps /= np.linalg.norm(amps)
+    return StateVector(h.n_qubits, amps)
+
+
 def tfim_terms(n: int = 3) -> list[tuple[float, str]]:
     """Critical transverse-field Ising chain with periodic boundaries."""
     terms: list[tuple[float, str]] = []

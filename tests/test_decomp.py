@@ -262,7 +262,7 @@ def _first_unit_success(word, k, psi):
     circuit = oracles.one_term_circuit(HamiltonianTerm(k, PauliString(word)), 1.0)
     traj = Trajectory(circuit, StateVector.from_amplitudes(psi))
     traj.advance(circuit)
-    return traj.record[0][2]
+    return traj.record[0][1]
 
 
 def _law_inputs(word, seed):

@@ -353,7 +353,6 @@ def test_network_knows_no_gates():
 def test_full_trotter_step_absorption():
     """One first-order step of the mixed-field chain absorbed end to end."""
     from itebm.pauli import parse_hamiltonian
-    from itebm.simulator import trotterized_oracle
 
     h = parse_hamiltonian("1 ZZI\n1 IZZ\n1 ZIZ\n-1 XII\n-1 IXI\n-1 IIX\n")
     dtau = 0.1
@@ -361,7 +360,7 @@ def test_full_trotter_step_absorption():
     for t in h.terms:
         net = apply_term_imaginary(net, t, dtau)
     assert net.n_hidden == 12  # 3 pair units + 3 * (2 basis + 1 diagonal)
-    ref = trotterized_oracle(h, dtau, dtau, 1, StateVector.uniform_plus(3))
+    ref = oracles.trotterized_oracle(h, dtau, dtau, 1, StateVector.uniform_plus(3))
     assert statevector(net).fidelity(ref) == pytest.approx(1.0, abs=1e-12)
 
 

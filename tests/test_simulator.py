@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itebm import simulator
-from itebm.circuits import build_qite_circuit, trotter_step
+from itebm.circuits import build_qite_circuit, n_trotter_steps, trotter_step
 from itebm.ir import Circuit
 from itebm.pauli import parse_hamiltonian
 from itebm.simulator import (
@@ -13,10 +13,8 @@ from itebm.simulator import (
     Trajectory,
     expectation,
     imaginary_time_oracle,
-    n_trotter_steps,
     run_exact,
     run_shots,
-    trotterized_oracle,
 )
 
 import oracles
@@ -153,7 +151,7 @@ def test_encoded_circuit_round_trip():
     tau, dtau = 0.4, 0.05
     circuit = build_qite_circuit(h, tau, dtau)
     res = run_exact(circuit, StateVector.uniform_plus(3))
-    want = trotterized_oracle(h, tau, dtau, 2, StateVector.uniform_plus(3))
+    want = oracles.trotterized_oracle(h, tau, dtau, 2, StateVector.uniform_plus(3))
     assert res.final_state.fidelity(want) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -345,9 +343,11 @@ P1_ABS_TOL = 1e-15
 
 
 def _assert_records_close(got, want):
+    """got, a trajectory's (p1, p_kept) per cbit in walk order, against the
+    reference's (cbit, p1, p_kept): entry i is the reference's cbit i."""
     assert len(got) == len(want)
-    for (cbit, p1, p), (want_cbit, want_p1, want_p) in zip(got, want):
-        assert cbit == want_cbit
+    for i, ((p1, p), (want_cbit, want_p1, want_p)) in enumerate(zip(got, want)):
+        assert want_cbit == i
         assert abs(p - want_p) <= REL_TOL * want_p
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
@@ -438,7 +438,7 @@ def test_walk_stops_below_branch_floor_like_reference():
     assert not oracles.walk_reference(circuit, vec, record)
     assert traj.stopped and len(traj.record) == 1
     _assert_records_close(traj.record, record)
-    assert traj.record[0][2] < simulator.BRANCH_FLOOR
+    assert traj.record[0][1] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
 
@@ -667,7 +667,7 @@ def test_trotterized_oracle_converges():
     h = parse_hamiltonian(TFIM)
     psi0 = StateVector.uniform_plus(3)
     exact = imaginary_time_oracle(h, 0.5, psi0)
-    err = [1.0 - trotterized_oracle(h, 0.5, dt, 2, psi0).fidelity(exact)
+    err = [1.0 - oracles.trotterized_oracle(h, 0.5, dt, 2, psi0).fidelity(exact)
            for dt in (0.25, 0.05)]
     assert err[1] < err[0]
     assert err[1] < 1e-5

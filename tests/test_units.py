@@ -9,8 +9,8 @@ one run, entered by one transition from the letters that the vector holds
 agrees with `oracles.walk_reference`, the gate-by-gate walk of the
 circuit's hardware view in an ancilla layout (`oracles.hardware_gates`),
 to rounding, not to the bit.  The tolerances are fixed here, before any
-run: the renormalized visible state to 1e-12 per amplitude; every record
-entry with the same cbit, p_kept to 1e-12 relative and p1 to 1e-12
+run: the renormalized visible state to 1e-12 per amplitude; record entry
+i against the reference's cbit i, p_kept to 1e-12 relative and p1 to 1e-12
 relative or 1e-15 absolute; and sum(log p_kept) to 1e-12 relative, which
 holds where the product of the kept probabilities is far below the
 smallest double.
@@ -43,15 +43,25 @@ def _step(text, dtau, route="rbm", order=2):
 
 
 def _assert_records_close(got, want):
+    """got, a trajectory's (p1, p_kept) per cbit in walk order, against the
+    reference's (cbit, p1, p_kept): entry i is the reference's cbit i."""
     assert len(got) == len(want)
-    for (cbit, p1, p), (want_cbit, want_p1, want_p) in zip(got, want):
-        assert cbit == want_cbit
+    for i, ((p1, p), (want_cbit, want_p1, want_p)) in enumerate(zip(got, want)):
+        assert want_cbit == i
         assert abs(p - want_p) <= REL_TOL * want_p
         assert abs(p1 - want_p1) <= max(REL_TOL * want_p1, P1_ABS_TOL)
 
 
 def _log_acceptance(record):
-    return math.fsum(math.log(entry[2]) for entry in record)
+    """sum(log p_kept), p_kept the last field of a trajectory's entries and
+    of the reference's alike."""
+    return math.fsum(math.log(entry[-1]) for entry in record)
+
+
+def _n_units(op):
+    """The units of a run's op (`simulator._diag_op`): its table holds two
+    rows per unit."""
+    return len(op[0]) // 2
 
 
 def _rotated_vectors(monkeypatch):
@@ -79,7 +89,7 @@ def _assert_units_close(circuits, psi0, layout="single"):
     _assert_records_close(traj.record, record)
     want_log = _log_acceptance(record)
     assert abs(_log_acceptance(traj.record) - want_log) <= REL_TOL * abs(want_log)
-    assert traj.cumulative_success == math.prod((e[2] for e in traj.record), start=1.0)
+    assert traj.cumulative_success == math.prod((e[1] for e in traj.record), start=1.0)
     assert traj.stopped is not walking
     if walking:
         assert traj.vec.size == 1 << traj.n_visible  # the ancillas never enter
@@ -138,7 +148,7 @@ def test_chain_step_compiles_to_four_runs_and_basis_changes():
     step = _step(CHAIN, 0.01)
     program = simulator._units(step)
     assert [letters for letters, _ in program] == ["X" * 8, "Z" * 8, "Y" * 8, "X" * 8]
-    assert [len(op[2]) for _, op in program] == [8, 64, 8, 8]
+    assert [_n_units(op) for _, op in program] == [8, 64, 8, 8]
     frame, changes = "Z" * 8, []
     for letters, _ in program * 2:
         frame, blocks = simulator._transition(frame, letters)
@@ -174,7 +184,7 @@ def test_unit_below_branch_floor_stops_at_the_reference_index():
                               (("IZ", 0.5),)))
         traj = _assert_units_close([circuit], StateVector.from_bitstring("00"))
         assert traj.stopped and len(traj.record) == 3
-        assert traj.record[-1][2] < simulator.BRANCH_FLOOR
+        assert traj.record[-1][1] < simulator.BRANCH_FLOOR
         with pytest.raises(SimulationError, match="zero-weight trajectory"):
             traj.final_state()
 
@@ -198,13 +208,13 @@ def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_referenc
     traj.advance(circuit)
     vec, record = oracles.with_ancillas(unrolled, psi0), []
     assert not oracles.walk_reference(unrolled, vec, record)
-    assert traj.stopped and [e[0] for e in traj.record] == [e[0] for e in record] \
+    assert traj.stopped and [e[0] for e in record] == list(range(len(traj.record))) \
         == [0, 1, 2, 3, 4, 5]
     # the last kept weight is rounding in cos(pi/4 + pi/4) on both sides
     _assert_records_close(traj.record[:-1], record[:-1])
-    assert max(traj.record[-1][2], record[-1][2]) < simulator.BRANCH_FLOOR
+    assert max(traj.record[-1][1], record[-1][2]) < simulator.BRANCH_FLOOR
     assert traj.n_cbits == 12
-    assert traj.cumulative_success == math.prod(e[2] for e in traj.record)
+    assert traj.cumulative_success == math.prod(e[1] for e in traj.record)
     with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 5"):
         traj.final_state()
     with pytest.raises(SimulationError, match="zero-weight trajectory: postselect on cbit 5"):
@@ -231,7 +241,7 @@ def _assert_long_run_splits(letter, monkeypatch):
         units.append(((words[cbit % 3], angle), ("II", 1e-3)))
     circuit = Circuit(2, tuple(units))
     program = simulator._units(circuit)
-    assert len(program) > 1 and sum(len(op[2]) for _, op in program) == 64
+    assert len(program) > 1 and sum(_n_units(op) for _, op in program) == 64
     assert all(set(letters) <= {letter, "I"} for letters, _ in program)
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
     rotated = _rotated_vectors(monkeypatch)
@@ -272,7 +282,7 @@ def test_units_of_agreeing_letters_are_one_run(site_letters, blocks):
         units.append(tuple(unit))
     circuit = Circuit(n, tuple(units))
     ((letters, op),) = simulator._units(circuit)
-    assert letters == site_letters and len(op[2]) == 12
+    assert letters == site_letters and _n_units(op) == 12
     frame, entry = simulator._transition("Z" * n, letters)
     assert [(lo, hi) for lo, hi, _ in entry or ()] == blocks
     assert (entry is None) == (not blocks)
@@ -290,35 +300,41 @@ def test_units_whose_letters_conflict_start_a_new_run():
     circuit = Circuit(2, tuple(((word, rng.uniform(-2, 2)),) for word in words))
     program = simulator._units(circuit)
     assert [letters for letters, _ in program] == ["XY", "YI", "ZZ", "XI"]
-    assert [len(op[2]) for _, op in program] == [3, 1, 2, 1]
+    assert [_n_units(op) for _, op in program] == [3, 1, 2, 1]
     psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
     assert _assert_units_close([circuit] * 3, psi0).frame == "XZ"
 
 
-@pytest.mark.parametrize("letter, psi0", [
-    ("X", StateVector.uniform_plus(2)),
-    ("Y", StateVector.from_amplitudes([0.5, 0.5j, 0.5j, -0.5])),
+EIGENSTATES = [("X", StateVector.uniform_plus(2)),
+               ("Y", StateVector.from_amplitudes([0.5, 0.5j, 0.5j, -0.5]))]
+
+
+@pytest.mark.parametrize("letter, psi0, at", [
+    # the fourth unit keeps its ids from before `at` was a parameter
+    pytest.param(letter, psi0, at, id=f"{letter}-psi0{j}" + ("" if at == 3 else f"-at{at}"))
+    for j, (letter, psi0) in enumerate(EIGENSTATES) for at in (0, 3, 4)
 ])
-def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0):
+def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0, at):
     """On an eigenstate of the letter, a kept branch near 1e-30 stops the
-    walk at the fourth unit of a five-unit run in the letter's basis: the
-    record ends where the reference's does, the state cannot be read, and
-    a replay rejects every shot by that unit, so that it never reads the
-    vector the stop left as it entered the run.  (No shot can pass a branch
-    kept with probability below BRANCH_FLOOR, where `sample` would
-    raise.)"""
+    walk at unit `at` of a five-unit run in the letter's basis (the first,
+    the fourth and the last): the record ends where the reference's does,
+    the state cannot be read, and a replay rejects every shot by that unit,
+    so that it never reads the vector the stop left as it entered the run.
+    (No shot can pass a branch kept with probability below BRANCH_FLOOR,
+    where `sample` would raise.)"""
     near_pi = math.pi - 2e-15
     words = [f"{letter}I", f"I{letter}", f"{letter}{letter}", f"{letter}I", f"I{letter}"]
-    angles = [0.4, -0.3, 0.2, near_pi, 0.5]
+    angles = [0.4, -0.3, 0.2, 0.6, 0.5]
+    angles[at] = near_pi
     circuit = Circuit(2, tuple(((word, angle),) for word, angle in zip(words, angles)))
     assert [letters for letters, _ in simulator._units(circuit)] == [letter * 2]
     traj = _assert_units_close([circuit], psi0)
-    assert traj.stopped and len(traj.record) == 4
-    assert traj.record[-1][2] < simulator.BRANCH_FLOOR
+    assert traj.stopped and len(traj.record) == at + 1
+    assert traj.record[-1][1] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
         traj.final_state()
     shots = traj.sample(50, 7)
-    assert shots.n_accepted == 0 and np.any(shots.rejected_at == 3)
+    assert shots.n_accepted == 0 and np.any(shots.rejected_at == at)
     assert np.all(shots.terminal == -1)
 
 
@@ -349,7 +365,7 @@ def test_eight_body_term_walks_a_unit_program():
     """The units of an 8-body X term carry X on every site: they are one run
     in the X basis, on 2^8 amplitudes.  From |+>^8, an eigenstate of the
     term, every step keeps the reference's log acceptance and state, and
-    its record the reference's cbits.  Single p_kept are not
+    its record one entry per reference cbit, in order.  Single p_kept are not
     compared: inside the step the cascade weighs some X-basis states up to
     2.6e45 times as heavily as |+>^8, so a 1e-17 rounding in a
     transition, whose sums a BLAS kernel orders as it selects, moves them far
@@ -364,7 +380,7 @@ def test_eight_body_term_walks_a_unit_program():
         traj.advance(step)
         assert oracles.walk_reference(step, vec, record, offset)
         offset += step.n_cbits
-        assert [e[0] for e in traj.record] == [e[0] for e in record]
+        assert [e[0] for e in record] == list(range(len(traj.record)))
         want_log = _log_acceptance(record[start:])
         assert abs(_log_acceptance(traj.record[start:]) - want_log) <= REL_TOL * abs(want_log)
         want = StateVector(8, vec.reshape(1 << 8, -1)[:, 0]).normalized()
@@ -381,7 +397,7 @@ def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
     traj = Trajectory(step, psi0)
     for n_steps in (1, 2, 3):
         traj.advance(step)
-        want = simulator.trotterized_oracle(h, 0.01 * n_steps, 0.01, 1, psi0)
+        want = oracles.trotterized_oracle(h, 0.01 * n_steps, 0.01, 1, psi0)
         assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
 
 
