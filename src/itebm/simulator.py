@@ -30,7 +30,9 @@ the final state.  Randomness comes from a
 counter-based Philox generator keyed by the seed; at each measurement one
 variate is drawn per surviving shot in shot order, and terminal sampling
 draws one variate per surviving shot, so a given (record, state, n_shots,
-seed) is bit-reproducible.
+seed) is bit-reproducible.  The draws are `Generator.random`'s, read from
+the word stream in chunks and compared as integers against cut-offs
+ceil(p1 2^53), which fail exactly the shots whose variate is below p1.
 
 The oracle (`imaginary_time_oracle`) never builds the 2^n x 2^n matrix:
 it applies H as one gather and multiply per flip mask, and takes
@@ -397,7 +399,8 @@ class Trajectory:
         A run reads all its units' kept and read-1 weights from one product
         with its table (`_diag_op`) and appends (p1 = P(read 1), p_kept) to
         record per unit, in order, up to and including the first p_kept
-        below BRANCH_FLOOR, where it returns False.  Else it applies its
+        below BRANCH_FLOOR, where it returns False, multiplying the same
+        p_kept into cumulative_success left to right.  Else it applies its
         cos(Theta) and 1 / sqrt of its last kept weight.  A stop inside a run
         leaves the vector as it entered the run, which nothing reads: the
         walk stops for good, and a stopped trajectory raises before it would
@@ -423,6 +426,7 @@ class Trajectory:
             end = (int(np.argmax(np.less(p_kept, BRANCH_FLOOR))) + 1
                    if min(p_kept) < BRANCH_FLOOR else None)
             self.record += zip((other / total).tolist(), p_kept[:end])
+            self.cumulative_success = math.prod(p_kept[:end], start=self.cumulative_success)
             if end:
                 return False
             vec *= cos
@@ -433,11 +437,8 @@ class Trajectory:
         if not self.stopped:
             if self._program[0] is not circuit:
                 self._program = (circuit, _units(circuit))
-            start = len(self.record)
             self.stopped = not all(  # stops at the first sub-floor branch
                 self._walk(self._program[1]) for _ in range(circuit.repeats))
-            self.cumulative_success = math.prod(
-                (p for _, p in self.record[start:]), start=self.cumulative_success)
         self.n_cbits += circuit.n_cbits
 
     def final_state(self) -> StateVector:
@@ -451,32 +452,62 @@ class Trajectory:
         surviving shot at each measurement, then one per surviving shot
         against the final state rotated into terminal_basis (one letter of
         Z/X/Y per visible qubit; bit b means eigenvalue (-1)^b).
+
+        The draws are those of one `Generator.random` call per measurement,
+        read in chunks: `random` turns each Philox word r into
+        u = (r >> 11) 2^-53, and its calls continue one word stream, so the
+        replay takes the stream from `random_raw`, about 2^14 words at a
+        time, shifted right by 11 once per chunk.  A shot fails a
+        measurement where u < p1, which holds exactly when
+        r >> 11 < ceil(p1 2^53): the scaling by 2^53 is exact, and an integer
+        is below a real exactly when it is below its ceiling, so p1 = 0
+        fails no shot and p1 = 1 every one.  Terminal sampling reads the
+        next words as u.  Only the last record entry can keep a branch below
+        BRANCH_FLOOR, as the walk stops there, so the replay raises if a
+        shot survives that entry.
         """
         nv = self.n_visible
         basis = terminal_basis or "Z" * nv
         if len(basis) != nv or set(basis) - set("ZXY"):
             raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
-        rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+        raw = np.random.Philox(key=seed & ((1 << 64) - 1)).random_raw
+        words, pos = np.empty(0, dtype=np.uint64), 0
+
+        def draws(m: int) -> np.ndarray:
+            """The stream's next m words, each shifted right by 11."""
+            nonlocal words, pos
+            if pos + m > words.size:
+                left = words[pos:]
+                words, pos = raw(max(1 << 14, m)), m - left.size
+                words >>= 11
+                return np.concatenate((left, words[:pos]))
+            pos += m
+            return words[pos - m:pos]
+
+        record = self.record
+        cuts = np.ceil(np.array([p1 for p1, _ in record]) * 2.0 ** 53).astype(np.uint64)
         alive = np.arange(n_shots)
-        rejected_at = np.full(n_shots, len(self.record))
+        rejected_at = np.full(n_shots, len(record))
         terminal = np.full((n_shots, nv), -1, dtype=np.int8)
-        for i, (p1, p_kept) in enumerate(self.record):
-            keep = ~(rng.random(alive.size) < p1)
-            rejected_at[alive[~keep]] = i
-            alive = alive[keep]
+        for i, cut in enumerate(cuts.tolist()):
             if not alive.size:
                 break
-            if p_kept < BRANCH_FLOOR:
-                raise _zero_weight(i, p_kept)
+            failed = draws(alive.size) < cut
+            if np.count_nonzero(failed):
+                rejected_at[alive[failed]] = i
+                alive = alive[~failed]
+        if alive.size and record and record[-1][1] < BRANCH_FLOOR:
+            raise _zero_weight(len(record) - 1, record[-1][1])
         if alive.size:
             vec = self._read(basis)
             cums = np.cumsum(np.abs(vec) ** 2)
             cums /= cums[-1]
             # searchsorted counts the cumulative weights below each draw
-            indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << nv) - 1)
+            u = draws(alive.size) * 2.0 ** -53
+            indices = np.minimum(np.searchsorted(cums, u), (1 << nv) - 1)
             shifts = np.arange(nv - 1, -1, -1)
             terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
-        return ShotRun(basis, len(self.record), self.n_cbits, rejected_at, terminal)
+        return ShotRun(basis, len(record), self.n_cbits, rejected_at, terminal)
 
 
 def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:

@@ -266,6 +266,42 @@ def batched_shots_reference(circuit, psi0, n_shots: int, seed: int,
     return accepted, cbits, terminal
 
 
+def replay_reference(traj, n_shots: int, seed: int, terminal_basis: str | None = None):
+    """The per-measurement replay that `Trajectory.sample` replaced, kept
+    verbatim as its bit-level reference: one `Generator.random` call per
+    record entry for the surviving shots, a shot failing where its variate
+    is below p1, and the BRANCH_FLOOR check at every entry a shot survives.
+    Returns the `ShotRun` of traj's record and state.
+    """
+    from itebm.simulator import BRANCH_FLOOR, ShotRun, _zero_weight
+
+    nv = traj.n_visible
+    basis = terminal_basis or "Z" * nv
+    if len(basis) != nv or set(basis) - set("ZXY"):
+        raise ValueError(f"terminal basis {basis!r} must be one of Z/X/Y per visible qubit")
+    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    alive = np.arange(n_shots)
+    rejected_at = np.full(n_shots, len(traj.record))
+    terminal = np.full((n_shots, nv), -1, dtype=np.int8)
+    for i, (p1, p_kept) in enumerate(traj.record):
+        keep = ~(rng.random(alive.size) < p1)
+        rejected_at[alive[~keep]] = i
+        alive = alive[keep]
+        if not alive.size:
+            break
+        if p_kept < BRANCH_FLOOR:
+            raise _zero_weight(i, p_kept)
+    if alive.size:
+        vec = traj._read(basis)
+        cums = np.cumsum(np.abs(vec) ** 2)
+        cums /= cums[-1]
+        # searchsorted counts the cumulative weights below each draw
+        indices = np.minimum(np.searchsorted(cums, rng.random(alive.size)), (1 << nv) - 1)
+        shifts = np.arange(nv - 1, -1, -1)
+        terminal[alive] = ((indices[:, None] >> shifts) & 1).astype(np.int8)
+    return ShotRun(basis, len(traj.record), traj.n_cbits, rejected_at, terminal)
+
+
 def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
     """Normalized exp(-tau H) psi0 from the dense matrix's
     eigendecomposition, factored on every call: the reference for

@@ -306,6 +306,85 @@ def test_trajectory_advanced_by_steps_equals_whole_circuit():
     assert 0 < run.n_accepted < run.n_shots
 
 
+# --- the chunked replay against the per-measurement replay ----------------
+
+REPLAY_SEED = 17
+#: The first variate of the REPLAY_SEED stream, shot 0's draw at entry 0.
+FIRST_DRAW = float(np.random.Generator(np.random.Philox(key=REPLAY_SEED)).random())
+
+
+def _tfim_trajectory(tau: float) -> Trajectory:
+    """The ising-demo walk (order 2, dtau 0.01) from |+++> to tau: 90
+    record entries at tau 0.1 and 900 at tau 1."""
+    circuit = build_qite_circuit(parse_hamiltonian(TFIM), tau, 0.01)
+    traj = Trajectory(circuit, StateVector.uniform_plus(3))
+    traj.advance(circuit)
+    return traj
+
+
+def _injected(record: list) -> Trajectory:
+    """A trajectory on a random 3-qubit state whose record is replaced."""
+    psi0 = StateVector.from_amplitudes(oracles.random_state(3, np.random.default_rng(9)))
+    traj = Trajectory(Circuit(3, ()), psi0)
+    traj.record, traj.n_cbits = list(record), len(record)
+    return traj
+
+
+REPLAY_CASES = {
+    "tfim-tau-0.1": lambda: _tfim_trajectory(0.1),
+    "tfim-tau-1": lambda: _tfim_trajectory(1.0),
+    "p1-zero": lambda: _injected([(0.0, 1.0), (0.02, 0.98)] * 40),
+    "p1-one": lambda: _injected([(0.001, 0.999)] * 20 + [(1.0, 0.5)] + [(0.3, 0.7)] * 5),
+    "p1-subnormal": lambda: _injected([(5e-324, 1.0)] * 30 + [(0.2, 0.8)] * 5),
+    "p1-at-a-draw": lambda: _injected([(FIRST_DRAW, 1.0 - FIRST_DRAW)]),
+    "p1-above-a-draw": lambda: _injected([(np.nextafter(FIRST_DRAW, 1.0), 1.0 - FIRST_DRAW)]),
+    "empty": lambda: _injected([]),
+    "floor-survived": lambda: _injected([(0.001, 0.999)] * 10 + [(0.0, 1e-30)]),
+    "floor-not-survived": lambda: _injected([(0.001, 0.999)] * 10 + [(1.0, 1e-30)]),
+}
+
+
+def _replay(sample, traj: Trajectory, n_shots: int):
+    """The ShotRun of one replay, or the message of the error it raised."""
+    try:
+        return sample(traj, n_shots, REPLAY_SEED, "XYZ")
+    except SimulationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n_shots", [0, 1, 7, 4000, 40000])
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_sample_equals_the_per_measurement_replay(case, n_shots):
+    """`Trajectory.sample` reads the Philox words in chunks and compares them
+    with integer cut-offs; `oracles.replay_reference` draws one
+    `Generator.random` call per record entry.  Same bits, same raise.  At
+    tau 1, 4000 and 40000 shots read several chunks in one replay."""
+    traj = REPLAY_CASES[case]()
+    want = _replay(oracles.replay_reference, traj, n_shots)
+    got = _replay(Trajectory.sample, traj, n_shots)
+    if case == "floor-survived" and n_shots:
+        assert want == "zero-weight trajectory: postselect on cbit 10 has branch probability 1e-30"
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.rejected_at.dtype == want.rejected_at.dtype
+    assert got.n_recorded == want.n_recorded == len(traj.record)
+    for field in ("rejected_at", "accepted", "terminal"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("key", [0, REPLAY_SEED, (1 << 64) - 1])
+@pytest.mark.parametrize("a, b", [(0, 5), (3, 1), (5, 3), (7, (1 << 14) + 3)])
+def test_philox_random_reads_the_raw_word_stream(key, a, b):
+    """numpy's contract that `Trajectory.sample` relies on: Generator.random
+    calls continue one Philox word stream, and each variate is the top 53
+    bits of one word, (r >> 11) 2^-53."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    drawn = np.concatenate((rng.random(a), rng.random(b)))
+    words = np.random.Philox(key=key).random_raw(a + b)
+    assert np.array_equal(drawn, (words >> 11) * 2.0 ** -53)
+
+
 # --- unit semantics shared by both modes ----------------------------------
 
 
