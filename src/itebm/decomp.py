@@ -17,9 +17,10 @@ this module knows sites and spins, not Pauli words.
 An odd order is the next even order with its extra site pinned to z = +1:
 that site's weight becomes the bias C, and a coupling on S ∪ {m} becomes one
 on S.  Closed forms are written for orders 2 and 4, and orders 1 and 3 are
-those forms pinned; higher orders use a 1-D root find for the equal-weight
-solution, whose odd mode (bias C = W) is the same pinning of the even form
-with M -> M+1.
+those forms pinned; higher orders bisect the equal-weight unit's increasing
+K(W) to adjacent doubles and keep the nearer end (bias C = W for odd M, the
+even form pinned with M -> M+1).  W is as exact as K(W) evaluates: far from
+the root at tiny K, though the unit's coupling stays within 1e-9 of K.
 """
 from __future__ import annotations
 
@@ -166,13 +167,6 @@ def _k_equal_weights(m_eff: int, w: float) -> float:
     return float(-np.dot((-1.0) ** ks * coeffs, np.log(2.0 * np.cos(args))) / 2.0**m_eff)
 
 
-def _k_equal_weights_deriv(m_eff: int, w: float) -> float:
-    ks = np.arange(m_eff + 1)
-    coeffs = np.array([math.comb(m_eff, k) for k in ks], dtype=float)
-    a = 2.0 * ks - m_eff
-    return float(np.dot((-1.0) ** ks * coeffs * a, np.tan(a * w)) / 2.0**m_eff)
-
-
 def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
     """Solve the equal-weight matching condition for an order-m unit.
 
@@ -180,6 +174,11 @@ def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
     weight is negated instead (realizing k_target < 0).  Odd m pins the bias
     C = W, which maps the matching condition onto the even form with
     m -> m + 1; even m uses C = 0.
+
+    A bisection of K(W) on [0, pi/(2M) - 1e-9] runs to adjacent doubles,
+    and W is the end whose evaluated K is nearer |K|.  W is only as exact
+    as that evaluation: at tiny K it lies far from the exact root, while
+    the unit's coupling stays within 1e-9 of K.
     """
     if m < 1:
         raise ValueError(f"interaction order must be >= 1, got {m}")
@@ -197,27 +196,12 @@ def solve_general_weight(m: int, k_target: float) -> tuple[float, bool, float]:
             f"coupling target {k_target!r} exceeds the double-precision "
             f"representable range for order {m} (|K| <= {k_hi:.6g})"
         )
-    # Newton steps on the bracket [lo, hi], K(lo) < k <= K(hi), each
-    # replaced by a bisection where it would leave the bracket or move more
-    # than half as far as the step before it
-    lo, hi, w, step = 0.0, w_hi, 0.5 * w_hi, w_hi
-    for _ in range(200):
-        resid = _k_equal_weights(m_eff, w) - k
-        if resid == 0.0:
-            break
-        lo, hi = (w, hi) if resid < 0.0 else (lo, w)
-        deriv = _k_equal_weights_deriv(m_eff, w)
-        nxt = w - resid / deriv if deriv > 0.0 else lo
-        if not lo < nxt < hi or abs(nxt - w) > 0.5 * step:
-            nxt = 0.5 * (lo + hi)
-        w, step = nxt, abs(nxt - w)
-        if step <= 1e-15:
-            break
-    for _ in range(2):  # Newton polish, kept in the bracket: near K = 0, K' is near 0 too
-        resid = _k_equal_weights(m_eff, w) - k
-        deriv = _k_equal_weights_deriv(m_eff, w)
-        if deriv > 0.0 and lo <= w - resid / deriv <= hi:
-            w -= resid / deriv
+    # The bracket's ends as (W, K(W)), K(lo) < k <= K(hi); K(0) = 0 exactly
+    lo, hi = (0.0, 0.0), (w_hi, k_hi)
+    while lo[0] < (mid := 0.5 * (lo[0] + hi[0])) < hi[0]:
+        end = (mid, _k_equal_weights(m_eff, mid))
+        lo, hi = (end, hi) if end[1] < k else (lo, end)
+    w = lo[0] if k - lo[1] < hi[1] - k else hi[0]
     c = w if m % 2 else 0.0
     return w, sign_flip, c
 
@@ -340,8 +324,9 @@ def _diagonal_unit(sites: tuple[int, ...], coupling: float) -> Decomposition:
     table = induced_couplings(m, unit)
     log_norm = table.pop(())
     k_top = table.pop(tuple(range(m)))
-    if abs(k_top - coupling) > 1e-9 * max(1.0, abs(coupling)):
-        raise AssertionError(f"general solve round-trip failed: {k_top} vs {coupling}")
+    if (gap := abs(k_top - coupling)) > 1e-9 * max(1.0, abs(coupling)):
+        raise ValueError(f"coupling target {coupling!r} is at the edge of the range for "
+                         f"order {m}: its unit reproduces it only to {gap:.3g}")
     induced = {sub: k_p for sub, k_p in table.items() if abs(k_p) > INDUCED_CUTOFF}
     return _relabel(Decomposition(log_norm, (unit,), induced), sites)
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import itebm
 from itebm import cli, pauli, simulator
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
-from itebm.decomp import decompose_sites
+from itebm.decomp import _k_equal_weights, decompose_sites
 from itebm.evolution import _derive_seed, _measurement_groups
 from itebm.pauli import parse_hamiltonian
 from itebm.simulator import StateVector, expectation, imaginary_time_oracle
@@ -231,11 +231,28 @@ def test_decompose_reads_a_negative_coupling_as_k(runner):
 
 
 def test_decompose_verify_round_trips_a_tiny_high_order_coupling(runner):
-    """An order-7 K of 1e-30, where the weight solver's Newton polish used
-    to leave its bracket (exit 3, "general solve round-trip failed")."""
-    result = runner.invoke(main, ["decompose", "ZZZZZZZ", "1e-30", "--verify"])
-    assert result.exit_code == 0, result.stderr
-    assert result.stderr.startswith("verify: max entrywise log error ")
+    """An order-7 K of 1e-30, where K(W) evaluates mostly to rounding noise,
+    so the solver's W lies far from the exact root: the unit still passes
+    the round trip and reconstructs the factor to 1e-10 in log space."""
+    assert _verify_error(runner, "ZZZZZZZ", "1e-30") <= 1e-10
+
+
+@pytest.mark.parametrize("word, k", [("ZZZZZ", "0.3"), ("ZZZZZZ", "-0.2")])
+def test_decompose_verify_high_order_is_within_its_bound(runner, word, k):
+    """Orders 5 and 6 take the general solver; their units reconstruct
+    the factor to 1e-10 in log space (3.8e-13 and 9.9e-13 today)."""
+    assert _verify_error(runner, word, k) <= 1e-10
+
+
+def test_decompose_coupling_at_the_edge_of_the_range_is_runtime_error(runner):
+    """K = K(w_hi) at order 5 passes the range check, but its unit misses
+    the round trip: one error line naming the order, and exit 3."""
+    k = repr(_k_equal_weights(6, math.pi / 12 - 1e-9))
+    result = runner.invoke(main, ["decompose", "ZZZZZ", k])
+    assert result.exit_code == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "order 5" in lines[0]
+    assert result.stdout == ""
 
 
 def test_decompose_misspelt_option_is_usage_error(runner):

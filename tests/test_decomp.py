@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,9 +185,9 @@ def test_general_solver_round_trips_down_to_tiny_couplings(m):
     """K = +-10^-e for every third decade e up to 300, at orders 5 to 14:
     every K in range gets a weight whose unit's top coupling, summed over
     all 2^m spin configurations, is K to 1e-9, the bound of the round
-    trip in `decompose_sites`.  Near K = 0 the derivative of K(W) is near
-    0 as well, where a Newton polish off the solver's bracket would leave
-    the root."""
+    trip in `decompose_sites`.  Near K = 0 the evaluated K(W) is mostly
+    rounding noise, so the bisection's W lies far from the exact root;
+    this checks that the unit's coupling is still K."""
     z = 1.0 - 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
     parity = np.prod(z, axis=1)
     solved = 0
@@ -203,6 +204,52 @@ def test_general_solver_round_trips_down_to_tiny_couplings(m):
             assert abs(top - k) <= 1e-9, (e, k, w, top)
             solved += 1
     assert solved >= 2 * 100
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_general_solver_brackets_the_evaluated_root(m, monkeypatch):
+    """Over |K| at fractions of the order's range and every seventh decade
+    from 1e-1 down to 1e-295, both signs: W and one of its neighbouring
+    doubles bracket the root of the evaluated K(W) - |K|, negative below
+    and non-negative above; where |K| is at least 1e-4 of the range, W
+    agrees with brentq on the same function; and no solve evaluates K(W)
+    more than 96 times."""
+    from scipy.optimize import brentq
+
+    m_eff = m if m % 2 == 0 else m + 1
+    k_of = itebm.decomp._k_equal_weights
+    w_hi = math.pi / (2 * m_eff) - 1e-9
+    k_hi = k_of(m_eff, w_hi)
+    targets = [f * k_hi for f in (0.9, 0.5, 0.1, 1e-2, 1e-4)]
+    targets += [10.0 ** -e for e in range(1, 296, 7) if 10.0 ** -e <= k_hi]
+    calls = []
+    monkeypatch.setattr(itebm.decomp, "_k_equal_weights",
+                        lambda *args: calls.append(args) or k_of(*args))
+    for k in targets:
+        def resid(x):
+            return k_of(m_eff, x) - k
+
+        for k_target in (k, -k):
+            calls.clear()
+            w, sign_flip, _ = solve_general_weight(m, k_target)
+            assert sign_flip == (k_target < 0)
+            assert len(calls) <= 96, (k_target, len(calls))
+            below, above = math.nextafter(w, 0.0), math.nextafter(w, math.inf)
+            assert (resid(below) < 0.0 <= resid(w)
+                    or resid(w) < 0.0 <= resid(above)), (k_target, w)
+            if k >= 1e-4 * k_hi:
+                root = brentq(resid, 0.0, w_hi, xtol=1e-300, rtol=8.9e-16)
+                assert w == pytest.approx(root, rel=1e-10, abs=0.0), k_target
+
+
+def test_coupling_at_the_edge_of_the_range_is_a_value_error():
+    """The range check admits |K| = K(w_hi); at order 5 that unit reproduces
+    K only to 1.2e-9, past the round trip's 1e-9, which raises a ValueError
+    naming the order, K and the gap."""
+    k = itebm.decomp._k_equal_weights(6, math.pi / 12 - 1e-9)
+    want = rf"{re.escape(repr(k))}.*order 5.*only to 1\.16e-09"
+    with pytest.raises(ValueError, match=want):
+        decompose_sites(tuple(range(5)), k, 5)
 
 
 def test_general_solver_agrees_with_closed_forms():
