@@ -35,7 +35,7 @@ from .pauli import (
     dense_matrix,
     parse_hamiltonian,
 )
-from .simulator import StateVector, chained_oracle, expectation
+from .simulator import StateVector, chained_oracle
 
 CSV_HEADER = (
     "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,"
@@ -276,9 +276,7 @@ def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out) -> None:
         h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
     ))
     evals = np.linalg.eigvalsh(dense_matrix(h))
-    oracle = {
-        _g(t): expectation(state, h) for t, state in zip(taus, chained_oracle(h, taus, psi0))
-    }
+    oracle = {_g(t): energy for t, (_, energy) in zip(taus, chained_oracle(h, taus, psi0))}
     summary = {
         "hamiltonian": "3-qubit critical transverse-field Ising chain (PBC)",
         "dtau": dtau, "order": order, "route": route, "mode": mode,

@@ -277,8 +277,8 @@ def mean_unit_success(unit: HiddenUnit) -> float:
     """Average post-selection success 2^{-M} sum_z cos^2(C + sum W_r z_r)."""
     m = len(unit.weights)
     w = np.array([weight for _, weight in unit.weights])
-    spins = _spin_table(m)
-    return float(np.mean(np.cos(unit.bias + spins @ w) ** 2))
+    c2 = np.cos(unit.bias + _spin_table(m) @ w) ** 2
+    return float(np.add.reduce(c2) / c2.size)  # np.mean's sum and division
 
 
 def mean_success_two_body(coupling: float) -> float:

@@ -91,7 +91,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
         per_batch = shot_split(h, shots, batches)
     step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits)
     walked = None
-    oracle_states = chained_oracle(h, taus, psi0) if oracle_check else None
+    oracle = chained_oracle(h, taus, psi0) if oracle_check else None
     for t_idx, tau in enumerate(taus):
         n_steps = n_trotter_steps(tau, dtau)
         if walked is None or n_steps < walked:
@@ -114,7 +114,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
                 "effective_samples": 0,
             }
             if oracle_check:
-                e_oracle = expectation(next(oracle_states), h)
+                e_oracle = next(oracle)[1]
                 note = (
                     f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
                     f"|diff| {abs(e_mean - e_oracle):.3g}"

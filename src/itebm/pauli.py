@@ -58,12 +58,18 @@ def word_from_sites(n_qubits: int, sites: dict[int, str]) -> PauliString:
 
 
 def merged_letters(words: list[str]) -> str | None:
-    """The letter that each site carries in words, I where none does; None
-    if two words put different letters on one site."""
-    sites = [set(letters) - {"I"} for letters in zip(*words)]
-    if any(len(site) > 1 for site in sites):
-        return None
-    return "".join(site.pop() if site else "I" for site in sites)
+    """The letter that each site carries in words (one or more, of one
+    width), I where none does; None if two words put different letters on
+    one site."""
+    merged = list(words[0])
+    for word in words[1:]:
+        for q, ch in enumerate(word):
+            if ch != "I":
+                if merged[q] == "I":
+                    merged[q] = ch
+                elif merged[q] != ch:
+                    return None
+    return "".join(merged)
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,13 @@ seed) is bit-reproducible.  The draws are `Generator.random`'s, read from
 the word stream in chunks and compared as integers against cut-offs
 ceil(p1 2^53), which fail exactly the shots whose variate is below p1.
 
-The oracle (`imaginary_time_oracle`) never builds the 2^n x 2^n matrix:
-it applies H as one gather and multiply per flip mask, and takes
-exp(-tau H) psi0 from a Lanczos basis with full reorthogonalization, a
-Ritz-value gauge shift and a step split when the basis would grow past its
-cap.  Callers chain it, each checkpoint from the previous oracle state.
+The oracle (`chained_oracle`) never builds the 2^n x 2^n matrix: it
+applies H as one gather and multiply per flip mask, and takes
+exp(-tau H) psi0 from a Lanczos basis with full reorthogonalization and a
+Ritz-value gauge shift.  One basis serves every following checkpoint that
+it holds, and a new one starts from the last checkpoint where its cap is
+reached; the oracle reports each checkpoint's energy through the same
+action of H.
 """
 from __future__ import annotations
 
@@ -543,13 +545,13 @@ def expectation(psi: StateVector, h: Hamiltonian) -> float:
     return float(total.real)
 
 
-#: Largest Krylov basis of one Lanczos step; a step that needs more is split.
+#: Largest Krylov basis; the oracle restarts where a basis would grow past it.
 _KRYLOV_CAP = 40
-#: A Lanczos step over tau stops when its error estimate tau beta_j |c_j|
-#: falls to this fraction of ||c||.
+#: A basis holds an offset s once its error estimate s beta_j |c_j| falls
+#: to this fraction of ||c||.
 _KRYLOV_TOL = 1e-15
 #: A beta_j at or below this fraction of sum |c| is rounding in H v: the
-#: basis spans an invariant subspace (a breakdown), so the step is exact.
+#: basis spans an invariant subspace (a breakdown), so every offset is exact.
 _BREAKDOWN = 1e-14
 
 
@@ -577,89 +579,110 @@ def _hamiltonian_action(h: Hamiltonian):
     return apply
 
 
-def _krylov_coefficients(t: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-tau (T - theta_0)) e_1 for the Lanczos matrix T, gauge-shifted
-    by its smallest Ritz value theta_0 so that no coefficient overflows and
-    the largest never underflows."""
+def _krylov_coefficients(t: np.ndarray, taus) -> np.ndarray:
+    """exp(-tau (T - theta_0)) e_1 for the Lanczos matrix T, one row per tau
+    from one eigendecomposition, gauge-shifted by its smallest Ritz value
+    theta_0 so that no coefficient overflows and the largest never
+    underflows."""
     theta, ritz = np.linalg.eigh(t)
-    return ritz @ (np.exp(-tau * (theta - theta[0])) * ritz[0])
+    return (np.exp(-np.multiply.outer(taus, theta - theta[0])) * ritz[0]) @ ritz.T
 
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _lanczos_step(apply, vec: np.ndarray, tau: float, floor: float) -> tuple[np.ndarray, float]:
-    """Advance the unit vector vec by exp(-s H) for one converged step s:
-    s = tau when the Krylov basis holds it within `_KRYLOV_CAP` vectors,
-    else tau halved until it does.  Returns the unnormalized state and s.
-
-    The basis is kept orthonormal by two classical Gram-Schmidt passes
-    against every vector.  The step stops at the first j with
-    tau beta_j |c_j| <= `_KRYLOV_TOL` ||c||, at a breakdown (beta_j <= floor),
-    or when the basis spans the whole space.  The estimate is the first
-    term of the step's error; it is the same for (H, tau) and (sH, tau/s),
-    and it goes to 0 with the step, so halving ends however large H is.
-    """
-    dim = vec.size
-    cap = min(dim, _KRYLOV_CAP)
-    basis = np.empty((cap, dim), dtype=complex)
-    basis[0] = vec
-    t = np.zeros((cap, cap))  # tridiagonal: alpha on the diagonal, beta beside it
-    for j in range(cap):
-        w = apply(basis[j])
-        span = basis[:j + 1]
-        coef = (span @ w.conj()).conj()
-        w -= coef @ span
-        again = (span @ w.conj()).conj()
-        w -= again @ span
-        t[j, j] = (coef[j] + again[j]).real
-        beta = _norm(w)
-        c = _krylov_coefficients(t[:j + 1, :j + 1], tau)
-        if tau * beta * abs(c[j]) <= _KRYLOV_TOL * _norm(c) or beta <= floor or j + 1 == dim:
-            return c @ span, tau
-        if j + 1 < cap:
-            basis[j + 1] = w / beta
-            t[j, j + 1] = t[j + 1, j] = beta
-    step = tau
-    while step > tau * 2.0 ** -60:
-        step /= 2
-        c = _krylov_coefficients(t, step)
-        if step * beta * abs(c[-1]) <= _KRYLOV_TOL * _norm(c):
-            return c @ basis, step
-    raise SimulationError(f"Lanczos step did not converge within {cap} vectors")
-
-
-def imaginary_time_oracle(h: Hamiltonian, tau: float, psi0: StateVector) -> StateVector:
-    """Normalized exp(-tau H) psi0, by Lanczos steps on H applied without a
-    matrix (`_hamiltonian_action`).  exp(-tau H) is invertible, so only a
-    non-finite result is a SimulationError."""
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if psi0.n_qubits != h.n_qubits:
-        raise ValueError(f"state has {psi0.n_qubits} qubits, Hamiltonian {h.n_qubits}")
-    apply = _hamiltonian_action(h)
-    floor = _BREAKDOWN * sum(abs(t.coefficient) for t in h.terms)
-    vec = psi0.normalized().amps
-    done = 0.0
-    while done < tau:
-        vec, step = _lanczos_step(apply, vec, tau - done, floor)
-        vec /= _norm(vec)
-        if not np.isfinite(vec).all():
-            raise SimulationError("imaginary-time oracle gave a non-finite state")
-        done = tau if step == tau - done else done + step
-    return StateVector(h.n_qubits, vec)
+def _unit(v: np.ndarray) -> np.ndarray:
+    v /= _norm(v)
+    if not np.isfinite(v).all():
+        raise SimulationError("imaginary-time oracle gave a non-finite state")
+    return v
 
 
 def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
-    """Yield `imaginary_time_oracle` at each tau in turn, each one taken from
-    the previous checkpoint's state; a tau below the previous one restarts
-    from psi0, as the walk does."""
-    at, state = 0.0, psi0
-    for tau in taus:
-        if tau < at:
-            at, state = 0.0, psi0
-        state = imaginary_time_oracle(h, tau - at, state)
-        at = tau
-        yield state
+    """Yield (normalized exp(-tau H) psi0, its energy Re <H>) at each tau
+    in turn, by Lanczos on H applied without a matrix (`_hamiltonian_action`);
+    a tau below the previous one restarts from psi0, as the walk does.
 
+    One basis, from psi0 or the last checkpoint yielded, serves the
+    following checkpoints up to the next restart; two classical
+    Gram-Schmidt passes against every vector keep it orthonormal.  At each
+    vector j the largest pending offset s is tested by the first term of
+    its error, s beta_j |c_j| <= `_KRYLOV_TOL` ||c||, with every pending
+    offset's coefficients from one `_krylov_coefficients`.  When it holds,
+    at a breakdown (beta_j <= floor) or once the basis spans the space, the
+    pending checkpoints whose own estimates hold are yielded in order.  At
+    `_KRYLOV_CAP` vectors it yields those and restarts from the last; if
+    none holds, it advances by the first offset halved until it does.  The
+    estimate is the same for (H, s) and (aH, s/a) and goes to 0 with s, so
+    halving ends however large H is.  exp(-tau H) is invertible, so only a
+    non-finite state is a SimulationError.
+    """
+    taus = list(taus)
+    for tau in taus:
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if psi0.n_qubits != h.n_qubits:
+        raise ValueError(f"state has {psi0.n_qubits} qubits, Hamiltonian {h.n_qubits}")
+    apply = _hamiltonian_action(h)
+    scale = sum(abs(t.coefficient) for t in h.terms)
+    floor = _BREAKDOWN * scale
+    start = psi0.normalized().amps
+    dim = start.size
+    cap = min(dim, _KRYLOV_CAP)
+    basis = np.empty((cap, dim), dtype=complex)
+    t = np.zeros((cap, cap))  # tridiagonal: alpha on the diagonal, beta beside it
+    k, at, vec, energy = 0, 0.0, start, None  # the last checkpoint, or psi0
+    while k < len(taus):
+        if taus[k] < at:
+            at, vec, energy = 0.0, start, None
+        end = k + 1
+        while end < len(taus) and taus[end] >= taus[end - 1]:
+            end += 1
+        origin, offsets = at, np.array(taus[k:end]) - at
+        basis[0] = vec
+        for j in range(cap):
+            w = apply(basis[j])
+            span = basis[:j + 1]
+            coef = (span @ w.conj()).conj()
+            w -= coef @ span
+            again = (span @ w.conj()).conj()
+            w -= again @ span
+            t[j, j] = (coef[j] + again[j]).real
+            beta = _norm(w)
+            c = _krylov_coefficients(t[:j + 1, :j + 1], offsets)
+            held = offsets * beta * np.abs(c[:, j]) <= _KRYLOV_TOL * np.linalg.norm(c, axis=1)
+            if beta <= floor or j + 1 == dim:
+                held[:] = True
+            if held[-1] or j + 1 == cap:
+                ready = held.size if held.all() else int(np.argmin(held))
+                for row in c[:ready]:
+                    if taus[k] != at:
+                        at, vec, energy = taus[k], _unit(row @ span), None
+                    if energy is None:  # Re <vec|H vec>, real as in `expectation`
+                        total = np.vdot(vec, apply(vec))
+                        if not abs(total.imag) < 1e-10 * max(1.0, scale):
+                            raise SimulationError(f"expectation has imaginary part {total.imag}")
+                        energy = float(total.real)
+                    yield StateVector(h.n_qubits, vec), energy
+                    k += 1
+                offsets = offsets[ready:]
+                if not offsets.size:
+                    break
+            if j + 1 < cap:
+                basis[j + 1] = w / beta
+                t[j, j + 1] = t[j + 1, j] = beta
+        else:
+            step = offsets[0]
+            while at == origin:  # none held: halve the first offset until it does
+                step /= 2
+                if step <= offsets[0] * 2.0 ** -60:
+                    raise SimulationError(f"Lanczos step did not converge within {cap} vectors")
+                c = _krylov_coefficients(t, [step])[0]
+                if step * beta * abs(c[-1]) <= _KRYLOV_TOL * _norm(c):
+                    at, vec, energy = origin + step, _unit(c @ basis), None
+
+
+def imaginary_time_oracle(h: Hamiltonian, tau: float, psi0: StateVector) -> StateVector:
+    """Normalized exp(-tau H) psi0: `chained_oracle` at the one checkpoint tau."""
+    return next(chained_oracle(h, [tau], psi0))[0]

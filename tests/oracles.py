@@ -173,6 +173,16 @@ def dense_edges(lat) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([j, k]), lat[j, k]
 
 
+def merged_letters_reference(words: list[str]) -> str | None:
+    """`pauli.merged_letters` by a set of letters per site: the letter that
+    each site carries in words, I where none does; None if two words put
+    different letters on one site."""
+    sites = [set(letters) - {"I"} for letters in zip(*words)]
+    if any(len(site) > 1 for site in sites):
+        return None
+    return "".join(site.pop() if site else "I" for site in sites)
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return psi / np.linalg.norm(psi)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from itebm import circuits, simulator
 from itebm.circuits import build_qite_circuit, trotter_groups, trotter_step
-from itebm import simulator
-from itebm.decomp import decompose_one_body
+from itebm.decomp import _spin_table, decompose_one_body
 from itebm.ir import Circuit, Fragment, Gate
 from itebm.pauli import HamiltonianTerm, PauliString, parse_hamiltonian
 from itebm.simulator import StateVector, run_exact
@@ -297,6 +297,28 @@ def test_model_success_tracks_mean_unit_success():
     assert circuit.model_success == pytest.approx(
         0.5 * (1 + math.exp(-4 * 0.7)), rel=1e-12
     )
+
+
+def _np_mean_unit_success(unit):
+    """2^{-M} sum_z cos^2(C + sum W_r z_r) by np.mean."""
+    w = np.array([weight for _, weight in unit.weights])
+    return float(np.mean(np.cos(unit.bias + _spin_table(len(w)) @ w) ** 2))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("route", oracles.ROUTES)
+@pytest.mark.parametrize("terms", [
+    oracles.tfim_terms(3), oracles.chain_terms(8),
+    [(0.5, "XYZ"), (-0.3, "YYX"), (0.2, "ZXY")], [(0.3, "XXXXXXXX")],
+], ids=["tfim", "chain8", "xyz", "x8"])
+def test_model_success_equals_np_mean_of_each_unit(monkeypatch, terms, route, order):
+    """`acceptance_model` multiplies these: bit for bit the np.mean values.
+    The eight-body word's units average 2^8 entries, where the order of
+    the sum shows in the last bits."""
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
+    got = trotter_step(h, 0.05, order, route=route).model_success
+    monkeypatch.setattr(circuits, "mean_unit_success", _np_mean_unit_success)
+    assert got == trotter_step(h, 0.05, order, route=route).model_success
 
 
 # --- IR plumbing ---------------------------------------------------------

@@ -308,6 +308,26 @@ def test_evolve_exact_oracle_notes_match_the_dense_reference(runner, tmp_path):
     assert result.stderr == "".join(note + "\n" for note in notes)
 
 
+_TFIM_NOTES = {
+    0.0: "tau 0: E -3.000000000, dense oracle -3.000000000, |diff| 0\n",
+    0.5: "tau 0.5: E -3.463023182, dense oracle -3.463614295, |diff| 0.000591\n",
+    1.0: "tau 1: E -3.463959119, dense oracle -3.464101138, |diff| 0.000142\n",
+}
+
+
+@pytest.mark.parametrize("taus", [[0.0], [0.5, 0.5], [1.0, 0.5], [0.0, 1.0]])
+def test_evolve_exact_oracle_notes_at_repeated_falling_and_zero_taus(runner, tfim_file,
+                                                                      taus):
+    """The notes are pinned: a repeated tau, a falling one that restarts the
+    oracle from psi0, and tau 0, which yields psi0 itself."""
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", tfim_file, "--mode", "exact",
+        "--tau", ",".join(f"{t:g}" for t in taus), "--dtau", "0.1",
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "".join(_TFIM_NOTES[t] for t in taus)
+
+
 def test_evolve_exact_at_twelve_sites_builds_no_dense_matrix(runner, tmp_path, monkeypatch):
     """The oracle check runs up to 12 sites without the 2^n x 2^n matrix
     (256 MB at 12 sites)."""

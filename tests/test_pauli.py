@@ -10,6 +10,7 @@ from itebm.pauli import (
     apply_word,
     basis_rotation_layer,
     dense_matrix,
+    merged_letters,
     parse_hamiltonian,
     word_action,
     word_from_sites,
@@ -18,6 +19,14 @@ from itebm.pauli import (
 import oracles
 
 words = st.text(alphabet="IXYZ", min_size=1, max_size=6)
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                       min_size=1, max_size=5)))
+@settings(max_examples=300, deadline=None)
+def test_merged_letters_matches_the_set_per_site_reference(word_list):
+    assert merged_letters(word_list) == oracles.merged_letters_reference(word_list)
 
 
 def test_pauli_string_basics():

@@ -703,20 +703,76 @@ def test_chained_oracle_restarts_when_tau_goes_back():
     h = _random_hamiltonian(6, rng)
     psi0 = StateVector(6, oracles.random_state(6, rng))
     taus = [1.0, 0.5, 0.0, 0.5, 2.0, 2.0]
-    states = list(simulator.chained_oracle(h, taus, psi0))
-    assert len(states) == len(taus)
-    for tau, got in zip(taus, states):
+    checkpoints = list(simulator.chained_oracle(h, taus, psi0))
+    assert len(checkpoints) == len(taus)
+    for tau, (got, energy) in zip(taus, checkpoints):
         _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
 
 
 def test_chained_steps_agree_with_one_step():
     h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
     psi0 = StateVector.uniform_plus(8)
     taus = [0.25 * i for i in range(1, 9)]
-    for tau, got in zip(taus, simulator.chained_oracle(h, taus, psi0)):
+    for tau, (got, energy) in zip(taus, simulator.chained_oracle(h, taus, psi0)):
         one = imaginary_time_oracle(h, tau, psi0)
         _assert_oracle_close(got, one, h)
         _assert_oracle_close(one, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
+
+
+def test_chained_oracle_serves_the_chain_from_one_basis(monkeypatch):
+    """Eight checkpoints from |+>^8 fit one Krylov basis: 28 vectors and
+    the eight energies, where a basis per checkpoint took 116 H actions."""
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
+    psi0 = StateVector.uniform_plus(8)
+    taus = [0.25 * i for i in range(1, 9)]
+    actions = []
+    build = simulator._hamiltonian_action
+
+    def counted(h):
+        apply = build(h)
+
+        def counting(v):
+            actions.append(v.size)
+            return apply(v)
+
+        return counting
+
+    monkeypatch.setattr(simulator, "_hamiltonian_action", counted)
+    checkpoints = list(simulator.chained_oracle(h, taus, psi0))
+    assert len(checkpoints) == len(taus)
+    assert len(actions) <= 40
+    for tau, (got, energy) in zip(taus, checkpoints):
+        _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+        assert abs(energy - expectation(got, h)) <= 1e-12
+
+
+def test_chained_oracle_restarts_and_halves_at_a_small_cap(monkeypatch):
+    """Six vectors per basis hold no offset of 0.3 or more, so the oracle
+    advances by halved steps, and a basis that reaches its cap holding the
+    checkpoint 0.3 restarts from it with the pending 1.0 and 2.0.  A
+    repeated tau and a falling one come back as well."""
+    monkeypatch.setattr(simulator, "_KRYLOV_CAP", 6)
+    rng = np.random.default_rng(13)
+    h = _random_hamiltonian(6, rng)
+    psi0 = StateVector(6, oracles.random_state(6, rng))
+    taus = (0.3, 0.3, 1.0, 2.0, 0.5)
+    pending = []  # the number of pending offsets at the start of each basis
+    coefficients = simulator._krylov_coefficients
+
+    def recording(t, offsets):
+        if t.shape == (1, 1):
+            pending.append(len(offsets))
+        return coefficients(t, offsets)
+
+    monkeypatch.setattr(simulator, "_krylov_coefficients", recording)
+    checkpoints = list(simulator.chained_oracle(h, taus, psi0))
+    assert len(checkpoints) == len(taus)
+    assert pending[:2] == [4, 4] and 2 in pending
+    for tau, (got, energy) in zip(taus, checkpoints):
+        _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
 
 
 def test_oracle_stays_in_the_parity_sector_of_its_state():
