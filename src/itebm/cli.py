@@ -27,20 +27,16 @@ import numpy as np
 from . import ldbm as nets
 from .circuits import n_trotter_steps
 from .decomp import MAX_WALSH_SITES, decompose_sites, max_log_error, mean_unit_success
-from .evolution import iter_evolution, shot_split
+from .evolution import COLUMNS, iter_evolution, shot_split
 from .pauli import (
     Hamiltonian,
-    HamiltonianTerm,
     PauliString,
     dense_matrix,
     parse_hamiltonian,
 )
 from .simulator import StateVector, chained_oracle
 
-CSV_HEADER = (
-    "tau,E_mean,E_err,ZZ_mean,ZZ_err,X_mean,X_err,"
-    "acceptance,acceptance_model,effective_samples"
-)
+CSV_HEADER = ",".join(COLUMNS)
 
 ISING_TEXT = """\
 1 ZZI
@@ -122,9 +118,7 @@ def _check_run(h: Hamiltonian, taus: list[float], dtau: float, mode: str, shots:
     dtau, each tau a multiple of it, --batches and the shot split."""
     for tau in taus:
         _usage(n_trotter_steps, tau, dtau)
-    if batches < 2:
-        raise click.UsageError(f"--batches must be >= 2, got {batches}")
-    if mode == "shots":
+    if mode == "shots" or batches < 2:  # exact mode: only its --batches check, run first
         _usage(shot_split, h, shots, batches)
 
 
@@ -141,12 +135,9 @@ def _initial_state(spec: str, n_qubits: int) -> StateVector:
 
 
 def _format_row(row: dict) -> str:
-    return ",".join([
-        _g(row["tau"]), _g(row["E_mean"]), _g(row["E_err"]),
-        _g(row["ZZ_mean"]), _g(row["ZZ_err"]), _g(row["X_mean"]), _g(row["X_err"]),
-        _g(row["acceptance"]), _g(row["acceptance_model"]),
-        str(int(row["effective_samples"])),
-    ])
+    """The row's CSV line; effective_samples, the last column, is an int."""
+    *floats, samples = (row[name] for name in COLUMNS)
+    return ",".join([_g(x) for x in floats] + [str(int(samples))])
 
 
 @click.group()
@@ -167,10 +158,7 @@ def cmd_decompose(word: str, k: float, verify: bool) -> None:
     rotations are a circuit-level concern.  K is any finite number; a
     negative K needs no "--" before it.
     """
-    try:
-        string = PauliString(word)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    string = _usage(PauliString, word)
     support = string.support()
     if not support:
         raise click.UsageError(f"word {word!r} has empty support")
@@ -297,87 +285,25 @@ def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out) -> None:
 def cmd_ldbm(script: str, qubits: int) -> None:
     """Execute a network op script against a fresh |0...0> network.
 
-    Ops (one per line, # comments allowed): hx L | hy L | hydag L |
-    rz L PHI | rzz L1 L2 PHI | imag WORD K | to-dbm | dump.
-    Prints the final statevector and unit counts.
+    Ops (one per line, # comments allowed; see itebm.ldbm.run_script):
+    hx L | hy L | hydag L | rz L PHI | rzz L1 L2 PHI | imag WORD K |
+    to-dbm | dump.  Prints each dump as its line runs, then the final
+    statevector, unit counts and raw norm.
     """
     if qubits < 1:
         raise click.UsageError(f"--qubits must be >= 1, got {qubits}")
     text = _read_text(script, "script")
-    net = nets.zero_state(qubits)
-    dbm = None
-
-    def _index(token: str, lineno: int) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise click.UsageError(f"line {lineno}: expected qubit index, got {token!r}")
-        if not 0 <= value < qubits:
-            raise click.UsageError(f"line {lineno}: qubit index {value} out of range")
-        return value
-
-    def _number(token: str, lineno: int) -> float:
-        try:
-            return float(token)
-        except ValueError:
-            raise click.UsageError(f"line {lineno}: expected number, got {token!r}")
-
-    def _angle(token: str, lineno: int) -> float:
-        value = _number(token, lineno)
-        if not math.isfinite(value):
-            raise click.UsageError(f"line {lineno}: non-finite angle {value!r}")
-        return value
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        op, args = tokens[0].lower(), tokens[1:]
-        if dbm is not None and op != "dump":
-            raise click.UsageError(
-                f"line {lineno}: no further ops after to-dbm (got {op!r})"
-            )
-        if op in ("hx", "hy", "hydag") and len(args) == 1:
-            fn = {"hx": nets.apply_hx, "hy": nets.apply_hy,
-                  "hydag": nets.apply_hy_dag}[op]
-            net = fn(net, _index(args[0], lineno))
-        elif op == "rz" and len(args) == 2:
-            net = nets.apply_rz(net, _index(args[0], lineno), _angle(args[1], lineno))
-        elif op == "rzz" and len(args) == 3:
-            l1, l2, phi = _index(args[0], lineno), _index(args[1], lineno), _angle(args[2], lineno)
-            try:
-                net = nets.apply_rzz(net, l1, l2, phi)
-            except ValueError as exc:
-                raise click.UsageError(f"line {lineno}: {exc}")
-        elif op == "imag" and len(args) == 2:
-            word = args[0].upper()
-            if len(word) != qubits:
-                raise click.UsageError(
-                    f"line {lineno}: word {word!r} does not match --qubits {qubits}"
-                )
-            try:
-                term = HamiltonianTerm(_number(args[1], lineno), PauliString(word))
-            except ValueError as exc:
-                raise click.UsageError(f"line {lineno}: {exc}")
-            net = nets.apply_term_imaginary(net, term, 1.0)
-        elif op == "to-dbm" and not args:
-            dbm = nets.ldbm_to_dbm(net)
-        elif op == "dump" and not args:
-            obj = dbm.to_json_dict() if dbm is not None else net.to_json_dict()
-            click.echo(json.dumps(obj))
-        else:
-            raise click.UsageError(f"line {lineno}: unknown op {line!r}")
-
-    final = dbm.to_ldbm() if dbm is not None else net
+    try:
+        net = nets.run_script(text, qubits, lambda obj: click.echo(json.dumps(obj)))
+    except nets.ScriptError as exc:
+        raise click.UsageError(str(exc))
+    final = net.to_ldbm() if isinstance(net, nets.DbmNetwork) else net
     state, norm = nets.state_and_norm(final)
     for idx, amp in enumerate(state.amps):
         bits = format(idx, f"0{qubits}b")
         click.echo(f"|{bits}>  {amp.real:+.10f}{amp.imag:+.10f}j")
-    if dbm is not None:
-        click.echo(f"hidden units: {dbm.n_hidden}  deep units: {dbm.n_deep}")
-    else:
-        click.echo(f"hidden units: {net.n_hidden}")
+    deep = f"  deep units: {net.n_deep}" if isinstance(net, nets.DbmNetwork) else ""
+    click.echo(f"hidden units: {net.n_hidden}{deep}")
     click.echo(f"norm: {norm:.12g}")
 
 

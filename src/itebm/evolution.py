@@ -21,6 +21,10 @@ from .simulator import (
 )
 from .stats import jackknife
 
+#: The keys of a row, in CSV column order.
+COLUMNS = ("tau", "E_mean", "E_err", "ZZ_mean", "ZZ_err", "X_mean", "X_err",
+           "acceptance", "acceptance_model", "effective_samples")
+
 
 def _measurement_groups(h: Hamiltonian) -> list[tuple[str, list[int]]]:
     """Greedy first-fit grouping of terms into joint measurement bases: a
@@ -59,8 +63,10 @@ def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
 
 
 def shot_split(h: Hamiltonian, shots: int, batches: int) -> int:
-    """Shots per batch of each basis group; ValueError unless the budget
-    is positive and divides evenly into the groups and batches."""
+    """Shots per batch of each basis group; ValueError unless batches >= 2
+    and the budget is positive and divides evenly into the groups and batches."""
+    if batches < 2:
+        raise ValueError(f"--batches must be >= 2, got {batches}")
     if shots < 1:
         raise ValueError(f"--shots must be >= 1, got {shots}")
     n_groups = len(_measurement_groups(h))
@@ -106,13 +112,8 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
             e_mean = expectation(state, h)
             zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
             xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
-            row = {
-                "tau": tau, "E_mean": e_mean, "E_err": 0.0,
-                "ZZ_mean": zz, "ZZ_err": 0.0, "X_mean": xx, "X_err": 0.0,
-                "acceptance": traj.cumulative_success,
-                "acceptance_model": model,
-                "effective_samples": 0,
-            }
+            row = dict(zip(COLUMNS, (tau, e_mean, 0.0, zz, 0.0, xx, 0.0,
+                                     traj.cumulative_success, model, 0)))
             if oracle_check:
                 e_oracle = next(oracle)[1]
                 note = (
@@ -162,11 +163,6 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
         if dropped:
             note = f"tau {tau:g}: dropped " + ", ".join(dropped)
         total_accepted = int(counts.sum())
-        row = {
-            "tau": tau, "E_mean": e_mean, "E_err": e_err,
-            "ZZ_mean": zz_mean, "ZZ_err": zz_err, "X_mean": x_mean, "X_err": x_err,
-            "acceptance": total_accepted / shots,
-            "acceptance_model": model,
-            "effective_samples": total_accepted,
-        }
+        row = dict(zip(COLUMNS, (tau, e_mean, e_err, zz_mean, zz_err, x_mean, x_err,
+                                 total_accepted / shots, model, total_accepted)))
         yield row, note

@@ -614,3 +614,71 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
         w_deep=np.vstack([v_hidden] + [row for _, row, _ in mediators]),
         log_norm=log_norm,
     )
+
+
+# ---------------------------------------------------------------------------
+# Op scripts.
+
+class ScriptError(ValueError):
+    """A malformed op-script line; its message starts with "line N: "."""
+
+
+#: Each script op and the kinds of its arguments, as `_script_arg` reads them.
+_SCRIPT_OPS = {"hx": ("site",), "hy": ("site",), "hydag": ("site",), "rz": ("site", "angle"),
+               "rzz": ("site", "site", "angle"), "imag": ("word", "coefficient"),
+               "to-dbm": (), "dump": ()}
+
+
+def _script_arg(kind: str, token: str, n_visible: int):
+    """A site index, a Pauli word of n_visible letters, or a finite angle or
+    coefficient; ValueError when the token is malformed."""
+    if kind == "word":
+        if len(token) != n_visible:
+            raise ValueError(f"word {token.upper()!r} does not match --qubits {n_visible}")
+        return PauliString(token.upper())
+    try:
+        value = int(token) if kind == "site" else float(token)
+    except ValueError:
+        expected = "qubit index" if kind == "site" else "number"
+        raise ValueError(f"expected {expected}, got {token!r}") from None
+    if kind != "site" and not math.isfinite(value):
+        raise ValueError(f"non-finite {kind} {value!r}")
+    return value
+
+
+def run_script(text: str, n_visible: int, emit) -> LdbmNetwork | DbmNetwork:
+    """Run an op script (`_SCRIPT_OPS`, one per line, `#` comments, op names
+    in any case) from `zero_state(n_visible)`; return the last network, the
+    `DbmNetwork` once `to-dbm` has run.  `imag WORD K` absorbs exp(-K WORD)
+    by `apply_term_imaginary`; `dump` passes `to_json_dict()` to `emit` when
+    its line runs.  A malformed line, an out-of-range site included, raises
+    `ScriptError`; a failure absorbing `imag` or at `to-dbm` propagates.
+    """
+    # Built per call, so that a rule rebound on the module is the one called.
+    gates = {"hx": apply_hx, "hy": apply_hy, "hydag": apply_hy_dag,
+             "rz": apply_rz, "rzz": apply_rzz}
+    net = zero_state(n_visible)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        op, *tokens = line.split()
+        op = op.lower()
+        if isinstance(net, DbmNetwork) and op != "dump":
+            raise ScriptError(f"line {lineno}: no further ops after to-dbm (got {op!r})")
+        kinds = _SCRIPT_OPS.get(op)
+        if kinds is None or len(kinds) != len(tokens):
+            raise ScriptError(f"line {lineno}: unknown op {line!r}")
+        try:
+            args = [_script_arg(kind, token, n_visible) for kind, token in zip(kinds, tokens)]
+            if op in gates:
+                net = gates[op](net, *args)
+        except ValueError as exc:
+            raise ScriptError(f"line {lineno}: {exc}") from None
+        if op == "imag":
+            net = apply_term_imaginary(net, HamiltonianTerm(args[1], args[0]), 1.0)
+        elif op == "to-dbm":
+            net = ldbm_to_dbm(net)
+        elif op == "dump":
+            emit(net.to_json_dict())
+    return net

@@ -850,6 +850,34 @@ def test_ldbm_overflow_is_a_runtime_error(runner, tmp_path, text, message):
     assert result.stdout == ""
 
 
+def test_ldbm_absorption_failure_is_a_runtime_error(runner, tmp_path):
+    """A well-formed imag line whose coupling the closed forms cannot hold
+    is a runtime failure (exit 3), not a malformed line (exit 2)."""
+    result = _run_script(runner, tmp_path, "hx 0\nimag ZZZZZ 3\n", qubits=5)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == (
+        "error: coupling target 3.0 exceeds the double-precision representable "
+        "range for order 5 (|K| <= 0.52907)\n")
+    assert result.stdout == ""
+
+
+def test_ldbm_dump_prints_before_a_malformed_line(runner, tmp_path):
+    """A dump prints when its line runs, so a later malformed line (exit 2)
+    still leaves the earlier dump on stdout."""
+    result = _run_script(runner, tmp_path, "dump\nteleport 0\n", qubits=1)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == json.dumps(itebm.zero_state(1).to_json_dict()) + "\n"
+    assert "line 2: unknown op 'teleport 0'" in result.stderr
+
+
+def test_ldbm_huge_qubit_index_is_a_usage_error(runner, tmp_path):
+    """An index past the float range is out of range like any other (exit
+    2), not an overflow while checking it."""
+    result = _run_script(runner, tmp_path, "hx 1" + "0" * 400 + "\n", qubits=1)
+    assert result.exit_code == 2, result.output
+    assert "line 1: " in result.stderr and "out of range" in result.stderr
+
+
 def test_ldbm_reads_stdin(runner):
     result = runner.invoke(main, ["ldbm", "-", "--qubits", "1"], input="hx 0\n")
     assert result.exit_code == 0

@@ -98,6 +98,15 @@ def test_shots_split_is_a_value_error():
                             StateVector.uniform_plus(3), "shots", 999, 100, 0))
 
 
+def test_one_batch_is_a_value_error():
+    """One batch gives the jackknife nothing to compare: a library caller
+    gets the CLI's ValueError, not a shortage of accepted shots."""
+    h = parse_hamiltonian(ISING_TEXT)
+    with pytest.raises(ValueError, match=r"^--batches must be >= 2, got 1$"):
+        next(iter_evolution(h, [0.1], 0.1, 2, "rbm",
+                            StateVector.uniform_plus(3), "shots", 8000, 1, 0))
+
+
 @pytest.mark.parametrize("mode, taus, walked", [
     ("exact", ISING_TAUS, 100),
     ("shots", ISING_TAUS, 100),

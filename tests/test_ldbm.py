@@ -422,6 +422,46 @@ def test_absorption_appends_few_edges(tfim_trajectory):
     assert net.lat.size <= 2 * net.n_hidden
 
 
+def _random_rbm_hamiltonian(seed: int):
+    """1-4 sites, 1-5 words of 1-3 letters from XYZ on distinct sites, each
+    with a coefficient in [-1, 1]."""
+    from itebm.pauli import Hamiltonian
+
+    rng = np.random.default_rng([seed, 12])
+    n = int(rng.integers(1, 5))
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        letters = ["I"] * n
+        for site in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False):
+            letters[site] = "XYZ"[int(rng.integers(3))]
+        terms.append(HamiltonianTerm(float(rng.uniform(-1.0, 1.0)),
+                                     PauliString("".join(letters))))
+    return Hamiltonian(n, tuple(terms))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_network_equals_the_circuit_walk(seed):
+    """The two engines are one block encoding: 20 rbm-route Trotter steps
+    absorbed term by term into a network from |+>^n give raw amplitudes
+    equal to the walk's exp(log_norm) * sqrt(cumulative_success) *
+    psi_final, to 1e-10 of the largest amplitude."""
+    from itebm.circuits import build_qite_circuit, trotter_groups
+    from itebm.simulator import run_exact
+
+    h = _random_rbm_hamiltonian(seed)
+    order, dtau, steps = 1 + seed % 2, 0.05, 20
+    net = plus_state(h.n_qubits)
+    for _ in range(steps):
+        for group, factor in trotter_groups(h, order):
+            for t in group:
+                net = apply_term_imaginary(net, t, dtau * factor)
+    walk = run_exact(build_qite_circuit(h, steps * dtau, dtau, order, "rbm"),
+                     StateVector.uniform_plus(h.n_qubits))
+    raw = raw_amplitudes(net)
+    want = math.exp(walk.log_norm) * math.sqrt(walk.cumulative_success) * walk.final_state.amps
+    assert np.max(np.abs(raw - want)) <= 1e-10 * np.max(np.abs(raw))
+
+
 def test_state_and_norm_marginalizes_once(monkeypatch):
     import itebm.ldbm as ldbm
 
