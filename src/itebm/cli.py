@@ -34,7 +34,7 @@ from .pauli import (
     dense_matrix,
     parse_hamiltonian,
 )
-from .simulator import StateVector, chained_oracle
+from .simulator import StateVector, chained_oracle, expectation
 
 CSV_HEADER = ",".join(COLUMNS)
 
@@ -169,10 +169,9 @@ def cmd_decompose(word: str, k: float, verify: bool) -> None:
         raise click.UsageError(f"K must be finite, got {k}")
     dec = decompose_sites(support, k, string.n_qubits)
     payload = dec.to_json_dict(string.n_qubits)
-    payload["mean_success_per_unit"] = [mean_unit_success(u) for u in dec.hidden_units]
-    payload["mean_success_product"] = float(
-        np.prod([mean_unit_success(u) for u in dec.hidden_units])
-    ) if dec.hidden_units else 1.0
+    per_unit = [mean_unit_success(u) for u in dec.hidden_units]
+    payload["mean_success_per_unit"] = per_unit
+    payload["mean_success_product"] = float(np.prod(per_unit))
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
     if verify:
         err = max_log_error(dec, support, k)
@@ -264,7 +263,8 @@ def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out) -> None:
         h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
     ))
     evals = np.linalg.eigvalsh(dense_matrix(h))
-    oracle = {_g(t): energy for t, (_, energy) in zip(taus, chained_oracle(h, taus, psi0))}
+    oracle = {_g(t): expectation(state, h)
+              for t, state in zip(taus, chained_oracle(h, taus, psi0))}
     summary = {
         "hamiltonian": "3-qubit critical transverse-field Ising chain (PBC)",
         "dtau": dtau, "order": order, "route": route, "mode": mode,

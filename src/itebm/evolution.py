@@ -115,7 +115,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
             row = dict(zip(COLUMNS, (tau, e_mean, 0.0, zz, 0.0, xx, 0.0,
                                      traj.cumulative_success, model, 0)))
             if oracle_check:
-                e_oracle = next(oracle)[1]
+                e_oracle = expectation(next(oracle), h)
                 note = (
                     f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
                     f"|diff| {abs(e_mean - e_oracle):.3g}"

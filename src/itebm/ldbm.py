@@ -282,9 +282,13 @@ def statevector_norm(net: LdbmNetwork) -> float:
     return state_and_norm(net)[1]
 
 
+class SiteError(ValueError):
+    """A visible index out of range, or repeated where a rule needs distinct ones."""
+
+
 def _check_site(net: LdbmNetwork, l: int) -> None:
     if not 0 <= l < net.n_visible:
-        raise ValueError(f"visible index {l} out of range for N={net.n_visible}")
+        raise SiteError(f"visible index {l} out of range for N={net.n_visible}")
 
 
 def _append_basis_unit(
@@ -350,7 +354,7 @@ def apply_rz(net: LdbmNetwork, l: int, phi: float) -> LdbmNetwork:
     """Absorb diag(e^{i phi}, e^{-i phi}) on qubit l (amplitude gains e^{i phi z})."""
     _check_site(net, l)
     a = net.a.copy()
-    a[l] += phi
+    a[l] = complex(a[l]) + phi  # past the float range: inf, which the network refuses
     return replace(net, a=a)
 
 
@@ -359,7 +363,7 @@ def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
     _check_site(net, l1)
     _check_site(net, l2)
     if l1 == l2:
-        raise ValueError(f"rzz requires two distinct qubits, got {l1} twice")
+        raise SiteError(f"rzz requires two distinct qubits, got {l1} twice")
     m = net.n_hidden
     a = net.a.copy()
     a[l1] += math.pi / 4
@@ -651,8 +655,9 @@ def run_script(text: str, n_visible: int, emit) -> LdbmNetwork | DbmNetwork:
     in any case) from `zero_state(n_visible)`; return the last network, the
     `DbmNetwork` once `to-dbm` has run.  `imag WORD K` absorbs exp(-K WORD)
     by `apply_term_imaginary`; `dump` passes `to_json_dict()` to `emit` when
-    its line runs.  A malformed line, an out-of-range site included, raises
-    `ScriptError`; a failure absorbing `imag` or at `to-dbm` propagates.
+    its line runs.  A malformed line or a rule's `SiteError` raises
+    `ScriptError`; any other failure, such as an `rz` bias past the float
+    range, a failure absorbing `imag` or at `to-dbm`, propagates.
     """
     # Built per call, so that a rule rebound on the module is the one called.
     gates = {"hx": apply_hx, "hy": apply_hy, "hydag": apply_hy_dag,
@@ -671,9 +676,12 @@ def run_script(text: str, n_visible: int, emit) -> LdbmNetwork | DbmNetwork:
             raise ScriptError(f"line {lineno}: unknown op {line!r}")
         try:
             args = [_script_arg(kind, token, n_visible) for kind, token in zip(kinds, tokens)]
+        except ValueError as exc:
+            raise ScriptError(f"line {lineno}: {exc}") from None
+        try:
             if op in gates:
                 net = gates[op](net, *args)
-        except ValueError as exc:
+        except SiteError as exc:
             raise ScriptError(f"line {lineno}: {exc}") from None
         if op == "imag":
             net = apply_term_imaginary(net, HamiltonianTerm(args[1], args[0]), 1.0)

@@ -178,18 +178,32 @@ def apply_word(word: str, amps: np.ndarray) -> np.ndarray:
     return amps[..., perm] * phase
 
 
+def flip_groups(h: Hamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
+    """H's terms summed per flip mask m (`word_action`'s perm[0]), as pairs
+    (perm_m, d_m) with (H v)[j] = sum_m d_m[j] v[perm_m[j]]: the diagonal
+    m = 0 first, if any, then the masks in the order they first occur."""
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for t in h.terms:
+        perm, phase = word_action(t.string.word)
+        mask = int(perm[0])
+        if mask in groups:
+            groups[mask][1][:] += t.coefficient * phase
+        else:
+            groups[mask] = (perm, t.coefficient * phase)
+    diagonal = [groups.pop(0)] if 0 in groups else []
+    return diagonal + list(groups.values())
+
+
 def dense_matrix(h: Hamiltonian, limit: int = 12) -> np.ndarray:
-    """Dense Hermitian matrix of a Hamiltonian (qubit 0 most significant)."""
+    """Dense Hermitian matrix of a Hamiltonian (qubit 0 most significant):
+    its flip groups (`flip_groups`) scattered to H[j, perm_m[j]] = d_m[j]."""
     if h.n_qubits > limit:
         raise ValueError(f"{h.n_qubits} qubits exceeds dense limit {limit}")
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for t in h.terms:
-        perm, phase = word_action(t.string.word)
-        # column j of P holds phase[perm^-1[j]] at row perm^-1[j]; the action
-        # form is symmetric enough to write directly: P[j, perm[j]] = phase[j].
-        m[cols, perm] += t.coefficient * phase
+    for perm, d in flip_groups(h):
+        m[cols, perm] += d
     return m
 
 

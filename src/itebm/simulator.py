@@ -34,13 +34,13 @@ seed) is bit-reproducible.  The draws are `Generator.random`'s, read from
 the word stream in chunks and compared as integers against cut-offs
 ceil(p1 2^53), which fail exactly the shots whose variate is below p1.
 
-The oracle (`chained_oracle`) never builds the 2^n x 2^n matrix: it
-applies H as one gather and multiply per flip mask, and takes
+H meets a vector one way, a gather and multiply per flip mask
+(`pauli.flip_groups`), never as a 2^n x 2^n matrix: `expectation` reads
+Re <psi|H psi> so, and the oracle (`chained_oracle`) yields the states
 exp(-tau H) psi0 from a Lanczos basis with full reorthogonalization and a
 Ritz-value gauge shift.  One basis serves every following checkpoint that
 it holds, and a new one starts from the last checkpoint where its cap is
-reached; the oracle reports each checkpoint's energy through the same
-action of H.
+reached.
 """
 from __future__ import annotations
 
@@ -50,13 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import Circuit, Unit
-from .pauli import (
-    Hamiltonian,
-    PauliString,
-    apply_word,
-    merged_letters,
-    word_action,
-)
+from .pauli import Hamiltonian, PauliString, flip_groups, merged_letters, word_action
 
 #: Branch probabilities below this are treated as a fully rejected trajectory.
 ZERO_WEIGHT = 1e-300
@@ -529,16 +523,28 @@ def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
     return traj.sample(n_shots, seed, terminal_basis)
 
 
+def _hamiltonian_action(h: Hamiltonian):
+    """The function v -> H v: one gather and multiply per flip group of H
+    (`flip_groups`), summed in the groups' order."""
+    groups = flip_groups(h)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for perm, d in groups:
+            out += d * v[perm]
+        return out
+
+    return apply
+
+
 def expectation(psi: StateVector, h: Hamiltonian) -> float:
-    """<psi|H|psi> for a normalized state; SimulationError unless it is
-    real, to 1e-10 of the scale max(1, sum |c|): the roundoff in the
-    imaginary part grows with the coefficients."""
+    """Re <psi|H psi> (`_hamiltonian_action`) for the normalized state;
+    SimulationError unless it is real, to 1e-10 of the scale max(1, sum |c|):
+    the roundoff in the imaginary part grows with the coefficients."""
     if psi.n_qubits != h.n_qubits:
         raise ValueError(f"state has {psi.n_qubits} qubits, Hamiltonian {h.n_qubits}")
     vec = psi.normalized().amps
-    total = 0.0 + 0.0j
-    for t in h.terms:
-        total += t.coefficient * np.vdot(vec, apply_word(t.string.word, vec))
+    total = complex(np.vdot(vec, _hamiltonian_action(h)(vec)))
     scale = max(1.0, sum(abs(t.coefficient) for t in h.terms))
     if not abs(total.imag) < 1e-10 * scale:
         raise SimulationError(f"expectation has imaginary part {total.imag}")
@@ -553,30 +559,6 @@ _KRYLOV_TOL = 1e-15
 #: A beta_j at or below this fraction of sum |c| is rounding in H v: the
 #: basis spans an invariant subspace (a breakdown), so every offset is exact.
 _BREAKDOWN = 1e-14
-
-
-def _hamiltonian_action(h: Hamiltonian):
-    """H without a matrix: the terms summed per flip mask m (`word_action`'s
-    perm[0]), so that H v = d_0 * v + sum_m d_m * v[perm_m].  Returns the
-    function v -> H v."""
-    by_mask: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for t in h.terms:
-        perm, phase = word_action(t.string.word)
-        mask = int(perm[0])
-        if mask in by_mask:
-            by_mask[mask][1][:] += t.coefficient * phase
-        else:
-            by_mask[mask] = (perm, t.coefficient * phase)
-    diag = by_mask.pop(0)[1] if 0 in by_mask else 0.0
-    flips = list(by_mask.values())
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = diag * v
-        for perm, d in flips:
-            out += d * v[perm]
-        return out
-
-    return apply
 
 
 def _krylov_coefficients(t: np.ndarray, taus) -> np.ndarray:
@@ -600,9 +582,9 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
-    """Yield (normalized exp(-tau H) psi0, its energy Re <H>) at each tau
-    in turn, by Lanczos on H applied without a matrix (`_hamiltonian_action`);
-    a tau below the previous one restarts from psi0, as the walk does.
+    """Yield the normalized `StateVector` exp(-tau H) psi0 at each tau in
+    turn, for a caller to score (`expectation`), by Lanczos on H applied by
+    `_hamiltonian_action`; a tau below the previous one restarts from psi0.
 
     One basis, from psi0 or the last checkpoint yielded, serves the
     following checkpoints up to the next restart; two classical
@@ -625,17 +607,16 @@ def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
     if psi0.n_qubits != h.n_qubits:
         raise ValueError(f"state has {psi0.n_qubits} qubits, Hamiltonian {h.n_qubits}")
     apply = _hamiltonian_action(h)
-    scale = sum(abs(t.coefficient) for t in h.terms)
-    floor = _BREAKDOWN * scale
+    floor = _BREAKDOWN * sum(abs(t.coefficient) for t in h.terms)
     start = psi0.normalized().amps
     dim = start.size
     cap = min(dim, _KRYLOV_CAP)
     basis = np.empty((cap, dim), dtype=complex)
     t = np.zeros((cap, cap))  # tridiagonal: alpha on the diagonal, beta beside it
-    k, at, vec, energy = 0, 0.0, start, None  # the last checkpoint, or psi0
+    k, at, vec = 0, 0.0, start  # the last checkpoint, or psi0
     while k < len(taus):
         if taus[k] < at:
-            at, vec, energy = 0.0, start, None
+            at, vec = 0.0, start
         end = k + 1
         while end < len(taus) and taus[end] >= taus[end - 1]:
             end += 1
@@ -658,13 +639,8 @@ def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
                 ready = held.size if held.all() else int(np.argmin(held))
                 for row in c[:ready]:
                     if taus[k] != at:
-                        at, vec, energy = taus[k], _unit(row @ span), None
-                    if energy is None:  # Re <vec|H vec>, real as in `expectation`
-                        total = np.vdot(vec, apply(vec))
-                        if not abs(total.imag) < 1e-10 * max(1.0, scale):
-                            raise SimulationError(f"expectation has imaginary part {total.imag}")
-                        energy = float(total.real)
-                    yield StateVector(h.n_qubits, vec), energy
+                        at, vec = taus[k], _unit(row @ span)
+                    yield StateVector(h.n_qubits, vec)
                     k += 1
                 offsets = offsets[ready:]
                 if not offsets.size:
@@ -680,9 +656,9 @@ def chained_oracle(h: Hamiltonian, taus, psi0: StateVector):
                     raise SimulationError(f"Lanczos step did not converge within {cap} vectors")
                 c = _krylov_coefficients(t, [step])[0]
                 if step * beta * abs(c[-1]) <= _KRYLOV_TOL * _norm(c):
-                    at, vec, energy = origin + step, _unit(c @ basis), None
+                    at, vec = origin + step, _unit(c @ basis)
 
 
 def imaginary_time_oracle(h: Hamiltonian, tau: float, psi0: StateVector) -> StateVector:
     """Normalized exp(-tau H) psi0: `chained_oracle` at the one checkpoint tau."""
-    return next(chained_oracle(h, [tau], psi0))[0]
+    return next(chained_oracle(h, [tau], psi0))

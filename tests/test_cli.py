@@ -130,6 +130,18 @@ def test_decompose_two_body(runner):
     assert err < 1e-12
 
 
+def test_decompose_scores_each_unit_once(runner, monkeypatch):
+    """The product of the units' mean success is taken from the per-unit
+    list, not from a second pass; the JSON keeps its bytes."""
+    calls, score = [], cli.mean_unit_success
+    monkeypatch.setattr(cli, "mean_unit_success", lambda unit: calls.append(unit) or score(unit))
+    result = runner.invoke(main, ["decompose", "ZZZZ", "0.3"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "ac3496abf2711f96cc49b4c036d1a7fdf8ceb5656051bf82d3874685a758b4f3")
+
+
 def _verify_error(runner, word, k):
     """The --verify log error of `decompose WORD K`, with any RuntimeWarning
     raised as an error."""
@@ -389,6 +401,31 @@ def test_ising_demo_shots_csv_bytes_are_pinned(runner, tmp_path, seed):
     result = runner.invoke(main, [*ISING_SHOTS, "--seed", str(seed), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ISING_SHOTS_SHA256[seed]
+
+
+#: sha256 of the CSV (stdout) and the dense-oracle notes (stderr) of
+#: `evolve --mode exact` on `oracles.chain_terms(8)` from |+>^8, per route.
+#: The notes score the oracle's states with `expectation`, as the E column
+#: scores the walk's; the ZZ and X columns keep their per-word sums.
+CHAIN8_EXACT_SHA256 = {
+    "rbm": ("40f8355438554288ccb14f60c2b0b702d9772f78384038076260656b84649ebe",
+            "9f41bad0b1e100e73fe4e45211de649e1233d19e144dd5951c13723b13d1ca53"),
+    "word": ("4fbcd399107033c7c98b8e92e746a8c6ebe469a6b5ec640dec5c18eef1786936",
+             "9f41bad0b1e100e73fe4e45211de649e1233d19e144dd5951c13723b13d1ca53"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(CHAIN8_EXACT_SHA256))
+def test_evolve_exact_chain_csv_and_notes_are_pinned(runner, tmp_path, route):
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
+    result = runner.invoke(main, [
+        "evolve", "--hamiltonian", str(path), "--mode", "exact", "--route", route,
+        "--tau", "0.25,0.5,0.75,1,1.25,1.5,1.75,2", "--dtau", "0.01",
+    ])
+    assert result.exit_code == 0, result.output
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (result.stdout, result.stderr)) == CHAIN8_EXACT_SHA256[route]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -876,6 +913,34 @@ def test_ldbm_huge_qubit_index_is_a_usage_error(runner, tmp_path):
     result = _run_script(runner, tmp_path, "hx 1" + "0" * 400 + "\n", qubits=1)
     assert result.exit_code == 2, result.output
     assert "line 1: " in result.stderr and "out of range" in result.stderr
+
+
+def test_ldbm_overflowed_bias_is_a_runtime_error(runner, tmp_path):
+    """Two finite rz angles whose sum passes the float range leave a bias
+    that the network refuses: a runtime failure (exit 3) with the network's
+    message, not a malformed line, and no RuntimeWarning on the way, so that
+    the run reads the same when warnings are errors."""
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            result = _run_script(runner, tmp_path, "rz 0 1e308\nrz 0 1e308\n", qubits=1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: a must be finite\n"
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize("text, qubits, message", [
+    ("rz 0 1e308\nrz 3 1e308\n", 1, "line 2: visible index 3 out of range for N=1"),
+    ("rzz 1 1 1e308\n", 2, "line 1: rzz requires two distinct qubits, got 1 twice"),
+    ("rz 0 1e308\nrz 0 1e308x\n", 1, "line 2: expected number, got '1e308x'"),
+], ids=["site-range", "rzz-repeat", "token"])
+def test_ldbm_bad_arguments_stay_usage_errors(runner, tmp_path, text, qubits, message):
+    """A malformed token, an out-of-range site and a repeated rzz site are
+    the line's fault (exit 2), beside angles that would overflow."""
+    result = _run_script(runner, tmp_path, text, qubits)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.endswith(f"Error: {message}\n")
 
 
 def test_ldbm_reads_stdin(runner):

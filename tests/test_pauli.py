@@ -10,11 +10,15 @@ from itebm.pauli import (
     apply_word,
     basis_rotation_layer,
     dense_matrix,
+    flip_groups,
     merged_letters,
     parse_hamiltonian,
     word_action,
     word_from_sites,
 )
+
+from itebm import simulator
+from itebm.simulator import expectation
 
 import oracles
 
@@ -86,6 +90,32 @@ def test_dense_matrix_matches_oracle():
         oracles.ham_matrix([(0.5, "ZZI"), (-1.25, "IXY"), (2.0, "YIZ")], 3),
         atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flip_groups_act_as_the_dense_matrix(seed):
+    """Three words per flip mask, the diagonal mask among them, with X or Y
+    on each flipped site and I or Z elsewhere, so that every group sums
+    phases of both signs and of both real and imaginary kinds.  The grouped
+    action is dense_matrix(h) @ v and the Kronecker reference's product to
+    1e-12, and `expectation` the dense <psi|H|psi>."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    masks = [np.zeros(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(3)]
+    words = ["".join(rng.choice(list("XY" if flip else "IZ")) for flip in mask)
+             for mask in masks for _ in range(3)]
+    terms = [(float(rng.uniform(-1.0, 1.0)), w) for w in words]
+    h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in terms))
+    groups = flip_groups(h)
+    assert len(groups) == len({m.tobytes() for m in masks})
+    assert np.array_equal(groups[0][0], np.arange(1 << n))  # the diagonal group first
+    reference = oracles.ham_matrix(terms, n)
+    psi = oracles.random_state(n, rng)
+    got = simulator._hamiltonian_action(h)(psi)
+    assert np.max(np.abs(got - dense_matrix(h) @ psi)) <= 1e-12
+    assert np.max(np.abs(got - reference @ psi)) <= 1e-12
+    want = np.vdot(psi, reference @ psi).real
+    assert abs(expectation(simulator.StateVector(n, psi), h) - want) <= 1e-12
 
 
 def test_dense_matrix_limit():

@@ -688,6 +688,41 @@ def test_oracle_keeps_an_eigenstate_after_one_lanczos_vector(monkeypatch, tau):
     assert abs(expectation(got, h) - vals[7]) <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("case", ["tfim", "complex", "eigenstate"])
+def test_imaginary_time_oracle_spends_one_action_per_lanczos_vector(monkeypatch, case):
+    """Each basis vector costs one H action, and the oracle spends none on
+    an energy: a caller scores its state with `expectation`.  No case here
+    reaches the cap, so each vector makes one `_krylov_coefficients` call;
+    an eigenstate breaks down at its first vector and takes one action."""
+    rng = np.random.default_rng(14)
+    if case == "tfim":
+        h, psi0, tau = parse_hamiltonian(TFIM), StateVector.uniform_plus(3), 0.5
+    else:
+        h = _random_hamiltonian(5, rng)
+        psi0 = StateVector(5, oracles.random_state(5, rng))
+        tau = 1.0
+        if case == "eigenstate":
+            _, vecs = np.linalg.eigh(oracles.ham_matrix(
+                [(t.coefficient, t.string.word) for t in h.terms], 5))
+            psi0, tau = StateVector(5, vecs[:, 7]), 3.0
+    actions, vectors = [], []
+    build, coefficients = simulator._hamiltonian_action, simulator._krylov_coefficients
+
+    def counted(h):
+        apply = build(h)
+        return lambda v: actions.append(v.size) or apply(v)
+
+    monkeypatch.setattr(simulator, "_hamiltonian_action", counted)
+    monkeypatch.setattr(simulator, "_krylov_coefficients",
+                        lambda t, taus: vectors.append(t.shape[0]) or coefficients(t, taus))
+    got = imaginary_time_oracle(h, tau, psi0)
+    assert vectors == list(range(1, len(vectors) + 1))
+    assert len(actions) == len(vectors)
+    if case == "eigenstate":
+        assert actions == [32]
+    _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
+
+
 def test_oracle_at_tau_zero_is_the_normalized_state():
     h = parse_hamiltonian(TFIM)
     amps = 3.0 * oracles.random_state(3, np.random.default_rng(10))
@@ -705,25 +740,23 @@ def test_chained_oracle_restarts_when_tau_goes_back():
     taus = [1.0, 0.5, 0.0, 0.5, 2.0, 2.0]
     checkpoints = list(simulator.chained_oracle(h, taus, psi0))
     assert len(checkpoints) == len(taus)
-    for tau, (got, energy) in zip(taus, checkpoints):
+    for tau, got in zip(taus, checkpoints):
         _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
-        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
 
 
 def test_chained_steps_agree_with_one_step():
     h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
     psi0 = StateVector.uniform_plus(8)
     taus = [0.25 * i for i in range(1, 9)]
-    for tau, (got, energy) in zip(taus, simulator.chained_oracle(h, taus, psi0)):
+    for tau, got in zip(taus, simulator.chained_oracle(h, taus, psi0)):
         one = imaginary_time_oracle(h, tau, psi0)
         _assert_oracle_close(got, one, h)
         _assert_oracle_close(one, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
-        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
 
 
 def test_chained_oracle_serves_the_chain_from_one_basis(monkeypatch):
-    """Eight checkpoints from |+>^8 fit one Krylov basis: 28 vectors and
-    the eight energies, where a basis per checkpoint took 116 H actions."""
+    """Eight checkpoints from |+>^8 fit one Krylov basis: 28 vectors, where
+    a basis per checkpoint took 116 H actions."""
     h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(8)))
     psi0 = StateVector.uniform_plus(8)
     taus = [0.25 * i for i in range(1, 9)]
@@ -743,9 +776,8 @@ def test_chained_oracle_serves_the_chain_from_one_basis(monkeypatch):
     checkpoints = list(simulator.chained_oracle(h, taus, psi0))
     assert len(checkpoints) == len(taus)
     assert len(actions) <= 40
-    for tau, (got, energy) in zip(taus, checkpoints):
+    for tau, got in zip(taus, checkpoints):
         _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
-        assert abs(energy - expectation(got, h)) <= 1e-12
 
 
 def test_chained_oracle_restarts_and_halves_at_a_small_cap(monkeypatch):
@@ -770,9 +802,8 @@ def test_chained_oracle_restarts_and_halves_at_a_small_cap(monkeypatch):
     checkpoints = list(simulator.chained_oracle(h, taus, psi0))
     assert len(checkpoints) == len(taus)
     assert pending[:2] == [4, 4] and 2 in pending
-    for tau, (got, energy) in zip(taus, checkpoints):
+    for tau, got in zip(taus, checkpoints):
         _assert_oracle_close(got, oracles.imaginary_time_oracle_reference(h, tau, psi0), h)
-        assert abs(energy - expectation(got, h)) <= ORACLE_TOL
 
 
 def test_oracle_stays_in_the_parity_sector_of_its_state():
