@@ -1,7 +1,8 @@
 """Command-line interface: reproducible imaginary-time evolution runs.
 
-The commands parse and check their options and write the output; the
-evolution loop itself is `itebm.evolution.iter_evolution`.
+The commands read their input, write the output and map errors to exit
+codes; `itebm.evolution.iter_evolution` checks a run's options and runs it,
+and its ValueError is a usage error, reported before the CSV header.
 
 Commands
 --------
@@ -25,9 +26,8 @@ import click
 import numpy as np
 
 from . import ldbm as nets
-from .circuits import n_trotter_steps
 from .decomp import MAX_WALSH_SITES, decompose_sites, max_log_error, mean_unit_success
-from .evolution import COLUMNS, iter_evolution, shot_split
+from .evolution import COLUMNS, iter_evolution
 from .pauli import (
     Hamiltonian,
     PauliString,
@@ -74,10 +74,10 @@ def _runtime(f):
     return wrapper
 
 
-def _usage(fn, *args):
+def _usage(fn, *args, **kwargs):
     """Call fn, reporting a ValueError as a usage error (exit 2)."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -110,16 +110,6 @@ def _parse_taus(spec: str) -> list[float]:
     if not taus:
         raise click.UsageError("--tau is empty")
     return taus
-
-
-def _check_run(h: Hamiltonian, taus: list[float], dtau: float, mode: str, shots: int,
-               batches: int) -> None:
-    """Check the options that evolve and ising-demo share, as usage errors:
-    dtau, each tau a multiple of it, --batches and the shot split."""
-    for tau in taus:
-        _usage(n_trotter_steps, tau, dtau)
-    if mode == "shots" or batches < 2:  # exact mode: only its --batches check, run first
-        _usage(shot_split, h, shots, batches)
 
 
 def _initial_state(spec: str, n_qubits: int) -> StateVector:
@@ -232,14 +222,9 @@ def cmd_evolve(hamiltonian, tau, init_spec, dtau, order, route, shots, batches, 
     """Evolve an initial state in imaginary time, one CSV row per checkpoint."""
     h = _load_hamiltonian(hamiltonian)
     taus = _parse_taus(tau)
-    mode = mode or "exact"
-    _check_run(h, taus, dtau, mode, shots, batches)
     psi0 = _initial_state(init_spec, h.n_qubits)
-    rows_iter = iter_evolution(
-        h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
-        oracle_check=(mode == "exact" and h.n_qubits <= 12),
-    )
-    _write_rows(out, rows_iter)
+    _write_rows(out, _usage(iter_evolution, h, taus, dtau, order, route, psi0,
+                            mode or "exact", shots, batches, seed, oracle_check=True))
 
 
 @main.command("ising-demo")
@@ -255,13 +240,11 @@ def cmd_ising_demo(dtau, order, route, shots, batches, seed, mode, out) -> None:
     h = ising_hamiltonian()
     taus = [round(0.1 * i, 10) for i in range(1, 11)]
     mode = mode or "shots"
-    _check_run(h, taus, dtau, mode, shots, batches)
     if out == "-":
         out = "ising_demo.csv"
     psi0 = StateVector.uniform_plus(3)
-    rows = _write_rows(out, iter_evolution(
-        h, taus, dtau, order, route, psi0, mode, shots, batches, seed,
-    ))
+    rows = _write_rows(out, _usage(iter_evolution, h, taus, dtau, order, route, psi0, mode,
+                                   shots, batches, seed))
     evals = np.linalg.eigvalsh(dense_matrix(h))
     oracle = {_g(t): expectation(state, h)
               for t, state in zip(taus, chained_oracle(h, taus, psi0))}

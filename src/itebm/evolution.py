@@ -62,26 +62,21 @@ def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
     return diag, xonly
 
 
-def shot_split(h: Hamiltonian, shots: int, batches: int) -> int:
-    """Shots per batch of each basis group; ValueError unless batches >= 2
-    and the budget is positive and divides evenly into the groups and batches."""
-    if batches < 2:
-        raise ValueError(f"--batches must be >= 2, got {batches}")
-    if shots < 1:
-        raise ValueError(f"--shots must be >= 1, got {shots}")
-    n_groups = len(_measurement_groups(h))
-    if shots % (n_groups * batches) != 0:
-        raise ValueError(
-            f"--shots {shots} must divide evenly into {n_groups} basis "
-            f"group(s) x {batches} batches"
-        )
-    return shots // (n_groups * batches)
+#: Largest register on which `iter_evolution` runs its oracle check, the
+#: `pauli.dense_matrix` limit, so a dense reference can confirm each note.
+ORACLE_MAX_QUBITS = 12
 
 
 def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, route: str,
                    psi0: StateVector, mode: str, shots: int, batches: int, seed: int,
                    oracle_check: bool = False):
-    """Yield one (row dict, note-or-None) per tau checkpoint.
+    """Check the run, then return an iterator of one (row dict,
+    note-or-None) per tau checkpoint.
+
+    The check raises ValueError before any compile: each tau must be a
+    whole number of dtau steps, batches >= 2 and, in shots mode, shots >= 1
+    a multiple of basis groups x batches.  With oracle_check, on at most
+    `ORACLE_MAX_QUBITS` sites, exact notes compare E with the oracle's.
 
     Shots mode samples each measurement-basis group at every checkpoint
     (the shot budget is split evenly, one seed stream per checkpoint and
@@ -90,79 +85,94 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
     when every basis group it needs has at least one accepted shot there.
     The note of a shots checkpoint counts the batches each column dropped.
     """
-    diag_terms, x_terms = _column_terms(h)
-    groups = _measurement_groups(h)
-    n_groups = len(groups)
+    step_counts = [n_trotter_steps(tau, dtau) for tau in taus]
+    if batches < 2:
+        raise ValueError(f"--batches must be >= 2, got {batches}")
     if mode == "shots":
-        per_batch = shot_split(h, shots, batches)
-    step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits)
-    walked = None
-    oracle = chained_oracle(h, taus, psi0) if oracle_check else None
-    for t_idx, tau in enumerate(taus):
-        n_steps = n_trotter_steps(tau, dtau)
-        if walked is None or n_steps < walked:
-            traj, walked, model = Trajectory(step, psi0), 0, 1.0
-        while walked < n_steps:
-            traj.advance(step)
-            model *= step.model_success
-            walked += 1
-        note = None
-        if mode == "exact":
-            state = traj.final_state()
-            e_mean = expectation(state, h)
-            zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
-            xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
-            row = dict(zip(COLUMNS, (tau, e_mean, 0.0, zz, 0.0, xx, 0.0,
-                                     traj.cumulative_success, model, 0)))
-            if oracle_check:
-                e_oracle = expectation(next(oracle), h)
-                note = (
-                    f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
-                    f"|diff| {abs(e_mean - e_oracle):.3g}"
-                )
+        if shots < 1:
+            raise ValueError(f"--shots must be >= 1, got {shots}")
+        groups = _measurement_groups(h)
+        n_groups = len(groups)
+        if shots % (n_groups * batches) != 0:
+            raise ValueError(
+                f"--shots {shots} must divide evenly into {n_groups} basis "
+                f"group(s) x {batches} batches"
+            )
+        per_batch = shots // (n_groups * batches)
+    oracle_check = oracle_check and mode == "exact" and h.n_qubits <= ORACLE_MAX_QUBITS
+
+    def rows():
+        diag_terms, x_terms = _column_terms(h)
+        step = trotter_step(h, dtau, order, route=route).to_circuit(h.n_qubits)
+        walked = None
+        oracle = chained_oracle(h, taus, psi0) if oracle_check else None
+        for t_idx, (tau, n_steps) in enumerate(zip(taus, step_counts)):
+            if walked is None or n_steps < walked:
+                traj, walked, model = Trajectory(step, psi0), 0, 1.0
+            while walked < n_steps:
+                traj.advance(step)
+                model *= step.model_success
+                walked += 1
+            note = None
+            if mode == "exact":
+                state = traj.final_state()
+                e_mean = expectation(state, h)
+                zz = sum(_bare_expectation(state, h.terms[i].string.word) for i in diag_terms)
+                xx = sum(_bare_expectation(state, h.terms[i].string.word) for i in x_terms)
+                row = dict(zip(COLUMNS, (tau, e_mean, 0.0, zz, 0.0, xx, 0.0,
+                                         traj.cumulative_success, model, 0)))
+                if oracle_check:
+                    e_oracle = expectation(next(oracle), h)
+                    note = (
+                        f"tau {tau:g}: E {e_mean:.9f}, dense oracle {e_oracle:.9f}, "
+                        f"|diff| {abs(e_mean - e_oracle):.3g}"
+                    )
+                yield row, note
+                continue
+
+            counts = np.zeros((n_groups, batches), dtype=int)
+            term_sums = {}
+            for g_idx, (basis, members) in enumerate(groups):
+                run = traj.sample(
+                    shots // n_groups, _derive_seed(seed, n_groups * t_idx + g_idx), basis)
+                batch_of = np.flatnonzero(run.accepted) // per_batch
+                counts[g_idx] = np.bincount(batch_of, minlength=batches)
+                for i in members:
+                    term_sums[i] = np.bincount(
+                        batch_of, weights=run.word_values(h.terms[i].string),
+                        minlength=batches)
+
+            group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
+            dropped = []
+
+            def column(name, indices, coeffs) -> tuple[float, float]:
+                if not indices:
+                    return 0.0, 0.0
+                need = sorted({group_of[i] for i in indices})
+                kept = np.all(counts[need] > 0, axis=0)
+                if int(kept.sum()) < 2:
+                    raise RuntimeError(
+                        f"only {int(kept.sum())} batch(es) have accepted shots in "
+                        f"all required bases at tau={tau:g}; increase --shots"
+                    )
+                if not kept.all():
+                    dropped.append(
+                        f"{batches - int(kept.sum())} of {batches} batches ({name})")
+                vals = np.zeros(batches)
+                for i, c in zip(indices, coeffs):
+                    vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
+                est = jackknife(vals[kept])
+                return est.mean, est.std_error
+
+            all_idx = list(range(len(h.terms)))
+            e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
+            zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
+            x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
+            if dropped:
+                note = f"tau {tau:g}: dropped " + ", ".join(dropped)
+            total_accepted = int(counts.sum())
+            row = dict(zip(COLUMNS, (tau, e_mean, e_err, zz_mean, zz_err, x_mean, x_err,
+                                     total_accepted / shots, model, total_accepted)))
             yield row, note
-            continue
 
-        counts = np.zeros((n_groups, batches), dtype=int)
-        term_sums = {}
-        for g_idx, (basis, members) in enumerate(groups):
-            run = traj.sample(
-                shots // n_groups, _derive_seed(seed, n_groups * t_idx + g_idx), basis)
-            batch_of = np.flatnonzero(run.accepted) // per_batch
-            counts[g_idx] = np.bincount(batch_of, minlength=batches)
-            for i in members:
-                term_sums[i] = np.bincount(
-                    batch_of, weights=run.word_values(h.terms[i].string),
-                    minlength=batches)
-
-        group_of = {i: g for g, (_, members) in enumerate(groups) for i in members}
-        dropped = []
-
-        def column(name, indices, coeffs) -> tuple[float, float]:
-            if not indices:
-                return 0.0, 0.0
-            need = sorted({group_of[i] for i in indices})
-            kept = np.all(counts[need] > 0, axis=0)
-            if int(kept.sum()) < 2:
-                raise RuntimeError(
-                    f"only {int(kept.sum())} batch(es) have accepted shots in "
-                    f"all required bases at tau={tau:g}; increase --shots"
-                )
-            if not kept.all():
-                dropped.append(f"{batches - int(kept.sum())} of {batches} batches ({name})")
-            vals = np.zeros(batches)
-            for i, c in zip(indices, coeffs):
-                vals = vals + c * term_sums[i] / np.maximum(counts[group_of[i]], 1)
-            est = jackknife(vals[kept])
-            return est.mean, est.std_error
-
-        all_idx = list(range(len(h.terms)))
-        e_mean, e_err = column("E", all_idx, [h.terms[i].coefficient for i in all_idx])
-        zz_mean, zz_err = column("ZZ", diag_terms, [1.0] * len(diag_terms))
-        x_mean, x_err = column("X", x_terms, [1.0] * len(x_terms))
-        if dropped:
-            note = f"tau {tau:g}: dropped " + ", ".join(dropped)
-        total_accepted = int(counts.sum())
-        row = dict(zip(COLUMNS, (tau, e_mean, e_err, zz_mean, zz_err, x_mean, x_err,
-                                 total_accepted / shots, model, total_accepted)))
-        yield row, note
+    return rows()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class Hamiltonian:
                     f"expected {self.n_qubits}"
                 )
 
+    @cached_property
+    def flip_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The module's `flip_groups(self)`, built once and kept with H."""
+        return flip_groups(self)
+
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse '<coefficient> <word>' lines; '#' starts a comment.
@@ -178,10 +183,10 @@ def apply_word(word: str, amps: np.ndarray) -> np.ndarray:
     return amps[..., perm] * phase
 
 
-def flip_groups(h: Hamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
-    """H's terms summed per flip mask m (`word_action`'s perm[0]), as pairs
-    (perm_m, d_m) with (H v)[j] = sum_m d_m[j] v[perm_m[j]]: the diagonal
-    m = 0 first, if any, then the masks in the order they first occur."""
+def flip_groups(h: Hamiltonian) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """H's terms summed per flip mask m (`word_action`'s perm[0]), as read-only
+    pairs (perm_m, d_m) with (H v)[j] = sum_m d_m[j] v[perm_m[j]]: the
+    diagonal m = 0 first, if any, then the masks in the order they first occur."""
     groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for t in h.terms:
         perm, phase = word_action(t.string.word)
@@ -190,19 +195,21 @@ def flip_groups(h: Hamiltonian) -> list[tuple[np.ndarray, np.ndarray]]:
             groups[mask][1][:] += t.coefficient * phase
         else:
             groups[mask] = (perm, t.coefficient * phase)
+    for _, d in groups.values():
+        d.setflags(write=False)
     diagonal = [groups.pop(0)] if 0 in groups else []
-    return diagonal + list(groups.values())
+    return tuple(diagonal + list(groups.values()))
 
 
 def dense_matrix(h: Hamiltonian, limit: int = 12) -> np.ndarray:
     """Dense Hermitian matrix of a Hamiltonian (qubit 0 most significant):
-    its flip groups (`flip_groups`) scattered to H[j, perm_m[j]] = d_m[j]."""
+    its flip groups (`h.flip_groups`) scattered to H[j, perm_m[j]] = d_m[j]."""
     if h.n_qubits > limit:
         raise ValueError(f"{h.n_qubits} qubits exceeds dense limit {limit}")
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for perm, d in flip_groups(h):
+    for perm, d in h.flip_groups:
         m[cols, perm] += d
     return m
 

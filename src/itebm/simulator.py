@@ -35,12 +35,12 @@ the word stream in chunks and compared as integers against cut-offs
 ceil(p1 2^53), which fail exactly the shots whose variate is below p1.
 
 H meets a vector one way, a gather and multiply per flip mask
-(`pauli.flip_groups`), never as a 2^n x 2^n matrix: `expectation` reads
-Re <psi|H psi> so, and the oracle (`chained_oracle`) yields the states
-exp(-tau H) psi0 from a Lanczos basis with full reorthogonalization and a
-Ritz-value gauge shift.  One basis serves every following checkpoint that
-it holds, and a new one starts from the last checkpoint where its cap is
-reached.
+(`Hamiltonian.flip_groups`, built once per Hamiltonian), never as a 2^n x
+2^n matrix: `expectation` reads Re <psi|H psi> so, and the oracle
+(`chained_oracle`) yields the states exp(-tau H) psi0 from a Lanczos basis
+with full reorthogonalization and a Ritz-value gauge shift.  One basis
+serves every following checkpoint that it holds, and a new one starts from
+the last checkpoint where its cap is reached.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import Circuit, Unit
-from .pauli import Hamiltonian, PauliString, flip_groups, merged_letters, word_action
+from .pauli import Hamiltonian, PauliString, merged_letters, word_action
 
 #: Branch probabilities below this are treated as a fully rejected trajectory.
 ZERO_WEIGHT = 1e-300
@@ -525,12 +525,11 @@ def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
 
 def _hamiltonian_action(h: Hamiltonian):
     """The function v -> H v: one gather and multiply per flip group of H
-    (`flip_groups`), summed in the groups' order."""
-    groups = flip_groups(h)
+    (`Hamiltonian.flip_groups`), summed in the groups' order."""
 
     def apply(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        for perm, d in groups:
+        for perm, d in h.flip_groups:
             out += d * v[perm]
         return out
 

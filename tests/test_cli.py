@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -6,13 +7,14 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import itebm
-from itebm import cli, pauli, simulator
+from itebm import cli, evolution, pauli, simulator
 from itebm.cli import ISING_TEXT, ising_hamiltonian, main
 from itebm.decomp import _k_equal_weights, decompose_sites
 from itebm.evolution import _derive_seed, _measurement_groups
@@ -20,6 +22,8 @@ from itebm.pauli import parse_hamiltonian
 from itebm.simulator import StateVector, expectation, imaginary_time_oracle
 
 import oracles
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -385,6 +389,43 @@ def test_a_trajectory_builds_each_transition_once(runner, tmp_path, monkeypatch,
     assert len(set(built_keys)) == len(built_keys) == built
 
 
+def test_ising_demo_shots_groups_the_terms_once(runner, tmp_path, monkeypatch):
+    """The run's check and its rows share one measurement-basis grouping."""
+    built, grouping = [], evolution._measurement_groups
+    monkeypatch.setattr(evolution, "_measurement_groups",
+                        lambda h: built.append(h) or grouping(h))
+    result = runner.invoke(main, [*ISING_SHOTS, "--out", str(tmp_path / "run.csv")])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+
+
+def _count_flip_group_builds(monkeypatch) -> list:
+    """Wrap `pauli.flip_groups`, the builder, wherever a module holds it."""
+    built, build = [], pauli.flip_groups
+    for module in (pauli, simulator):
+        if hasattr(module, "flip_groups"):
+            monkeypatch.setattr(module, "flip_groups", lambda h: built.append(h) or build(h))
+    return built
+
+
+def test_chain_exact_run_builds_the_flip_groups_once(runner, tmp_path, monkeypatch):
+    """The benchmark's seed-0 chain-exact command, 8 checkpoints with their
+    oracle notes, groups its Hamiltonian's terms once: the rows' energies,
+    the oracle's Lanczos actions and the notes' energies share it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argv = workloads.ChainExact().prepare(0, tmp_path)["argv"]
+    assert argv[argv.index("--tau") + 1].count(",") == 7
+    built = _count_flip_group_builds(monkeypatch)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert result.stderr.count("dense oracle") == 8
+    assert len(built) == 1
+
+
 #: sha256 of the ISING_SHOTS CSV per seed, as the per-measurement replay
 #: (`oracles.replay_reference`) wrote it; seed 0 is pinned with the benchmark's
 #: digests.  Replaying the shots another way must keep these bytes.
@@ -548,6 +589,20 @@ def test_shot_split_error_comes_before_the_csv_header(runner, tfim_file, tmp_pat
         assert result.exit_code == 2
         assert "must divide evenly into 2 basis group(s)" in result.stderr
         assert result.stdout == "" and not out.exists()
+
+
+def test_evolve_compile_failure_exits_3_after_the_csv_header(runner, tmp_path):
+    """A run that passes its check fails in its compile, after the header:
+    a coupling of 1e6 on five sites is past the order-5 cascade's range."""
+    ham = tmp_path / "z5.txt"
+    ham.write_text("1e6 ZZZZZ\n")
+    result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham), "--mode", "exact",
+                                  "--tau", "1", "--dtau", "1"])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == cli.CSV_HEADER + "\n"
+    assert result.stderr == (
+        "error: coupling target 1000000.0 exceeds the double-precision representable "
+        "range for order 5 (|K| <= 0.52907)\n")
 
 
 @pytest.mark.parametrize("shots", ["-200", "0"])

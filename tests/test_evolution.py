@@ -134,3 +134,39 @@ def test_one_step_compiled_and_walked_once(monkeypatch, mode, taus, walked):
     assert len(rows) == len(taus)
     assert calls == {"walk": walked, "compile": 1}
     assert np.isfinite([row["E_mean"] for row, _ in rows]).all()
+
+
+def _refuse_compile(*args, **kwargs):
+    raise AssertionError("trotter_step called")
+
+
+@pytest.mark.parametrize("mode, taus, shots, batches, message", [
+    ("exact", [0.1, 0.15], 0, 1, "tau 0.15 is not an integer multiple of dtau 0.1"),
+    ("exact", [0.1], 0, 1, "--batches must be >= 2, got 1"),
+    ("shots", [0.1], 0, 1, "--batches must be >= 2, got 1"),
+    ("shots", [0.1], 0, 100, "--shots must be >= 1, got 0"),
+    ("shots", [0.1], 999, 100,
+     "--shots 999 must divide evenly into 2 basis group(s) x 100 batches"),
+], ids=["tau", "exact-batches", "shots-batches", "shots", "shot-split"])
+def test_a_run_is_checked_when_called_before_any_compile(monkeypatch, mode, taus, shots,
+                                                         batches, message):
+    """The call itself raises the first failed check's ValueError, in the
+    order tau, batches, shots, split, and compiles no step."""
+    monkeypatch.setattr(evolution, "trotter_step", _refuse_compile)
+    h = parse_hamiltonian(ISING_TEXT)
+    with pytest.raises(ValueError) as excinfo:
+        iter_evolution(h, taus, 0.1, 2, "rbm", StateVector.uniform_plus(3), mode, shots,
+                       batches, 0)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+def test_a_checked_run_compiles_when_iterated(monkeypatch, mode):
+    """A run that passes its check is returned before its step is compiled:
+    the compile, and its failure, come with the first row."""
+    monkeypatch.setattr(evolution, "trotter_step", _refuse_compile)
+    h = parse_hamiltonian(ISING_TEXT)
+    rows = iter_evolution(h, [0.1], 0.1, 2, "rbm", StateVector.uniform_plus(3), mode, 8000,
+                          10, 0, oracle_check=True)
+    with pytest.raises(AssertionError, match="trotter_step called"):
+        next(rows)

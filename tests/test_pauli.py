@@ -118,6 +118,20 @@ def test_flip_groups_act_as_the_dense_matrix(seed):
     assert abs(expectation(simulator.StateVector(n, psi), h) - want) <= 1e-12
 
 
+def test_flip_groups_are_built_once_and_kept_read_only():
+    """A Hamiltonian keeps its flip groups, as `flip_groups` builds them,
+    in arrays that no caller can write."""
+    h = parse_hamiltonian("1 ZZI\n1 IZZ\n-1 XII\n0.5 YYI\n")
+    groups = h.flip_groups
+    assert h.flip_groups is groups
+    assert [(len(a), len(b)) for a, b in groups] == [(8, 8)] * 3
+    for built, kept in zip(flip_groups(h), groups):
+        assert all(np.array_equal(x, y) for x, y in zip(built, kept))
+    assert not any(a.flags.writeable for group in groups for a in group)
+    with pytest.raises(ValueError, match="read-only"):
+        groups[0][1][0] = 0.0
+
+
 def test_dense_matrix_limit():
     h = Hamiltonian(13, (HamiltonianTerm(1.0, PauliString("Z" * 13)),))
     with pytest.raises(ValueError, match="limit"):
