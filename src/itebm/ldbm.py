@@ -9,7 +9,10 @@ with h ranging over {+1, -1}^M.  Basis-change gates, phase gates, and
 imaginary-time factors are absorbed exactly by appending hidden units and
 shifting parameters; no parameter is ever fitted.  The laterals are kept as
 the edge list the absorption rules create: each gate appends its units and
-their edges, so absorbing a gate costs time in the edges it adds, not in M^2.
+their edges.  The constructors check every entry and pair of a network given
+from outside; a rule checks only the entries it writes and shares the arrays
+it leaves alone, so absorbing a gate costs one copy of each array it grows
+(time linear in N * M + E) and no check or sort over the whole network.
 `ldbm_to_dbm` removes the lateral couplings in favour of a third (deep) layer
 using an analytically continued two-body identity.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,18 +50,44 @@ _TOL = 1e-15
 
 
 def _complex_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """value as a complex array of the given shape; raises when its shape
-    differs or an entry is not finite."""
+    """value as a read-only complex array of the given shape; raises when
+    its shape differs or an entry is not finite."""
     arr = np.array(value, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    arr.flags.writeable = False
     return arr
 
 
+def _built(cls, written: dict, **fields):
+    """A network of a rule's arrays, uncopied and made read-only so that
+    networks can share them.  Only the entries written are checked finite,
+    named as the constructor names them; each pair a rule appends is (j, m)
+    with j < m, the new unit, so pairs need no check."""
+    for name, values in written.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    net = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(net, name, complex(value) if name == "log_norm" else value)
+    return net
+
+
+def _grown(arr: np.ndarray, extra: int, axis: int = 0) -> np.ndarray:
+    """arr followed by `extra` zero entries along axis, in one allocation."""
+    shape = list(arr.shape)
+    shape[axis] += extra
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[tuple(map(slice, arr.shape))] = arr
+    return out
+
+
 def _pair(c: complex) -> list[float]:
-    return [float(np.real(c)), float(np.imag(c))]
+    return [c.real, c.imag]
 
 
 @dataclass(frozen=True)
@@ -68,7 +97,10 @@ class LdbmNetwork:
     The laterals are an edge list: row e of pairs is (j, k) with
     0 <= j < k < M, each pair at most once, and lat[e] is its coupling L_jk.
     Hidden-unit indices are stable: a basis change severs a unit's visible
-    coupling by zeroing it, not by compacting the unit away.
+    coupling by zeroing it, not by compacting the unit away.  The
+    constructor checks all of this and every entry finite on read-only
+    copies of its arrays; the rules build through `_built`, checking only
+    what they write.
     """
 
     n_visible: int
@@ -95,6 +127,7 @@ class LdbmNetwork:
         keys = np.sort(j * b.size + k)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("a lateral pair is repeated")
+        pairs.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "w", w)
@@ -121,10 +154,10 @@ class LdbmNetwork:
         return {
             "N": self.n_visible,
             "M": self.n_hidden,
-            "a": [_pair(c) for c in self.a],
-            "b": [_pair(c) for c in self.b],
-            "W": [[_pair(c) for c in row] for row in self.w],
-            "L": [[_pair(c) for c in row] for row in lat],
+            "a": [_pair(c) for c in self.a.tolist()],
+            "b": [_pair(c) for c in self.b.tolist()],
+            "W": [[_pair(c) for c in row] for row in self.w.tolist()],
+            "L": [[_pair(c) for c in row] for row in lat.tolist()],
             "log_norm": _pair(self.log_norm),
         }
 
@@ -298,20 +331,20 @@ def _append_basis_unit(
     """Shared bookkeeping for single-qubit basis changes: one new hidden unit
     takes over qubit l's couplings (as laterals, negated), the old ones are
     severed, and the visible bias is replaced."""
-    m = net.n_hidden
+    m, e = net.n_hidden, net.lat.size
+    (coupled,) = np.nonzero(net.w[l])
     a = net.a.copy()
     a[l] = a_after
-    w = np.hstack([net.w, np.zeros((net.n_visible, 1), dtype=complex)])
+    b = np.concatenate([net.b, [b_new]])
+    w = _grown(net.w, 1, axis=1)
     w[l, :m] = 0.0
     w[l, m] = w_new
-    (coupled,) = np.nonzero(net.w[l])
-    new_pairs = np.column_stack([coupled, np.full_like(coupled, m)])
-    return LdbmNetwork(
-        net.n_visible, a, np.append(net.b, b_new), w,
-        np.concatenate([net.pairs, new_pairs]),
-        np.concatenate([net.lat, -net.w[l, coupled]]),
-        net.log_norm + delta_log_norm,
-    )
+    pairs = _grown(net.pairs, coupled.size)
+    pairs[e:, 0], pairs[e:, 1] = coupled, m
+    lat = np.concatenate([net.lat, -net.w[l, coupled]])
+    return _built(LdbmNetwork, {"a": a[l], "b": b[m], "W": w[:, m], "lat": lat[e:]},
+                  n_visible=net.n_visible, a=a, b=b, w=w, pairs=pairs, lat=lat,
+                  log_norm=net.log_norm + delta_log_norm)
 
 
 def apply_hx(net: LdbmNetwork, l: int) -> LdbmNetwork:
@@ -354,8 +387,8 @@ def apply_rz(net: LdbmNetwork, l: int, phi: float) -> LdbmNetwork:
     """Absorb diag(e^{i phi}, e^{-i phi}) on qubit l (amplitude gains e^{i phi z})."""
     _check_site(net, l)
     a = net.a.copy()
-    a[l] = complex(a[l]) + phi  # past the float range: inf, which the network refuses
-    return replace(net, a=a)
+    a[l] = complex(a[l]) + phi  # past the float range: inf, which is refused
+    return _built(LdbmNetwork, {"a": a[l]}, **{**vars(net), "a": a})
 
 
 def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
@@ -364,18 +397,18 @@ def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
     _check_site(net, l2)
     if l1 == l2:
         raise SiteError(f"rzz requires two distinct qubits, got {l1} twice")
-    m = net.n_hidden
+    m, e = net.n_hidden, net.lat.size
     a = net.a.copy()
     a[l1] += math.pi / 4
     a[l2] += math.pi / 4
-    b = np.append(net.b, [-math.pi / 4, phi + math.pi / 4])
-    w = np.hstack([net.w, np.zeros((net.n_visible, 2), dtype=complex)])
-    w[l1, m] = math.pi / 4
-    w[l2, m] = math.pi / 4
-    return LdbmNetwork(net.n_visible, a, b, w,
-                       np.concatenate([net.pairs, [[m, m + 1]]]),
-                       np.append(net.lat, math.pi / 4),
-                       net.log_norm + complex(-math.log(2.0), -math.pi / 4))
+    b = np.concatenate([net.b, [-math.pi / 4, phi + math.pi / 4]])
+    w = _grown(net.w, 2, axis=1)
+    w[[l1, l2], m] = math.pi / 4
+    pairs = np.concatenate([net.pairs, [[m, m + 1]]])
+    lat = np.concatenate([net.lat, [math.pi / 4]])
+    return _built(LdbmNetwork, {"a": a[[l1, l2]], "b": b[m:], "W": w[:, m:], "lat": lat[e:]},
+                  n_visible=net.n_visible, a=a, b=b, w=w, pairs=pairs, lat=lat,
+                  log_norm=net.log_norm + complex(-math.log(2.0), -math.pi / 4))
 
 
 def apply_diagonal_imaginary(
@@ -394,20 +427,19 @@ def apply_diagonal_imaginary(
         return net
     support = tuple(term.string.support())
     if not support:
-        return replace(net, log_norm=net.log_norm - k)
-    b_list = [net.b]
-    w_cols = [net.w]
-    extra_log = 0.0
+        return _built(LdbmNetwork, {}, **{**vars(net), "log_norm": net.log_norm - k})
+    units, extra_log = [], 0.0
     for dec in cascade_diagonal({support: k}):
         extra_log += dec.log_norm
-        for unit in dec.hidden_units:
-            col = np.zeros((net.n_visible, 1), dtype=complex)
-            for site, weight in unit.weights:
-                col[site, 0] = -weight
-            w_cols.append(col)
-            b_list.append(np.array([-unit.bias], dtype=complex))
-    return replace(net, b=np.concatenate(b_list), w=np.concatenate(w_cols, axis=1),
-                   log_norm=net.log_norm + extra_log)
+        units += dec.hidden_units
+    m = net.n_hidden
+    b = np.concatenate([net.b, [-unit.bias for unit in units]])
+    w = _grown(net.w, len(units), axis=1)
+    for j, unit in enumerate(units, start=m):
+        for site, weight in unit.weights:
+            w[site, j] = -weight
+    return _built(LdbmNetwork, {"b": b[m:], "W": w[:, m:]},
+                  **{**vars(net), "b": b, "w": w, "log_norm": net.log_norm + extra_log})
 
 
 #: Per letter, the basis change absorbed before a word's diagonal form D
@@ -475,11 +507,12 @@ class DbmNetwork:
         """Embed as a lateral network (deep units become hidden units whose
         only couplings are laterals to the hidden layer)."""
         hid, deep = np.nonzero(self.w_deep)
-        return LdbmNetwork(
+        return _built(
+            LdbmNetwork, {},
             n_visible=self.n_visible,
             a=self.a,
             b=np.concatenate([self.b, self.b_deep]),
-            w=np.concatenate([self.w, np.zeros((self.n_visible, self.n_deep))], axis=1),
+            w=_grown(self.w, self.n_deep, axis=1),
             pairs=np.column_stack([hid, self.n_hidden + deep]),
             lat=self.w_deep[hid, deep],
             log_norm=self.log_norm,
@@ -490,11 +523,11 @@ class DbmNetwork:
             "N": self.n_visible,
             "M": self.n_hidden,
             "M_deep": self.n_deep,
-            "a": [_pair(c) for c in self.a],
-            "b": [_pair(c) for c in self.b],
-            "b_deep": [_pair(c) for c in self.b_deep],
-            "W": [[_pair(c) for c in row] for row in self.w],
-            "W_deep": [[_pair(c) for c in row] for row in self.w_deep],
+            "a": [_pair(c) for c in self.a.tolist()],
+            "b": [_pair(c) for c in self.b.tolist()],
+            "b_deep": [_pair(c) for c in self.b_deep.tolist()],
+            "W": [[_pair(c) for c in row] for row in self.w.tolist()],
+            "W_deep": [[_pair(c) for c in row] for row in self.w_deep.tolist()],
             "log_norm": _pair(self.log_norm),
         }
 
@@ -538,24 +571,17 @@ def _components(neighbors: list[set[int]]) -> tuple[list[tuple], list[int]]:
     return components, color
 
 
-def _mediator(
-    coupling: complex, n_visible: int, n_deep: int, sites: list[int], deep: list[int]
-) -> tuple[np.ndarray, np.ndarray, complex]:
+def _mediator(coupling: complex) -> tuple[complex, complex]:
     """A hidden unit replacing the direct coupling exp(i coupling s s')
-    between the named visible sites and deep units, via the two-body
-    identity cos(2 w) = e^{-2K}: its W column, its W_deep row and the
-    log_norm it adds."""
+    between two units, via the two-body identity cos(2 w) = e^{-2K}: the
+    weight it takes on both of them and the log_norm it adds."""
     kk = -1j * coupling
     wt = complex(0.5 * np.arccos(np.exp(-2.0 * kk) + 0j))
     if abs(np.cos(2.0 * wt) - np.exp(-2.0 * kk)) > 1e-10:
         raise ValueError(
             f"coupling {kk} lands on an arccos branch point; cannot mediate"
         )
-    col = np.zeros((n_visible, 1), dtype=complex)
-    col[sites, 0] = -wt
-    row = np.zeros((1, n_deep), dtype=complex)
-    row[0, deep] = -wt
-    return col, row, kk - math.log(2.0)
+    return -wt, kk - math.log(2.0)
 
 
 def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
@@ -591,33 +617,33 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
     h_pos = {j: i for i, j in enumerate(hidden_ids)}
     d_pos = {j: i for i, j in enumerate(deep_ids)}
 
-    v_hidden = np.zeros((len(hidden_ids), len(deep_ids)), dtype=complex)
-    mediators = []
+    crossing, mediated = [], []  # (row, column, coupling); (sites, columns, coupling)
     for j, k, coupling in edges:
         if deep_flag[j] != deep_flag[k]:
             hid, deep = (j, k) if deep_flag[k] else (k, j)
-            v_hidden[h_pos[hid], d_pos[deep]] = coupling
+            crossing.append((h_pos[hid], d_pos[deep], coupling))
         else:
             assert deep_flag[j] and deep_flag[k], "lateral edge inside hidden layer"
-            mediators.append(_mediator(coupling, net.n_visible, len(deep_ids),
-                                       [], [d_pos[j], d_pos[k]]))
+            mediated.append(([], [d_pos[j], d_pos[k]], coupling))
     for j in deep_ids:
         for i in np.nonzero(np.abs(net.w[:, j]) > _TOL)[0].tolist():
-            mediators.append(_mediator(net.w[i, j], net.n_visible, len(deep_ids),
-                                       [i], [d_pos[j]]))
-    log_norm = net.log_norm
-    for _, _, extra in mediators:
-        log_norm += extra
+            mediated.append(([i], [d_pos[j]], net.w[i, j]))
 
-    return DbmNetwork(
-        n_visible=net.n_visible,
-        a=net.a,
-        b=np.concatenate([net.b[hidden_ids], np.zeros(len(mediators))]),
-        b_deep=net.b[deep_ids],
-        w=np.hstack([net.w[:, hidden_ids]] + [col for col, _, _ in mediators]),
-        w_deep=np.vstack([v_hidden] + [row for _, row, _ in mediators]),
-        log_norm=log_norm,
-    )
+    h = len(hidden_ids)
+    b = _grown(net.b[hidden_ids], len(mediated))
+    w = _grown(net.w[:, hidden_ids], len(mediated), axis=1)
+    w_deep = np.zeros((b.size, len(deep_ids)), dtype=complex)
+    for row, col, coupling in crossing:
+        w_deep[row, col] = coupling
+    log_norm, weights = net.log_norm, []
+    for row, (sites, deep, coupling) in enumerate(mediated, start=h):
+        weight, extra = _mediator(coupling)
+        w[sites, row] = w_deep[row, deep] = weight
+        log_norm += extra
+        weights.append(weight)
+    # every mediator's weight is in W_deep, and in W when it has sites
+    return _built(DbmNetwork, {"W": w[:, h:], "W_deep": weights}, n_visible=net.n_visible,
+                  a=net.a, b=b, b_deep=net.b[deep_ids], w=w, w_deep=w_deep, log_norm=log_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import ast
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from itebm import ldbm
+from itebm.decomp import Decomposition, HiddenUnit
 from itebm.ldbm import (
     DbmNetwork,
     LdbmNetwork,
@@ -550,3 +551,103 @@ def test_dbm_validation():
         DbmNetwork(1, [math.nan], [], [], np.zeros((1, 0)), np.zeros((0, 0)))
     with pytest.raises(ValueError, match="a has shape"):
         DbmNetwork(2, [0.1, 0.2, 0.3], [0.5], [], [[0.1], [0.2]], np.zeros((1, 0)))
+
+
+# --- what a rule checks and returns ------------------------------------------
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: apply_rz(apply_rz(zero_state(1), 0, 1e308), 0, 1e308), "a"),
+    (lambda: apply_rzz(zero_state(2), 0, 1, math.inf), "b"),
+    (lambda: ldbm._append_basis_unit(zero_state(1), 0, math.inf, 0.0, 0.0, 0.0), "W"),
+    (lambda: ldbm._append_basis_unit(zero_state(1), 0, 0.0, math.nan, 0.0, 0.0), "b"),
+], ids=["rz-sum", "rzz-angle", "basis-weight", "basis-bias"])
+def test_a_rule_refuses_a_non_finite_entry_it_writes(build, name):
+    """A rule checks the entries it writes and names their array exactly as
+    the constructor does."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        build()
+
+
+def test_diagonal_rule_refuses_a_non_finite_unit(monkeypatch):
+    unit = HiddenUnit(math.inf, ((0, 0.5),))
+    monkeypatch.setattr(ldbm, "cascade_diagonal",
+                        lambda targets: [Decomposition(0.0, (unit,), {})])
+    with pytest.raises(ValueError, match="^b must be finite$"):
+        apply_diagonal_imaginary(zero_state(1), HamiltonianTerm(0.1, PauliString("Z")), 1.0)
+
+
+@pytest.mark.parametrize("w, pairs, lat, name", [
+    # unit 1 goes deep, and its visible coupling overflows
+    ([[0.1, 0.3 - 400j]], [[0, 1]], [0.2], "W"),
+    # a triangle goes deep, and one of its edges overflows
+    ([[0.1, 0.0, 0.0]], [[0, 1], [0, 2], [1, 2]], [0.3 - 400j, 0.3, 0.3], "W_deep"),
+], ids=["visible-coupling", "deep-edge"])
+def test_to_dbm_refuses_a_non_finite_mediator(w, pairs, lat, name):
+    net = LdbmNetwork(1, [0.0], np.full(len(w[0]), 0.1), w, pairs, lat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ldbm_to_dbm(net)
+
+
+def test_rules_share_what_they_do_not_write():
+    """A rule returns read-only arrays and passes on, uncopied, those it
+    leaves alone."""
+    net = apply_rzz(zero_state(2), 0, 1, 0.3)
+    after = apply_rz(net, 1, 0.2)
+    assert all(getattr(after, f) is getattr(net, f) for f in ("b", "w", "pairs", "lat"))
+    assert after.a is not net.a and not after.a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        net.pairs[0, 0] = 1
+    dbm = ldbm_to_dbm(after)
+    assert dbm.a is after.a and not dbm.w_deep.flags.writeable
+
+
+def _random_rule_script(seed: int):
+    """1-3 qubits, 3-14 ops: basis changes, rz, rzz (on two or more qubits)
+    and imag words drawn from IXYZ, all-I words included."""
+    rng = np.random.default_rng([seed, 32])
+    n = int(rng.integers(1, 4))
+    rules = {"hx": apply_hx, "hy": apply_hy, "hydag": apply_hy_dag}
+    ops = []
+    for _ in range(int(rng.integers(3, 15))):
+        kind = str(rng.choice(["hx", "hy", "hydag", "rz", "imag", "imag"]
+                              + ["rzz"] * (n > 1)))
+        angle = float(rng.uniform(-1.0, 1.0))
+        if kind in rules:
+            ops.append((rules[kind], int(rng.integers(n))))
+        elif kind == "rz":
+            ops.append((apply_rz, int(rng.integers(n)), angle))
+        elif kind == "rzz":
+            ops.append((apply_rzz, *map(int, rng.choice(n, size=2, replace=False)), angle))
+        else:
+            word = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
+            ops.append((apply_term_imaginary, HamiltonianTerm(0.5 * angle, word), 1.0))
+    return n, ops
+
+
+def _assert_rebuilt_bit_equal(net):
+    """The public constructor accepts net and keeps every field bit for bit."""
+    given = {f.name: getattr(net, f.name) for f in fields(net)}
+    rebuilt = type(net)(**given)
+    for name, value in given.items():
+        again = getattr(rebuilt, name)
+        assert type(again) is type(value), name
+        assert np.shape(again) == np.shape(value), name
+        assert np.asarray(again).dtype == np.asarray(value).dtype, name
+        assert np.asarray(again).tobytes() == np.asarray(value).tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_every_rule_returns_a_net_the_constructor_accepts_unchanged(seed):
+    n, ops = _random_rule_script(seed)
+    net = plus_state(n)
+    for q in range(n):
+        net = apply_hx(net, q)
+        _assert_rebuilt_bit_equal(net)
+    for rule, *args in ops:
+        net = rule(net, *args)
+        _assert_rebuilt_bit_equal(net)
+    dbm = ldbm_to_dbm(net)
+    _assert_rebuilt_bit_equal(dbm)
+    _assert_rebuilt_bit_equal(dbm.to_ldbm())
