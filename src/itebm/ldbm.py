@@ -14,7 +14,8 @@ from outside; a rule checks only the entries it writes and shares the arrays
 it leaves alone, so absorbing a gate costs one copy of each array it grows
 (time linear in N * M + E) and no check or sort over the whole network.
 `ldbm_to_dbm` removes the lateral couplings in favour of a third (deep) layer
-using an analytically continued two-body identity.
+using an analytically continued two-body identity; the deep layer is the
+last units of a lateral network, so its couplings stay an edge list too.
 
 Amplitudes are exact: with z fixed the hidden units interact only through
 the laterals, so the sum over h is done by bucket elimination over the
@@ -61,7 +62,7 @@ def _complex_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _built(cls, written: dict, **fields):
+def _built(written: dict, **fields) -> LdbmNetwork:
     """A network of a rule's arrays, uncopied and made read-only so that
     networks can share them.  Only the entries written are checked finite,
     named as the constructor names them; each pair a rule appends is (j, m)
@@ -69,7 +70,7 @@ def _built(cls, written: dict, **fields):
     for name, values in written.items():
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
-    net = object.__new__(cls)
+    net = object.__new__(LdbmNetwork)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -342,7 +343,7 @@ def _append_basis_unit(
     pairs = _grown(net.pairs, coupled.size)
     pairs[e:, 0], pairs[e:, 1] = coupled, m
     lat = np.concatenate([net.lat, -net.w[l, coupled]])
-    return _built(LdbmNetwork, {"a": a[l], "b": b[m], "W": w[:, m], "lat": lat[e:]},
+    return _built({"a": a[l], "b": b[m], "W": w[:, m], "lat": lat[e:]},
                   n_visible=net.n_visible, a=a, b=b, w=w, pairs=pairs, lat=lat,
                   log_norm=net.log_norm + delta_log_norm)
 
@@ -388,7 +389,7 @@ def apply_rz(net: LdbmNetwork, l: int, phi: float) -> LdbmNetwork:
     _check_site(net, l)
     a = net.a.copy()
     a[l] = complex(a[l]) + phi  # past the float range: inf, which is refused
-    return _built(LdbmNetwork, {"a": a[l]}, **{**vars(net), "a": a})
+    return _built({"a": a[l]}, **{**vars(net), "a": a})
 
 
 def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
@@ -406,7 +407,7 @@ def apply_rzz(net: LdbmNetwork, l1: int, l2: int, phi: float) -> LdbmNetwork:
     w[[l1, l2], m] = math.pi / 4
     pairs = np.concatenate([net.pairs, [[m, m + 1]]])
     lat = np.concatenate([net.lat, [math.pi / 4]])
-    return _built(LdbmNetwork, {"a": a[[l1, l2]], "b": b[m:], "W": w[:, m:], "lat": lat[e:]},
+    return _built({"a": a[[l1, l2]], "b": b[m:], "W": w[:, m:], "lat": lat[e:]},
                   n_visible=net.n_visible, a=a, b=b, w=w, pairs=pairs, lat=lat,
                   log_norm=net.log_norm + complex(-math.log(2.0), -math.pi / 4))
 
@@ -427,7 +428,7 @@ def apply_diagonal_imaginary(
         return net
     support = tuple(term.string.support())
     if not support:
-        return _built(LdbmNetwork, {}, **{**vars(net), "log_norm": net.log_norm - k})
+        return _built({}, **{**vars(net), "log_norm": net.log_norm - k})
     units, extra_log = [], 0.0
     for dec in cascade_diagonal({support: k}):
         extra_log += dec.log_norm
@@ -438,7 +439,7 @@ def apply_diagonal_imaginary(
     for j, unit in enumerate(units, start=m):
         for site, weight in unit.weights:
             w[site, j] = -weight
-    return _built(LdbmNetwork, {"b": b[m:], "W": w[:, m:]},
+    return _built({"b": b[m:], "W": w[:, m:]},
                   **{**vars(net), "b": b, "w": w, "log_norm": net.log_norm + extra_log})
 
 
@@ -472,63 +473,52 @@ def apply_term_imaginary(
 
 @dataclass(frozen=True)
 class DbmNetwork:
-    """Three-layer network: visible-hidden couplings w and hidden-deep
-    couplings w_deep only (no laterals, no visible-deep couplings)."""
+    """Three-layer network: a lateral network whose last n_deep units are
+    the deep layer, coupled to no visible unit, and whose laterals are the
+    hidden-deep couplings W_deep (j < M <= k for each pair (j, k)).  The
+    constructor checks only this split; `LdbmNetwork` checks the entries."""
 
-    n_visible: int
-    a: np.ndarray
-    b: np.ndarray
-    b_deep: np.ndarray
-    w: np.ndarray
-    w_deep: np.ndarray
-    log_norm: complex = 0j
+    lateral: LdbmNetwork
+    n_deep: int
 
     def __post_init__(self) -> None:
-        b = _complex_array("b", self.b, (np.size(self.b),))
-        b_deep = _complex_array("b_deep", self.b_deep, (np.size(self.b_deep),))
-        w = _complex_array("W", self.w, (self.n_visible, b.size))
-        w_deep = _complex_array("W_deep", self.w_deep, (b.size, b_deep.size))
-        object.__setattr__(self, "a", _complex_array("a", self.a, (self.n_visible,)))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b_deep", b_deep)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w_deep", w_deep)
-        object.__setattr__(self, "log_norm", complex(self.log_norm))
+        net = self.lateral
+        if not 0 <= self.n_deep <= net.n_hidden:
+            raise ValueError(f"n_deep={self.n_deep} needs 0 <= n_deep <= {net.n_hidden} units")
+        m = self.n_hidden
+        if net.w[:, m:].any():
+            raise ValueError("a deep unit has a visible coupling")
+        if (net.pairs[:, 0] >= m).any() or (net.pairs[:, 1] < m).any():
+            raise ValueError(f"each pair (j, k) needs hidden j < M={m} <= k deep")
+
+    @property
+    def n_visible(self) -> int:
+        return self.lateral.n_visible
 
     @property
     def n_hidden(self) -> int:
-        return self.b.size
-
-    @property
-    def n_deep(self) -> int:
-        return self.b_deep.size
+        """Units of the hidden layer alone."""
+        return self.lateral.n_hidden - self.n_deep
 
     def to_ldbm(self) -> LdbmNetwork:
-        """Embed as a lateral network (deep units become hidden units whose
-        only couplings are laterals to the hidden layer)."""
-        hid, deep = np.nonzero(self.w_deep)
-        return _built(
-            LdbmNetwork, {},
-            n_visible=self.n_visible,
-            a=self.a,
-            b=np.concatenate([self.b, self.b_deep]),
-            w=_grown(self.w, self.n_deep, axis=1),
-            pairs=np.column_stack([hid, self.n_hidden + deep]),
-            lat=self.w_deep[hid, deep],
-            log_norm=self.log_norm,
-        )
+        """The lateral network: the deep units are its last hidden units."""
+        return self.lateral
 
     def to_json_dict(self) -> dict:
+        """The parameters with W_deep as a dense M x M_deep matrix."""
+        net, m = self.lateral, self.n_hidden
+        w_deep = np.zeros((m, self.n_deep), dtype=complex)
+        w_deep[net.pairs[:, 0], net.pairs[:, 1] - m] = net.lat
         return {
             "N": self.n_visible,
-            "M": self.n_hidden,
+            "M": m,
             "M_deep": self.n_deep,
-            "a": [_pair(c) for c in self.a.tolist()],
-            "b": [_pair(c) for c in self.b.tolist()],
-            "b_deep": [_pair(c) for c in self.b_deep.tolist()],
-            "W": [[_pair(c) for c in row] for row in self.w.tolist()],
-            "W_deep": [[_pair(c) for c in row] for row in self.w_deep.tolist()],
-            "log_norm": _pair(self.log_norm),
+            "a": [_pair(c) for c in net.a.tolist()],
+            "b": [_pair(c) for c in net.b[:m].tolist()],
+            "b_deep": [_pair(c) for c in net.b[m:].tolist()],
+            "W": [[_pair(c) for c in row] for row in net.w[:, :m].tolist()],
+            "W_deep": [[_pair(c) for c in row] for row in w_deep.tolist()],
+            "log_norm": _pair(net.log_norm),
         }
 
 
@@ -592,7 +582,9 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
     strips the fewest visible couplings (ties keep the lowest-index unit
     hidden); non-bipartite components go entirely deep.  A deep unit's
     remaining visible couplings, and any deep-deep lateral edge, are each
-    replaced by a mediating hidden unit (`_mediator`).
+    replaced by a mediating hidden unit (`_mediator`).  The deep units come
+    after the kept units and the mediators, and W_deep's entries are the
+    laterals, in (row, column) order.
     """
     m = net.n_hidden
     edges, neighbors = _lateral_graph(net)
@@ -617,11 +609,11 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
     h_pos = {j: i for i, j in enumerate(hidden_ids)}
     d_pos = {j: i for i, j in enumerate(deep_ids)}
 
-    crossing, mediated = [], []  # (row, column, coupling); (sites, columns, coupling)
+    w_deep, mediated = [], []  # (row, column, coupling); (sites, columns, coupling)
     for j, k, coupling in edges:
         if deep_flag[j] != deep_flag[k]:
             hid, deep = (j, k) if deep_flag[k] else (k, j)
-            crossing.append((h_pos[hid], d_pos[deep], coupling))
+            w_deep.append((h_pos[hid], d_pos[deep], coupling))
         else:
             assert deep_flag[j] and deep_flag[k], "lateral edge inside hidden layer"
             mediated.append(([], [d_pos[j], d_pos[k]], coupling))
@@ -629,21 +621,23 @@ def ldbm_to_dbm(net: LdbmNetwork) -> DbmNetwork:
         for i in np.nonzero(np.abs(net.w[:, j]) > _TOL)[0].tolist():
             mediated.append(([i], [d_pos[j]], net.w[i, j]))
 
-    h = len(hidden_ids)
-    b = _grown(net.b[hidden_ids], len(mediated))
-    w = _grown(net.w[:, hidden_ids], len(mediated), axis=1)
-    w_deep = np.zeros((b.size, len(deep_ids)), dtype=complex)
-    for row, col, coupling in crossing:
-        w_deep[row, col] = coupling
+    h, top = len(hidden_ids), len(hidden_ids) + len(mediated)  # top: the hidden layer's size
+    b = np.concatenate([net.b[hidden_ids], np.zeros(len(mediated)), net.b[deep_ids]])
+    w = _grown(net.w[:, hidden_ids], len(mediated) + len(deep_ids), axis=1)
     log_norm, weights = net.log_norm, []
     for row, (sites, deep, coupling) in enumerate(mediated, start=h):
         weight, extra = _mediator(coupling)
-        w[sites, row] = w_deep[row, deep] = weight
+        w[sites, row] = weight
+        w_deep += [(row, col, weight) for col in deep]
         log_norm += extra
         weights.append(weight)
+    w_deep.sort(key=lambda entry: entry[:2])
+    pairs = np.array([(row, top + col) for row, col, _ in w_deep], np.intp).reshape(-1, 2)
+    lat = np.array([coupling for _, _, coupling in w_deep], dtype=complex)
     # every mediator's weight is in W_deep, and in W when it has sites
-    return _built(DbmNetwork, {"W": w[:, h:], "W_deep": weights}, n_visible=net.n_visible,
-                  a=net.a, b=b, b_deep=net.b[deep_ids], w=w, w_deep=w_deep, log_norm=log_norm)
+    lateral = _built({"W": w[:, h:top], "W_deep": weights}, a=net.a, b=b, w=w,
+                     n_visible=net.n_visible, pairs=pairs, lat=lat, log_norm=log_norm)
+    return DbmNetwork(lateral, len(deep_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +673,10 @@ def _script_arg(kind: str, token: str, n_visible: int):
 def run_script(text: str, n_visible: int, emit) -> LdbmNetwork | DbmNetwork:
     """Run an op script (`_SCRIPT_OPS`, one per line, `#` comments, op names
     in any case) from `zero_state(n_visible)`; return the last network, the
-    `DbmNetwork` once `to-dbm` has run.  `imag WORD K` absorbs exp(-K WORD)
-    by `apply_term_imaginary`; `dump` passes `to_json_dict()` to `emit` when
-    its line runs.  A malformed line or a rule's `SiteError` raises
+    `DbmNetwork` (a lateral network and its layer split) once `to-dbm` has
+    run.  `imag WORD K` absorbs exp(-K WORD) by `apply_term_imaginary`;
+    `dump` passes `to_json_dict()` to `emit` when its line runs, with a
+    DBM's W_deep dense.  A malformed line or a rule's `SiteError` raises
     `ScriptError`; any other failure, such as an `rz` bias past the float
     range, a failure absorbing `imag` or at `to-dbm`, propagates.
     """

@@ -1,7 +1,7 @@
 import ast
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -534,7 +534,8 @@ def test_conversion_preserves_state(seed):
     dbm = ldbm_to_dbm(net)
     lateral = dbm.to_ldbm()
     assert np.all(lateral.pairs[:, 1] >= dbm.n_hidden)  # none inside the hidden layer
-    assert lateral.lat.size == np.count_nonzero(dbm.w_deep)
+    w_deep =np.array(dbm.to_json_dict()["W_deep"]).reshape(dbm.n_hidden, dbm.n_deep, 2)
+    assert lateral.lat.size == np.count_nonzero(w_deep.any(axis=2))
     got = statevector(lateral)
     assert got.fidelity(statevector(net)) >= 1.0 - 1e-9
 
@@ -547,10 +548,55 @@ def test_dbm_json_dict():
 
 
 def test_dbm_validation():
-    with pytest.raises(ValueError, match="finite"):
-        DbmNetwork(1, [math.nan], [], [], np.zeros((1, 0)), np.zeros((0, 0)))
+    """A bad entry is refused by the lateral network, with its message."""
+    with pytest.raises(ValueError, match="a must be finite"):
+        DbmNetwork(LdbmNetwork(1, [math.nan], [], np.zeros((1, 0))), 0)
     with pytest.raises(ValueError, match="a has shape"):
-        DbmNetwork(2, [0.1, 0.2, 0.3], [0.5], [], [[0.1], [0.2]], np.zeros((1, 0)))
+        DbmNetwork(LdbmNetwork(2, [0.1, 0.2, 0.3], [0.5], [[0.1], [0.2]]), 0)
+
+
+@pytest.mark.parametrize("w, pairs, n_deep, message", [
+    ([[0.1, 0.2]], [[0, 1]], 1, "a deep unit has a visible coupling"),
+    ([[0.1, 0.0, 0.0]], [[1, 2]], 2, r"each pair \(j, k\) needs hidden j < M=1 <= k deep"),
+    ([[0.1, 0.2, 0.0]], [[0, 1]], 1, r"each pair \(j, k\) needs hidden j < M=2 <= k deep"),
+    ([[0.1, 0.0]], [[0, 1]], -1, r"n_deep=-1 needs 0 <= n_deep <= 2 units"),
+    ([[0.1, 0.0]], [[0, 1]], 3, r"n_deep=3 needs 0 <= n_deep <= 2 units"),
+], ids=["deep-visible", "deep-deep", "hidden-hidden", "n_deep-negative", "n_deep-past-M"])
+def test_dbm_refuses_a_wrong_layer_split(w, pairs, n_deep, message):
+    lateral = LdbmNetwork(1, [0.0], np.full(len(w[0]), 0.1), w, pairs, np.full(len(pairs), 0.3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DbmNetwork(lateral, n_deep)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays in obj's fields, and in its networks' fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    return sum(_array_bytes(getattr(obj, f.name)) for f in fields(obj)) if is_dataclass(obj) else 0
+
+
+def test_dbm_keeps_couplings_linear_in_units(tfim_trajectory):
+    """The 100-step TFIM network's DBM (903 hidden, 1,200 deep units) keeps
+    W_deep as its lateral edge list, not as a dense M x M_deep matrix
+    (17.3 MB alone), and hands that lateral network out as it is."""
+    dbm = ldbm_to_dbm(tfim_trajectory[100][0])
+    assert _array_bytes(dbm) <= 1 << 20
+    assert dbm.to_ldbm() is dbm.to_ldbm()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_dbm_laterals_are_w_deep_in_row_major_order(seed):
+    """to_ldbm() lists the hidden-deep pairs as the nonzero entries of the
+    dumped W_deep, read row by row."""
+    n, ops = _random_rule_script(seed)
+    net = zero_state(n)
+    for rule, *args in ops:
+        net = rule(net, *args)
+    dbm = ldbm_to_dbm(net)
+    w_deep = np.array(dbm.to_json_dict()["W_deep"]).reshape(dbm.n_hidden, dbm.n_deep, 2)
+    rows, cols = np.nonzero(w_deep.any(axis=2))
+    np.testing.assert_array_equal(dbm.to_ldbm().pairs,
+                                  np.column_stack([rows, dbm.n_hidden + cols]))
 
 
 # --- what a rule checks and returns ------------------------------------------
@@ -600,7 +646,7 @@ def test_rules_share_what_they_do_not_write():
     with pytest.raises(ValueError, match="read-only"):
         net.pairs[0, 0] = 1
     dbm = ldbm_to_dbm(after)
-    assert dbm.a is after.a and not dbm.w_deep.flags.writeable
+    assert dbm.to_ldbm().a is after.a and not dbm.to_ldbm().lat.flags.writeable
 
 
 def _random_rule_script(seed: int):
@@ -626,16 +672,25 @@ def _random_rule_script(seed: int):
     return n, ops
 
 
+def _assert_fields_bit_equal(again, value, name):
+    """again equals value bit for bit; a network field by field."""
+    assert type(again) is type(value), name
+    if isinstance(value, LdbmNetwork):
+        for f in fields(value):
+            _assert_fields_bit_equal(getattr(again, f.name), getattr(value, f.name),
+                                     f"{name}.{f.name}")
+        return
+    assert np.shape(again) == np.shape(value), name
+    assert np.asarray(again).dtype == np.asarray(value).dtype, name
+    assert np.asarray(again).tobytes() == np.asarray(value).tobytes(), name
+
+
 def _assert_rebuilt_bit_equal(net):
     """The public constructor accepts net and keeps every field bit for bit."""
     given = {f.name: getattr(net, f.name) for f in fields(net)}
     rebuilt = type(net)(**given)
     for name, value in given.items():
-        again = getattr(rebuilt, name)
-        assert type(again) is type(value), name
-        assert np.shape(again) == np.shape(value), name
-        assert np.asarray(again).dtype == np.asarray(value).dtype, name
-        assert np.asarray(again).tobytes() == np.asarray(value).tobytes(), name
+        _assert_fields_bit_equal(getattr(rebuilt, name), value, name)
 
 
 @pytest.mark.parametrize("seed", range(16))
