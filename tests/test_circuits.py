@@ -241,6 +241,22 @@ def test_every_unit_is_measured_and_reset_before_the_next(name, route, order):
     assert not unit and cbit == circuit.n_cbits // circuit.repeats > 0
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("route", oracles.ROUTES)
+def test_units_per_step_are_linear_in_sites(route, order):
+    """The paper's qubit count grows linearly with system size: each hidden
+    unit is one ancilla if none is reset, and a chain step's units at n
+    sites are n/4 times those at 4 sites (today 10n and 11n on rbm, 4n and
+    5n on word).  Only compiled, so no 2^n array is made."""
+    def units(n):
+        h = parse_hamiltonian("".join(f"{c!r} {w}\n" for c, w in oracles.chain_terms(n)))
+        return len(trotter_step(h, 0.01, order, route=route).units)
+
+    base = units(4)
+    assert base > 0
+    assert [units(n) for n in (8, 16, 32)] == [n // 4 * base for n in (8, 16, 32)]
+
+
 def test_build_qite_circuit_repeats_steps():
     h = parse_hamiltonian(TFIM)
     dtau, n_steps = 0.1, 4
