@@ -341,8 +341,6 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
     matrix afresh for each oracle note.  Yields the same (row dict,
     note-or-None) pairs.
     """
-    import click
-
     from itebm.circuits import build_qite_circuit
     from itebm.evolution import _column_terms, _derive_seed, _measurement_groups
     from itebm.pauli import apply_word
@@ -382,7 +380,7 @@ def checkpoint_rerun_reference(h, taus, dtau, order, route, psi0, mode,
 
         n_groups = len(groups)
         if shots % (n_groups * batches) != 0:
-            raise click.UsageError(
+            raise ValueError(
                 f"--shots {shots} must divide evenly into {n_groups} basis "
                 f"group(s) x {batches} batches"
             )

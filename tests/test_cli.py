@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import itebm
 from itebm import cli, evolution, ldbm, pauli, simulator
@@ -22,6 +21,7 @@ from itebm.pauli import parse_hamiltonian
 from itebm.simulator import StateVector, expectation, imaginary_time_oracle
 
 import oracles
+from cli_runner import CliRunner
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -87,7 +87,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert "scipy.optimize" not in _modules_after_import("itebm.cli")
     argv = ["decompose", "ZZZZZ", "0.3", "--verify"]
     loaded = _modules_after_import(
-        "itebm.cli", f"itebm.cli.main({argv!r}, standalone_mode=False)")
+        "itebm.cli", f"itebm.cli.main({argv!r})")
     assert "itebm.decomp" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     ham = tmp_path / "tfim.txt"
@@ -95,9 +95,66 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     argv = ["evolve", "--hamiltonian", str(ham), "--mode", "exact", "--tau", "0.1,0.2",
             "--dtau", "0.05", "--out", str(tmp_path / "run.csv")]
     loaded = _modules_after_import(
-        "itebm.cli", f"itebm.cli.main({argv!r}, standalone_mode=False)")
+        "itebm.cli", f"itebm.cli.main({argv!r})")
     assert "itebm.evolution" in loaded and (tmp_path / "run.csv").exists()
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_cli_loads_no_click(tmp_path):
+    """The CLI parses with argparse: a fresh import of it, an ldbm run and
+    an exact evolve load no click module."""
+    def click_modules(loaded):
+        return {m for m in loaded if m.split(".")[0] == "click"}
+
+    assert not click_modules(_modules_after_import("itebm.cli"))
+    script = tmp_path / "step.ldbm"
+    script.write_text("hx 0\nimag ZZ 0.3\nto-dbm\n")
+    ham = tmp_path / "tfim.txt"
+    ham.write_text(ISING_TEXT)
+    runs = {
+        "itebm.ldbm": ["ldbm", "--qubits", "2", str(script)],
+        "itebm.evolution": ["evolve", "--hamiltonian", str(ham), "--mode", "exact", "--tau",
+                            "0.1", "--dtau", "0.05", "--out", str(tmp_path / "run.csv")],
+    }
+    for module, argv in runs.items():
+        loaded = _modules_after_import("itebm.cli", f"itebm.cli.main({argv!r})")
+        assert module in loaded and not click_modules(loaded)
+    assert (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evolve"], "the following arguments are required: --hamiltonian"),
+    (["ising-demo", "--order", "3"], "argument --order: invalid choice: "),
+    (["ising-demo", "--route", "cx"], "argument --route: invalid choice: "),
+    (["ldbm", "-", "--qubits", "two"], "argument --qubits: invalid int value: 'two'"),
+    (["teleport"], "invalid choice: 'teleport'"),
+    (["evolve", "--ham", "TFIM"], "the following arguments are required: --hamiltonian"),
+    (["ldbm", "-", "--qubits", "1"], "line 1: visible index 3 out of range for N=1"),
+], ids=["missing-option", "order-out-of-range", "unknown-route", "non-integer-qubits",
+        "unknown-command", "abbreviated-option", "command-error"])
+def test_usage_error_exits_2_with_an_error_line(runner, tfim_file, args, message):
+    """A usage error, whether the parser or a command finds it, exits 2 with
+    nothing on stdout, and the last line of stderr is `Error: <message>`.
+    Options are never abbreviated: `--ham` would otherwise run evolve."""
+    args = [tfim_file if arg == "TFIM" else arg for arg in args]
+    result = runner.invoke(main, args, input="rz 3 1\n")
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and result.stderr.endswith("\n")
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("Error: ") and message in last, last
+
+
+def test_main_returns_on_success_and_raises_system_exit_on_failure(capsys):
+    """The console script and the benchmark read the exit code from
+    SystemExit, so main returns None on success and raises it on failure.
+    A negative K is read as the positional K, not as an option."""
+    assert main(["decompose", "ZZ", "-0.5"]) is None
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_norm"] == decompose_sites((0, 1), -0.5, 2).log_norm
+    for argv, code in ((["teleport"], 2), (["decompose", "ZZZZZZ", "5.0"], 3)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
 
 
 def test_ldbm_import_loads_no_scipy():
