@@ -29,7 +29,7 @@ import numpy as np
 from . import ldbm as nets
 from .decomp import MAX_WALSH_SITES, decompose_sites, max_log_error, mean_unit_success
 from .evolution import COLUMNS, iter_evolution
-from .pauli import Hamiltonian, PauliString, dense_matrix, parse_hamiltonian
+from .pauli import Hamiltonian, PauliString, dense_matrix, parse_hamiltonian, word_from_sites
 from .simulator import StateVector, chained_oracle, expectation
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -148,10 +148,17 @@ def cmd_decompose(a: argparse.Namespace) -> None:
     if not math.isfinite(a.k):
         raise UsageError(f"K must be finite, got {a.k}")
     dec = decompose_sites(support, a.k, string.n_qubits)
-    payload = dec.to_json_dict(string.n_qubits)
     per_unit = [mean_unit_success(u) for u in dec.hidden_units]
-    payload["mean_success_per_unit"] = per_unit
-    payload["mean_success_product"] = float(np.prod(per_unit))
+    payload = {
+        "log_norm": dec.log_norm,
+        "hidden_units": [{"bias": u.bias, "weights": [[q, w] for q, w in u.weights]}
+                         for u in dec.hidden_units],
+        "induced": [{"coeff": k,
+                     "word": word_from_sites(string.n_qubits, dict.fromkeys(sites, "Z")).word}
+                    for sites, k in dec.induced.items()],
+        "mean_success_per_unit": per_unit,
+        "mean_success_product": float(np.prod(per_unit)),
+    }
     echo(json.dumps(payload, indent=2, sort_keys=True))
     if a.verify:
         err = max_log_error(dec, support, a.k)

@@ -69,22 +69,6 @@ class Decomposition:
     hidden_units: tuple[HiddenUnit, ...]
     induced: dict[tuple[int, ...], float]
 
-    def to_json_dict(self, n_qubits: int) -> dict:
-        """JSON form; each induced coupling is written as its width-n word,
-        Z on the coupling's sites and I elsewhere."""
-        return {
-            "log_norm": self.log_norm,
-            "hidden_units": [
-                {"bias": u.bias, "weights": [[q, w] for q, w in u.weights]}
-                for u in self.hidden_units
-            ],
-            "induced": [
-                {"coeff": k, "word": "".join("Z" if q in sites else "I"
-                                             for q in range(n_qubits))}
-                for sites, k in self.induced.items()
-            ],
-        }
-
 
 def _sign(k: float) -> float:
     return -1.0 if k < 0 else 1.0
@@ -305,17 +289,16 @@ def _relabel(dec: Decomposition, sites: tuple[int, ...]) -> Decomposition:
     return Decomposition(dec.log_norm, units, induced)
 
 
+#: The closed forms by interaction order, each on local sites 0..m-1.
+_CLOSED_FORMS = {1: decompose_one_body, 2: decompose_two_body,
+                 3: decompose_three_body, 4: decompose_four_body}
+
+
 def _diagonal_unit(sites: tuple[int, ...], coupling: float) -> Decomposition:
     """One emitted unit for exp(-K Z...Z) on the given sorted global sites."""
     m = len(sites)
-    if m == 1:
-        return _relabel(decompose_one_body(coupling), sites)
-    if m == 2:
-        return _relabel(decompose_two_body(coupling), sites)
-    if m == 3:
-        return _relabel(decompose_three_body(coupling), sites)
-    if m == 4:
-        return _relabel(decompose_four_body(coupling), sites)
+    if m in _CLOSED_FORMS:
+        return _relabel(_CLOSED_FORMS[m](coupling), sites)
     w, sign_flip, c = solve_general_weight(m, coupling)
     weights = [w] * m
     if sign_flip:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import n_trotter_steps, trotter_step
-from .pauli import Hamiltonian, apply_word, merged_letters
+from .pauli import DENSE_MAX_QUBITS, Hamiltonian, apply_word, merged_letters
 from .simulator import (
     StateVector,
     Trajectory,
@@ -62,11 +62,6 @@ def _column_terms(h: Hamiltonian) -> tuple[list[int], list[int]]:
     return diag, xonly
 
 
-#: Largest register on which `iter_evolution` runs its oracle check, the
-#: `pauli.dense_matrix` limit, so a dense reference can confirm each note.
-ORACLE_MAX_QUBITS = 12
-
-
 def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, route: str,
                    psi0: StateVector, mode: str, shots: int, batches: int, seed: int,
                    oracle_check: bool = False):
@@ -76,7 +71,8 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
     The check raises ValueError before any compile: each tau must be a
     whole number of dtau steps, batches >= 2 and, in shots mode, shots >= 1
     a multiple of basis groups x batches.  With oracle_check, on at most
-    `ORACLE_MAX_QUBITS` sites, exact notes compare E with the oracle's.
+    `pauli.DENSE_MAX_QUBITS` sites, so that a dense reference can confirm
+    each note, exact notes compare E with the oracle's.
 
     Shots mode samples each measurement-basis group at every checkpoint
     (the shot budget is split evenly, one seed stream per checkpoint and
@@ -99,7 +95,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
                 f"group(s) x {batches} batches"
             )
         per_batch = shots // (n_groups * batches)
-    oracle_check = oracle_check and mode == "exact" and h.n_qubits <= ORACLE_MAX_QUBITS
+    oracle_check = oracle_check and mode == "exact" and h.n_qubits <= DENSE_MAX_QUBITS
 
     def rows():
         diag_terms, x_terms = _column_terms(h)

@@ -110,38 +110,32 @@ class Hamiltonian:
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse '<coefficient> <word>' lines; '#' starts a comment.
 
-    Coefficients must be real; words must share one length and use I/X/Y/Z.
-    Errors carry 1-based line numbers.
+    Each line is one `HamiltonianTerm`, checked as the term types check it,
+    and all words share one length.  Errors carry 1-based line numbers.
     """
     terms: list[HamiltonianTerm] = []
-    n_qubits: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<coefficient> <word>', got {raw!r}")
-        coeff_text, word = parts
         try:
-            coeff = float(coeff_text)
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed coefficient {coeff_text!r}") from None
-        bad = set(word) - _LETTERS
-        if bad:
-            raise ValueError(
-                f"line {lineno}: invalid Pauli letters {sorted(bad)!r} in {word!r}"
-            )
-        if n_qubits is None:
-            n_qubits = len(word)
-        elif len(word) != n_qubits:
-            raise ValueError(
-                f"line {lineno}: word {word!r} has length {len(word)}, expected {n_qubits}"
-            )
-        terms.append(HamiltonianTerm(coeff, PauliString(word)))
-    if n_qubits is None:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected '<coefficient> <word>', got {raw!r}")
+            coeff_text, word = parts
+            try:
+                coeff = float(coeff_text)
+            except ValueError:
+                raise ValueError(f"malformed coefficient {coeff_text!r}") from None
+            term = HamiltonianTerm(coeff, PauliString(word))
+            if terms and len(word) != (n_qubits := terms[0].string.n_qubits):
+                raise ValueError(f"word {word!r} has length {len(word)}, expected {n_qubits}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        terms.append(term)
+    if not terms:
         raise ValueError("empty Hamiltonian")
-    return Hamiltonian(n_qubits, tuple(terms))
+    return Hamiltonian(terms[0].string.n_qubits, tuple(terms))
 
 
 @lru_cache(maxsize=4096)
@@ -155,22 +149,14 @@ def word_action(word: str) -> tuple[np.ndarray, np.ndarray]:
     dim = 1 << n
     idx = np.arange(dim)
     flip = 0
-    phase_mask = 0
-    n_y = 0
-    for q, ch in enumerate(word):
-        bit = 1 << (n - 1 - q)
-        if ch in ("X", "Y"):
-            flip |= bit
-        if ch in ("Y", "Z"):
-            phase_mask |= bit
-        if ch == "Y":
-            n_y += 1
     parity = np.zeros(dim, dtype=np.int64)
-    for q in range(n):
-        bit = 1 << (n - 1 - q)
-        if phase_mask & bit:
-            parity ^= (idx >> (n - 1 - q)) & 1
-    phase = ((-1.0) ** parity) * (-1j) ** n_y
+    for q, ch in enumerate(word):
+        shift = n - 1 - q
+        if ch in ("X", "Y"):
+            flip |= 1 << shift
+        if ch in ("Y", "Z"):
+            parity ^= (idx >> shift) & 1
+    phase = ((-1.0) ** parity) * (-1j) ** word.count("Y")
     perm = idx ^ flip
     perm.setflags(write=False)
     phase.setflags(write=False)
@@ -201,11 +187,15 @@ def flip_groups(h: Hamiltonian) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(diagonal + list(groups.values()))
 
 
-def dense_matrix(h: Hamiltonian, limit: int = 12) -> np.ndarray:
+#: Most qubits `dense_matrix` builds for: 2^12 x 2^12 complex entries are 256 MB.
+DENSE_MAX_QUBITS = 12
+
+
+def dense_matrix(h: Hamiltonian) -> np.ndarray:
     """Dense Hermitian matrix of a Hamiltonian (qubit 0 most significant):
     its flip groups (`h.flip_groups`) scattered to H[j, perm_m[j]] = d_m[j]."""
-    if h.n_qubits > limit:
-        raise ValueError(f"{h.n_qubits} qubits exceeds dense limit {limit}")
+    if h.n_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(f"{h.n_qubits} qubits exceeds dense limit {DENSE_MAX_QUBITS}")
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

@@ -312,7 +312,7 @@ def replay_reference(traj, n_shots: int, seed: int, terminal_basis: str | None =
     return ShotRun(basis, len(traj.record), traj.n_cbits, rejected_at, terminal)
 
 
-def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
+def imaginary_time_oracle_reference(h, tau: float, psi0):
     """Normalized exp(-tau H) psi0 from the dense matrix's
     eigendecomposition, factored on every call: the reference for
     `imaginary_time_oracle`.  Its gauge shift by the lowest eigenvalue
@@ -321,7 +321,7 @@ def imaginary_time_oracle_reference(h, tau: float, psi0, limit: int = 12):
     from itebm.pauli import dense_matrix
     from itebm.simulator import ZERO_WEIGHT, SimulationError, StateVector
 
-    mat = dense_matrix(h, limit=limit)
+    mat = dense_matrix(h)
     vals, vecs = np.linalg.eigh(mat)
     coords = vecs.conj().T @ psi0.normalized().amps
     coords *= np.exp(-tau * (vals - vals.min()))  # gauge shift avoids overflow

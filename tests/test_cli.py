@@ -261,6 +261,16 @@ def test_decompose_verify_reports_a_log_gap(runner):
         800 + math.log(math.cos(math.pi / 2)), abs=0.05)
 
 
+def test_decompose_json_payload(runner):
+    """decompose's JSON: the decomposition, a unit's weights as [site,
+    weight] pairs, and the predicted success probabilities."""
+    d = json.loads(runner.invoke(main, ["decompose", "ZZ", "0.5"]).stdout)
+    assert set(d) == {"log_norm", "hidden_units", "induced",
+                      "mean_success_per_unit", "mean_success_product"}
+    assert d["hidden_units"][0]["weights"][0][0] == 0
+    assert d["induced"] == []
+
+
 def test_decompose_three_body_lists_induced(runner):
     result = runner.invoke(main, ["decompose", "ZZZ", "1.0"])
     assert result.exit_code == 0
@@ -734,6 +744,16 @@ def test_evolve_invalid_hamiltonian_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham)])
     assert result.exit_code == 2
     assert "invalid hamiltonian: line 1: invalid Pauli letters ['Q'] in 'ZQ'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_evolve_non_finite_coefficient_names_its_line(runner, tmp_path):
+    ham = tmp_path / "inf.txt"
+    ham.write_text("1 ZZ\ninf XX\n")
+    result = runner.invoke(main, ["evolve", "--hamiltonian", str(ham)])
+    assert result.exit_code == 2
+    last = result.stderr.splitlines()[-1]
+    assert "invalid hamiltonian: line 2: non-finite coefficient inf" in last
     assert result.stdout == ""
 
 

@@ -289,6 +289,12 @@ def test_induced_couplings_rejects_out_of_range_site():
         induced_couplings(2, unit)
 
 
+def test_induced_couplings_rejects_more_than_the_walsh_site_limit():
+    unit = HiddenUnit(bias=0.0, weights=((0, 0.1),))
+    with pytest.raises(ValueError, match="order 15 exceeds the Walsh site limit 14"):
+        induced_couplings(15, unit)
+
+
 def test_mean_success_closed_forms_match_average():
     for k in (0.1, 0.5, 1.0, -0.7):
         assert mean_unit_success(decompose_two_body(k).hidden_units[0]) == \
@@ -430,13 +436,6 @@ def test_hidden_unit_validation():
         HiddenUnit(bias=0.0, weights=())
     with pytest.raises(ValueError, match="non-finite"):
         HiddenUnit(bias=0.0, weights=((0, math.inf),))
-
-
-def test_decomposition_json_dict():
-    d = decompose_two_body(0.5).to_json_dict(2)
-    assert set(d) == {"log_norm", "hidden_units", "induced"}
-    assert d["hidden_units"][0]["weights"][0][0] == 0
-    assert d["induced"] == []
 
 
 def test_decomp_knows_no_pauli_words():

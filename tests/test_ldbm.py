@@ -268,6 +268,12 @@ def test_site_range_checks():
         apply_rz(net, -1, 0.1)
 
 
+def test_apply_term_imaginary_rejects_a_term_of_another_width():
+    term = HamiltonianTerm(1.0, PauliString("XYZ"))
+    with pytest.raises(ValueError, match="term width 3 != network width 2"):
+        apply_term_imaginary(plus_state(2), term, 0.1)
+
+
 # --- imaginary-time absorption --------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,11 @@ def test_dense_matrix_limit():
         dense_matrix(h)
 
 
+def test_hamiltonian_rejects_a_term_of_another_width():
+    with pytest.raises(ValueError, match="term 'ZZZ' has 3 qubits, expected 2"):
+        Hamiltonian(2, (HamiltonianTerm(1.0, PauliString("ZZZ")),))
+
+
 def test_term_coefficient_must_be_real_and_finite():
     for ok in (1, -0.5, np.float64(2.0), np.int64(3)):
         assert HamiltonianTerm(ok, PauliString("Z")).coefficient == ok
@@ -168,10 +175,37 @@ def test_parse_comments_and_blanks():
     ("1 ZQ\n", "line 1"),
     ("1 ZZ\n1 ZZZ\n", "line 2"),
     ("1\n", "line 1"),
+    ("1 ZZ\ninf XX\n", "line 2: non-finite coefficient"),
+    ("1 ZZ\n-inf XX\n", "line 2: non-finite coefficient"),
+    ("1 ZZ\nnan XX\n", "line 2: non-finite coefficient"),
+    ("1 ZZ\n1e999 XX\n", "line 2: non-finite coefficient"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_hamiltonian(text)
+
+
+@given(st.sampled_from(["1", "-0.5", "inf", "nan", "1e999", "abc"]),
+       st.text(alphabet="IXYZQ", min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_parse_one_line_is_checked_by_the_term_types(coeff_text, word):
+    """A one-line text parses to the one-term Hamiltonian that
+    `HamiltonianTerm` and `PauliString` accept, or fails with `line 1: `
+    and their message, or the parser's own for a malformed coefficient."""
+    try:
+        coeff = float(coeff_text)
+    except ValueError:
+        message = f"malformed coefficient {coeff_text!r}"
+    else:
+        try:
+            want = Hamiltonian(len(word), (HamiltonianTerm(coeff, PauliString(word)),))
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            assert parse_hamiltonian(f"{coeff_text} {word}\n") == want
+            return
+    with pytest.raises(ValueError, match=f"^{re.escape(f'line 1: {message}')}$"):
+        parse_hamiltonian(f"{coeff_text} {word}\n")
 
 
 @pytest.mark.parametrize("word", ["Z", "X", "Y", "XY", "ZXI", "YYZ", "IXYZ"])

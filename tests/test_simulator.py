@@ -51,6 +51,16 @@ def test_statevector_algebra():
     assert scaled.normalized().norm == pytest.approx(1.0)
 
 
+def test_statevector_rejects_a_wrong_amplitude_count():
+    with pytest.raises(ValueError, match=r"expected 4 amplitudes, got shape \(3,\)"):
+        StateVector(2, np.ones(3))
+
+
+def test_normalizing_a_zero_state_is_a_simulation_error():
+    with pytest.raises(SimulationError, match="cannot normalize a zero state"):
+        StateVector(2, np.zeros(4)).normalized()
+
+
 # --- transitions and rotation kernels --------------------------------------
 #
 # A trajectory enters each run, and reads its state, through one
@@ -126,6 +136,12 @@ def test_run_exact_probability_bookkeeping():
     res = run_exact(circuit, StateVector.zeros(1))
     assert res.cumulative_success == pytest.approx(math.cos(theta) ** 2, rel=1e-12)
     assert np.allclose(res.final_state.amps, [1, 0], atol=1e-12)
+
+
+def test_run_exact_rejects_a_state_of_another_width():
+    circuit = Circuit(1, ((("Z", 0.5),),))
+    with pytest.raises(ValueError, match="initial state has 2 qubits, circuit expects 1 visible"):
+        run_exact(circuit, StateVector.zeros(2))
 
 
 def test_run_exact_zero_weight_branch():
@@ -731,6 +747,12 @@ def test_oracle_at_tau_zero_is_the_normalized_state():
     for tau in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite"):
             imaginary_time_oracle(h, tau, StateVector(3, amps))
+
+
+def test_chained_oracle_rejects_a_state_of_another_width():
+    h = parse_hamiltonian(TFIM)
+    with pytest.raises(ValueError, match="state has 2 qubits, Hamiltonian 3"):
+        next(simulator.chained_oracle(h, [1.0], StateVector.zeros(2)))
 
 
 def test_chained_oracle_restarts_when_tau_goes_back():
