@@ -118,7 +118,7 @@ def _initial_state(spec: str, n_qubits: int) -> StateVector:
     if spec == "plus":
         return StateVector.uniform_plus(n_qubits)
     if spec == "zero":
-        return StateVector.zeros(n_qubits)
+        return StateVector.from_bitstring("0" * n_qubits)
     if len(spec) == n_qubits and set(spec) <= {"0", "1"}:
         return StateVector.from_bitstring(spec)
     raise UsageError(f"--init must be 'plus', 'zero', or a {n_qubits}-bit string, got {spec!r}")

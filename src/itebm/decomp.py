@@ -265,19 +265,6 @@ def mean_unit_success(unit: HiddenUnit) -> float:
     return float(np.add.reduce(c2) / c2.size)  # np.mean's sum and division
 
 
-def mean_success_two_body(coupling: float) -> float:
-    """Average two-body success probability (1 + exp(-4|K|)) / 2."""
-    return 0.5 * (1.0 + math.exp(-4.0 * abs(coupling)))
-
-
-def mean_success_three_body(coupling: float) -> float:
-    """Average three-body success [3 + 4cos^2(2W) + cos^2(4W)] / 8 -> 5/8."""
-    if coupling == 0.0:
-        return 1.0
-    w = _three_four_w(abs(coupling))
-    return (3.0 + 4.0 * math.cos(2 * w) ** 2 + math.cos(4 * w) ** 2) / 8.0
-
-
 def _relabel(dec: Decomposition, sites: tuple[int, ...]) -> Decomposition:
     """Map a decomposition on local sites 0..m-1 onto the sorted global
     sites, local site q becoming sites[q]."""

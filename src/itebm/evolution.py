@@ -106,7 +106,7 @@ def iter_evolution(h: Hamiltonian, taus: list[float], dtau: float, order: int, r
             if walked is None or n_steps < walked:
                 traj, walked, model = Trajectory(step, psi0), 0, 1.0
             while walked < n_steps:
-                traj.advance(step)
+                traj.advance()
                 model *= step.model_success
                 walked += 1
             note = None

@@ -140,14 +140,6 @@ class LdbmNetwork:
     def n_hidden(self) -> int:
         return self.b.size
 
-    @property
-    def real_params(self) -> bool:
-        """True when every a, b, W, L entry is real (unitary summands)."""
-        return all(
-            float(np.max(np.abs(arr.imag), initial=0.0)) == 0.0
-            for arr in (self.a, self.b, self.w, self.lat)
-        )
-
     def to_json_dict(self) -> dict:
         """The parameters with L as a dense M x M upper-triangular matrix."""
         lat = np.zeros((self.n_hidden, self.n_hidden), dtype=complex)

@@ -4,10 +4,11 @@ Both modes rest on one trajectory.  A circuit is hidden units (`ir`):
 rotations X_a ⊗ V_r on the ancilla, whose V_r put at most one letter on
 each visible site, then its measure and postselect onto 0.  So all
 accepted shots follow the same post-selected path: a `Trajectory` walks a
-single state forward through circuits, and each unit appends its branch
-probabilities to a record, whose entry i is cbit i.  A circuit's units,
-one Trotter step, are compiled once into its unit program (`_units`), and
-the trajectory walks it `repeats` times, in place on its own vector and
+single state forward through the one circuit it is built for, and each
+unit appends its branch probabilities to a record, whose entry i is cbit
+i.  The circuit's units, one Trotter step, are compiled once, when the
+trajectory is built, into its unit program (`_units`), and each advance
+walks it `repeats` times, in place on the trajectory's own vector and
 buffers.
 
 Marginalizing a unit's ancilla leaves cos(Theta) on the visible register,
@@ -81,12 +82,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def zeros(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
     def from_bitstring(cls, bits: str) -> "StateVector":
         n = len(bits)
         amps = np.zeros(1 << n, dtype=complex)
@@ -98,14 +93,6 @@ class StateVector:
         dim = 1 << n_qubits
         return cls(n_qubits, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
 
-    @classmethod
-    def from_amplitudes(cls, values) -> "StateVector":
-        amps = np.asarray(values, dtype=complex)
-        size = amps.size
-        if not size or size & (size - 1):
-            raise ValueError(f"expected a power of two amplitudes, got {size}")
-        return cls(size.bit_length() - 1, amps)
-
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -115,12 +102,6 @@ class StateVector:
         if n < ZERO_WEIGHT:
             raise SimulationError("cannot normalize a zero state")
         return StateVector(self.n_qubits, self.amps / n)
-
-    def inner(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.normalized().inner(other.normalized())) ** 2
 
 
 @dataclass(frozen=True)
@@ -335,10 +316,10 @@ class ShotRun:
 
 
 class Trajectory:
-    """One post-selected state, walked forward in place through circuits.
+    """One post-selected state, walked forward in place through its circuit.
 
     record holds (p1, p_kept) per unit, each post-selected onto 0, in walk
-    order: entry i is cbit i, numbered on across the circuits and repeats
+    order: entry i is cbit i, numbered on across the repeats and advances
     walked, as the one ancilla is measured once per unit.
     cumulative_success is the in-order product of the kept-branch
     probabilities.  A kept branch below BRANCH_FLOOR stops the walk for
@@ -353,12 +334,14 @@ class Trajectory:
     it the same way.  A transition is data, bound to no vector: the
     trajectory builds it the first time that (frame, letters) occurs and
     keeps it for walks and reads alike, and runs whose letters agree need
-    none between them.  The circuit last walked keeps its unit program
-    (`_units`), so walking one step n times, as `repeats` or as n
-    advances, compiles it once.
+    none between them.  The circuit's unit program (`_units`) is compiled
+    once, here, so walking one step n times, as `repeats` or as n
+    advances, compiles it once, and a unit that is not a hidden unit
+    raises before any walk.
     """
 
     def __init__(self, circuit: Circuit, psi0: StateVector) -> None:
+        self.circuit = circuit
         self.n_visible = circuit.n_visible
         self.vec = _visible(circuit, psi0)
         self.record: list[tuple[float, float]] = []
@@ -368,7 +351,7 @@ class Trajectory:
         self.frame = "Z" * self.n_visible
         self._buf, self._weights = np.empty_like(self.vec), np.empty(self.vec.size)
         self._transitions: dict[tuple[str, str], tuple[str, tuple | None]] = {}
-        self._program: tuple[Circuit | None, tuple] = (None, ())
+        self._program = _units(circuit)
 
     def _enter(self, letters: str, vec: np.ndarray) -> str:
         """Rotate vec, the trajectory's vector or a copy of it, from frame
@@ -429,13 +412,12 @@ class Trajectory:
             vec /= math.sqrt(kept[-1])
         return True
 
-    def advance(self, circuit: Circuit) -> None:
+    def advance(self) -> None:
+        """Walk the circuit's unit program `repeats` times."""
         if not self.stopped:
-            if self._program[0] is not circuit:
-                self._program = (circuit, _units(circuit))
             self.stopped = not all(  # stops at the first sub-floor branch
-                self._walk(self._program[1]) for _ in range(circuit.repeats))
-        self.n_cbits += circuit.n_cbits
+                self._walk(self._program) for _ in range(self.circuit.repeats))
+        self.n_cbits += self.circuit.n_cbits
 
     def final_state(self) -> StateVector:
         """The renormalized visible-register state."""
@@ -510,7 +492,7 @@ def run_exact(circuit: Circuit, psi0: StateVector) -> ExactRunResult:
     """Deterministic execution: every measurement projects onto its
     post-selected outcome; returns the renormalized visible-register state."""
     traj = Trajectory(circuit, psi0)
-    traj.advance(circuit)
+    traj.advance()
     return ExactRunResult(traj.final_state(), traj.cumulative_success, circuit.log_norm)
 
 
@@ -519,7 +501,7 @@ def run_shots(circuit: Circuit, psi0: StateVector, n_shots: int, seed: int,
     """Sample n_shots trajectories: walk the circuit once, then replay the
     shots against it (`Trajectory.sample`)."""
     traj = Trajectory(circuit, psi0)
-    traj.advance(circuit)
+    traj.advance()
     return traj.sample(n_shots, seed, terminal_basis)
 
 

@@ -8,6 +8,8 @@ state index; spin values are z = +1 for bit 0 and z = -1 for bit 1.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -81,6 +83,21 @@ def three_body_success(k: float, alpha2: float, alpha4: float) -> float:
     |z_i + z_j + z_l + sign(K)| = m."""
     w = 0.5 * np.arctan((1.0 - np.exp(-8.0 * abs(k))) ** 0.25)
     return 1.0 - np.sin(2 * w) ** 2 * alpha2 - np.sin(4 * w) ** 2 * alpha4
+
+
+def mean_success_two_body(coupling: float) -> float:
+    """Average two-body success probability (1 + exp(-4|K|)) / 2."""
+    return 0.5 * (1.0 + math.exp(-4.0 * abs(coupling)))
+
+
+def mean_success_three_body(coupling: float) -> float:
+    """Average three-body success [3 + 4cos^2(2W) + cos^2(4W)] / 8 -> 5/8."""
+    from itebm.decomp import _three_four_w
+
+    if coupling == 0.0:
+        return 1.0
+    w = _three_four_w(abs(coupling))
+    return (3.0 + 4.0 * math.cos(2 * w) ** 2 + math.cos(4 * w) ** 2) / 8.0
 
 
 def imaginary_evolved(terms: list[tuple[float, str]], n: int, tau: float,
@@ -163,6 +180,15 @@ def ldbm_amplitudes_bruteforce(n_visible: int, a, b, w, pairs, lat,
             total += np.exp(1j * expo)
         amps[zi] = np.exp(log_norm) * total
     return amps
+
+
+def real_params(net) -> bool:
+    """True when every a, b, W, L entry of an `LdbmNetwork` is real
+    (unitary summands)."""
+    return all(
+        float(np.max(np.abs(arr.imag), initial=0.0)) == 0.0
+        for arr in (net.a, net.b, net.w, net.lat)
+    )
 
 
 def dense_edges(lat) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,6 @@ from itebm.decomp import (
     decompose_three_body,
     induced_couplings,
     HiddenUnit,
-    mean_success_three_body,
-    mean_success_two_body,
     solve_general_weight,
 )
 from itebm.evolution import iter_evolution
@@ -81,7 +79,7 @@ def test_criterion_1_identity_exactness():
         psi0 = StateVector(n, oracles.random_state(n, rng))
         final = run_exact(circuit, psi0).final_state
         target = oracles.exp_factor(k, word) @ psi0.amps
-        worst = min(worst, final.fidelity(StateVector(n, target)))
+        worst = min(worst, oracles.fidelity(final.amps, target))
     elapsed = time.perf_counter() - t0
     ok = worst >= 1.0 - 1e-12 and elapsed < 30.0
     _report(1, "identity exactness", ok,
@@ -134,12 +132,12 @@ def test_criterion_3_success_probability_laws():
         circuit = oracles.one_term_circuit(term, 1.0)
         run = run_shots(circuit, StateVector.uniform_plus(2), n_shots,
                         seed=SHOT_SEED + i)
-        p = mean_success_two_body(k)
+        p = oracles.mean_success_two_body(k)
         sigma = math.sqrt(p * (1 - p) / n_shots)
         pull = abs(run.acceptance_rate - p) / sigma
         ok &= pull < 3.0
         details.append(f"K={k:g}: {pull:.2f} sigma")
-    p3 = mean_success_three_body(5.0)
+    p3 = oracles.mean_success_three_body(5.0)
     analytic_gap = abs(p3 - 5.0 / 8.0)
     ok &= analytic_gap < 1e-3
     unit = decompose_three_body(5.0).hidden_units[0]
@@ -244,11 +242,9 @@ def test_criterion_6_network_closure():
     def check(net, new, mat, expected_growth):
         nonlocal worst, growth_ok, reality_ok
         growth_ok &= (new.n_hidden - net.n_hidden) == expected_growth
-        got = statevector(new)
-        want = StateVector(net.n_visible, mat @ raw_amplitudes(net))
-        worst = min(worst, got.fidelity(want))
-        if net.real_params:
-            reality_ok &= new.real_params
+        worst = min(worst, oracles.fidelity(statevector(new).amps, mat @ raw_amplitudes(net)))
+        if oracles.real_params(net):
+            reality_ok &= oracles.real_params(new)
 
     for trial in range(trials_per_rule):
         real = trial % 4 == 0
@@ -309,7 +305,8 @@ def test_criterion_7_layer_conversion():
         m = int(rng.integers(0, 5))
         net = _random_ldbm(rng, n, m, real=False)
         dbm = ldbm_to_dbm(net)
-        worst = min(worst, statevector(dbm.to_ldbm()).fidelity(statevector(net)))
+        worst = min(worst, oracles.fidelity(statevector(dbm.to_ldbm()).amps,
+                                            statevector(net).amps))
     ok = worst >= 1.0 - 1e-9
     _report(7, "layer conversion", ok,
             f"100 random nets, min fidelity {worst:.12f}")

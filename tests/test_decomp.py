@@ -19,8 +19,6 @@ from itebm.decomp import (
     decompose_three_body,
     decompose_two_body,
     induced_couplings,
-    mean_success_three_body,
-    mean_success_two_body,
     mean_unit_success,
     solve_general_weight,
 )
@@ -298,23 +296,23 @@ def test_induced_couplings_rejects_more_than_the_walsh_site_limit():
 def test_mean_success_closed_forms_match_average():
     for k in (0.1, 0.5, 1.0, -0.7):
         assert mean_unit_success(decompose_two_body(k).hidden_units[0]) == \
-            pytest.approx(mean_success_two_body(k), rel=1e-12)
+            pytest.approx(oracles.mean_success_two_body(k), rel=1e-12)
         assert mean_unit_success(decompose_three_body(k).hidden_units[0]) == \
-            pytest.approx(mean_success_three_body(k), rel=1e-12)
+            pytest.approx(oracles.mean_success_three_body(k), rel=1e-12)
 
 
 def test_mean_success_three_body_saturates():
-    assert mean_success_three_body(0.0) == 1.0
-    assert mean_success_three_body(5.0) == pytest.approx(5.0 / 8.0, abs=1e-3)
-    assert mean_success_three_body(50.0) == pytest.approx(5.0 / 8.0, abs=1e-12)
+    assert oracles.mean_success_three_body(0.0) == 1.0
+    assert oracles.mean_success_three_body(5.0) == pytest.approx(5.0 / 8.0, abs=1e-3)
+    assert oracles.mean_success_three_body(50.0) == pytest.approx(5.0 / 8.0, abs=1e-12)
 
 
 def _first_unit_success(word, k, psi):
     """Kept-branch probability of the first unit that a one-term step of
     exp(-K word) post-selects, walked exactly from psi."""
     circuit = oracles.one_term_circuit(HamiltonianTerm(k, PauliString(word)), 1.0)
-    traj = Trajectory(circuit, StateVector.from_amplitudes(psi))
-    traj.advance(circuit)
+    traj = Trajectory(circuit, StateVector(len(word), psi))
+    traj.advance()
     return traj.record[0][1]
 
 
@@ -341,7 +339,7 @@ def test_success_probability_two_body():
                 got = _first_unit_success(word, k, psi)
                 assert abs(got - oracles.two_body_success(k, alpha)) < 1e-12
                 if i == 0:
-                    assert abs(got - mean_success_two_body(k)) < 1e-12
+                    assert abs(got - oracles.mean_success_two_body(k)) < 1e-12
 
 
 def test_success_probability_three_body():
@@ -358,7 +356,7 @@ def test_success_probability_three_body():
                 got = _first_unit_success(word, k, psi)
                 assert abs(got - law) < 1e-12
                 if i == 0:
-                    assert abs(got - mean_success_three_body(k)) < 1e-12
+                    assert abs(got - oracles.mean_success_three_body(k)) < 1e-12
 
 
 def test_decompose_sites_relabels():

@@ -74,15 +74,15 @@ def _rotated_vectors(monkeypatch):
     return rotated
 
 
-def _assert_units_close(circuits, psi0, layout="single"):
-    """Advance a Trajectory through circuits and walk
+def _assert_units_close(circuit, psi0, advances=1, layout="single"):
+    """Advance a Trajectory through circuit `advances` times and walk
     oracles.walk_reference alongside, in the ancilla layout: the record,
     the log acceptance, the stop and the renormalized state agree, and the
     walked state has norm 1."""
-    traj = Trajectory(circuits[0], psi0)
-    vec, record, offset, walking = oracles.with_ancillas(circuits[0], psi0, layout), [], 0, True
-    for circuit in circuits:
-        traj.advance(circuit)
+    traj = Trajectory(circuit, psi0)
+    vec, record, offset, walking = oracles.with_ancillas(circuit, psi0, layout), [], 0, True
+    for _ in range(advances):
+        traj.advance()
         if walking:
             walking = oracles.walk_reference(circuit, vec, record, offset, layout)
         offset += circuit.n_cbits
@@ -104,21 +104,21 @@ def _assert_units_close(circuits, psi0, layout="single"):
 @pytest.mark.parametrize("layout", ["single", "pooled:2", "pooled:3"])
 def test_units_agree_with_reference_on_ising_step(route, layout):
     step = _step(TFIM, 0.01, route)
-    _assert_units_close([step] * 100, StateVector.uniform_plus(3), layout)
+    _assert_units_close(step, StateVector.uniform_plus(3), 100, layout)
 
 
 @pytest.mark.parametrize("route", oracles.ROUTES)
 @pytest.mark.parametrize("layout, order", [("single", 2), ("pooled:2", 1), ("pooled:3", 2)])
 def test_units_agree_with_reference_on_y_words(route, layout, order):
     step = _step(Y_WORDS, 0.1, route, order)
-    psi0 = StateVector.from_amplitudes(oracles.random_state(4, np.random.default_rng(9)))
-    _assert_units_close([step] * 10, psi0, layout)
+    psi0 = StateVector(4, oracles.random_state(4, np.random.default_rng(9)))
+    _assert_units_close(step, psi0, 10, layout)
 
 
 def test_units_agree_with_reference_on_chain_step():
     """200 steps of the exact-mode chain, whose acceptance (about e^-1293)
     is far below the smallest double: compared in log space."""
-    traj = _assert_units_close([_step(CHAIN, 0.01)] * 200, StateVector.uniform_plus(8))
+    traj = _assert_units_close(_step(CHAIN, 0.01), StateVector.uniform_plus(8), 200)
     assert len(traj.record) == 200 * 88
     assert _log_acceptance(traj.record) < math.log(1e-300)
 
@@ -136,8 +136,8 @@ def test_units_agree_with_reference_on_overlapping_words():
         units += [(("XZ", angles[0]), ("XI", angles[1]), ("IZ", angles[2]), ("II", angles[3])),
                   (("ZY", angles[4]),)]
     circuit = Circuit(2, tuple(units))
-    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
-    _assert_units_close([circuit] * 3, psi0, "pooled:2")
+    psi0 = StateVector(2, oracles.random_state(2, rng))
+    _assert_units_close(circuit, psi0, 3, "pooled:2")
 
 
 def test_chain_step_compiles_to_four_runs_and_basis_changes():
@@ -156,7 +156,7 @@ def test_chain_step_compiles_to_four_runs_and_basis_changes():
     halves = [(0, 4, (16, 16)), (4, 8, (16, 16))]
     assert changes == [halves] * 4 + [None] + [halves] * 3
     traj = Trajectory(step, StateVector.uniform_plus(8))
-    traj.advance(step)
+    traj.advance()
     assert traj.vec.size == 1 << 8
 
 
@@ -169,7 +169,7 @@ def test_chain_steps_enter_their_runs_by_three_transitions_each(monkeypatch):
     step = _step(CHAIN, 0.01)
     traj = Trajectory(step, StateVector.uniform_plus(8))
     for _ in range(200):
-        traj.advance(step)
+        traj.advance()
     assert len(rotated) == 1 + 3 * 200 and all(vec is traj.vec for vec in rotated)
     assert traj.frame == "X" * 8
 
@@ -182,7 +182,7 @@ def test_unit_below_branch_floor_stops_at_the_reference_index():
     for failing in (("ZI", near_pi), ("XI", math.pi)):
         circuit = Circuit(2, ((("ZI", 0.4), ("IZ", -0.3)), (("ZZ", 0.2),), (failing,),
                               (("IZ", 0.5),)))
-        traj = _assert_units_close([circuit], StateVector.from_bitstring("00"))
+        traj = _assert_units_close(circuit, StateVector.from_bitstring("00"))
         assert traj.stopped and len(traj.record) == 3
         assert traj.record[-1][1] < simulator.BRANCH_FLOOR
         with pytest.raises(SimulationError, match="zero-weight trajectory"):
@@ -205,7 +205,7 @@ def test_repeated_circuit_stops_in_a_later_repetition_like_the_unrolled_referenc
     assert [letters for letters, _ in simulator._units(circuit)] == ["Z", "X", "Z"]
     psi0 = StateVector.uniform_plus(1)
     traj = Trajectory(circuit, psi0)
-    traj.advance(circuit)
+    traj.advance()
     vec, record = oracles.with_ancillas(unrolled, psi0), []
     assert not oracles.walk_reference(unrolled, vec, record)
     assert traj.stopped and [e[0] for e in record] == list(range(len(traj.record))) \
@@ -243,9 +243,9 @@ def _assert_long_run_splits(letter, monkeypatch):
     program = simulator._units(circuit)
     assert len(program) > 1 and sum(_n_units(op) for _, op in program) == 64
     assert all(set(letters) <= {letter, "I"} for letters, _ in program)
-    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
+    psi0 = StateVector(2, oracles.random_state(2, rng))
     rotated = _rotated_vectors(monkeypatch)
-    traj = _assert_units_close([circuit], psi0)
+    traj = _assert_units_close(circuit, psi0)
     assert sum(vec is traj.vec for vec in rotated) == (letter != "Z")
     assert _log_acceptance(traj.record) < math.log(1e-300)
 
@@ -287,8 +287,8 @@ def test_units_of_agreeing_letters_are_one_run(site_letters, blocks):
     assert [(lo, hi) for lo, hi, _ in entry or ()] == blocks
     assert (entry is None) == (not blocks)
     assert simulator._transition(frame, letters) == (letters, None)
-    psi0 = StateVector.from_amplitudes(oracles.random_state(n, rng))
-    _assert_units_close([circuit] * 3, psi0)
+    psi0 = StateVector(n, oracles.random_state(n, rng))
+    _assert_units_close(circuit, psi0, 3)
 
 
 def test_units_whose_letters_conflict_start_a_new_run():
@@ -301,12 +301,12 @@ def test_units_whose_letters_conflict_start_a_new_run():
     program = simulator._units(circuit)
     assert [letters for letters, _ in program] == ["XY", "YI", "ZZ", "XI"]
     assert [_n_units(op) for _, op in program] == [3, 1, 2, 1]
-    psi0 = StateVector.from_amplitudes(oracles.random_state(2, rng))
-    assert _assert_units_close([circuit] * 3, psi0).frame == "XZ"
+    psi0 = StateVector(2, oracles.random_state(2, rng))
+    assert _assert_units_close(circuit, psi0, 3).frame == "XZ"
 
 
 EIGENSTATES = [("X", StateVector.uniform_plus(2)),
-               ("Y", StateVector.from_amplitudes([0.5, 0.5j, 0.5j, -0.5]))]
+               ("Y", StateVector(2, [0.5, 0.5j, 0.5j, -0.5]))]
 
 
 @pytest.mark.parametrize("letter, psi0, at", [
@@ -328,7 +328,7 @@ def test_unit_below_branch_floor_stops_inside_a_rotated_run(letter, psi0, at):
     angles[at] = near_pi
     circuit = Circuit(2, tuple(((word, angle),) for word, angle in zip(words, angles)))
     assert [letters for letters, _ in simulator._units(circuit)] == [letter * 2]
-    traj = _assert_units_close([circuit], psi0)
+    traj = _assert_units_close(circuit, psi0)
     assert traj.stopped and len(traj.record) == at + 1
     assert traj.record[-1][1] < simulator.BRANCH_FLOOR
     with pytest.raises(SimulationError, match="zero-weight trajectory"):
@@ -349,12 +349,12 @@ TWO_LETTERS = [
 
 @pytest.mark.parametrize("circuit, at", TWO_LETTERS)
 def test_unit_with_two_letters_on_a_site_raises_naming_it(circuit, at):
-    """run_exact, run_shots and Trajectory.advance raise the same
+    """run_exact, run_shots and building a Trajectory raise the same
     ValueError, which names the unit, before any walk."""
     psi0 = StateVector.uniform_plus(circuit.n_visible)
     messages = set()
     for run in (lambda: run_exact(circuit, psi0), lambda: run_shots(circuit, psi0, 20, 0),
-                lambda: Trajectory(circuit, psi0).advance(circuit)):
+                lambda: Trajectory(circuit, psi0)):
         with pytest.raises(ValueError) as info:
             run()
         messages.add(str(info.value))
@@ -377,7 +377,7 @@ def test_eight_body_term_walks_a_unit_program():
     vec, record, offset = oracles.with_ancillas(step, psi0), [], 0
     for _ in range(3):
         start = len(record)
-        traj.advance(step)
+        traj.advance()
         assert oracles.walk_reference(step, vec, record, offset)
         offset += step.n_cbits
         assert [e[0] for e in record] == list(range(len(traj.record)))
@@ -396,7 +396,7 @@ def test_eight_body_term_from_a_basis_state_matches_the_trotter_oracle():
     psi0 = StateVector.from_bitstring("0" * 8)
     traj = Trajectory(step, psi0)
     for n_steps in (1, 2, 3):
-        traj.advance(step)
+        traj.advance()
         want = oracles.trotterized_oracle(h, 0.01 * n_steps, 0.01, 1, psi0)
         assert np.max(np.abs(traj.final_state().amps - want.amps)) <= STATE_TOL
 
@@ -406,14 +406,14 @@ def test_diagonal_runs_stay_within_a_step():
     step of diagonal units only is one run, and the program of four steps
     is that one run, walked four times without a transition."""
     h = parse_hamiltonian("1 ZZI\n0.5 IZZ\n-0.7 ZIZ\n0.3 IIZ\n")
-    psi0 = StateVector.from_amplitudes(oracles.random_state(3, np.random.default_rng(47)))
+    psi0 = StateVector(3, oracles.random_state(3, np.random.default_rng(47)))
     circuit = build_qite_circuit(h, 0.4, 0.1)
     assert circuit.repeats == 4
     assert [letters for letters, _ in simulator._units(circuit)] == ["ZZZ"]
     step = trotter_step(h, 0.1).to_circuit(3)
     traj = Trajectory(step, psi0)
     for _ in range(4):
-        traj.advance(step)
+        traj.advance()
     exact = run_exact(circuit, psi0)
     assert np.array_equal(traj.final_state().amps, exact.final_state.amps)
     assert traj.cumulative_success == exact.cumulative_success
@@ -455,5 +455,5 @@ def test_every_built_circuit_walks_a_unit_program(name, route, layout, order, bu
     for kind in ("measure", "postselect"):
         assert sorted(g.cbit for g in gates if g.kind == kind) == list(range(circuit.n_cbits))
     traj = Trajectory(circuit, StateVector.uniform_plus(circuit.n_visible))
-    traj.advance(circuit)
+    traj.advance()
     assert len(traj.record) == circuit.n_cbits
